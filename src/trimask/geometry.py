@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,6 +38,11 @@ class ProcessParams:
     min_spacing: int = 30
 
     def __post_init__(self):
+        for name in ("min_s", "overlap_margin", "alpha", "min_width", "min_spacing"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise LayoutError(f"{name} must be a finite number, got {value!r}")
         if not self.min_s > self.min_spacing > 0:
             raise LayoutError(
                 f"require min_s > min_spacing > 0, got {self.min_s}, {self.min_spacing}"
@@ -106,6 +112,8 @@ def layout_from_dict(doc: dict) -> Layout:
     if not isinstance(doc, dict) or "shapes" not in doc:
         raise LayoutError("layout document must be an object with a 'shapes' list")
     params_doc = doc.get("params", {})
+    if not isinstance(params_doc, dict):
+        raise LayoutError(f"params must be an object, got {params_doc!r}")
     known = {"min_s", "overlap_margin", "alpha", "min_width", "min_spacing"}
     extra = set(params_doc) - known
     if extra:

@@ -7,7 +7,18 @@ sum of dot products subject to unit diagonal, dot >= -1/2 on conflict pairs,
 and positive semidefiniteness. The engine optimizes a low-rank factor whose
 rows live on the unit sphere, with a quadratic penalty enforcing the -1/2
 floor; the resulting Gram matrix is rounded to masks by sorting entries and
-growing same-mask groups through a disjoint set.
+growing same-mask groups along the sorted list.
+
+The rounding compares Gram entries with fixed thresholds and breaks ties by
+sort order, so the last bit of one entry can change the masks, and the
+relaxation's floating-point sums must keep their order for a seeded run to
+repeat. The gradient therefore accumulates each cell as ``w @ v`` computed
+densely, then the hinge terms of the conflict pairs' first endpoints in
+edge order, then those of their second endpoints, in one ``np.bincount``
+over a fixed cell index. A sparse ``w``, another scatter or a reordered sum
+changes results, not only timings. The order is fixed within one numpy and
+BLAS build; a host whose BLAS kernels sum ``w @ v`` or ``v @ v.T`` in
+another order may round to other masks.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import DecompositionGraph, MaskAssignment, as_fraction, evaluate
-from .unionfind import DisjointSet
 
 # the three ideal directions; pairwise dots are exactly 1 (same) or -1/2
 MASK_VECTORS = (
@@ -163,42 +173,56 @@ def _penalized_value(v, w, mu, ce, shift=None):
 
     ``shift`` (multiplier estimates divided by 2*mu) moves each hinge so the
     walls can be enforced exactly without driving mu to stiffness; zero shift
-    is the plain penalty.
+    is the plain penalty. Besides the value, returns the hinge, ``w @ v`` and
+    the conflict pairs' endpoint rows, which the gradient at ``v`` reuses.
     """
-    x_ce = (v[ce[:, 0]] * v[ce[:, 1]]).sum(axis=1) if len(ce) else np.zeros(0)
-    base = 0.5 * float(np.sum((w @ v) * v))
+    wv = w @ v
+    head, tail = v[ce[:, 0]], v[ce[:, 1]]
+    x_ce = (head * tail).sum(axis=1)
+    base = 0.5 * float(np.sum(wv * v))
     raw = -0.5 - x_ce
     if shift is None:
         hinge = np.maximum(0.0, raw)
-        return base + mu * float(hinge @ hinge), hinge
+        return base + mu * float(hinge @ hinge), hinge, wv, head, tail
     hinge = np.maximum(0.0, raw + shift)
-    return base + mu * float(hinge @ hinge - shift @ shift), hinge
+    return base + mu * float(hinge @ hinge - shift @ shift), hinge, wv, head, tail
 
 
-def _riemannian_grad(v, w, mu, ce, hinge):
-    grad = w @ v
-    if len(ce) and mu and hinge.any():
-        coef = -2.0 * mu * hinge
-        np.add.at(grad, ce[:, 0], coef[:, None] * v[ce[:, 1]])
-        np.add.at(grad, ce[:, 1], coef[:, None] * v[ce[:, 0]])
+def _scatter_cells(ce, n, rank):
+    """Flat cell index of the gradient's accumulation: every cell of
+    ``w @ v`` in order, then the first endpoints' rows in edge order, then
+    the second endpoints'."""
+    cols = np.arange(rank)
+    return np.concatenate(
+        [np.arange(n * rank), (ce[:, 0, None] * rank + cols).ravel(),
+         (ce[:, 1, None] * rank + cols).ravel()]
+    )
+
+
+def _riemannian_grad(v, mu, hinge, wv, head, tail, cells):
+    """Gradient on the sphere from the parts ``_penalized_value`` returned
+    at ``v``; ``cells`` is ``_scatter_cells`` for ``v``'s conflict pairs."""
+    grad = wv
+    if len(hinge) and mu and hinge.any():
+        coef = -2.0 * mu * hinge[:, None]
+        terms = np.concatenate([wv, coef * tail, coef * head]).ravel()
+        grad = np.bincount(cells, weights=terms, minlength=wv.size).reshape(wv.shape)
     radial = (grad * v).sum(axis=1, keepdims=True)
     return grad - radial * v
 
 
 def _lipschitz_bound(w, mu, ce) -> float:
-    degree = np.zeros(len(w))
-    if len(ce):
-        np.add.at(degree, ce[:, 0], 1.0)
-        np.add.at(degree, ce[:, 1], 1.0)
+    degree = np.bincount(ce.ravel(), minlength=len(w))
     row = float(np.abs(w).sum(axis=1).max()) if len(w) else 1.0
-    return max(1.0, row + 2.0 * mu * float(degree.max(initial=0.0)))
+    return max(1.0, row + 2.0 * mu * float(degree.max(initial=0)))
 
 
 def _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift=None):
     """Projected gradient with spectral (Barzilai-Borwein) steps and a
     nonmonotone backtracking safeguard; rows are renormalized every step."""
-    value, hinge = _penalized_value(v, w, mu, ce, shift)
-    grad = _riemannian_grad(v, w, mu, ce, hinge)
+    cells = _scatter_cells(ce, *v.shape)
+    value, *parts = _penalized_value(v, w, mu, ce, shift)
+    grad = _riemannian_grad(v, mu, *parts, cells)
     safe_step = 1.0 / _lipschitz_bound(w, mu, ce)
     step = safe_step
     memory = [value]
@@ -212,7 +236,7 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift=None):
         reference = max(memory)
         for _ in range(25):
             v_new = _normalize_rows(v - trial_step * grad)
-            value_new, hinge_new = _penalized_value(v_new, w, mu, ce, shift)
+            value_new, *parts_new = _penalized_value(v_new, w, mu, ce, shift)
             if value_new <= reference - 1e-4 * trial_step * gnorm * gnorm:
                 accepted = True
                 break
@@ -225,22 +249,17 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift=None):
             fresh_step = True
             continue
         fresh_step = False
-        grad_new = _riemannian_grad(v_new, w, mu, ce, hinge_new)
+        grad_new = _riemannian_grad(v_new, mu, *parts_new, cells)
         dv = (v_new - v).ravel()
         dg_ = (grad_new - grad).ravel()
         denom = float(dv @ dg_)
         step = float(dv @ dv) / denom if denom > 1e-16 else trial_step * 2.0
         step = min(max(step, 1e-12), 1e3)
-        v, value, grad, hinge = v_new, value_new, grad_new, hinge_new
+        v, value, grad = v_new, value_new, grad_new
         memory.append(value)
         if len(memory) > 10:
             memory.pop(0)
     return v, float(np.sqrt((grad * grad).sum()))
-
-
-def _full_gradient(v, w, mu, ce, shift=None):
-    _, hinge = _penalized_value(v, w, mu, ce, shift)
-    return _riemannian_grad(v, w, mu, ce, hinge)
 
 
 def _rank_reduced(v):
@@ -309,8 +328,7 @@ def solve_relaxation(
         stall_rounds = 0
         shake_tried = False
         for round_idx in range(rounds):
-            _, hinge = _penalized_value(v, w, mu, ce, shift)
-            shift = hinge
+            _, shift, *_ = _penalized_value(v, w, mu, ce, shift)
             # intermediate rounds only need enough accuracy to update the
             # multipliers; certification accuracy is for the settled walls
             round_tol = cfg.grad_tol
@@ -332,8 +350,8 @@ def solve_relaxation(
                 v_cut, grad_cut = _minimize_on_sphere(
                     v_cut, w, mu, ce, cfg.max_inner_iters, cfg.grad_tol, shift
                 )
-                f_old, _ = _penalized_value(v, w, mu, ce, shift)
-                f_new, _ = _penalized_value(v_cut, w, mu, ce, shift)
+                f_old, *_ = _penalized_value(v, w, mu, ce, shift)
+                f_new, *_ = _penalized_value(v_cut, w, mu, ce, shift)
                 if f_new <= f_old + 1e-12:
                     v, grad_norm = v_cut, grad_cut
                     violation = _max_violation(v @ v.T, ce)
@@ -346,8 +364,8 @@ def solve_relaxation(
                 v_shake, grad_shake = _minimize_on_sphere(
                     v_shake, w, mu, ce, cfg.max_inner_iters, cfg.grad_tol, shift
                 )
-                f_old, _ = _penalized_value(v, w, mu, ce, shift)
-                f_new, _ = _penalized_value(v_shake, w, mu, ce, shift)
+                f_old, *_ = _penalized_value(v, w, mu, ce, shift)
+                f_new, *_ = _penalized_value(v_shake, w, mu, ce, shift)
                 if f_new < f_old - 1e-12:
                     v, grad_norm = v_shake, grad_shake
                     violation = _max_violation(v @ v.T, ce)
@@ -413,13 +431,63 @@ class MappingInfo:
         return self.forced_unions > 0
 
 
-def _compatible(dsu: DisjointSet, separations: list[tuple[int, int]], i: int, j: int) -> bool:
-    ri, rj = dsu.find(i), dsu.find(j)
-    for a, b in separations:
-        ra, rb = dsu.find(a), dsu.find(b)
-        if (ra == ri and rb == rj) or (ra == rj and rb == ri):
-            return False
-    return True
+class _Groups:
+    """Same-mask groups of the rounding over node positions 0..n-1, with the
+    separations recorded between them. ``label[p]`` names the group of
+    position p; row ``g`` of ``apart`` is the set of groups that group ``g``
+    may not merge with, so the merge check is one lookup. A union relabels
+    the absorbed group and merges its row and column into the survivor's.
+    Only entries between two live labels are read."""
+
+    # pairs checked per vectorized step when walking the sorted list
+    CHUNK = 512
+
+    def __init__(self, n: int):
+        self.label = np.arange(n)
+        self.apart = np.zeros((n, n), dtype=bool)
+        self.count = n
+
+    def separate(self, first: np.ndarray, second: np.ndarray) -> int:
+        """Separate the groups of each position pair; returns the number of
+        pairs already inside one group, which are ignored."""
+        a, b = self.label[first], self.label[second]
+        split = a != b
+        self.apart[a[split], b[split]] = True
+        self.apart[b[split], a[split]] = True
+        return int(len(split) - split.sum())
+
+    def union(self, i: int, j: int):
+        """Merge two distinct groups. A forced union may join two separated
+        groups; their separation then lies inside one group, where it is
+        never read."""
+        keep, gone = self.label[i], self.label[j]
+        self.label[self.label == gone] = keep
+        self.apart[keep] |= self.apart[gone]
+        self.apart[:, keep] |= self.apart[:, gone]
+        self.count -= 1
+
+    def merge_along(self, first: np.ndarray, second: np.ndarray, stop: int, until: int = 1):
+        """Visit pairs 0..stop-1 in order, merging the groups of each pair
+        that lie in distinct, unseparated groups, until ``until`` groups
+        remain."""
+        k = 0
+        while k < stop and self.count > until:
+            end = min(k + self.CHUNK, stop)
+            a, b = self.label[first[k:end]], self.label[second[k:end]]
+            hits = np.flatnonzero((a != b) & ~self.apart[a, b])
+            if len(hits) == 0:
+                k = end
+                continue
+            k += int(hits[0])
+            self.union(first[k], second[k])
+            k += 1
+
+    def members(self, nodes) -> list[list]:
+        """The groups as sorted node lists, ordered by their first node."""
+        out = {}
+        for p, g in enumerate(self.label.tolist()):
+            out.setdefault(g, []).append(nodes[p])
+        return sorted((sorted(group) for group in out.values()), key=lambda group: group[0])
 
 
 def map_to_masks(
@@ -443,71 +511,46 @@ def map_to_masks(
     n = len(nodes)
     alpha = 0.1 if alpha is None else alpha
 
-    triplets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = float(sol.x[i, j])
-            if value != 0.0:
-                triplets.append((value, nodes[i], nodes[j]))
-    triplets.sort(key=lambda t: (-t[0], t[1], t[2]))
+    # nonzero upper-triangle entries as (value, row, col) over node positions,
+    # by value descending, then by the node ids of row and col; the ids
+    # matter only for exact ties, so the slower sort runs only when one exists
+    rows, cols = np.triu_indices(n, 1)
+    values = sol.x[rows, cols]
+    keep = values != 0.0
+    values, rows, cols = values[keep], rows[keep], cols[keep]
+    order = np.argsort(-values)
+    if np.any(values[order[1:]] == values[order[:-1]]):
+        ids = np.array(nodes, dtype=int)
+        order = np.lexsort((ids[cols], ids[rows], -values))
+    values, rows, cols = values[order], rows[order], cols[order]
 
-    dsu = DisjointSet(nodes)
-    separations: list[tuple[int, int]] = []
-    for k in range(params.rounds):
-        for value, i, j in triplets:
-            if value <= params.union_levels[k]:
-                break
-            if dsu.same(i, j):
-                continue
-            if _compatible(dsu, separations, i, j):
-                dsu.union(i, j)
-        for value, i, j in triplets:
-            if value >= params.sepa_levels[k]:
-                continue
-            if dsu.same(i, j):
-                info.ignored_separations += 1
-                continue
-            separations.append((i, j))
+    groups = _Groups(n)
+    for union_level, sepa_level in zip(params.union_levels, params.sepa_levels):
+        groups.merge_along(rows, cols, int(np.count_nonzero(values > union_level)))
+        below = values < sepa_level
+        info.ignored_separations += groups.separate(rows[below], cols[below])
 
-    def group_count() -> int:
-        return len({dsu.find(node) for node in nodes})
+    groups.merge_along(rows, cols, len(rows), until=3)
+    while groups.count > 3:
+        # no compatible pair left: force the best-ranked mergeable pair, or
+        # failing that the first mergeable pair of nodes
+        label = groups.label
+        distinct = np.flatnonzero(label[rows] != label[cols])
+        if len(distinct):
+            pair = rows[distinct[0]], cols[distinct[0]]
+        else:
+            pair = next(
+                (i, j) for i in range(n) for j in range(n)
+                if nodes[i] < nodes[j] and label[i] != label[j]
+            )
+        groups.union(*pair)
+        info.forced_unions += 1
 
-    cursor = 0
-    while group_count() > 3:
-        merged = False
-        while cursor < len(triplets):
-            value, i, j = triplets[cursor]
-            if not dsu.same(i, j) and _compatible(dsu, separations, i, j):
-                dsu.union(i, j)
-                merged = True
-                break
-            cursor += 1
-        if merged:
-            continue
-        # no compatible pair left: force the best-ranked mergeable pair
-        forced = False
-        for value, i, j in triplets:
-            if not dsu.same(i, j):
-                dsu.union(i, j)
-                info.forced_unions += 1
-                forced = True
-                break
-        if not forced:
-            for i in nodes:
-                for j in nodes:
-                    if i < j and not dsu.same(i, j):
-                        dsu.union(i, j)
-                        info.forced_unions += 1
-                        forced = True
-                        break
-                if forced:
-                    break
-
-    groups = sorted(dsu.groups().values(), key=lambda members: members[0])
-    info.groups = tuple(tuple(g) for g in groups)
+    members = groups.members(nodes)
+    info.groups = tuple(tuple(g) for g in members)
     colors = {}
-    for mask, members in enumerate(groups):
-        for node in members:
+    for mask, group in enumerate(members):
+        for node in group:
             colors[node] = mask
     return evaluate(dg, colors, alpha)
 

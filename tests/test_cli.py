@@ -71,6 +71,21 @@ class TestDecomposeCommand:
         bad.write_text(json.dumps({"shapes": [{"id": 0, "rect": [0, 0, 0, 10]}]}))
         assert run(["decompose", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("name", ["alpha", "min_s", "overlap_margin", "min_width",
+                                      "min_spacing"])
+    @pytest.mark.parametrize("value", ['"x"', "NaN", "Infinity", "-Infinity", "null", "true",
+                                       "[1]"])
+    def test_bad_process_param_exit_2(self, tmp_path, name, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"params": {{"{name}": {value}}}, '
+                       '"shapes": [{"id": 0, "rect": [0, 0, 10, 10]}]}')
+        assert run(["decompose", "--input", str(bad)]) == 2
+
+    def test_params_not_an_object_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"params": [1], "shapes": []}')
+        assert run(["decompose", "--input", str(bad)]) == 2
+
     def test_layout_to_assignment_and_svg(self, tmp_path):
         layout_path = tmp_path / "layout.json"
         run(["gen", "--shapes", "12", "--density", "2", "--seed", "3",

@@ -204,6 +204,13 @@ class TestParams:
         with pytest.raises(LayoutError):
             ProcessParams(alpha=0)
 
+    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), -float("inf"), None,
+                                       True])
+    def test_non_numeric_and_non_finite_rejected(self, value):
+        for name in ("min_s", "overlap_margin", "alpha", "min_width", "min_spacing"):
+            with pytest.raises(LayoutError, match=name):
+                ProcessParams(**{name: value})
+
 
 def test_non_contiguous_shape_ids():
     layout = Layout(

@@ -12,12 +12,18 @@ from trimask.sdp import (
     MappingParams,
     RelaxationSolution,
     SdpConfig,
+    _edge_positions,
+    _Groups,
+    _penalized_value,
+    _riemannian_grad,
+    _scatter_cells,
     build_cost_matrix,
     discrete_vector_objective,
     hyperplane_rounding,
     map_to_masks,
     solve_relaxation,
 )
+from trimask.unionfind import DisjointSet
 
 
 class TestMaskVectors:
@@ -141,6 +147,73 @@ class TestRelaxation:
         assert np.array_equal(a.x, b.x)
 
 
+def add_at_value_and_gradient(v, w, mu, ce, shift=None):
+    """Reference penalized value, hinge and sphere gradient: ``w @ v`` and
+    the endpoint rows computed afresh for each, and the hinge terms added by
+    two ``np.add.at`` scatters, first endpoints first. The fast path must
+    reproduce it bit for bit, since the rounding depends on the last bits."""
+    x_ce = (v[ce[:, 0]] * v[ce[:, 1]]).sum(axis=1) if len(ce) else np.zeros(0)
+    base = 0.5 * float(np.sum((w @ v) * v))
+    raw = -0.5 - x_ce
+    if shift is None:
+        hinge = np.maximum(0.0, raw)
+        value = base + mu * float(hinge @ hinge)
+    else:
+        hinge = np.maximum(0.0, raw + shift)
+        value = base + mu * float(hinge @ hinge - shift @ shift)
+    grad = w @ v
+    if len(ce) and mu and hinge.any():
+        coef = -2.0 * mu * hinge
+        np.add.at(grad, ce[:, 0], coef[:, None] * v[ce[:, 1]])
+        np.add.at(grad, ce[:, 1], coef[:, None] * v[ce[:, 0]])
+    radial = (grad * v).sum(axis=1, keepdims=True)
+    return value, hinge, grad - radial * v
+
+
+class TestGradientAccumulation:
+    @staticmethod
+    def fast(v, w, mu, ce, shift=None):
+        value, *parts = _penalized_value(v, w, mu, ce, shift)
+        return value, parts[0], _riemannian_grad(v, mu, *parts, _scatter_cells(ce, *v.shape))
+
+    @staticmethod
+    def instance(rng, n, rank, ce_density):
+        dg = random_graph(rng, n, ce_density=ce_density)
+        w = build_cost_matrix(dg, 0.1).matrix
+        ce, _ = _edge_positions(dg, dg.nodes)
+        v = rng.normal(size=(n, rank))
+        return v / np.linalg.norm(v, axis=1, keepdims=True), w, ce
+
+    def test_matches_add_at_reference_bit_for_bit(self, rng):
+        active = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 41))
+            v, w, ce = self.instance(rng, n, int(rng.integers(1, 9)), rng.uniform(0.2, 0.9))
+            mu = float(rng.choice([4.0, 40.0, 400.0]))
+            shifts = [None, rng.uniform(-0.2, 0.5, size=len(ce)), np.zeros(len(ce))]
+            for shift in shifts:
+                value, hinge, grad = self.fast(v, w, mu, ce, shift)
+                ref_value, ref_hinge, ref_grad = add_at_value_and_gradient(v, w, mu, ce, shift)
+                assert value == ref_value
+                assert np.array_equal(hinge, ref_hinge)
+                assert np.array_equal(grad, ref_grad)
+                active += bool(hinge.any())
+        assert active >= 100  # most cases scatter hinge terms
+
+    def test_all_zero_hinge_and_no_edges(self, rng):
+        v, w, ce = self.instance(rng, 12, 4, 0.5)
+        v[:] = v[0]  # every conflict dot is 1, so no wall is touched
+        for shift in (None, np.zeros(len(ce))):
+            value, hinge, grad = self.fast(v, w, 40.0, ce, shift)
+            assert len(ce) and not hinge.any()
+            ref_value, _, ref_grad = add_at_value_and_gradient(v, w, 40.0, ce, shift)
+            assert value == ref_value and np.array_equal(grad, ref_grad)
+        v, w, ce = self.instance(rng, 6, 3, 0.0)
+        assert len(ce) == 0
+        _, _, grad = self.fast(v, w, 4.0, ce)
+        assert np.array_equal(grad, add_at_value_and_gradient(v, w, 4.0, ce)[2])
+
+
 def reference_solution(dg, x, alpha=0.1):
     """Wrap an explicit Gram matrix for mapping tests."""
     nodes = dg.nodes
@@ -152,6 +225,76 @@ def reference_solution(dg, x, alpha=0.1):
         np.array(ce, dtype=int).reshape(-1, 2),
         np.array(se, dtype=int).reshape(-1, 2),
         alpha,
+    )
+
+
+def linear_scan_rounding(sol, params):
+    """Reference rounding that checks each merge by scanning the whole list
+    of recorded separations. Returns (groups, forced unions, ignored
+    separations) for comparison with ``map_to_masks``'s ``MappingInfo``."""
+    nodes = sol.index
+    n = len(nodes)
+    triplets = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = float(sol.x[i, j])
+            if value != 0.0:
+                triplets.append((value, nodes[i], nodes[j]))
+    triplets.sort(key=lambda t: (-t[0], t[1], t[2]))
+
+    dsu = DisjointSet(nodes)
+    separations = []
+    forced = ignored = 0
+
+    def compatible(i, j):
+        ri, rj = dsu.find(i), dsu.find(j)
+        for a, b in separations:
+            ra, rb = dsu.find(a), dsu.find(b)
+            if (ra == ri and rb == rj) or (ra == rj and rb == ri):
+                return False
+        return True
+
+    for k in range(params.rounds):
+        for value, i, j in triplets:
+            if value <= params.union_levels[k]:
+                break
+            if not dsu.same(i, j) and compatible(i, j):
+                dsu.union(i, j)
+        for value, i, j in triplets:
+            if value >= params.sepa_levels[k]:
+                continue
+            if dsu.same(i, j):
+                ignored += 1
+                continue
+            separations.append((i, j))
+
+    cursor = 0
+    while len({dsu.find(node) for node in nodes}) > 3:
+        merged = False
+        while cursor < len(triplets):
+            value, i, j = triplets[cursor]
+            if not dsu.same(i, j) and compatible(i, j):
+                dsu.union(i, j)
+                merged = True
+                break
+            cursor += 1
+        if merged:
+            continue
+        pair = next(((i, j) for _, i, j in triplets if not dsu.same(i, j)), None)
+        if pair is None:
+            pair = next((i, j) for i in nodes for j in nodes if i < j and not dsu.same(i, j))
+        dsu.union(*pair)
+        forced += 1
+    groups = sorted(dsu.groups().values(), key=lambda members: members[0])
+    return tuple(tuple(g) for g in groups), forced, ignored
+
+
+def gram_solution(x, index):
+    """Wrap a symmetric matrix as is, without refactoring it."""
+    return RelaxationSolution(
+        x=np.asarray(x, dtype=float), v=np.zeros((len(index), 0)), index=tuple(index),
+        obj_simplified=0.0, obj_relaxation=0.0, converged=True, grad_norm=0.0,
+        max_violation=0.0,
     )
 
 
@@ -215,27 +358,108 @@ class TestMapping:
                      alpha=0.1, info=info)
         assert info.forced_unions >= 1
 
+    @pytest.mark.parametrize("chunk", [_Groups.CHUNK, 5])
+    def test_matches_linear_scan_reference(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(_Groups, "CHUNK", chunk)  # 5 walks across chunk ends
+        def planted(n):
+            part = rng.integers(0, int(rng.integers(3, 6)), size=n)
+            same = part[:, None] == part[None, :]
+            x = np.where(same, rng.uniform(0.5, 1.0, (n, n)), rng.uniform(-0.55, -0.1, (n, n)))
+            return x + rng.normal(scale=0.15, size=(n, n))
+
+        def low_rank(n):
+            v = rng.normal(size=(n, int(rng.integers(2, 5))))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            return v @ v.T
+
+        def coarse(n):
+            # a coarse grid gives exact ties and zero entries
+            return np.round(rng.uniform(-0.6, 1.0, (n, n)) * 4) / 4
+
+        param_sets = [
+            MappingParams(),
+            MappingParams(union_levels=(0.9,), sepa_levels=(-0.3,)),
+            MappingParams(union_levels=(0.9, 0.6), sepa_levels=(-0.4, -0.2)),
+            MappingParams(union_levels=(0.95, 0.75, 0.5), sepa_levels=(-0.45, -0.25, 0.0)),
+        ]
+        forced = ignored = 0
+        for case in range(60):
+            n = int(rng.integers(4, 31))
+            x = (planted, low_rank, coarse)[case % 3](n)
+            x = np.triu(x, 1) + np.triu(x, 1).T
+            np.fill_diagonal(x, 1.0)
+            ids = sorted(rng.choice(1000, size=n, replace=False).tolist())
+            index = list(ids)
+            if case % 2:
+                rng.shuffle(index)  # ties break on node ids, not positions
+            sol = gram_solution(x, index)
+            dg = DecompositionGraph.from_edges(ids)
+            for params in param_sets:
+                info = MappingInfo()
+                map_to_masks(sol, dg, params, alpha=0.1, info=info)
+                expected = linear_scan_rounding(sol, params)
+                assert (info.groups, info.forced_unions, info.ignored_separations) == expected
+                forced += info.forced_unions
+                ignored += info.ignored_separations
+        assert forced and ignored  # both the forced and the ignored paths ran
+
+    def test_forced_unions_match_linear_scan_reference(self):
+        # tetrahedral X separates every pair; an all-zero X has no entry to
+        # merge along, so every union is forced through the node-pair scan
+        tetra = np.full((4, 4), -1.0 / 3.0)
+        np.fill_diagonal(tetra, 1.0)
+        for x, index in ((tetra, (0, 1, 2, 3)), (np.eye(6), (9, 4, 7, 1, 8, 3))):
+            sol = gram_solution(x, index)
+            dg = DecompositionGraph.from_edges(sorted(index))
+            for params in (MappingParams(union_levels=(0.9,), sepa_levels=(-0.3,)),
+                           MappingParams(union_levels=(0.9, 0.5), sepa_levels=(-0.4, -0.3))):
+                info = MappingInfo()
+                map_to_masks(sol, dg, params, alpha=0.1, info=info)
+                assert info.forced_unions >= 1
+                assert (info.groups, info.forced_unions, info.ignored_separations) == \
+                    linear_scan_rounding(sol, params)
+
     def test_visitation_scales_quadratically(self):
         # sorted-triplet mapping grows like n^2 log n, so doubling n may cost
-        # at most 5x; best-of-7 timing with a warmup keeps the measure stable
-        def run(n):
+        # at most 5x; best-of-7 timing with a warmup keeps the measure stable.
+        # The uniform input merges almost everything in the greedy tail; the
+        # planted 3-partition records separations between all cross-group
+        # pairs, so every merge in the tail is checked against them.
+        def uniform(rng, n):
+            return rng.uniform(-0.45, 0.95, size=(n, n))
+
+        def planted(rng, n):
+            part = rng.integers(0, 3, size=n)
+            same = part[:, None] == part[None, :]
+            return np.where(same, rng.uniform(0.3, 0.92, size=(n, n)),
+                            rng.uniform(-0.5, -0.45, size=(n, n)))
+
+        def timer(draw, n):
             rng = np.random.default_rng(0)
-            x = rng.uniform(-0.45, 0.95, size=(n, n))
+            x = draw(rng, n)
             x = (x + x.T) / 2
             np.fill_diagonal(x, 1.0)
             dg = DecompositionGraph.from_edges(n)
-            sol = reference_solution(dg, np.eye(n))
-            object.__setattr__(sol, "x", x)
+            sol = gram_solution(x, dg.nodes)
+            t0 = time.perf_counter()
             map_to_masks(sol, dg, alpha=0.1)  # warmup
-            best = float("inf")
-            for _ in range(7):
-                t0 = time.perf_counter()
-                map_to_masks(sol, dg, alpha=0.1)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            # a sample spans at least ~50 ms, longer than a burst of host noise
+            calls = max(1, int(0.05 / (time.perf_counter() - t0)))
 
-        slow, fast = run(600), run(300)
-        assert slow / fast <= 5.0
+            def sample():
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    map_to_masks(sol, dg, alpha=0.1)
+                return (time.perf_counter() - t0) / calls
+
+            return sample
+
+        for draw, n in ((uniform, 300), (planted, 100)):
+            slow, fast = timer(draw, 2 * n), timer(draw, n)
+            # the two sizes alternate, so a drift in host speed hits both
+            samples = [(slow(), fast()) for _ in range(7)]
+            ratio = min(s for s, _ in samples) / min(f for _, f in samples)
+            assert ratio <= 5.0, draw.__name__
 
 
 class TestHyperplaneRounding:
