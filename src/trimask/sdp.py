@@ -512,16 +512,13 @@ def map_to_masks(
     alpha = 0.1 if alpha is None else alpha
 
     # nonzero upper-triangle entries as (value, row, col) over node positions,
-    # by value descending, then by the node ids of row and col; the ids
-    # matter only for exact ties, so the slower sort runs only when one exists
+    # by value descending, then by the node ids of row and col
     rows, cols = np.triu_indices(n, 1)
     values = sol.x[rows, cols]
     keep = values != 0.0
     values, rows, cols = values[keep], rows[keep], cols[keep]
-    order = np.argsort(-values)
-    if np.any(values[order[1:]] == values[order[:-1]]):
-        ids = np.array(nodes, dtype=int)
-        order = np.lexsort((ids[cols], ids[rows], -values))
+    ids = np.array(nodes, dtype=int)
+    order = np.lexsort((ids[cols], ids[rows], -values))
     values, rows, cols = values[order], rows[order], cols[order]
 
     groups = _Groups(n)
