@@ -12,10 +12,11 @@ from trimask import (
     DecompositionGraph,
     LayoutGraph,
     brute_force_optimum,
+    connected_components,
     evaluate,
     find_bridges,
     peel_low_degree,
-    reinsert_and_color,
+    reinsert_segments,
     solve_exact,
     stitch_and_rotate,
 )
@@ -29,9 +30,9 @@ cycle = LayoutGraph(
 residual, record = peel_low_degree(cycle)
 print(f"cycle of 5: residual nodes {residual.nodes}, {len(record)} peeled")
 
-colors = reinsert_and_color(record, {})
 dg_cycle = DecompositionGraph.from_edges(5, ce=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-print("greedy reinsertion colors:", colors)
+colors, blocked = reinsert_segments(dg_cycle, record, {})
+print("greedy reinsertion colors:", colors, "blocked shapes:", sorted(blocked))
 print("conflicts after reinsertion:", evaluate(dg_cycle, colors, 0.1).conflict_count)
 
 # --- bridges ---------------------------------------------------------------
@@ -40,11 +41,13 @@ dg = DecompositionGraph.from_edges(
     6, ce=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
 )
 cut = find_bridges(dg)[0]
+pruned = DecompositionGraph(dg.segments, dg.ce - {cut.bridge}, dg.se - {cut.bridge})
+left_side, right_side = connected_components(pruned)
 print(f"\nbridge found: {cut.bridge} ({cut.edge_kind}), "
-      f"sides {sorted(cut.side_a)} / {sorted(cut.side_b)}")
+      f"sides {list(left_side.nodes)} / {list(right_side.nodes)}")
 
-left = solve_exact(dg.subgraph(cut.side_a), 0.1).assignment.colors
-right = solve_exact(dg.subgraph(cut.side_b), 0.1).assignment.colors
+left = solve_exact(left_side, 0.1).assignment.colors
+right = solve_exact(right_side, 0.1).assignment.colors
 print("sides solved independently:", left, right)
 
 merged = stitch_and_rotate(cut, left, right)

@@ -48,7 +48,6 @@ from .pipeline import (
     ComponentReport,
     DecomposeConfig,
     DecomposeResult,
-    compare_solvers,
     decompose,
     decompose_graph,
 )
@@ -57,7 +56,7 @@ from .reductions import (
     PeelRecord,
     find_bridges,
     peel_low_degree,
-    reinsert_and_color,
+    reinsert_segments,
     stitch_and_rotate,
 )
 from .sdp import (
@@ -67,7 +66,6 @@ from .sdp import (
     SdpConfig,
     build_cost_matrix,
     discrete_vector_objective,
-    hyperplane_rounding,
     map_to_masks,
     solve_relaxation,
 )
@@ -108,14 +106,13 @@ __all__ = [
     "ComponentReport",
     "DecomposeConfig",
     "DecomposeResult",
-    "compare_solvers",
     "decompose",
     "decompose_graph",
     "BridgeCut",
     "PeelRecord",
     "find_bridges",
     "peel_low_degree",
-    "reinsert_and_color",
+    "reinsert_segments",
     "stitch_and_rotate",
     "CostMatrix",
     "MappingParams",
@@ -123,7 +120,6 @@ __all__ = [
     "SdpConfig",
     "build_cost_matrix",
     "discrete_vector_objective",
-    "hyperplane_rounding",
     "map_to_masks",
     "solve_relaxation",
 ]

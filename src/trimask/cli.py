@@ -27,7 +27,7 @@ from .geometry import (
 from .graphs import DecompositionGraph, MaskAssignment, parse_edgelist
 from .ilp import build_ilp, write_lp
 from .pipeline import DecomposeConfig, DecomposeResult, decompose, decompose_graph
-from .sdp import build_cost_matrix, solve_relaxation
+from .sdp import SdpConfig, build_cost_matrix, solve_relaxation
 
 
 class UsageError(Exception):
@@ -95,7 +95,6 @@ def cmd_decompose(args) -> int:
         return 2
 
     cfg = DecomposeConfig(solver=args.solver, alpha=args.alpha, seed=args.seed)
-    cfg = replace(cfg, sdp=replace(cfg.sdp, seed=args.seed))
 
     layout = None
     if args.input:
@@ -122,7 +121,9 @@ def cmd_decompose(args) -> int:
     if args.dump_lp:
         Path(args.dump_lp).write_text(write_lp(build_ilp(result.dg, alpha)))
     if args.dump_x:
-        sol = solve_relaxation(build_cost_matrix(result.dg, alpha), result.dg, cfg.sdp)
+        sol = solve_relaxation(
+            build_cost_matrix(result.dg, alpha), result.dg, SdpConfig(seed=cfg.seed)
+        )
         Path(args.dump_x).write_text(format_x_csv(sol.x))
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Pair, ordered_pair
+from .graphs import Pair, adjacency, ordered_pair
 from .unionfind import DisjointSet
 
 
@@ -43,20 +43,12 @@ class InfeasibleWitness:
     path: tuple[int, ...]
 
 
-def _adjacency(nodes, ce_edges) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
-    for u, v in ce_edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
-
-
 def find_adjacent_triangles(nodes, ce_edges) -> list[TrianglePair]:
     """All pairs of triangles sharing an edge, over conflict edges only."""
-    adj = _adjacency(nodes, ce_edges)
+    adj = adjacency(nodes, ce_edges)
     out = []
     for u, v in sorted(ordered_pair(a, b) for a, b in ce_edges):
-        common = sorted(adj[u] & adj[v])
+        common = sorted(set(adj[u]).intersection(adj[v]))
         for i in range(len(common)):
             for j in range(i + 1, len(common)):
                 out.append(TrianglePair(shared=(u, v), apex_a=common[i], apex_b=common[j]))
@@ -64,12 +56,12 @@ def find_adjacent_triangles(nodes, ce_edges) -> list[TrianglePair]:
 
 
 def propagate_and_check(nodes, ce_edges) -> ConstraintClasses | InfeasibleWitness:
-    """Union apex pairs until fixpoint, then look for a conflict edge whose
-    endpoints were forced together.
+    """Union every apex pair, then look for a conflict edge whose endpoints
+    were forced together.
 
-    Triangles are always re-enumerated on the original edge set; merged
-    classes never act as synthetic edges, so the union pass converges after
-    one round (kept in a loop to make the fixpoint explicit).
+    Triangles are enumerated once on the original edge set and merged
+    classes never act as synthetic edges, so one union pass reaches the
+    fixpoint.
     """
     nodes = sorted(set(nodes) | {n for e in ce_edges for n in e})
     edges = sorted(ordered_pair(u, v) for u, v in ce_edges)
@@ -77,20 +69,12 @@ def propagate_and_check(nodes, ce_edges) -> ConstraintClasses | InfeasibleWitnes
     witness: dict[Pair, list[TrianglePair]] = {}
     links: dict[int, list[int]] = {n: [] for n in nodes}
 
-    # the triangle list is static (classes never act as synthetic edges), so
-    # one union pass reaches the fixpoint; the loop makes that explicit
-    triangles = find_adjacent_triangles(nodes, edges)
-    for tri in triangles:
-        witness.setdefault(ordered_pair(tri.apex_a, tri.apex_b), []).append(tri)
-    changed = True
-    while changed:
-        changed = False
-        for tri in triangles:
-            pair = ordered_pair(tri.apex_a, tri.apex_b)
-            if dsu.union(*pair):
-                links[pair[0]].append(pair[1])
-                links[pair[1]].append(pair[0])
-                changed = True
+    for tri in find_adjacent_triangles(nodes, edges):
+        pair = ordered_pair(tri.apex_a, tri.apex_b)
+        witness.setdefault(pair, []).append(tri)
+        if dsu.union(*pair):
+            links[pair[0]].append(pair[1])
+            links[pair[1]].append(pair[0])
 
     for u, v in edges:
         if dsu.same(u, v):

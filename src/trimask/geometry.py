@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import DecompositionGraph, Pair, Segment, ordered_pair
+from .graphs import DecompositionGraph, Pair, Segment, adjacency, ordered_pair
 
 Rect = tuple[int, int, int, int]
 
@@ -167,11 +167,7 @@ class LayoutGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {n: tuple(sorted(adj[n])) for n in self.nodes}
+        return adjacency(self.nodes, self.edges)
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
@@ -182,24 +178,6 @@ class LayoutGraph:
             nodes=tuple(n for n in self.nodes if n in keep),
             edges=frozenset(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
-
-    def connected_components(self) -> list["LayoutGraph"]:
-        seen: set[int] = set()
-        comps = []
-        for root in self.nodes:
-            if root in seen:
-                continue
-            stack, comp = [root], {root}
-            seen.add(root)
-            while stack:
-                u = stack.pop()
-                for v in self.adjacency[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        seen.add(v)
-                        stack.append(v)
-            comps.append(self.subgraph(comp))
-        return comps
 
 
 def build_layout_graph(layout: Layout) -> LayoutGraph:

@@ -23,6 +23,43 @@ def ordered_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
+def adjacency(nodes, edges) -> dict[int, tuple[int, ...]]:
+    """Sorted neighbor tuples of an undirected edge set. Every node gets an
+    entry, and so does an edge endpoint missing from ``nodes``."""
+    adj: dict[int, set[int]] = {n: set() for n in nodes}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
+
+
+def component_sets(graph) -> list[set[int]]:
+    """Node sets of the connected components of a graph with ``nodes`` and
+    ``adjacency`` (a layout or a decomposition graph), ordered by smallest
+    node id."""
+    adj = graph.adjacency
+    seen: set[int] = set()
+    comps = []
+    for root in sorted(graph.nodes):
+        if root in seen:
+            continue
+        stack, comp = [root], {root}
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def connected_components(graph):
+    """The components of a layout or a decomposition graph as induced
+    subgraphs, ordered by smallest node id."""
+    return [graph.subgraph(comp) for comp in component_sets(graph)]
+
+
 def as_fraction(alpha) -> Fraction:
     """Exact rational view of a weight; floats go through their decimal repr."""
     if isinstance(alpha, Fraction):
@@ -90,11 +127,7 @@ class DecompositionGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for u, v in self.ce | self.se:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {n: tuple(sorted(adj[n])) for n in self.nodes}
+        return adjacency(self.nodes, self.ce | self.se)
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
@@ -216,26 +249,6 @@ def brute_force_optimum(
     digits = (best_code // place) % 3
     colors = {node: int(digits[index[node]]) for node in nodes}
     return evaluate(dg, colors, alpha)
-
-
-def connected_components(dg: DecompositionGraph) -> list[DecompositionGraph]:
-    """Partition by connectivity over CE and SE, ordered by smallest node id."""
-    seen: set[int] = set()
-    comps = []
-    for root in dg.nodes:
-        if root in seen:
-            continue
-        stack, comp = [root], {root}
-        seen.add(root)
-        while stack:
-            u = stack.pop()
-            for v in dg.adjacency[u]:
-                if v not in comp:
-                    comp.add(v)
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(dg.subgraph(comp))
-    return comps
 
 
 def parse_edgelist(text: str) -> DecompositionGraph:

@@ -9,64 +9,58 @@ greedy conflict-free colors.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .detection import InfeasibleWitness, propagate_and_check
-from .geometry import Layout, LayoutGraph, ProcessParams, build_layout_graph, project_and_split
+from .geometry import Layout, LayoutGraph, build_layout_graph, project_and_split
 from .graphs import (
     DecompositionGraph,
     MaskAssignment,
     as_fraction,
+    component_sets,
     connected_components,
     evaluate,
 )
 from .ilp import solve_exact
-from .reductions import (
-    BridgeCut,
-    PeelRecord,
-    find_bridges,
-    peel_low_degree,
-    stitch_and_rotate,
-)
+from .reductions import find_bridges, peel_low_degree, reinsert_segments, stitch_and_rotate
 from .sdp import (
     MappingInfo,
     MappingParams,
     SdpConfig,
     build_cost_matrix,
-    hyperplane_rounding,
     map_to_masks,
     solve_relaxation,
 )
 from .unionfind import DisjointSet
 
+# solver "auto" searches components of at most this many nodes exactly
+AUTO_THRESHOLD = 25
+
 
 @dataclass(frozen=True)
 class DecomposeConfig:
     solver: str = "auto"  # "exact" | "sdp" | "auto"
-    params: ProcessParams = field(default_factory=ProcessParams)
-    mapping: MappingParams = field(default_factory=MappingParams)
-    sdp: SdpConfig = field(default_factory=SdpConfig)
     alpha: float | None = None  # None: take from layout params (0.1 for bare graphs)
     node_budget: int = 5_000_000
-    auto_threshold: int = 25
     seed: int = 42
-    rounding: str = "triplet"  # "triplet" | "hyperplane"
 
     def __post_init__(self):
         if self.solver not in ("exact", "sdp", "auto"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.rounding not in ("triplet", "hyperplane"):
-            raise ValueError(f"unknown rounding {self.rounding!r}")
+        alpha = self.alpha
+        real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+        if alpha is not None and not (real and math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
 
 
 @dataclass
 class ComponentReport:
     component: int  # smallest node id in the component
     size: int
-    solver: str
+    solver: str = "none"  # "exact" | "sdp", "mixed" if bridge pieces ran both
     nodes_explored: int = 0
     proven_optimal: bool = True
     bridges_cut: int = 0
@@ -114,34 +108,29 @@ def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: Com
     n = len(dg.nodes)
     solver = cfg.solver
     if solver == "auto":
-        solver = "exact" if n <= cfg.auto_threshold else "sdp"
+        solver = "exact" if n <= AUTO_THRESHOLD else "sdp"
+    report.solver = solver if report.solver in ("none", solver) else "mixed"
     if solver == "exact":
         res = solve_exact(dg, alpha, budget=cfg.node_budget)
         report.nodes_explored += res.nodes_explored
         report.proven_optimal = report.proven_optimal and res.proven_optimal
         return res.assignment.colors
-    sdp_cfg = cfg.sdp
     if n > 16:
         # large components get a lighter schedule: the rounding only needs
         # the structure of the Gram matrix, not a certified stationary point
-        sdp_cfg = replace(
-            sdp_cfg,
-            restarts=min(sdp_cfg.restarts, 3),
-            shift_rounds=min(sdp_cfg.shift_rounds, 5),
-            max_inner_iters=min(sdp_cfg.max_inner_iters, 200),
-            grad_tol=max(sdp_cfg.grad_tol, 1e-4),
+        sdp_cfg = SdpConfig(
+            restarts=3, shift_rounds=5, max_inner_iters=200, grad_tol=1e-4, seed=cfg.seed
         )
+    else:
+        sdp_cfg = SdpConfig(seed=cfg.seed)
     cost = build_cost_matrix(dg, alpha)
     sol = solve_relaxation(cost, dg, sdp_cfg)
     report.sdp_converged = sol.converged if report.sdp_converged is None else (
         report.sdp_converged and sol.converged
     )
     report.proven_optimal = False
-    if cfg.rounding == "hyperplane":
-        rng = np.random.default_rng(cfg.seed)
-        return hyperplane_rounding(sol, dg, alpha, rng).colors
     info = MappingInfo()
-    assignment = map_to_masks(sol, dg, cfg.mapping, alpha=alpha, info=info)
+    assignment = map_to_masks(sol, dg, MappingParams(), alpha=alpha, info=info)
     report.mapping_degraded = report.mapping_degraded or info.degraded
     return assignment.colors
 
@@ -173,14 +162,7 @@ def _solve_with_bridges(dg: DecompositionGraph, alpha, cfg, report) -> dict[int,
     for cut in cuts:
         u, v = cut.bridge
         ru, rv = dsu.find(u), dsu.find(v)
-        color_a, color_b = blocks.pop(ru), blocks.pop(rv)
-        merge_cut = BridgeCut(
-            bridge=cut.bridge,
-            edge_kind=cut.edge_kind,
-            side_a=frozenset(color_a),
-            side_b=frozenset(color_b),
-        )
-        merged = stitch_and_rotate(merge_cut, color_a, color_b)
+        merged = stitch_and_rotate(cut, blocks.pop(ru), blocks.pop(rv))
         dsu.union(ru, rv)
         blocks[dsu.find(ru)] = merged
     (colors,) = blocks.values()
@@ -195,9 +177,7 @@ def _solve_components(dg: DecompositionGraph, alpha, cfg):
         verdict = propagate_and_check(comp.nodes, comp.ce)
         if isinstance(verdict, InfeasibleWitness):
             witnesses.append(verdict)
-        report = ComponentReport(
-            component=min(comp.nodes), size=len(comp.nodes), solver=cfg.solver
-        )
+        report = ComponentReport(component=min(comp.nodes), size=len(comp.nodes))
         colors.update(_solve_with_bridges(comp, alpha, cfg, report))
         reports.append(report)
     return colors, reports, witnesses
@@ -215,27 +195,23 @@ def decompose_graph(dg: DecompositionGraph, cfg: DecomposeConfig | None = None) 
 
 def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeResult:
     cfg = cfg or DecomposeConfig()
-    if cfg.params is not layout.params:
-        cfg = replace(cfg, params=layout.params)
     alpha = as_fraction(cfg.alpha if cfg.alpha is not None else layout.params.alpha)
     t0 = time.perf_counter()
 
     lg = build_layout_graph(layout)
     residual_lg, record = peel_low_degree(lg)
     dg = project_and_split(layout, lg, split_nodes=residual_lg.nodes)
-    residual_segments = [
-        s.id for s in dg.segments if s.parent in set(residual_lg.nodes)
-    ]
-    residual_dg = dg.subgraph(residual_segments)
+    residual = set(residual_lg.nodes)
+    residual_dg = dg.subgraph(s.id for s in dg.segments if s.parent in residual)
 
     colors, reports, witnesses = _solve_components(residual_dg, alpha, cfg)
-    colors, fallback_parents = _reinsert_segments(layout, dg, record, colors)
+    colors, fallback_parents = reinsert_segments(dg, record, colors)
 
     if fallback_parents:
         # a peeled shape ran out of free colors against a stitched neighbor;
         # re-solve its whole layout-graph component without peeling
         redo = set()
-        for comp in lg.connected_components():
+        for comp in connected_components(lg):
             if set(comp.nodes) & fallback_parents:
                 redo.update(comp.nodes)
         redo_dg = dg.subgraph([s.id for s in dg.segments if s.parent in redo])
@@ -250,40 +226,6 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
     return _result(assignment, dg, lg, reports, witnesses, len(record), t0, cfg)
 
 
-def _reinsert_segments(layout, dg, record: PeelRecord, colors):
-    """Pop peeled shapes, coloring each against the segments of its recorded
-    neighbors that sit within the coloring distance. Returns the colored map
-    and the set of shapes for which all three colors were blocked."""
-    by_parent: dict[int, list[int]] = {}
-    for seg in dg.segments:
-        by_parent.setdefault(seg.parent, []).append(seg.id)
-    adjacency = dg.adjacency
-    out = dict(colors)
-    blocked: set[int] = set()
-    for shape_id, neighbor_shapes in reversed(record.stack):
-        seg_id = by_parent[shape_id][0]  # peeled shapes are never split
-        used = set()
-        for other_seg in adjacency[seg_id]:
-            parent = dg.segment_by_id[other_seg].parent
-            if parent in neighbor_shapes and other_seg in out:
-                used.add(out[other_seg])
-        free = [c for c in range(3) if c not in used]
-        if free:
-            out[seg_id] = free[0]
-        else:
-            blocked.add(shape_id)
-            costs = []
-            for c in range(3):
-                clash = sum(
-                    1
-                    for other_seg in adjacency[seg_id]
-                    if other_seg in out and out[other_seg] == c
-                )
-                costs.append((clash, c))
-            out[seg_id] = min(costs)[1]
-    return out, blocked
-
-
 def _result(assignment, dg, lg, reports, witnesses, peeled, t0, cfg) -> DecomposeResult:
     return DecomposeResult(
         assignment=assignment,
@@ -292,7 +234,7 @@ def _result(assignment, dg, lg, reports, witnesses, peeled, t0, cfg) -> Decompos
         per_component=reports,
         witnesses=witnesses,
         peeled=peeled,
-        components=len(connected_components(dg)),
+        components=len(component_sets(dg)),
         stitch_count=assignment.stitch_count,
         conflict_count=assignment.conflict_count,
         objective=assignment.objective_float(),
@@ -300,25 +242,3 @@ def _result(assignment, dg, lg, reports, witnesses, peeled, t0, cfg) -> Decompos
         wall_time=time.perf_counter() - t0,
         solver=cfg.solver,
     )
-
-
-def compare_solvers(layout: Layout, cfg: DecomposeConfig | None = None) -> dict:
-    """Run the exact and relaxation pipelines on the same layout and report
-    stitch/conflict totals and wall time side by side."""
-    cfg = cfg or DecomposeConfig()
-    rows = {}
-    for solver in ("exact", "sdp"):
-        result = decompose(layout, replace(cfg, solver=solver))
-        rows[solver] = {
-            "st": result.stitch_count,
-            "cn": result.conflict_count,
-            "objective": result.objective,
-            "cpu_s": result.wall_time,
-        }
-    exact_obj = rows["exact"]["objective"]
-    sdp_obj = rows["sdp"]["objective"]
-    rows["ratio"] = {
-        "objective": (sdp_obj / exact_obj) if exact_obj else (1.0 if sdp_obj == 0 else float("inf")),
-        "speedup": rows["exact"]["cpu_s"] / max(rows["sdp"]["cpu_s"], 1e-12),
-    }
-    return rows

@@ -57,46 +57,61 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
     return residual, PeelRecord(stack=tuple(stack))
 
 
-def reinsert_and_color(record: PeelRecord, partial: dict[int, int]) -> dict[int, int]:
-    """Pop peeled nodes and give each the smallest color its recorded
-    neighbors do not use. With <=2 recorded neighbors a free color always
-    exists, so no conflict is introduced on recorded edges."""
-    colors = dict(partial)
-    for node, neighbors in reversed(record.stack):
-        used = {colors[v] for v in neighbors}
-        colors[node] = min(c for c in range(3) if c not in used)
-    return colors
+def reinsert_segments(dg: DecompositionGraph, record: PeelRecord, colors: dict[int, int]):
+    """Pop peeled shapes, coloring each against the segments of its recorded
+    neighbors that sit within the coloring distance. Returns the colored map
+    and the set of shapes for which all three colors were blocked; such a
+    shape takes the color that clashes with the fewest colored segments."""
+    by_parent: dict[int, list[int]] = {}
+    for seg in dg.segments:
+        by_parent.setdefault(seg.parent, []).append(seg.id)
+    adjacency = dg.adjacency
+    out = dict(colors)
+    blocked: set[int] = set()
+    for shape_id, neighbor_shapes in reversed(record.stack):
+        seg_id = by_parent[shape_id][0]  # peeled shapes are never split
+        used = set()
+        for other_seg in adjacency[seg_id]:
+            parent = dg.segment_by_id[other_seg].parent
+            if parent in neighbor_shapes and other_seg in out:
+                used.add(out[other_seg])
+        free = [c for c in range(3) if c not in used]
+        if free:
+            out[seg_id] = free[0]
+        else:
+            blocked.add(shape_id)
+            costs = []
+            for c in range(3):
+                clash = sum(
+                    1
+                    for other_seg in adjacency[seg_id]
+                    if other_seg in out and out[other_seg] == c
+                )
+                costs.append((clash, c))
+            out[seg_id] = min(costs)[1]
+    return out, blocked
 
 
 @dataclass(frozen=True)
 class BridgeCut:
     bridge: Pair
     edge_kind: str  # "CE" or "SE"
-    side_a: frozenset[int]
-    side_b: frozenset[int]
 
 
 def find_bridges(dg: DecompositionGraph) -> list[BridgeCut]:
-    """All bridges over CE union SE via iterative DFS low-link.
-
-    Each cut carries the two node sets obtained by removing that single
-    edge; together they partition the bridge's connected component.
-    """
+    """All bridges over CE union SE via iterative DFS low-link, sorted."""
     adj = dg.adjacency
     order: dict[int, int] = {}
     low: dict[int, int] = {}
-    component: dict[int, int] = {}
     bridges: list[Pair] = []
     counter = 0
 
     for root in dg.nodes:
         if root in order:
             continue
-        comp_id = root
         # iterative DFS; entries are (node, parent, neighbor iterator)
         order[root] = low[root] = counter
         counter += 1
-        component[root] = comp_id
         stack = [(root, None, iter(adj[root]))]
         while stack:
             node, parent, it = stack[-1]
@@ -110,7 +125,6 @@ def find_bridges(dg: DecompositionGraph) -> list[BridgeCut]:
                 else:
                     order[nxt] = low[nxt] = counter
                     counter += 1
-                    component[nxt] = comp_id
                     stack[-1] = (node, parent, it)
                     stack.append((nxt, node, iter(adj[nxt])))
                     advanced = True
@@ -123,37 +137,7 @@ def find_bridges(dg: DecompositionGraph) -> list[BridgeCut]:
                     if low[node] > order[up]:
                         bridges.append(ordered_pair(up, node))
 
-    comp_nodes: dict[int, set[int]] = {}
-    for node, comp_id in component.items():
-        comp_nodes.setdefault(comp_id, set()).add(node)
-
-    cuts = []
-    for u, v in sorted(bridges):
-        side_b = _reachable_without(dg, v, (u, v))
-        side_a = comp_nodes[component[u]] - side_b
-        kind = "CE" if (u, v) in dg.ce else "SE"
-        cuts.append(
-            BridgeCut(
-                bridge=(u, v),
-                edge_kind=kind,
-                side_a=frozenset(side_a),
-                side_b=frozenset(side_b),
-            )
-        )
-    return cuts
-
-
-def _reachable_without(dg: DecompositionGraph, start: int, banned: Pair) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt in dg.adjacency[node]:
-            if ordered_pair(node, nxt) == banned or nxt in seen:
-                continue
-            seen.add(nxt)
-            stack.append(nxt)
-    return seen
+    return [BridgeCut(bridge=e, edge_kind="CE" if e in dg.ce else "SE") for e in sorted(bridges)]
 
 
 def stitch_and_rotate(
@@ -161,12 +145,13 @@ def stitch_and_rotate(
 ) -> dict[int, int]:
     """Merge two independently colored sides of a bridge.
 
-    Side b is rotated by the smallest cyclic shift that makes the bridge
-    endpoints differ (conflict bridge) or agree (stitch bridge); a shift in
-    {0,1,2} always works, and rotation leaves side b's own cost unchanged.
+    Each side's coloring holds one bridge endpoint, in either order. Side b
+    is rotated by the smallest cyclic shift that makes the bridge endpoints
+    differ (conflict bridge) or agree (stitch bridge); a shift in {0,1,2}
+    always works, and rotation leaves side b's own cost unchanged.
     """
     u, v = cut.bridge
-    end_a, end_b = (u, v) if u in cut.side_a else (v, u)
+    end_a, end_b = (u, v) if u in color_a else (v, u)
     ca, cb = color_a[end_a], color_b[end_b]
     for k in range(3):
         rotated = (cb + k) % 3

@@ -550,39 +550,3 @@ def map_to_masks(
         for node in group:
             colors[node] = mask
     return evaluate(dg, colors, alpha)
-
-
-def hyperplane_rounding(
-    sol: RelaxationSolution, dg: DecompositionGraph, alpha, rng
-) -> MaskAssignment:
-    """Alternative rounding: project factors onto a random direction, peel a
-    greedy independent set as the first mask, then two-color the rest."""
-    nodes = sol.index
-    scores = sol.v @ rng.normal(size=sol.v.shape[1])
-    order = sorted(range(len(nodes)), key=lambda k: (-scores[k], nodes[k]))
-    adjacency = dg.adjacency
-    first: set[int] = set()
-    for k in order:
-        node = nodes[k]
-        if not any(other in first for other in adjacency[node]):
-            first.add(node)
-    colors = {node: 0 for node in first}
-    frac = as_fraction(alpha)
-    for k in order:
-        node = nodes[k]
-        if node in colors:
-            continue
-        costs = []
-        for c in (1, 2):
-            cost = Fraction(0)
-            for other in adjacency[node]:
-                if other not in colors:
-                    continue
-                pair = (node, other) if node < other else (other, node)
-                if pair in dg.ce and colors[other] == c:
-                    cost += 1
-                elif pair in dg.se and colors[other] != c:
-                    cost += frac
-            costs.append((cost, c))
-        colors[node] = min(costs)[1]
-    return evaluate(dg, colors, alpha)

@@ -4,7 +4,7 @@ import pytest
 
 from trimask.cli import format_assignment, generate_layout, main, render_svg
 from trimask.geometry import build_layout_graph, load_layout, project_and_split
-from trimask.graphs import evaluate, parse_edgelist
+from trimask.graphs import connected_components, evaluate, parse_edgelist
 from trimask.pipeline import DecomposeConfig, decompose
 
 TRIANGLE_EDGELIST = "3\nC 0 1\nC 1 2\nC 0 2\n"
@@ -141,6 +141,20 @@ class TestDecomposeCommand:
             objectives[alpha] = json.loads(stats.read_text())["objective"]
         assert objectives["0.5"] >= objectives["0.1"]
 
+    @pytest.mark.parametrize("source", ["--graph", "--input"])
+    @pytest.mark.parametrize("alpha", ["0", "-1", "inf", "nan"])
+    def test_bad_alpha_exit_2(self, tmp_path, source, alpha):
+        path = tmp_path / "in.txt"
+        if source == "--graph":
+            path.write_text(WORKED_EDGELIST)
+        else:
+            assert run(["gen", "--shapes", "30", "--density", "6", "--seed", "1",
+                        "--out", str(path)]) == 0
+        stats = tmp_path / "stats.json"
+        assert run(["decompose", source, str(path), "--alpha", alpha,
+                    "--stats", str(stats)]) == 2
+        assert not stats.exists()
+
     def test_min_s_override_adds_edges(self, tmp_path):
         doc = {"shapes": [{"id": 0, "rect": [0, 0, 50, 50]},
                           {"id": 1, "rect": [150, 0, 200, 50]}]}
@@ -171,7 +185,7 @@ class TestGenCommand:
         out = tmp_path / "dense.json"
         run(["gen", "--shapes", "40", "--density", "6", "--seed", "4", "--out", str(out)])
         lg = build_layout_graph(load_layout(out))
-        assert max(len(c.nodes) for c in lg.connected_components()) >= 10
+        assert max(len(c.nodes) for c in connected_components(lg)) >= 10
 
     def test_infeasible_density_exit_2(self, tmp_path):
         assert run(["gen", "--shapes", "10", "--density", "9", "--seed", "1",

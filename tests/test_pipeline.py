@@ -1,13 +1,11 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from conftest import random_graph
 from trimask.cli import generate_layout
 from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, project_and_split
-from trimask.graphs import brute_force_optimum, evaluate
-from trimask.pipeline import DecomposeConfig, compare_solvers, decompose, decompose_graph
+from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
+from trimask.pipeline import AUTO_THRESHOLD, DecomposeConfig, decompose, decompose_graph
 
 
 def squares(points, side=50):
@@ -107,40 +105,85 @@ class TestDecomposeGraph:
 
     def test_path_graph_bridge_heavy(self):
         # long path: every edge a bridge; exercised without recursion limits
-        from trimask.graphs import DecompositionGraph
-
         n = 2000
         dg = DecompositionGraph.from_edges(n, ce=[(i, i + 1) for i in range(n - 1)])
         result = decompose_graph(dg, DecomposeConfig(solver="exact"))
         assert result.conflict_count == 0
 
-    def test_hyperplane_rounding_switch(self, rng):
-        dg = random_graph(rng, 12)
-        cfg = DecomposeConfig(solver="sdp", rounding="hyperplane")
-        result = decompose_graph(dg, cfg)
-        assert set(result.assignment.colors) == set(dg.nodes)
-        exact = decompose_graph(dg, DecomposeConfig(solver="exact"))
-        assert result.objective >= exact.objective
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DecomposeConfig(solver="magic")
-        with pytest.raises(ValueError):
-            DecomposeConfig(rounding="nearest")
+        for alpha in (0, -1, 0.0, float("inf"), float("nan"), True):
+            with pytest.raises(ValueError):
+                DecomposeConfig(alpha=alpha)
+        assert DecomposeConfig(alpha=0.5).alpha == 0.5
+
+    def test_config_has_four_fields(self):
+        assert list(DecomposeConfig.__dataclass_fields__) == [
+            "solver", "alpha", "node_budget", "seed"
+        ]
+
+
+def two_triangles_bridged():
+    return DecompositionGraph.from_edges(
+        6, ce=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+    )
+
+
+class TestComponentSolver:
+    """``ComponentReport.solver`` names the solver that actually ran."""
+
+    def test_auto_small_component_runs_exact(self):
+        result = decompose_graph(two_triangles_bridged(), DecomposeConfig(solver="auto"))
+        assert [r.solver for r in result.per_component] == ["exact"]
+
+    def test_auto_large_component_runs_sdp(self, rng):
+        n = AUTO_THRESHOLD + 5
+        dg = random_graph(rng, n, 0.5, 0.0)
+        result = decompose_graph(dg, DecomposeConfig(solver="auto"))
+        (report,) = result.per_component
+        assert report.size == n and report.bridges_cut == 0
+        assert report.solver == "sdp"
+
+    def test_auto_mixed_across_bridge_pieces(self):
+        # a dense block above the threshold, bridged to a triangle: the block
+        # goes to the relaxation and the triangle to the exact search
+        n = AUTO_THRESHOLD + 5
+        big = [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % 3]
+        tri = [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+        dg = DecompositionGraph.from_edges(n + 3, ce=big + tri + [(n - 1, n)])
+        result = decompose_graph(dg, DecomposeConfig(solver="auto"))
+        (report,) = result.per_component
+        assert report.bridges_cut == 1
+        assert report.solver == "mixed"
+
+    def test_single_nodes_run_no_solver(self):
+        dg = DecompositionGraph.from_edges(3)
+        result = decompose_graph(dg, DecomposeConfig(solver="exact"))
+        assert [r.solver for r in result.per_component] == ["none"] * 3
+        tree = DecompositionGraph.from_edges(3, ce=[(0, 1), (1, 2)])
+        result = decompose_graph(tree, DecomposeConfig(solver="sdp"))
+        assert [r.solver for r in result.per_component] == ["none"]
+        assert result.per_component[0].bridges_cut == 2
 
 
 class TestCompareSolvers:
+    """The exact search and the relaxation side by side on one layout."""
+
     def test_sdp_never_beats_exact(self):
         layout = generate_layout(20, 6.0, seed=2)
-        table = compare_solvers(layout)
-        assert table["sdp"]["objective"] >= table["exact"]["objective"]
-        assert table["ratio"]["objective"] >= 1.0
+        exact = decompose(layout, DecomposeConfig(solver="exact"))
+        sdp = decompose(layout, DecomposeConfig(solver="sdp"))
+        assert sdp.objective >= exact.objective
+        assert {r.solver for r in exact.per_component} <= {"exact", "none"}
+        assert {r.solver for r in sdp.per_component} <= {"sdp", "none"}
 
     def test_empty_layout_zeros(self):
         layout = Layout(shapes=(), params=ProcessParams())
-        table = compare_solvers(layout)
-        assert table["exact"]["st"] == 0 and table["exact"]["cn"] == 0
-        assert table["sdp"]["objective"] == 0.0
+        for solver in ("exact", "sdp"):
+            result = decompose(layout, DecomposeConfig(solver=solver))
+            assert result.stitch_count == 0 and result.conflict_count == 0
+            assert result.objective == 0.0
 
 
 class TestWitnessPlumbing:

@@ -3,12 +3,12 @@ import pytest
 
 from conftest import random_graph
 from trimask.geometry import LayoutGraph
-from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
+from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
 from trimask.reductions import (
     PeelRecord,
     find_bridges,
     peel_low_degree,
-    reinsert_and_color,
+    reinsert_segments,
     stitch_and_rotate,
 )
 
@@ -61,21 +61,26 @@ class TestPeel:
 
 
 class TestReinsert:
+    """Reinsertion on abstract graphs, where every segment is its own shape."""
+
     def test_isolated_gets_zero(self):
+        dg = DecompositionGraph.from_edges([7])
         record = PeelRecord(stack=(((7, frozenset())),))
-        assert reinsert_and_color(record, {}) == {7: 0}
+        assert reinsert_segments(dg, record, {}) == ({7: 0}, set())
 
     def test_forced_color(self):
+        dg = DecompositionGraph.from_edges(3, ce=[(0, 1), (0, 2)])
         record = PeelRecord(stack=((0, frozenset({1, 2})),))
-        colors = reinsert_and_color(record, {1: 0, 2: 1})
-        assert colors[0] == 2
+        colors, blocked = reinsert_segments(dg, record, {1: 0, 2: 1})
+        assert colors[0] == 2 and not blocked
 
     def test_cycle5_proper(self):
         lg = lg_from_edges(5, CYCLE5)
         residual, record = peel_low_degree(lg)
-        colors = reinsert_and_color(record, {})
         dg = DecompositionGraph.from_edges(5, ce=CYCLE5)
+        colors, blocked = reinsert_segments(dg, record, {})
         assert evaluate(dg, colors, 0.1).conflict_count == 0
+        assert not blocked
 
     def test_peel_then_optimal_matches_oracle(self):
         rng = np.random.default_rng(2)
@@ -85,9 +90,22 @@ class TestReinsert:
             lg = lg_from_edges(n, dg.ce)
             residual, record = peel_low_degree(lg)
             partial = brute_force_optimum(dg.subgraph(residual.nodes), 0.1).colors
-            colors = reinsert_and_color(record, partial)
+            colors, blocked = reinsert_segments(dg, record, partial)
             got = evaluate(dg, colors, 0.1).objective
             assert got == brute_force_optimum(dg, 0.1).objective
+            assert not blocked
+
+    def test_blocked_shape_takes_least_clashing_color(self):
+        # shape 1 is split into segments 1 and 3, so the peeled shape 0 sees
+        # all three colors on its two recorded neighbors; segment 4 belongs
+        # to an unrecorded shape and only counts toward the clash
+        dg = DecompositionGraph.from_edges(
+            5, ce=[(0, 1), (0, 2), (0, 3), (0, 4)], se=[(1, 3)], parents={3: 1}
+        )
+        record = PeelRecord(stack=((0, frozenset({1, 2})),))
+        colors, blocked = reinsert_segments(dg, record, {1: 0, 2: 2, 3: 1, 4: 0})
+        assert blocked == {0}
+        assert colors[0] == 1  # color 0 clashes twice, colors 1 and 2 once
 
 
 class TestBridges:
@@ -98,8 +116,6 @@ class TestBridges:
         cuts = find_bridges(dg)
         assert [c.bridge for c in cuts] == [(2, 3)]
         assert cuts[0].edge_kind == "CE"
-        assert cuts[0].side_a == {0, 1, 2} or cuts[0].side_a == {3, 4, 5}
-        assert cuts[0].side_a | cuts[0].side_b == {0, 1, 2, 3, 4, 5}
 
     def test_cycle_has_none(self):
         dg = DecompositionGraph.from_edges(5, ce=CYCLE5)
@@ -163,6 +179,12 @@ class TestRotation:
         merged = stitch_and_rotate(cut, {0: 0}, {1: 2})
         assert merged[0] == merged[1] == 0
 
+    def test_side_a_holds_either_endpoint(self):
+        dg = DecompositionGraph.from_edges(2, ce=[(0, 1)])
+        cut = find_bridges(dg)[0]
+        merged = stitch_and_rotate(cut, {1: 2}, {0: 2})
+        assert merged == {1: 2, 0: 0}  # node 0 is on side b and rotates
+
     def test_rotation_preserves_side_cost(self):
         rng = np.random.default_rng(4)
         side = random_graph(rng, 6, 0.3, 0.1)
@@ -189,10 +211,14 @@ class TestRotation:
             whole = DecompositionGraph.from_edges(na + nb, ce=ce, se=se)
             cuts = [c for c in find_bridges(whole) if c.bridge == bridge]
             assert cuts, "construction must leave the joining edge a bridge"
-            color_a = brute_force_optimum(whole.subgraph(cuts[0].side_a), 0.1).colors
-            color_b = brute_force_optimum(whole.subgraph(cuts[0].side_b), 0.1).colors
+            # the two sides are the components of the endpoints once the bridge is cut
+            cut_ce, cut_se = whole.ce - {bridge}, whole.se - {bridge}
+            pieces = connected_components(DecompositionGraph(whole.segments, cut_ce, cut_se))
+            side_a, side_b = (next(p for p in pieces if end in p.nodes) for end in bridge)
+            color_a = brute_force_optimum(side_a, 0.1).colors
+            color_b = brute_force_optimum(side_b, 0.1).colors
             merged = stitch_and_rotate(cuts[0], color_a, color_b)
-            # sides partition the bridge's component; score on that component
-            comp = whole.subgraph(cuts[0].side_a | cuts[0].side_b)
+            # the sides partition the bridge's component; score on that component
+            comp = whole.subgraph(set(side_a.nodes) | set(side_b.nodes))
             got = evaluate(comp, merged, 0.1).objective
             assert got == brute_force_optimum(comp, 0.1).objective

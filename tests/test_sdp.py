@@ -19,7 +19,6 @@ from trimask.sdp import (
     _scatter_cells,
     build_cost_matrix,
     discrete_vector_objective,
-    hyperplane_rounding,
     map_to_masks,
     solve_relaxation,
 )
@@ -460,13 +459,3 @@ class TestMapping:
             samples = [(slow(), fast()) for _ in range(7)]
             ratio = min(s for s, _ in samples) / min(f for _, f in samples)
             assert ratio <= 5.0, draw.__name__
-
-
-class TestHyperplaneRounding:
-    def test_produces_valid_three_coloring(self, rng):
-        dg = random_graph(rng, 9)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
-        asg = hyperplane_rounding(sol, dg, 0.1, np.random.default_rng(0))
-        assert set(asg.colors) == set(dg.nodes)
-        assert all(c in (0, 1, 2) for c in asg.colors.values())
-        assert asg.objective >= brute_force_optimum(dg, 0.1).objective

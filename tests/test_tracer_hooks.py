@@ -1,0 +1,41 @@
+"""The benchmark's tracer patches functions by name on ``trimask.pipeline``;
+a renamed or inlined call would silently zero its per-layer metric."""
+
+import sys
+from pathlib import Path
+
+import trimask.pipeline
+from trimask.cli import generate_layout
+from trimask.graphs import DecompositionGraph
+from trimask.pipeline import DecomposeConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+
+def traced_names(run) -> set[str]:
+    tracer = spans.Tracer()
+    with tracer.patched(trimask.pipeline):
+        run()
+    return {span["name"] for span in tracer.spans}
+
+
+def test_every_traced_name_is_looked_up_on_the_pipeline():
+    missing = [name for name in spans.PIPELINE_CALLS if not hasattr(trimask.pipeline, name)]
+    assert missing == []
+
+
+def test_traced_layout_records_each_layer():
+    layout = generate_layout(20, 6, seed=1)
+    names = traced_names(lambda: trimask.pipeline.decompose(layout, DecomposeConfig()))
+    for name in ("connected_components", "propagate_and_check", "find_bridges",
+                 "evaluate", "solve_exact"):
+        assert name in names
+
+
+def test_traced_bridge_records_rotation():
+    dg = DecompositionGraph.from_edges(
+        6, ce=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+    )
+    names = traced_names(lambda: trimask.pipeline.decompose_graph(dg, DecomposeConfig()))
+    assert "stitch_and_rotate" in names
