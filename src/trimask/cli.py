@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +34,20 @@ from .sdp import SdpConfig, build_cost_matrix, solve_relaxation
 
 class UsageError(Exception):
     pass
+
+
+class InputError(Exception):
+    """A validating call rejected the command's input (exit 2)."""
+
+
+@contextmanager
+def _validating():
+    """Report a ``ValueError`` raised inside as bad input; elsewhere in a
+    command a ``ValueError`` is a bug (exit 3)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,10 +94,11 @@ def main(argv=None) -> int:
         if args.command == "decompose":
             return cmd_decompose(args)
         return cmd_gen(args)
-    except (LayoutError, ValueError, OSError) as exc:
+    except (LayoutError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
@@ -94,7 +111,8 @@ def cmd_decompose(args) -> int:
         print("error: --svg needs a layout (--input)", file=sys.stderr)
         return 2
 
-    cfg = DecomposeConfig(solver=args.solver, alpha=args.alpha, seed=args.seed)
+    with _validating():
+        cfg = DecomposeConfig(solver=args.solver, alpha=args.alpha, seed=args.seed)
 
     layout = None
     if args.input:
@@ -108,7 +126,8 @@ def cmd_decompose(args) -> int:
         result = decompose(layout, cfg)
     else:
         text = Path(args.graph).read_text()
-        dg = parse_edgelist(text)
+        with _validating():
+            dg = parse_edgelist(text)
         result = decompose_graph(dg, cfg)
 
     alpha = result.assignment.alpha
@@ -271,7 +290,8 @@ def generate_layout(
 
 
 def cmd_gen(args) -> int:
-    layout = generate_layout(args.shapes, args.density, args.seed)
+    with _validating():
+        layout = generate_layout(args.shapes, args.density, args.seed)
     Path(args.out).write_text(json.dumps(layout_to_dict(layout), indent=2) + "\n")
     return 0
 

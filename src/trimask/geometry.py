@@ -5,6 +5,11 @@ features closer than the minimum colorable distance ``min_s`` form a conflict
 pair. Features are split into segments at stitch candidates found by
 projecting conflicting neighbors onto the feature's long axis: the midpoint
 of each wide-enough uncovered interval becomes a legal split location.
+
+Pair queries over the shapes (the layout graph's conflict pairs and the
+disjointness check) are a sort and sweep along one axis, costing
+O(n log n + candidates) time and memory, where the candidates are the pairs
+within reach along the swept axis; no n×n array is built.
 """
 
 from __future__ import annotations
@@ -87,16 +92,54 @@ def _check_disjoint(shapes: tuple[Shape, ...]) -> None:
     if len(shapes) < 2:
         return
     r = np.array([s.rect for s in shapes], dtype=np.int64)
-    x_lo, y_lo, x_hi, y_hi = r[:, 0], r[:, 1], r[:, 2], r[:, 3]
+    i, j = _near_pairs(r, 0)
+    gx, gy = _axis_gaps(r, i, j)
     # interiors intersect iff both axes strictly overlap
-    ox = (x_lo[:, None] < x_hi[None, :]) & (x_lo[None, :] < x_hi[:, None])
-    oy = (y_lo[:, None] < y_hi[None, :]) & (y_lo[None, :] < y_hi[:, None])
-    bad = ox & oy
-    np.fill_diagonal(bad, False)
+    bad = (gx < 0) & (gy < 0)
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        a, b = shapes[int(i)].id, shapes[int(j)].id
+        i, j = i[bad], j[bad]
+        first = np.lexsort((j, i))[0]
+        a, b = shapes[int(i[first])].id, shapes[int(j[first])].id
         raise LayoutError(f"overlapping shapes {min(a, b)} and {max(a, b)}")
+
+
+def _near_pairs(r: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of rectangles ``r`` (rows of
+    ``x_lo, y_lo, x_hi, y_hi``) whose signed gap along the sweep axis is
+    below ``reach``, each pair once and in no particular order.
+
+    Sorted by low edge, a rectangle ``a`` and a later ``b`` have signed gap
+    ``lo[b] - hi[a]`` (negative when their extents overlap), so the later
+    rectangles within reach of ``a`` form one run that ``searchsorted``
+    finds. Both axes are counted and the one listing fewer pairs is swept,
+    so a column of vertical wires costs no more than a row of horizontal
+    ones. Needs ``reach >= 0`` and ``lo < hi`` on every row.
+    """
+    n = len(r)
+    best = None
+    for axis in (0, 1):
+        order = np.argsort(r[:, axis], kind="stable")
+        end = np.searchsorted(r[order, axis], r[order, axis + 2] + reach, side="left")
+        counts = end - np.arange(1, n + 1)
+        total = int(counts.sum())
+        if best is None or total < best[0]:
+            best = (total, order, counts)
+    total, order, counts = best
+    first = np.repeat(np.arange(n), counts)
+    # a pair's rank within its window, shifted past the window's own row
+    starts = np.cumsum(counts) - counts
+    second = first + 1 + np.arange(total) - np.repeat(starts, counts)
+    a, b = order[first], order[second]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _axis_gaps(r: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed x and y gaps between rectangles ``r[i]`` and ``r[j]``: negative
+    where their extents strictly overlap, 0 where they touch."""
+    a, b = r[i], r[j]
+    gx = np.maximum(a[:, 0] - b[:, 2], b[:, 0] - a[:, 2])
+    gy = np.maximum(a[:, 1] - b[:, 3], b[:, 1] - a[:, 3])
+    return gx, gy
 
 
 def load_layout(path) -> Layout:
@@ -187,12 +230,17 @@ def build_layout_graph(layout: Layout) -> LayoutGraph:
     if n < 2:
         return LayoutGraph(nodes=tuple(ids), edges=frozenset())
     r = np.array([s.rect for s in shapes], dtype=np.int64)
-    x_lo, y_lo, x_hi, y_hi = r[:, 0], r[:, 1], r[:, 2], r[:, 3]
-    dx = np.maximum(0, np.maximum(x_lo[:, None] - x_hi[None, :], x_lo[None, :] - x_hi[:, None]))
-    dy = np.maximum(0, np.maximum(y_lo[:, None] - y_hi[None, :], y_lo[None, :] - y_hi[:, None]))
-    close = dx * dx + dy * dy < layout.params.min_s**2
+    min_s = layout.params.min_s
+    i, j = _near_pairs(r, min_s)
+    gx, gy = _axis_gaps(r, i, j)
+    dx, dy = np.maximum(gx, 0), np.maximum(gy, 0)
+    close = dx * dx + dy * dy < min_s**2
+    i, j = i[close], j[close]
+    # insert in row-major (i, j) order: the frozenset's iteration order
+    # depends on insertion order, and callers iterate it
+    order = np.lexsort((j, i))
     edges = frozenset(
-        ordered_pair(ids[i], ids[j]) for i, j in np.argwhere(np.triu(close, k=1))
+        ordered_pair(ids[u], ids[v]) for u, v in zip(i[order].tolist(), j[order].tolist())
     )
     return LayoutGraph(nodes=tuple(ids), edges=edges)
 

@@ -155,6 +155,30 @@ class TestDecomposeCommand:
                     "--stats", str(stats)]) == 2
         assert not stats.exists()
 
+    @pytest.mark.parametrize("text", ["", "x\n", "3\nX 0 1\n", "2\nC 0 5\n", "2\nC 0 x\n",
+                                      "2\nC 1 1\n", "2\nC 0 1\nS 0 1\n"])
+    def test_bad_edgelist_exit_2(self, tmp_path, text):
+        graph = tmp_path / "bad.txt"
+        graph.write_text(text)
+        assert run(["decompose", "--graph", str(graph)]) == 2
+
+    @pytest.mark.parametrize("source", ["--graph", "--input"])
+    def test_value_error_inside_pipeline_exit_3(self, tmp_path, monkeypatch, capsys, source):
+        # past input validation a ValueError is a bug, not bad input
+        path = tmp_path / "in.txt"
+        if source == "--graph":
+            path.write_text(WORKED_EDGELIST)
+        else:
+            assert run(["gen", "--shapes", "30", "--density", "6", "--seed", "1",
+                        "--out", str(path)]) == 0
+
+        def broken(*args, **kwargs):
+            raise ValueError("stage bug")
+
+        monkeypatch.setattr("trimask.pipeline.evaluate", broken)
+        assert run(["decompose", source, str(path)]) == 3
+        assert "internal error: stage bug" in capsys.readouterr().err
+
     def test_min_s_override_adds_edges(self, tmp_path):
         doc = {"shapes": [{"id": 0, "rect": [0, 0, 50, 50]},
                           {"id": 1, "rect": [150, 0, 200, 50]}]}
@@ -189,6 +213,10 @@ class TestGenCommand:
 
     def test_infeasible_density_exit_2(self, tmp_path):
         assert run(["gen", "--shapes", "10", "--density", "9", "--seed", "1",
+                    "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_no_shapes_exit_2(self, tmp_path):
+        assert run(["gen", "--shapes", "0", "--density", "2", "--seed", "1",
                     "--out", str(tmp_path / "x.json")]) == 2
 
     def test_deterministic(self, tmp_path):

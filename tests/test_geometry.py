@@ -1,12 +1,19 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trimask.cli import generate_layout
 from trimask.geometry import (
     Layout,
     LayoutError,
     ProcessParams,
     Shape,
+    _check_disjoint,
+    _near_pairs,
     build_layout_graph,
     euclidean_gap,
     layout_to_dict,
@@ -14,6 +21,7 @@ from trimask.geometry import (
     project_and_split,
     stitch_candidates,
 )
+from trimask.graphs import ordered_pair
 
 
 def make_layout(rects, **params):
@@ -221,3 +229,184 @@ def test_non_contiguous_shape_ids():
     assert lg.edges == {(10, 99)}
     dg = project_and_split(layout, lg)
     assert {s.parent for s in dg.segments} == {10, 99}
+
+
+# --- dense-broadcast references for the sort-and-sweep pair queries --------
+
+
+def reference_layout_edges(layout: Layout) -> list:
+    """Layout-graph edges from n×n gap matrices, in row-major insertion order."""
+    shapes = sorted(layout.shapes, key=lambda s: s.id)
+    ids = [s.id for s in shapes]
+    if len(shapes) < 2:
+        return []
+    r = np.array([s.rect for s in shapes], dtype=np.int64)
+    x_lo, y_lo, x_hi, y_hi = r[:, 0], r[:, 1], r[:, 2], r[:, 3]
+    dx = np.maximum(0, np.maximum(x_lo[:, None] - x_hi[None, :], x_lo[None, :] - x_hi[:, None]))
+    dy = np.maximum(0, np.maximum(y_lo[:, None] - y_hi[None, :], y_lo[None, :] - y_hi[:, None]))
+    close = dx * dx + dy * dy < layout.params.min_s**2
+    return [ordered_pair(ids[i], ids[j]) for i, j in np.argwhere(np.triu(close, k=1))]
+
+
+def reference_overlap_error(shapes) -> str | None:
+    """The overlap message of the n×n interior-intersection matrix, or None."""
+    if len(shapes) < 2:
+        return None
+    r = np.array([s.rect for s in shapes], dtype=np.int64)
+    x_lo, y_lo, x_hi, y_hi = r[:, 0], r[:, 1], r[:, 2], r[:, 3]
+    ox = (x_lo[:, None] < x_hi[None, :]) & (x_lo[None, :] < x_hi[:, None])
+    oy = (y_lo[:, None] < y_hi[None, :]) & (y_lo[None, :] < y_hi[:, None])
+    bad = ox & oy
+    np.fill_diagonal(bad, False)
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    a, b = shapes[int(i)].id, shapes[int(j)].id
+    return f"overlapping shapes {min(a, b)} and {max(a, b)}"
+
+
+def overlap_error(shapes) -> str | None:
+    try:
+        _check_disjoint(tuple(shapes))
+    except LayoutError as exc:
+        return str(exc)
+    return None
+
+
+def axis_pairs(r: np.ndarray, axis: int, reach: int) -> set:
+    """Pairs whose signed gap along ``axis`` is below ``reach``, by brute force."""
+    lo, hi = r[:, axis], r[:, axis + 2]
+    return {
+        (i, j)
+        for i in range(len(r))
+        for j in range(i + 1, len(r))
+        if max(lo[i] - hi[j], lo[j] - hi[i]) < reach
+    }
+
+
+def assert_matches_reference(rects, ids=None, min_s=85):
+    ids = list(range(len(rects))) if ids is None else ids
+    shapes = tuple(Shape(id=i, rect=r) for i, r in zip(ids, rects))
+    layout = Layout(shapes=shapes, params=ProcessParams(min_s=min_s))
+    edges = build_layout_graph(layout).edges
+    expected = reference_layout_edges(layout)
+    assert edges == frozenset(expected)
+    # same insertion order, so the frozenset iterates in the same order
+    assert list(edges) == list(frozenset(expected))
+    return edges
+
+
+def disjoint(rects):
+    """Drop every rectangle whose interior meets an earlier kept one."""
+    kept = []
+    for r in rects:
+        if all(not (r[0] < k[2] and k[0] < r[2] and r[1] < k[3] and k[1] < r[3]) for k in kept):
+            kept.append(r)
+    return kept
+
+
+@st.composite
+def rects(draw, max_size=30, span=400, max_len=300):
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x = draw(st.integers(-span, span))
+        y = draw(st.integers(-span, span))
+        w = draw(st.integers(1, max_len))
+        h = draw(st.integers(1, max_len))
+        out.append((x, y, x + w, y + h))
+    return out
+
+
+HYPOTHESIS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+class TestSweepOracle:
+    @HYPOTHESIS
+    @given(rects(), st.sampled_from([0, 1, 30, 85]))
+    def test_near_pairs_sweeps_the_smaller_axis_exactly(self, rs, reach):
+        if len(rs) < 2:
+            return
+        r = np.array(rs, dtype=np.int64)
+        i, j = _near_pairs(r, reach)
+        got = list(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(set(got))
+        assert all(a < b for a, b in got)
+        by_x, by_y = axis_pairs(r, 0, reach), axis_pairs(r, 1, reach)
+        assert set(got) in (by_x, by_y)
+        assert len(got) == min(len(by_x), len(by_y))
+
+    @HYPOTHESIS
+    @given(rects(), st.integers(31, 200), st.randoms(use_true_random=False))
+    def test_layout_graph_matches_dense_reference(self, rs, min_s, random):
+        rs = disjoint(rs)
+        ids = random.sample(range(10 * len(rs) + 1), len(rs))
+        assert_matches_reference(rs, ids, min_s=min_s)
+
+    @HYPOTHESIS
+    @given(rects(max_size=20, span=100, max_len=120), st.randoms(use_true_random=False))
+    def test_overlap_error_names_reference_pair(self, rs, random):
+        ids = random.sample(range(10 * len(rs) + 1), len(rs))
+        shapes = [Shape(id=i, rect=r) for i, r in zip(ids, rs)]
+        assert overlap_error(shapes) == reference_overlap_error(shapes)
+
+    def test_touching_rectangles(self):
+        # edge to edge and corner to corner: a conflict, never an overlap
+        rs = [(0, 0, 10, 10), (10, 0, 20, 10), (20, 10, 30, 20), (0, 10, 10, 20)]
+        assert overlap_error([Shape(i, r) for i, r in enumerate(rs)]) is None
+        edges = assert_matches_reference(rs)
+        assert len(edges) == 6
+
+    def test_diagonal_gap_of_exactly_min_s(self):
+        # dx=51, dy=68: 51² + 68² = 85², legal spacing
+        assert assert_matches_reference([(0, 0, 10, 10), (61, 78, 70, 90)]) == frozenset()
+        assert assert_matches_reference([(0, 0, 10, 10), (61, 77, 70, 90)]) == {(0, 1)}
+        assert assert_matches_reference([(61, 78, 70, 90), (0, 0, 10, 10)]) == frozenset()
+
+    def test_gap_of_min_s_minus_one(self):
+        assert assert_matches_reference([(0, 0, 10, 10), (94, 0, 104, 10)]) == {(0, 1)}
+        assert assert_matches_reference([(0, 0, 10, 10), (0, 94, 10, 104)]) == {(0, 1)}
+        assert assert_matches_reference([(0, 0, 10, 10), (95, 0, 105, 10)]) == frozenset()
+
+    def test_negative_coordinates_and_equal_low_edges(self):
+        rs = [(-300, -50, -200, -25), (-300, 20, -250, 45), (-300, -140, -100, -115),
+              (-150, -50, -120, -25), (-300, 129, -290, 200)]
+        edges = assert_matches_reference(rs)
+        assert edges == {(0, 1), (0, 2), (0, 3), (1, 4), (2, 3)}
+        overlapping = [Shape(7, (-300, -50, -200, -25)), Shape(3, (-300, -30, -250, 0))]
+        assert overlap_error(overlapping) == "overlapping shapes 3 and 7"
+
+    def test_long_wires_spanning_many_others(self):
+        rs = [(0, 0, 10_000, 25), (0, 2_000, 10_000, 2_025)]
+        rs += [(100 * k, 60, 100 * k + 40, 85) for k in range(100)]
+        rs += [(100 * k + 50, 1_940, 100 * k + 90, 1_960) for k in range(100)]
+        edges = assert_matches_reference(rs)
+        assert len(edges) == 2 * (100 + 99)
+        assert overlap_error([Shape(i, r) for i, r in enumerate(rs)]) is None
+
+    def test_column_of_vertical_wires_sweeps_y(self):
+        # every wire shares x with every other: x would list all pairs
+        rs = [(k % 3, 200 * k, 25 + k % 3, 200 * k + 150) for k in range(200)]
+        i, _ = _near_pairs(np.array(rs, dtype=np.int64), 85)
+        assert len(i) == 199
+        edges = assert_matches_reference(rs)
+        assert edges == {(k, k + 1) for k in range(199)}
+
+    def test_overlap_error_names_smallest_index_pair(self):
+        # bad pairs by index: (1, 3) and (0, 2); the reference names (0, 2)
+        rs = [(0, 0, 50, 50), (500, 0, 550, 50), (40, 40, 90, 90), (520, 20, 600, 60)]
+        shapes = [Shape(i, r) for i, r in zip([9, 1, 4, 2], rs)]
+        assert reference_overlap_error(shapes) == "overlapping shapes 4 and 9"
+        assert overlap_error(shapes) == "overlapping shapes 4 and 9"
+
+
+def test_layout_graph_memory_stays_linear(tmp_path):
+    # the n×n gap matrices of 5000 shapes took 764 MiB
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(layout_to_dict(generate_layout(5000, 2, seed=1))))
+    tracemalloc.start()
+    try:
+        build_layout_graph(load_layout(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
