@@ -313,9 +313,10 @@ def project_and_split(
     """Build the decomposition graph: split shapes at stitch candidates,
     connect consecutive pieces with SE, and recompute CE at segment level.
 
-    ``split_nodes`` restricts which shapes may be split (all by default);
-    unsplit shapes still appear as single-segment nodes and still project
-    onto their neighbors.
+    ``lg`` is the layout's graph from ``build_layout_graph`` (or a subgraph
+    of it). ``split_nodes`` restricts which shapes may be split (all by
+    default); unsplit shapes still appear as single-segment nodes and still
+    project onto their neighbors.
     """
     if split_nodes is None:
         split_nodes = set(lg.nodes)
@@ -330,7 +331,7 @@ def project_and_split(
         x_lo, y_lo, x_hi, y_hi = shape.rect
         horizontal = (x_hi - x_lo) >= (y_hi - y_lo)
         cuts = stitch_candidates(layout, lg, shape.id) if shape.id in split_nodes else []
-        pieces = _split_rect(shape.rect, cuts, horizontal)
+        pieces = _split_rect(shape.rect, cuts, horizontal) if cuts else [shape.rect]
         segs = []
         for rect in pieces:
             segs.append(Segment(id=next_id, parent=shape.id, rect=rect))
@@ -348,9 +349,20 @@ def project_and_split(
             for j in range(i + 2, len(segs)):
                 if euclidean_gap(segs[i].rect, segs[j].rect) < min_s:
                     ce.add(ordered_pair(segs[i].id, segs[j].id))
+    # build_layout_graph keeps an edge iff dx² + dy² < min_s². For an
+    # integral min_s up to 2**20 that test is exact and the squared gap is
+    # at most min_s² - 1, so the gap is below min_s by more than 1/(2 min_s),
+    # far beyond hypot's rounding error: the gap test below passes, and a
+    # pair of unsplit shapes (each one segment, the shape itself) is a
+    # conflict without testing
+    edge_is_ce = float(min_s).is_integer() and 0 < min_s <= 2**20
     for u, v in sorted(lg.edges):
-        for a in by_shape[u]:
-            for b in by_shape[v]:
+        segs_u, segs_v = by_shape[u], by_shape[v]
+        if edge_is_ce and len(segs_u) == 1 and len(segs_v) == 1:
+            ce.add(ordered_pair(segs_u[0].id, segs_v[0].id))
+            continue
+        for a in segs_u:
+            for b in segs_v:
                 if euclidean_gap(a.rect, b.rect) < min_s:
                     ce.add(ordered_pair(a.id, b.id))
 

@@ -211,17 +211,35 @@ class SolveReport:
     wall_time: float
 
 
+# the two colors other than c, indexed by c
+_OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
+
+
 def solve_exact(
     dg: DecompositionGraph, alpha, budget: int = 5_000_000
 ) -> SolveReport:
     """Branch and bound over ternary node colors.
 
-    Branch order is descending degree (ties by node id); the first node in
-    that order is pinned to color 0, which is harmless by color-permutation
-    symmetry. The bound at any partial assignment is the exact cost of edges
-    whose endpoints are both colored; a branch is cut when the bound cannot
-    beat the incumbent. A greedy pass seeds the incumbent. When the explored
-    node budget runs out the best incumbent is returned unproven.
+    Branch order is static: descending degree, ties by node id. Colors are
+    capped canonically (a node may take at most one color not yet used by
+    earlier nodes), which by color-permutation symmetry loses no optimum.
+    A greedy pass in branch order seeds the incumbent.
+
+    Bound: every uncolored position keeps a 3-vector, the cost of each color
+    against its already-colored neighbors. Each edge from an uncolored to a
+    colored node sits in exactly one such vector, so the committed cost plus
+    the sum of the vectors' minima is a lower bound on every completion. The
+    vectors are updated when a position is colored and restored on
+    backtrack, and a position's own step cost is a lookup in its vector. A
+    branch is cut when its bound cannot beat the incumbent.
+
+    The bound only cuts subtrees holding no strict improvement, so the
+    search visits a subset of the tree the committed cost alone would visit
+    and meets the same incumbents in the same order: the result is the
+    first optimum in depth-first order (or the greedy coloring when that is
+    already optimal), identical to a search without the look-ahead, and
+    ``nodes_explored`` is never larger. When the explored node budget runs
+    out the best incumbent is returned unproven.
     """
     t0 = time.perf_counter()
     frac = as_fraction(alpha)
@@ -233,34 +251,79 @@ def solve_exact(
 
     order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
     pos = {v: k for k, v in enumerate(order)}
-    # edges to already-placed nodes, per position: (earlier position, weight)
-    back: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in dg.ce:
-        hi, lo = max(pos[u], pos[v]), min(pos[u], pos[v])
-        back[hi].append((lo, conflict_w))
-    for u, v in dg.se:
-        hi, lo = max(pos[u], pos[v]), min(pos[u], pos[v])
-        back[hi].append((lo, -stitch_w))
-    # weight w>0: cost w if colors equal; w<0: cost -w if colors differ
+    # later neighbors per position, by edge kind: a conflict edge costs
+    # conflict_w when its ends share a color, a stitch edge stitch_w when
+    # they differ
+    later_ce: list[list[int]] = [[] for _ in range(n)]
+    later_se: list[list[int]] = [[] for _ in range(n)]
+    for later, edges in ((later_ce, dg.ce), (later_se, dg.se)):
+        for u, v in edges:
+            later[min(pos[u], pos[v])].append(max(pos[u], pos[v]))
 
-    def add_cost(colors: list[int], k: int, c: int) -> int:
-        cost = 0
-        for j, w in back[k]:
-            if w > 0:
-                if colors[j] == c:
-                    cost += w
-            elif colors[j] != c:
-                cost -= w
-        return cost
+    # vec[k][c]: cost of color c at position k against the colored positions;
+    # low[k] = min(vec[k])
+    vec = [[0, 0, 0] for _ in range(n)]
+    low = [0] * n
+
+    def place(k: int, c: int) -> int:
+        """Color position k with c in the vectors of its later neighbors;
+        return the rise of their minima."""
+        delta = 0
+        for j in later_ce[k]:
+            row = vec[j]
+            v = row[c]
+            row[c] = v + conflict_w
+            if v == low[j]:  # otherwise another color keeps the minimum
+                a, b, d = row
+                m = a if a < b else b
+                if d < m:
+                    m = d
+                delta += m - v
+                low[j] = m
+        x, y = _OTHER_COLORS[c]
+        for j in later_se[k]:
+            row = vec[j]
+            row[x] += stitch_w
+            row[y] += stitch_w
+            a, b, d = row
+            m = a if a < b else b
+            if d < m:
+                m = d
+            delta += m - low[j]
+            low[j] = m
+        return delta
+
+    def unplace(k: int, c: int) -> None:
+        """Undo place(k, c)."""
+        for j in later_ce[k]:
+            row = vec[j]
+            v = row[c] - conflict_w
+            row[c] = v
+            if v < low[j]:
+                low[j] = v
+        x, y = _OTHER_COLORS[c]
+        for j in later_se[k]:
+            row = vec[j]
+            row[x] -= stitch_w
+            row[y] -= stitch_w
+            a, b, d = row
+            m = a if a < b else b
+            if d < m:
+                m = d
+            low[j] = m
 
     # greedy incumbent: cheapest color per node in branch order
     greedy = [0] * n
     greedy_cost = 0
     for k in range(n):
-        costs = [add_cost(greedy[:k] + [0] * (n - k), k, c) for c in range(3)]
-        best = min(range(3), key=lambda c: (costs[c], c))
-        greedy[k] = best
-        greedy_cost += costs[best]
+        row = vec[k]
+        c = row.index(min(row))
+        greedy[k] = c
+        greedy_cost += row[c]
+        place(k, c)
+    for row in vec:
+        row[:] = [0, 0, 0]
+    low[:] = [0] * n
 
     best_cost = greedy_cost
     best_colors = list(greedy)
@@ -268,11 +331,12 @@ def solve_exact(
     explored = 0
     colors = [0] * n
 
-    def descend(k: int, cost: int, used: int) -> None:
+    def descend(k: int, cost: int, used: int, rest: int) -> None:
         # 'used' = number of distinct colors among positions < k; capping the
         # next color at used keeps only canonical colorings (colors appear in
         # first-use order), which is exactly where the lex-smallest optimum
-        # lives, so the reported assignment is unchanged
+        # lives, so the reported assignment is unchanged.
+        # 'rest' = sum of low over the uncolored positions >= k
         nonlocal best_cost, best_colors, proven, explored
         if explored >= budget:
             proven = False
@@ -282,18 +346,24 @@ def solve_exact(
                 best_cost = cost
                 best_colors = colors[:n]
             return
+        row = vec[k]
+        rest -= low[k]
         for c in range(min(used + 1, 3)):
             if explored >= budget:
                 proven = False
                 return
             explored += 1
-            nxt = cost + add_cost(colors, k, c)
-            if nxt >= best_cost:
-                continue  # remaining edges only add cost; cannot improve
-            colors[k] = c
-            descend(k + 1, nxt, max(used, c + 1))
+            nxt = cost + row[c]
+            # coloring k only raises the later vectors, so this is a bound
+            if nxt + rest >= best_cost:
+                continue
+            delta = place(k, c)
+            if nxt + rest + delta < best_cost:
+                colors[k] = c
+                descend(k + 1, nxt, max(used, c + 1), rest + delta)
+            unplace(k, c)
 
-    descend(0, 0, 0)
+    descend(0, 0, 0, 0)
 
     assignment = evaluate(dg, {order[k]: best_colors[k] for k in range(n)}, alpha)
     return SolveReport(

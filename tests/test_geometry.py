@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -410,3 +411,76 @@ def test_layout_graph_memory_stays_linear(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# --- gap-testing reference for the conflict edges of project_and_split ------
+
+
+def reference_split_ce(layout: Layout, lg, dg) -> set:
+    """Segment-level CE of ``dg``'s segments with every candidate pair gap-tested,
+    in the insertion order of ``project_and_split``."""
+    min_s = layout.params.min_s
+    by_shape: dict = {}
+    for seg in dg.segments:
+        by_shape.setdefault(seg.parent, []).append(seg)
+    ce = set()
+    for segs in by_shape.values():
+        for i in range(len(segs)):
+            for j in range(i + 2, len(segs)):
+                if euclidean_gap(segs[i].rect, segs[j].rect) < min_s:
+                    ce.add(ordered_pair(segs[i].id, segs[j].id))
+    for u, v in sorted(lg.edges):
+        for a in by_shape[u]:
+            for b in by_shape[v]:
+                if euclidean_gap(a.rect, b.rect) < min_s:
+                    ce.add(ordered_pair(a.id, b.id))
+    return ce
+
+
+def assert_split_ce_matches_reference(layout: Layout, split_nodes=None):
+    lg = build_layout_graph(layout)
+    dg = project_and_split(layout, lg, split_nodes=split_nodes)
+    expected = frozenset(reference_split_ce(layout, lg, dg))
+    assert dg.ce == expected
+    assert list(dg.ce) == list(expected)
+    return dg
+
+
+MIN_S = st.one_of(
+    st.integers(31, 200),
+    st.integers(31, 200).map(float),
+    st.floats(30.01, 200.0).filter(lambda s: not s.is_integer()),
+)
+
+
+class TestSplitOracle:
+    @HYPOTHESIS
+    @given(rects(span=300, max_len=250), MIN_S, st.randoms(use_true_random=False))
+    def test_random_rects(self, rs, min_s, random):
+        rs = disjoint(rs)
+        shapes = tuple(Shape(id=i, rect=r) for i, r in enumerate(rs))
+        layout = Layout(shapes=shapes, params=ProcessParams(min_s=min_s))
+        split = random.sample(range(len(rs)), random.randint(0, len(rs)))
+        assert_split_ce_matches_reference(layout, split)
+        assert_split_ce_matches_reference(layout)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 60), st.sampled_from([2, 4, 6]), MIN_S)
+    def test_generated_layouts_with_splits(self, seed, density, min_s):
+        params = ProcessParams(min_s=min_s)
+        layout = generate_layout(40, density, seed=seed, params=params)
+        assert_split_ce_matches_reference(layout)
+
+    def test_generated_layouts_split(self):
+        # the generated corpus does split shapes, so both paths run
+        dg = assert_split_ce_matches_reference(generate_layout(40, 6, seed=1))
+        assert dg.se and len(dg.segments) > 40
+
+    def test_layout_graph_and_gap_test_disagree(self):
+        # dx=1, dy=31: 962 < min_s**2 rounds up, but hypot equals min_s, so the
+        # layout graph has the edge and the gap test keeps it out of CE
+        min_s = math.sqrt(962)
+        layout = make_layout([(0, 0, 10, 10), (11, 41, 21, 51)], min_s=min_s)
+        assert build_layout_graph(layout).edges == {(0, 1)}
+        assert euclidean_gap(*layout.shapes) == min_s
+        assert not assert_split_ce_matches_reference(layout).ce

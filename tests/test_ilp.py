@@ -1,11 +1,23 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
-from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
+from trimask.cli import generate_layout
+from trimask.geometry import build_layout_graph, project_and_split
+from trimask.graphs import (
+    DecompositionGraph,
+    as_fraction,
+    brute_force_optimum,
+    connected_components,
+    evaluate,
+)
 from trimask.ilp import (
+    SolveReport,
     build_ilp,
     check_encoding,
     decode_bits,
@@ -13,6 +25,7 @@ from trimask.ilp import (
     solve_exact,
     write_lp,
 )
+from trimask.reductions import peel_low_degree
 
 
 class TestModelShape:
@@ -163,3 +176,133 @@ class TestLpExport:
         dg = DecompositionGraph.from_edges(2, se=[(0, 1)])
         text = write_lp(build_ilp(dg, 0.1))
         assert "0.1 s0_1" in text
+
+
+# --- the search without look-ahead, as the reference for solve_exact ---------
+
+
+def reference_solve_exact(
+    dg: DecompositionGraph, alpha, budget: int = 5_000_000
+) -> SolveReport:
+    """Branch and bound whose only bound is the committed cost, with the same
+    branch order, color cap, greedy incumbent and strict-improvement rule."""
+    t0 = time.perf_counter()
+    frac = as_fraction(alpha)
+    stitch_w, conflict_w = frac.numerator, frac.denominator
+    nodes = dg.nodes
+    n = len(nodes)
+    if n == 0:
+        return SolveReport(evaluate(dg, {}, alpha), 0, True, time.perf_counter() - t0)
+
+    order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
+    pos = {v: k for k, v in enumerate(order)}
+    back: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v in dg.ce:
+        hi, lo = max(pos[u], pos[v]), min(pos[u], pos[v])
+        back[hi].append((lo, conflict_w))
+    for u, v in dg.se:
+        hi, lo = max(pos[u], pos[v]), min(pos[u], pos[v])
+        back[hi].append((lo, -stitch_w))
+
+    def add_cost(colors: list[int], k: int, c: int) -> int:
+        cost = 0
+        for j, w in back[k]:
+            if w > 0:
+                if colors[j] == c:
+                    cost += w
+            elif colors[j] != c:
+                cost -= w
+        return cost
+
+    greedy = [0] * n
+    greedy_cost = 0
+    for k in range(n):
+        costs = [add_cost(greedy[:k] + [0] * (n - k), k, c) for c in range(3)]
+        best = min(range(3), key=lambda c: (costs[c], c))
+        greedy[k] = best
+        greedy_cost += costs[best]
+
+    best_cost = greedy_cost
+    best_colors = list(greedy)
+    proven = True
+    explored = 0
+    colors = [0] * n
+
+    def descend(k: int, cost: int, used: int) -> None:
+        nonlocal best_cost, best_colors, proven, explored
+        if explored >= budget:
+            proven = False
+            return
+        if k == n:
+            if cost < best_cost:
+                best_cost = cost
+                best_colors = colors[:n]
+            return
+        for c in range(min(used + 1, 3)):
+            if explored >= budget:
+                proven = False
+                return
+            explored += 1
+            nxt = cost + add_cost(colors, k, c)
+            if nxt >= best_cost:
+                continue
+            colors[k] = c
+            descend(k + 1, nxt, max(used, c + 1))
+
+    descend(0, 0, 0)
+
+    assignment = evaluate(dg, {order[k]: best_colors[k] for k in range(n)}, alpha)
+    return SolveReport(assignment, explored, proven, time.perf_counter() - t0)
+
+
+def assert_same_as_reference(dg: DecompositionGraph, alpha) -> tuple[int, int]:
+    got, want = solve_exact(dg, alpha), reference_solve_exact(dg, alpha)
+    assert got.assignment.colors == want.assignment.colors
+    assert got.assignment.objective == want.assignment.objective
+    assert got.proven_optimal == want.proven_optimal
+    assert got.nodes_explored <= want.nodes_explored
+    return got.nodes_explored, want.nodes_explored
+
+
+def clip_components(seed: int) -> list[DecompositionGraph]:
+    """Components of a 20-shape clip's decomposition graph after peeling,
+    as the pipeline hands them to the solvers (before bridge cutting)."""
+    layout = generate_layout(20, 6, seed=seed)
+    lg = build_layout_graph(layout)
+    residual, _ = peel_low_degree(lg)
+    dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+    keep = set(residual.nodes)
+    return connected_components(dg.subgraph(s.id for s in dg.segments if s.parent in keep))
+
+
+ALPHAS = st.sampled_from([Fraction(1, 10), Fraction(1, 3)])
+
+
+class TestLookAheadIdentity:
+    """The look-ahead bound changes only how many nodes the search visits:
+    colors, objective and proven flag equal those of the search without it."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(3, 22),
+        st.sampled_from([0.1, 0.2, 0.3]),
+        st.sampled_from([0.05, 0.15]),
+        st.integers(0, 2**32 - 1),
+        ALPHAS,
+    )
+    def test_random_graphs(self, n, ce_density, se_density, seed, alpha):
+        dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
+        assert_same_as_reference(dg, alpha)
+
+    @pytest.mark.parametrize("seed", range(1, 31))
+    def test_clip_components(self, seed):
+        for comp in clip_components(seed):
+            for alpha in (Fraction(1, 10), Fraction(1, 3)):
+                assert_same_as_reference(comp, alpha)
+
+    def test_prunes_at_least_four_times_fewer_nodes(self):
+        # a 22-node clip component: 96 419 reference nodes, 10 727 with the bound
+        (comp,) = clip_components(22)
+        assert len(comp.nodes) <= 25
+        got, want = assert_same_as_reference(comp, Fraction(1, 10))
+        assert 4 * got <= want
