@@ -4,7 +4,7 @@ The relaxation on a five-node instance
 
 A 5-node graph with 7 conflict edges and 1 stitch edge. The relaxation
 assigns every node a unit vector; pairs pushed to dot product 1 belong on
-one mask, pairs at -1/2 on different masks. Rounding the Gram matrix
+one mask, pairs at -1/2 on different masks. Rounding the vectors
 recovers a conflict-free 3-mask assignment that keeps the stitched pair
 together.
 """

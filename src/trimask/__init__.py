@@ -61,7 +61,6 @@ from .reductions import (
 )
 from .sdp import (
     CostMatrix,
-    MappingParams,
     RelaxationSolution,
     SdpConfig,
     build_cost_matrix,
@@ -115,7 +114,6 @@ __all__ = [
     "reinsert_segments",
     "stitch_and_rotate",
     "CostMatrix",
-    "MappingParams",
     "RelaxationSolution",
     "SdpConfig",
     "build_cost_matrix",

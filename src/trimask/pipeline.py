@@ -26,14 +26,7 @@ from .graphs import (
 )
 from .ilp import solve_exact
 from .reductions import find_bridges, peel_low_degree, reinsert_segments, stitch_and_rotate
-from .sdp import (
-    MappingInfo,
-    MappingParams,
-    SdpConfig,
-    build_cost_matrix,
-    map_to_masks,
-    solve_relaxation,
-)
+from .sdp import SdpConfig, build_cost_matrix, local_search, map_to_masks, solve_relaxation
 from .unionfind import DisjointSet
 
 # solver "auto" searches components of at most this many nodes exactly
@@ -65,7 +58,6 @@ class ComponentReport:
     proven_optimal: bool = True
     bridges_cut: int = 0
     sdp_converged: bool | None = None
-    mapping_degraded: bool = False
     peel_fallback: bool = False
 
 
@@ -114,10 +106,12 @@ def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: Com
         res = solve_exact(dg, alpha, budget=cfg.node_budget)
         report.nodes_explored += res.nodes_explored
         report.proven_optimal = report.proven_optimal and res.proven_optimal
-        return res.assignment.colors
+        if res.proven_optimal:
+            return res.assignment.colors
+        return local_search(dg, res.assignment.colors, alpha)
     if n > 16:
         # large components get a lighter schedule: the rounding only needs
-        # the structure of the Gram matrix, not a certified stationary point
+        # the structure of the factor, not a certified stationary point
         sdp_cfg = SdpConfig(
             restarts=3, shift_rounds=5, max_inner_iters=200, grad_tol=1e-4, seed=cfg.seed
         )
@@ -129,10 +123,7 @@ def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: Com
         report.sdp_converged and sol.converged
     )
     report.proven_optimal = False
-    info = MappingInfo()
-    assignment = map_to_masks(sol, dg, MappingParams(), alpha=alpha, info=info)
-    report.mapping_degraded = report.mapping_degraded or info.degraded
-    return assignment.colors
+    return map_to_masks(sol, dg, alpha=alpha, seed=cfg.seed).colors
 
 
 def _solve_with_bridges(dg: DecompositionGraph, alpha, cfg, report) -> dict[int, int]:

@@ -6,19 +6,22 @@ pairs -1/2. Dropping the discreteness leaves: minimize the conflict-weighted
 sum of dot products subject to unit diagonal, dot >= -1/2 on conflict pairs,
 and positive semidefiniteness. The engine optimizes a low-rank factor whose
 rows live on the unit sphere, with a quadratic penalty enforcing the -1/2
-floor; the resulting Gram matrix is rounded to masks by sorting entries and
-growing same-mask groups along the sorted list.
+floor. The factor is rounded as Frieze & Jerrum (1997) round MAX k-CUT:
+each of ``DRAWS`` Gaussian draws of three vectors labels every node by the
+vector with the largest dot product with its row, the draw with the lowest
+exact cost is kept, and ``local_search`` recolors single nodes until no
+move lowers the cost.
 
-The rounding compares Gram entries with fixed thresholds and breaks ties by
-sort order, so the last bit of one entry can change the masks, and the
-relaxation's floating-point sums must keep their order for a seeded run to
-repeat. The gradient therefore accumulates each cell as ``w @ v`` computed
-densely, then the hinge terms of the conflict pairs' first endpoints in
-edge order, then those of their second endpoints, in one ``np.bincount``
-over a fixed cell index. A sparse ``w``, another scatter or a reordered sum
-changes results, not only timings. The order is fixed within one numpy and
-BLAS build; a host whose BLAS kernels sum ``w @ v`` or ``v @ v.T`` in
-another order may round to other masks.
+The argmax compares dot products of the factor's rows, so the last bit of
+one row can change the masks, and the relaxation's floating-point sums must
+keep their order for a seeded run to repeat. The gradient therefore
+accumulates each cell as ``w @ v`` computed densely, then the hinge terms
+of the conflict pairs' first endpoints in edge order, then those of their
+second endpoints, in one ``np.bincount`` over a fixed cell index. A sparse
+``w``, another scatter or a reordered sum changes results, not only
+timings. The order is fixed within one numpy and BLAS build; a host whose
+BLAS kernels sum ``w @ v`` or ``v @ g`` in another order may round to
+other masks.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ MASK_VECTORS = (
 )
 DOT_SAME = Fraction(1)
 DOT_DIFFERENT = Fraction(-1, 2)
+
+# Gaussian draws of the rounding; the best by exact cost is kept
+DRAWS = 50
 
 
 def discrete_vector_objective(colors: dict[int, int], dg: DecompositionGraph, alpha) -> Fraction:
@@ -399,154 +405,52 @@ def solve_relaxation(
     )
 
 
-@dataclass(frozen=True)
-class MappingParams:
-    """Thresholds for the sorted-entry rounding; one entry per round."""
-
-    union_levels: tuple[float, ...] = (0.9,)
-    sepa_levels: tuple[float, ...] = (-0.4,)
-
-    def __post_init__(self):
-        if len(self.union_levels) != len(self.sepa_levels):
-            raise ValueError("union and separation level lists must match in length")
-        for u, s in zip(self.union_levels, self.sepa_levels):
-            if not (-0.5 < u <= 1.0):
-                raise ValueError(f"union level {u} outside (-0.5, 1]")
-            if not (-1.0 <= s < u):
-                raise ValueError(f"separation level {s} outside [-1, union level)")
-
-    @property
-    def rounds(self) -> int:
-        return len(self.union_levels)
-
-
-@dataclass
-class MappingInfo:
-    forced_unions: int = 0
-    ignored_separations: int = 0
-    groups: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def degraded(self) -> bool:
-        return self.forced_unions > 0
-
-
-class _Groups:
-    """Same-mask groups of the rounding over node positions 0..n-1, with the
-    separations recorded between them. ``label[p]`` names the group of
-    position p; row ``g`` of ``apart`` is the set of groups that group ``g``
-    may not merge with, so the merge check is one lookup. A union relabels
-    the absorbed group and merges its row and column into the survivor's.
-    Only entries between two live labels are read."""
-
-    # pairs checked per vectorized step when walking the sorted list
-    CHUNK = 512
-
-    def __init__(self, n: int):
-        self.label = np.arange(n)
-        self.apart = np.zeros((n, n), dtype=bool)
-        self.count = n
-
-    def separate(self, first: np.ndarray, second: np.ndarray) -> int:
-        """Separate the groups of each position pair; returns the number of
-        pairs already inside one group, which are ignored."""
-        a, b = self.label[first], self.label[second]
-        split = a != b
-        self.apart[a[split], b[split]] = True
-        self.apart[b[split], a[split]] = True
-        return int(len(split) - split.sum())
-
-    def union(self, i: int, j: int):
-        """Merge two distinct groups. A forced union may join two separated
-        groups; their separation then lies inside one group, where it is
-        never read."""
-        keep, gone = self.label[i], self.label[j]
-        self.label[self.label == gone] = keep
-        self.apart[keep] |= self.apart[gone]
-        self.apart[:, keep] |= self.apart[:, gone]
-        self.count -= 1
-
-    def merge_along(self, first: np.ndarray, second: np.ndarray, stop: int, until: int = 1):
-        """Visit pairs 0..stop-1 in order, merging the groups of each pair
-        that lie in distinct, unseparated groups, until ``until`` groups
-        remain."""
-        k = 0
-        while k < stop and self.count > until:
-            end = min(k + self.CHUNK, stop)
-            a, b = self.label[first[k:end]], self.label[second[k:end]]
-            hits = np.flatnonzero((a != b) & ~self.apart[a, b])
-            if len(hits) == 0:
-                k = end
-                continue
-            k += int(hits[0])
-            self.union(first[k], second[k])
-            k += 1
-
-    def members(self, nodes) -> list[list]:
-        """The groups as sorted node lists, ordered by their first node."""
-        out = {}
-        for p, g in enumerate(self.label.tolist()):
-            out.setdefault(g, []).append(nodes[p])
-        return sorted((sorted(group) for group in out.values()), key=lambda group: group[0])
+def local_search(dg: DecompositionGraph, colors: dict[int, int], alpha) -> dict[int, int]:
+    """Recolor single nodes while a move strictly lowers the exact integer
+    cost, ``alpha.denominator`` per conflict and ``alpha.numerator`` per
+    stitch. A move takes the node's cheapest color, the lowest on a tie.
+    Nodes are visited in id order, pass after pass, until a pass moves none.
+    """
+    frac = as_fraction(alpha)
+    # a node's cost on color c, up to a constant: conflict weight per
+    # conflict neighbor on c, minus stitch weight per stitch neighbor on c
+    links: dict[int, list[tuple[int, int]]] = {node: [] for node in dg.nodes}
+    for edges, weight in ((dg.ce, frac.denominator), (dg.se, -frac.numerator)):
+        for u, v in edges:
+            links[u].append((v, weight))
+            links[v].append((u, weight))
+    colors = dict(colors)
+    moved = True
+    while moved:
+        moved = False
+        for node in dg.nodes:
+            cost = [0, 0, 0]
+            for other, weight in links[node]:
+                cost[colors[other]] += weight
+            best = cost.index(min(cost))
+            if cost[best] < cost[colors[node]]:
+                colors[node] = best
+                moved = True
+    return colors
 
 
 def map_to_masks(
-    sol: RelaxationSolution,
-    dg: DecompositionGraph,
-    params: MappingParams | None = None,
-    alpha=None,
-    info: MappingInfo | None = None,
+    sol: RelaxationSolution, dg: DecompositionGraph, alpha=None, seed: int = 42
 ) -> MaskAssignment:
-    """Round a relaxation to three masks via sorted entry triplets.
+    """Round a relaxation to three masks, then polish with ``local_search``.
 
-    Entries near 1 union their endpoints (when no recorded separation blocks
-    the merge), entries near -1/2 record separations, and remaining groups
-    are merged greedily from the top of the sorted list until three remain.
-    Every triplet is visited at most once per round (a cursor never rewinds:
-    skipped triplets stay skippable after further unions).
+    Each of ``DRAWS`` Gaussian draws of three vectors, seeded by ``seed``,
+    labels every node by the vector with the largest dot product with the
+    node's factor row (Frieze & Jerrum 1997); the draw with the lowest exact
+    integer cost is kept, the first on a tie. ``alpha`` defaults to 0.1.
     """
-    params = params or MappingParams()
-    info = info if info is not None else MappingInfo()
+    frac = as_fraction(0.1 if alpha is None else alpha)
     nodes = sol.index
-    n = len(nodes)
-    alpha = 0.1 if alpha is None else alpha
-
-    # nonzero upper-triangle entries as (value, row, col) over node positions,
-    # by value descending, then by the node ids of row and col
-    rows, cols = np.triu_indices(n, 1)
-    values = sol.x[rows, cols]
-    keep = values != 0.0
-    values, rows, cols = values[keep], rows[keep], cols[keep]
-    ids = np.array(nodes, dtype=int)
-    order = np.lexsort((ids[cols], ids[rows], -values))
-    values, rows, cols = values[order], rows[order], cols[order]
-
-    groups = _Groups(n)
-    for union_level, sepa_level in zip(params.union_levels, params.sepa_levels):
-        groups.merge_along(rows, cols, int(np.count_nonzero(values > union_level)))
-        below = values < sepa_level
-        info.ignored_separations += groups.separate(rows[below], cols[below])
-
-    groups.merge_along(rows, cols, len(rows), until=3)
-    while groups.count > 3:
-        # no compatible pair left: force the best-ranked mergeable pair, or
-        # failing that the first mergeable pair of nodes
-        label = groups.label
-        distinct = np.flatnonzero(label[rows] != label[cols])
-        if len(distinct):
-            pair = rows[distinct[0]], cols[distinct[0]]
-        else:
-            pair = next(
-                (i, j) for i in range(n) for j in range(n)
-                if nodes[i] < nodes[j] and label[i] != label[j]
-            )
-        groups.union(*pair)
-        info.forced_unions += 1
-
-    members = groups.members(nodes)
-    info.groups = tuple(tuple(g) for g in members)
-    colors = {}
-    for mask, group in enumerate(members):
-        for node in group:
-            colors[node] = mask
-    return evaluate(dg, colors, alpha)
+    g = np.random.default_rng(seed).normal(size=(DRAWS, sol.v.shape[1], 3))
+    labels = np.argmax(sol.v @ g, axis=2)  # (draw, node position)
+    ce, se = _edge_positions(dg, nodes)
+    cost = frac.denominator * (labels[:, ce[:, 0]] == labels[:, ce[:, 1]]).sum(axis=1)
+    cost += frac.numerator * (labels[:, se[:, 0]] != labels[:, se[:, 1]]).sum(axis=1)
+    best = labels[int(np.argmin(cost))].tolist()
+    colors = local_search(dg, dict(zip(nodes, best)), frac)
+    return evaluate(dg, colors, frac)

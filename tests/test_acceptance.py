@@ -3,9 +3,11 @@ pass/fail line (run with -s to see them live)."""
 
 import json
 import re
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from trimask.ilp import solve_exact
 from trimask.pipeline import DecomposeConfig, decompose
 from trimask.reductions import peel_low_degree
 from trimask.sdp import build_cost_matrix, discrete_vector_objective, map_to_masks, solve_relaxation
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from checks import greedy_one_opt  # noqa: E402
 
 ALPHA = 0.1
 
@@ -220,3 +225,19 @@ def test_criterion_9_seeded_runs_are_byte_identical(tmp_path):
         assert len(MASK_CPU.findall(stats_a)) == 1
         assert len(MASK_CPU.findall(stats_b)) == 1
         assert MASK_CPU.sub(b"CPU", stats_a) == MASK_CPU.sub(b"CPU", stats_b)
+
+
+def test_criterion_10_auto_beats_cheap_baselines():
+    with criterion(10, "auto beats greedy + 1-opt and half the random-coloring mean"):
+        layout = generate_layout(400, 6, seed=1)
+        result = decompose(layout, DecomposeConfig(solver="auto"))
+        dg, alpha = result.dg, result.assignment.alpha
+        greedy = float(greedy_one_opt(dg.nodes, dg.ce, dg.se, alpha))
+        random_mean = float(np.mean([
+            float(evaluate(dg, dict(zip(dg.nodes, draw.tolist())), alpha).objective)
+            for draw in (np.random.default_rng(s).integers(0, 3, len(dg.nodes)) for s in range(20))
+        ]))
+        print(f"  400 shapes, d=6: auto {result.objective:.1f}, greedy + 1-opt {greedy:.1f}, "
+              f"random mean {random_mean:.1f}")
+        assert result.objective <= greedy
+        assert result.objective <= random_mean / 2

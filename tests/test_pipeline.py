@@ -4,8 +4,10 @@ import pytest
 from conftest import random_graph
 from trimask.cli import generate_layout
 from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, project_and_split
-from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
+from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
+from trimask.ilp import solve_exact
 from trimask.pipeline import AUTO_THRESHOLD, DecomposeConfig, decompose, decompose_graph
+from trimask.reductions import peel_low_degree
 
 
 def squares(points, side=50):
@@ -89,6 +91,36 @@ class TestDecompose:
         result = decompose(K4, DecomposeConfig(solver="exact", node_budget=2))
         assert not result.proven_optimal
         assert set(result.assignment.colors) == {s.id for s in result.dg.segments}
+
+
+def residual_component(layout, size):
+    """The component of ``size`` nodes left after peeling and splitting."""
+    lg = build_layout_graph(layout)
+    residual, _ = peel_low_degree(lg)
+    dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+    kept = set(residual.nodes)
+    pieces = connected_components(dg.subgraph(s.id for s in dg.segments if s.parent in kept))
+    (comp,) = [c for c in pieces if len(c.nodes) == size]
+    return comp
+
+
+class TestUnprovenExactLeaves:
+    """A leaf whose exact search runs out of budget is polished by local
+    search."""
+
+    def test_polish_never_worse_than_the_budgeted_search(self):
+        comp = residual_component(generate_layout(40, 6, seed=1), 31)
+        budgeted = solve_exact(comp, 0.1, budget=500)
+        result = decompose_graph(comp, DecomposeConfig(solver="exact", node_budget=500))
+        assert not budgeted.proven_optimal and not result.proven_optimal
+        assert result.objective <= float(budgeted.assignment.objective)
+
+    def test_polish_improves_an_unproven_leaf(self):
+        # the budgeted search stops at 12.0; single-node moves reach 9.0
+        comp = residual_component(generate_layout(40, 6, seed=3), 34)
+        budgeted = solve_exact(comp, 0.1, budget=500)
+        result = decompose_graph(comp, DecomposeConfig(solver="exact", node_budget=500))
+        assert result.objective < float(budgeted.assignment.objective)
 
 
 class TestDecomposeGraph:

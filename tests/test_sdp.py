@@ -1,28 +1,25 @@
-import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trimask.sdp
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
 from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
 from trimask.sdp import (
     MASK_VECTORS,
-    MappingInfo,
-    MappingParams,
     RelaxationSolution,
-    SdpConfig,
     _edge_positions,
-    _Groups,
     _penalized_value,
     _riemannian_grad,
     _scatter_cells,
     build_cost_matrix,
     discrete_vector_objective,
+    local_search,
     map_to_masks,
     solve_relaxation,
 )
-from trimask.unionfind import DisjointSet
 
 
 class TestMaskVectors:
@@ -227,76 +224,6 @@ def reference_solution(dg, x, alpha=0.1):
     )
 
 
-def linear_scan_rounding(sol, params):
-    """Reference rounding that checks each merge by scanning the whole list
-    of recorded separations. Returns (groups, forced unions, ignored
-    separations) for comparison with ``map_to_masks``'s ``MappingInfo``."""
-    nodes = sol.index
-    n = len(nodes)
-    triplets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = float(sol.x[i, j])
-            if value != 0.0:
-                triplets.append((value, nodes[i], nodes[j]))
-    triplets.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    dsu = DisjointSet(nodes)
-    separations = []
-    forced = ignored = 0
-
-    def compatible(i, j):
-        ri, rj = dsu.find(i), dsu.find(j)
-        for a, b in separations:
-            ra, rb = dsu.find(a), dsu.find(b)
-            if (ra == ri and rb == rj) or (ra == rj and rb == ri):
-                return False
-        return True
-
-    for k in range(params.rounds):
-        for value, i, j in triplets:
-            if value <= params.union_levels[k]:
-                break
-            if not dsu.same(i, j) and compatible(i, j):
-                dsu.union(i, j)
-        for value, i, j in triplets:
-            if value >= params.sepa_levels[k]:
-                continue
-            if dsu.same(i, j):
-                ignored += 1
-                continue
-            separations.append((i, j))
-
-    cursor = 0
-    while len({dsu.find(node) for node in nodes}) > 3:
-        merged = False
-        while cursor < len(triplets):
-            value, i, j = triplets[cursor]
-            if not dsu.same(i, j) and compatible(i, j):
-                dsu.union(i, j)
-                merged = True
-                break
-            cursor += 1
-        if merged:
-            continue
-        pair = next(((i, j) for _, i, j in triplets if not dsu.same(i, j)), None)
-        if pair is None:
-            pair = next((i, j) for i in nodes for j in nodes if i < j and not dsu.same(i, j))
-        dsu.union(*pair)
-        forced += 1
-    groups = sorted(dsu.groups().values(), key=lambda members: members[0])
-    return tuple(tuple(g) for g in groups), forced, ignored
-
-
-def gram_solution(x, index):
-    """Wrap a symmetric matrix as is, without refactoring it."""
-    return RelaxationSolution(
-        x=np.asarray(x, dtype=float), v=np.zeros((len(index), 0)), index=tuple(index),
-        obj_simplified=0.0, obj_relaxation=0.0, converged=True, grad_norm=0.0,
-        max_violation=0.0,
-    )
-
-
 WORKED_X = [
     [1.0, -0.5, -0.5, 1.0, -0.5],
     [-0.5, 1.0, -0.5, -0.5, -0.5],
@@ -317,10 +244,11 @@ class TestMapping:
         assert asg.objective == 0
 
     def test_identity_matrix_three_singletons(self):
-        dg = DecompositionGraph.from_edges(3)
+        dg = triangle_graph()
         sol = reference_solution(dg, np.eye(3))
         asg = map_to_masks(sol, dg, alpha=0.1)
         assert sorted(asg.colors.values()) == [0, 1, 2]
+        assert asg.objective == 0
 
     def test_never_beats_oracle(self, rng):
         for _ in range(10):
@@ -337,125 +265,65 @@ class TestMapping:
         b = map_to_masks(sol, dg, alpha=0.1)
         assert a.colors == b.colors
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            MappingParams(union_levels=(0.9, 0.8), sepa_levels=(-0.4,))
-        with pytest.raises(ValueError):
-            MappingParams(union_levels=(-0.6,), sepa_levels=(-0.7,))
-        with pytest.raises(ValueError):
-            MappingParams(union_levels=(0.5,), sepa_levels=(0.6,))
+    def test_best_draw_recovers_a_planted_coloring(self, rng, monkeypatch):
+        # rows on the ideal mask directions of a proper coloring: a draw that
+        # labels the three directions apart costs 0, and the best draw must
+        # be one, with no local search to repair a worse one
+        monkeypatch.setattr(trimask.sdp, "local_search", lambda dg, colors, alpha: colors)
+        planted = rng.integers(0, 3, size=30)
+        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.4]
+        dg = DecompositionGraph.from_edges(
+            30, ce=[(i, j) for i, j in pairs if planted[i] != planted[j]],
+            se=[(i, j) for i, j in pairs if planted[i] == planted[j]],
+        )
+        v = np.array([MASK_VECTORS[c] for c in planted])
+        ce, se = _edge_positions(dg, dg.nodes)
+        sol = RelaxationSolution.from_factor(v, dg.nodes, ce, se, 0.1)
+        asg = map_to_masks(sol, dg, alpha=0.1)
+        assert asg.objective == 0
+        assert len(set(asg.colors.values())) == 3
 
-    def test_forced_union_flagged(self):
-        # tetrahedral X separates every pair at level -0.3, forcing a flagged
-        # merge to get down to three groups
-        dg = DecompositionGraph.from_edges(4, ce=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        x = np.full((4, 4), -1.0 / 3.0)
-        np.fill_diagonal(x, 1.0)
-        sol = reference_solution(dg, x)
-        info = MappingInfo()
-        map_to_masks(sol, dg, MappingParams(union_levels=(0.9,), sepa_levels=(-0.3,)),
-                     alpha=0.1, info=info)
-        assert info.forced_unions >= 1
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 30),
+        st.sampled_from([0.1, 0.3, 0.6]),
+        st.integers(1, 8),
+        st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rounding_is_a_one_opt_fixpoint(self, n, ce_density, rank, alpha, seed):
+        rng = np.random.default_rng(seed)
+        dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
+        v = rng.normal(size=(n, rank))
+        ce, se = _edge_positions(dg, dg.nodes)
+        sol = RelaxationSolution.from_factor(
+            v / np.linalg.norm(v, axis=1, keepdims=True), dg.nodes, ce, se, alpha
+        )
+        asg = map_to_masks(sol, dg, alpha=alpha, seed=seed)
+        assert set(asg.colors) == set(dg.nodes)
+        assert asg.objective == evaluate(dg, asg.colors, alpha).objective
+        for node in dg.nodes:
+            for color in range(3):
+                moved = evaluate(dg, {**asg.colors, node: color}, alpha)
+                assert moved.objective >= asg.objective, (node, color)
 
-    @pytest.mark.parametrize("chunk", [_Groups.CHUNK, 5])
-    def test_matches_linear_scan_reference(self, rng, monkeypatch, chunk):
-        monkeypatch.setattr(_Groups, "CHUNK", chunk)  # 5 walks across chunk ends
-        def planted(n):
-            part = rng.integers(0, int(rng.integers(3, 6)), size=n)
-            same = part[:, None] == part[None, :]
-            x = np.where(same, rng.uniform(0.5, 1.0, (n, n)), rng.uniform(-0.55, -0.1, (n, n)))
-            return x + rng.normal(scale=0.15, size=(n, n))
 
-        def low_rank(n):
-            v = rng.normal(size=(n, int(rng.integers(2, 5))))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            return v @ v.T
+class TestLocalSearch:
+    def test_never_raises_the_objective(self, rng):
+        moved = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            dg = random_graph(rng, n, ce_density=rng.uniform(0.1, 0.6))
+            alpha = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 11)))
+            colors = {node: int(rng.integers(0, 3)) for node in dg.nodes}
+            polished = local_search(dg, colors, alpha)
+            before = evaluate(dg, colors, alpha).objective
+            after = evaluate(dg, polished, alpha).objective
+            assert after <= before
+            moved += after < before
+        assert moved >= 100
 
-        def coarse(n):
-            # a coarse grid gives exact ties and zero entries
-            return np.round(rng.uniform(-0.6, 1.0, (n, n)) * 4) / 4
-
-        param_sets = [
-            MappingParams(),
-            MappingParams(union_levels=(0.9,), sepa_levels=(-0.3,)),
-            MappingParams(union_levels=(0.9, 0.6), sepa_levels=(-0.4, -0.2)),
-            MappingParams(union_levels=(0.95, 0.75, 0.5), sepa_levels=(-0.45, -0.25, 0.0)),
-        ]
-        forced = ignored = 0
-        for case in range(60):
-            n = int(rng.integers(4, 31))
-            x = (planted, low_rank, coarse)[case % 3](n)
-            x = np.triu(x, 1) + np.triu(x, 1).T
-            np.fill_diagonal(x, 1.0)
-            ids = sorted(rng.choice(1000, size=n, replace=False).tolist())
-            index = list(ids)
-            if case % 2:
-                rng.shuffle(index)  # ties break on node ids, not positions
-            sol = gram_solution(x, index)
-            dg = DecompositionGraph.from_edges(ids)
-            for params in param_sets:
-                info = MappingInfo()
-                map_to_masks(sol, dg, params, alpha=0.1, info=info)
-                expected = linear_scan_rounding(sol, params)
-                assert (info.groups, info.forced_unions, info.ignored_separations) == expected
-                forced += info.forced_unions
-                ignored += info.ignored_separations
-        assert forced and ignored  # both the forced and the ignored paths ran
-
-    def test_forced_unions_match_linear_scan_reference(self):
-        # tetrahedral X separates every pair; an all-zero X has no entry to
-        # merge along, so every union is forced through the node-pair scan
-        tetra = np.full((4, 4), -1.0 / 3.0)
-        np.fill_diagonal(tetra, 1.0)
-        for x, index in ((tetra, (0, 1, 2, 3)), (np.eye(6), (9, 4, 7, 1, 8, 3))):
-            sol = gram_solution(x, index)
-            dg = DecompositionGraph.from_edges(sorted(index))
-            for params in (MappingParams(union_levels=(0.9,), sepa_levels=(-0.3,)),
-                           MappingParams(union_levels=(0.9, 0.5), sepa_levels=(-0.4, -0.3))):
-                info = MappingInfo()
-                map_to_masks(sol, dg, params, alpha=0.1, info=info)
-                assert info.forced_unions >= 1
-                assert (info.groups, info.forced_unions, info.ignored_separations) == \
-                    linear_scan_rounding(sol, params)
-
-    def test_visitation_scales_quadratically(self):
-        # sorted-triplet mapping grows like n^2 log n, so doubling n may cost
-        # at most 5x; best-of-7 timing with a warmup keeps the measure stable.
-        # The uniform input merges almost everything in the greedy tail; the
-        # planted 3-partition records separations between all cross-group
-        # pairs, so every merge in the tail is checked against them.
-        def uniform(rng, n):
-            return rng.uniform(-0.45, 0.95, size=(n, n))
-
-        def planted(rng, n):
-            part = rng.integers(0, 3, size=n)
-            same = part[:, None] == part[None, :]
-            return np.where(same, rng.uniform(0.3, 0.92, size=(n, n)),
-                            rng.uniform(-0.5, -0.45, size=(n, n)))
-
-        def timer(draw, n):
-            rng = np.random.default_rng(0)
-            x = draw(rng, n)
-            x = (x + x.T) / 2
-            np.fill_diagonal(x, 1.0)
-            dg = DecompositionGraph.from_edges(n)
-            sol = gram_solution(x, dg.nodes)
-            t0 = time.perf_counter()
-            map_to_masks(sol, dg, alpha=0.1)  # warmup
-            # a sample spans at least ~50 ms, longer than a burst of host noise
-            calls = max(1, int(0.05 / (time.perf_counter() - t0)))
-
-            def sample():
-                t0 = time.perf_counter()
-                for _ in range(calls):
-                    map_to_masks(sol, dg, alpha=0.1)
-                return (time.perf_counter() - t0) / calls
-
-            return sample
-
-        for draw, n in ((uniform, 300), (planted, 100)):
-            slow, fast = timer(draw, 2 * n), timer(draw, n)
-            # the two sizes alternate, so a drift in host speed hits both
-            samples = [(slow(), fast()) for _ in range(7)]
-            ratio = min(s for s, _ in samples) / min(f for _, f in samples)
-            assert ratio <= 5.0, draw.__name__
+    def test_ties_go_to_the_lowest_color(self):
+        # node 0 conflicts with both others on color 0; colors 1 and 2 are free
+        dg = DecompositionGraph.from_edges(3, ce=[(0, 1), (0, 2)])
+        assert local_search(dg, {0: 0, 1: 0, 2: 0}, 0.1) == {0: 1, 1: 0, 2: 0}

@@ -39,3 +39,12 @@ def test_traced_bridge_records_rotation():
     )
     names = traced_names(lambda: trimask.pipeline.decompose_graph(dg, DecomposeConfig()))
     assert "stitch_and_rotate" in names
+
+
+def test_traced_relaxation_records_the_rounding():
+    # the dense layer check sums the self time of these two spans
+    dg = DecompositionGraph.from_edges(4, ce=[(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    names = traced_names(
+        lambda: trimask.pipeline.decompose_graph(dg, DecomposeConfig(solver="sdp"))
+    )
+    assert {"solve_relaxation", "map_to_masks"} <= names
