@@ -62,7 +62,6 @@ from .reductions import (
 from .sdp import (
     CostMatrix,
     RelaxationSolution,
-    SdpConfig,
     build_cost_matrix,
     discrete_vector_objective,
     map_to_masks,
@@ -115,7 +114,6 @@ __all__ = [
     "stitch_and_rotate",
     "CostMatrix",
     "RelaxationSolution",
-    "SdpConfig",
     "build_cost_matrix",
     "discrete_vector_objective",
     "map_to_masks",

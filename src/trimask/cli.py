@@ -29,7 +29,7 @@ from .geometry import (
 from .graphs import DecompositionGraph, MaskAssignment, parse_edgelist
 from .ilp import build_ilp, write_lp
 from .pipeline import DecomposeConfig, DecomposeResult, decompose, decompose_graph
-from .sdp import SdpConfig, build_cost_matrix, solve_relaxation
+from .sdp import build_cost_matrix, solve_relaxation
 
 
 class UsageError(Exception):
@@ -140,9 +140,7 @@ def cmd_decompose(args) -> int:
     if args.dump_lp:
         Path(args.dump_lp).write_text(write_lp(build_ilp(result.dg, alpha)))
     if args.dump_x:
-        sol = solve_relaxation(
-            build_cost_matrix(result.dg, alpha), result.dg, SdpConfig(seed=cfg.seed)
-        )
+        sol = solve_relaxation(build_cost_matrix(result.dg, alpha), result.dg, seed=cfg.seed)
         Path(args.dump_x).write_text(format_x_csv(sol.x))
     return 0
 

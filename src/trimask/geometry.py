@@ -27,6 +27,13 @@ from .graphs import DecompositionGraph, Pair, Segment, adjacency, ordered_pair
 
 Rect = tuple[int, int, int, int]
 
+# bound on a coordinate's magnitude: a gap between two coordinates, plus
+# min_s, stays inside int64
+COORD_LIMIT = 2**60
+# bound on min_s: two gaps clamped at min_s, squared and summed, stay
+# inside int64
+MIN_S_LIMIT = 2**30
+
 
 class LayoutError(ValueError):
     """Invalid layout file or layout invariant violation."""
@@ -52,6 +59,8 @@ class ProcessParams:
             raise LayoutError(
                 f"require min_s > min_spacing > 0, got {self.min_s}, {self.min_spacing}"
             )
+        if self.min_s > MIN_S_LIMIT:
+            raise LayoutError(f"min_s must be at most 2**30, got {self.min_s}")
         if self.overlap_margin <= 0:
             raise LayoutError(f"overlap_margin must be positive, got {self.overlap_margin}")
         if self.alpha <= 0:
@@ -77,21 +86,37 @@ class Layout:
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise LayoutError(f"duplicate shape id {dup[0]}")
-        for s in self.shapes:
-            x_lo, y_lo, x_hi, y_hi = s.rect
-            if x_lo >= x_hi or y_lo >= y_hi:
-                raise LayoutError(f"degenerate rectangle on shape {s.id}: {s.rect}")
-        _check_disjoint(self.shapes)
+        r = _rect_array(self.shapes)
+        degenerate = (r[:, 0] >= r[:, 2]) | (r[:, 1] >= r[:, 3])
+        if degenerate.any():
+            s = self.shapes[int(np.argmax(degenerate))]
+            raise LayoutError(f"degenerate rectangle on shape {s.id}: {s.rect}")
+        _check_disjoint(self.shapes, r)
 
     @cached_property
     def shape_by_id(self) -> dict[int, Shape]:
         return {s.id: s for s in self.shapes}
 
 
-def _check_disjoint(shapes: tuple[Shape, ...]) -> None:
+def _rect_array(shapes: tuple[Shape, ...]) -> np.ndarray:
+    """The rectangles as int64 rows of ``x_lo, y_lo, x_hi, y_hi``; a
+    coordinate beyond ``COORD_LIMIT`` in magnitude is a ``LayoutError``."""
+    rects = [s.rect for s in shapes]
+    try:
+        r = np.array(rects, dtype=np.int64).reshape(-1, 4)
+        bad = ((r < -COORD_LIMIT) | (r > COORD_LIMIT)).any(axis=1)
+    except OverflowError:
+        bad = [any(abs(c) > COORD_LIMIT for c in rect) for rect in rects]
+    if np.any(bad):
+        s = shapes[int(np.argmax(bad))]
+        raise LayoutError(f"shape {s.id}: coordinates must lie within ±2**60, got {s.rect}")
+    return r
+
+
+def _check_disjoint(shapes: tuple[Shape, ...], r: np.ndarray) -> None:
+    """``r`` is ``_rect_array(shapes)``."""
     if len(shapes) < 2:
         return
-    r = np.array([s.rect for s in shapes], dtype=np.int64)
     i, j = _near_pairs(r, 0)
     gx, gy = _axis_gaps(r, i, j)
     # interiors intersect iff both axes strictly overlap
@@ -152,7 +177,7 @@ def load_layout(path) -> Layout:
 
 
 def layout_from_dict(doc: dict) -> Layout:
-    if not isinstance(doc, dict) or "shapes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("shapes"), list):
         raise LayoutError("layout document must be an object with a 'shapes' list")
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict):
@@ -171,7 +196,8 @@ def layout_from_dict(doc: dict) -> Layout:
             raise LayoutError(f"malformed shape entry {entry!r}") from exc
         if not isinstance(sid, int) or isinstance(sid, bool):
             raise LayoutError(f"shape id must be an integer, got {sid!r}")
-        if len(rect) != 4 or not all(isinstance(c, int) and not isinstance(c, bool) for c in rect):
+        four = isinstance(rect, (list, tuple)) and len(rect) == 4
+        if not four or not all(isinstance(c, int) and not isinstance(c, bool) for c in rect):
             raise LayoutError(f"shape {sid}: rect must be 4 integers, got {rect!r}")
         shapes.append(Shape(id=sid, rect=tuple(rect)))
     return Layout(shapes=tuple(shapes), params=params, units=doc.get("units", "nm"))
@@ -233,7 +259,9 @@ def build_layout_graph(layout: Layout) -> LayoutGraph:
     min_s = layout.params.min_s
     i, j = _near_pairs(r, min_s)
     gx, gy = _axis_gaps(r, i, j)
-    dx, dy = np.maximum(gx, 0), np.maximum(gy, 0)
+    # a gap of min_s or more is never close, and clamped at min_s the
+    # squares stay inside int64
+    dx, dy = np.clip(gx, 0, min_s), np.clip(gy, 0, min_s)
     close = dx * dx + dy * dy < min_s**2
     i, j = i[close], j[close]
     # insert in row-major (i, j) order: the frozenset's iteration order

@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .ilp import solve_exact
 from .reductions import find_bridges, peel_low_degree, reinsert_segments, stitch_and_rotate
-from .sdp import SdpConfig, build_cost_matrix, local_search, map_to_masks, solve_relaxation
+from .sdp import build_cost_matrix, local_search, map_to_masks, solve_relaxation
 from .unionfind import DisjointSet
 
 # solver "auto" searches components of at most this many nodes exactly
@@ -109,16 +109,7 @@ def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: Com
         if res.proven_optimal:
             return res.assignment.colors
         return local_search(dg, res.assignment.colors, alpha)
-    if n > 16:
-        # large components get a lighter schedule: the rounding only needs
-        # the structure of the factor, not a certified stationary point
-        sdp_cfg = SdpConfig(
-            restarts=3, shift_rounds=5, max_inner_iters=200, grad_tol=1e-4, seed=cfg.seed
-        )
-    else:
-        sdp_cfg = SdpConfig(seed=cfg.seed)
-    cost = build_cost_matrix(dg, alpha)
-    sol = solve_relaxation(cost, dg, sdp_cfg)
+    sol = solve_relaxation(build_cost_matrix(dg, alpha), dg, seed=cfg.seed)
     report.sdp_converged = sol.converged if report.sdp_converged is None else (
         report.sdp_converged and sol.converged
     )

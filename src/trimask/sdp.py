@@ -12,6 +12,17 @@ vector with the largest dot product with its row, the draw with the lowest
 exact cost is kept, and ``local_search`` recolors single nodes until no
 move lowers the cost.
 
+Every caller (the pipeline's leaves, ``--dump-x``, a direct call) gets one
+schedule for a given graph: up to 16 nodes, 5 restarts of 12 multiplier
+rounds of at most 400 inner iterations; above, 3 restarts of 5 rounds of at
+most 200. One gradient tolerance, ``GRAD_TOL``, holds at every size; large
+relaxations reach neither it nor ``CONSTRAINT_TOL``, so the schedule sets
+their cost. The size rule stays because neither schedule serves both
+sides: the light one certifies too few small relaxations for their value to
+bound the optimum, and the full one makes 400-shape layouts at density 6
+about eight times slower for a 2% better objective. A stop on the duality
+gap could retire it.
+
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks, and the relaxation's floating-point sums must
 keep their order for a seeded run to repeat. The gradient therefore
@@ -45,6 +56,15 @@ DOT_DIFFERENT = Fraction(-1, 2)
 
 # Gaussian draws of the rounding; the best by exact cost is kept
 DRAWS = 50
+
+# the relaxation: factor columns (at most n), penalty weight, its growth per
+# ramp round, ramp rounds, and the tolerances that certify a restart
+RANK = 8
+MU_INITIAL = 4.0
+MU_GROWTH = 10.0
+RAMP_ROUNDS = 3
+GRAD_TOL = 1e-5
+CONSTRAINT_TOL = 1e-6
 
 
 def discrete_vector_objective(colors: dict[int, int], dg: DecompositionGraph, alpha) -> Fraction:
@@ -87,25 +107,10 @@ def build_cost_matrix(dg: DecompositionGraph, alpha) -> CostMatrix:
 
 
 @dataclass(frozen=True)
-class SdpConfig:
-    rank: int | None = None  # None -> min(n, 8)
-    restarts: int = 5
-    seed: int = 42
-    mu_initial: float = 4.0
-    mu_growth: float = 10.0
-    ramp_rounds: int = 3  # pure-penalty rounds, mu multiplied by mu_growth each
-    shift_rounds: int = 12  # multiplier-shift rounds at the final mu
-    max_inner_iters: int = 400
-    grad_tol: float = 1e-5
-    constraint_tol: float = 1e-6
-
-
-@dataclass(frozen=True)
 class RelaxationSolution:
     x: np.ndarray
     v: np.ndarray
     index: tuple[int, ...]
-    obj_simplified: float
     obj_relaxation: float
     converged: bool
     grad_norm: float
@@ -119,7 +124,6 @@ class RelaxationSolution:
             x=x,
             v=v,
             index=tuple(index),
-            obj_simplified=_objective_simplified(x, ce_pairs, se_pairs, alpha),
             obj_relaxation=_objective_relaxation(x, ce_pairs, se_pairs, alpha),
             converged=converged,
             grad_norm=grad_norm,
@@ -285,76 +289,73 @@ def _rank_reduced(v):
     return _normalize_rows(np.hstack([reduced, pad]))
 
 
-def solve_relaxation(
-    a: CostMatrix, dg: DecompositionGraph, cfg: SdpConfig | None = None
-) -> RelaxationSolution:
+def _certified(grad_norm: float, violation: float) -> bool:
+    return grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL
+
+
+def solve_relaxation(a: CostMatrix, dg: DecompositionGraph, seed: int = 42) -> RelaxationSolution:
     """Approximately minimize the relaxation through a low-rank factor.
 
     The -1/2 floor on conflict pairs is enforced by a quadratic penalty: a
     short ramp multiplies the weight by a fixed factor per round, then
     multiplier shifts take over at the final weight so the floor tightens
     without runaway stiffness. Each restart begins from a fresh random
-    factor and the best feasible candidate wins. ``converged`` certifies
-    both a small final gradient and a small constraint violation.
+    factor drawn from ``seed``, and the best feasible candidate wins.
+    ``converged`` certifies both a small final gradient and a small
+    constraint violation.
     """
-    cfg = cfg or SdpConfig()
     nodes = a.index
     n = len(nodes)
     if n == 0:
         return RelaxationSolution(
-            x=np.zeros((0, 0)), v=np.zeros((0, 0)), index=(),
-            obj_simplified=0.0, obj_relaxation=0.0, converged=True,
-            grad_norm=0.0, max_violation=0.0,
+            x=np.zeros((0, 0)), v=np.zeros((0, 0)), index=(), obj_relaxation=0.0,
+            converged=True, grad_norm=0.0, max_violation=0.0,
         )
     ce, se = _edge_positions(dg, nodes)
     alpha = a.alpha
-    rank = cfg.rank if cfg.rank is not None else min(n, 8)
-    rank = max(1, min(rank, n))
+    # the size rule of the module docstring
+    restarts, shift_rounds, max_iters = (5, 12, 400) if n <= 16 else (3, 5, 200)
     w = a.matrix
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     best = None
     have_certified = False
-    for _ in range(max(1, cfg.restarts)):
-        v = _normalize_rows(rng.normal(size=(n, rank)))
-        mu = cfg.mu_initial
+    for _ in range(restarts):
+        v = _normalize_rows(rng.normal(size=(n, min(n, RANK))))
+        mu = MU_INITIAL
         grad_norm = 0.0
-        for round_idx in range(cfg.ramp_rounds):
-            tol = max(cfg.grad_tol, 1e-3 / (round_idx + 1))
-            v, grad_norm = _minimize_on_sphere(v, w, mu, ce, cfg.max_inner_iters, tol)
-            if round_idx < cfg.ramp_rounds - 1:
-                mu *= cfg.mu_growth
+        for round_idx in range(RAMP_ROUNDS):
+            tol = max(GRAD_TOL, 1e-3 / (round_idx + 1))
+            v, grad_norm = _minimize_on_sphere(v, w, mu, ce, max_iters, tol)
+            if round_idx < RAMP_ROUNDS - 1:
+                mu *= MU_GROWTH
         # multiplier rounds: hinge shifts let a moderate mu enforce the walls
         # exactly, so the end game stays well conditioned; once some restart
         # has certified, later restarts get a shorter schedule
-        rounds = cfg.shift_rounds if not have_certified else max(3, cfg.shift_rounds // 3)
+        rounds = shift_rounds if not have_certified else max(3, shift_rounds // 3)
         shift = np.zeros(len(ce))
         violation = _max_violation(v @ v.T, ce)
         previous_norm = None
         stall_rounds = 0
-        shake_tried = False
         for round_idx in range(rounds):
             _, shift, *_ = _penalized_value(v, w, mu, ce, shift)
             # intermediate rounds only need enough accuracy to update the
             # multipliers; certification accuracy is for the settled walls
-            round_tol = cfg.grad_tol
-            if violation > 10.0 * cfg.constraint_tol and round_idx < rounds - 1:
-                round_tol = max(cfg.grad_tol, min(1e-3, violation))
-            v, grad_norm = _minimize_on_sphere(
-                v, w, mu, ce, cfg.max_inner_iters, round_tol, shift
-            )
+            round_tol = GRAD_TOL
+            if violation > 10.0 * CONSTRAINT_TOL and round_idx < rounds - 1:
+                round_tol = max(GRAD_TOL, min(1e-3, violation))
+            v, grad_norm = _minimize_on_sphere(v, w, mu, ce, max_iters, round_tol, shift)
             violation = _max_violation(v @ v.T, ce)
-            if grad_norm < cfg.grad_tol and violation <= cfg.constraint_tol:
+            if _certified(grad_norm, violation):
                 break
             stalled = previous_norm is not None and grad_norm > 0.5 * previous_norm
             previous_norm = grad_norm
             if not stalled:
                 continue
-            escaped = False
             v_cut = _rank_reduced(v)  # flat-saddle escape
             if v_cut is not None:
                 v_cut, grad_cut = _minimize_on_sphere(
-                    v_cut, w, mu, ce, cfg.max_inner_iters, cfg.grad_tol, shift
+                    v_cut, w, mu, ce, max_iters, GRAD_TOL, shift
                 )
                 f_old, *_ = _penalized_value(v, w, mu, ce, shift)
                 f_new, *_ = _penalized_value(v_cut, w, mu, ce, shift)
@@ -362,33 +363,16 @@ def solve_relaxation(
                     v, grad_norm = v_cut, grad_cut
                     violation = _max_violation(v @ v.T, ce)
                     previous_norm = None
-                    escaped = True
-            if not escaped and not shake_tried:
-                # saddle shake: a small perturbation plus re-descent
-                shake_tried = True
-                v_shake = _normalize_rows(v + 0.02 * rng.normal(size=v.shape))
-                v_shake, grad_shake = _minimize_on_sphere(
-                    v_shake, w, mu, ce, cfg.max_inner_iters, cfg.grad_tol, shift
-                )
-                f_old, *_ = _penalized_value(v, w, mu, ce, shift)
-                f_new, *_ = _penalized_value(v_shake, w, mu, ce, shift)
-                if f_new < f_old - 1e-12:
-                    v, grad_norm = v_shake, grad_shake
-                    violation = _max_violation(v @ v.T, ce)
-                    previous_norm = None
-                    escaped = True
-            if not escaped:
-                stall_rounds += 1
-                if stall_rounds >= 2:
-                    break
-        x = v @ v.T
-        obj = _objective_simplified(x, ce, se, alpha)
-        feasible = violation <= cfg.constraint_tol
+                    continue
+            stall_rounds += 1
+            if stall_rounds >= 2:
+                break
+        obj = _objective_simplified(v @ v.T, ce, se, alpha)
+        feasible = violation <= CONSTRAINT_TOL
         key = (not feasible, obj if feasible else violation)
         if best is None or key < best[0]:
             best = (key, v, grad_norm, violation)
-        if grad_norm < cfg.grad_tol and violation <= cfg.constraint_tol:
-            have_certified = True
+        have_certified = have_certified or _certified(grad_norm, violation)
 
     _, v, grad_norm, violation = best
     x = v @ v.T
@@ -397,9 +381,8 @@ def solve_relaxation(
         x=x,
         v=v,
         index=nodes,
-        obj_simplified=_objective_simplified(x, ce, se, alpha),
         obj_relaxation=_objective_relaxation(x, ce, se, alpha),
-        converged=bool(grad_norm < cfg.grad_tol and violation <= cfg.constraint_tol),
+        converged=_certified(grad_norm, violation),
         grad_norm=grad_norm,
         max_violation=violation,
     )

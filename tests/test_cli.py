@@ -71,6 +71,19 @@ class TestDecomposeCommand:
         bad.write_text(json.dumps({"shapes": [{"id": 0, "rect": [0, 0, 0, 10]}]}))
         assert run(["decompose", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"shapes": [{"id": 1, "rect": 5}]},
+        {"shapes": [{"id": 1, "rect": None}]},
+        {"shapes": 5},
+        {"shapes": [{"id": 0, "rect": [0, 0, 10**20, 10]}]},
+        {"shapes": [{"id": 0, "rect": [-(2**61), 0, 10, 10]}]},
+        {"params": {"min_s": 2**40}, "shapes": [{"id": 0, "rect": [0, 0, 10, 10]}]},
+    ])
+    def test_malformed_layout_exit_2(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["decompose", "--input", str(bad)]) == 2
+
     @pytest.mark.parametrize("name", ["alpha", "min_s", "overlap_margin", "min_width",
                                       "min_spacing"])
     @pytest.mark.parametrize("value", ['"x"', "NaN", "Infinity", "-Infinity", "null", "true",

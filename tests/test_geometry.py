@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from trimask.cli import generate_layout
 from trimask.geometry import (
+    COORD_LIMIT,
     Layout,
     LayoutError,
     ProcessParams,
     Shape,
     _check_disjoint,
     _near_pairs,
+    _rect_array,
     build_layout_graph,
     euclidean_gap,
+    layout_from_dict,
     layout_to_dict,
     load_layout,
     project_and_split,
@@ -86,6 +89,17 @@ class TestLoadLayout(object):
         path.write_text(json.dumps(doc))
         with pytest.raises(LayoutError, match="duplicate shape id"):
             load_layout(path)
+
+    @pytest.mark.parametrize("coord", [10**20, -(2**63), COORD_LIMIT + 1, -COORD_LIMIT - 1])
+    def test_coordinate_out_of_range(self, coord):
+        doc = {"shapes": [{"id": 0, "rect": [0, 0, 10, 10]},
+                          {"id": 3, "rect": [0, coord, 10, 10]}]}
+        with pytest.raises(LayoutError, match="shape 3: coordinates must lie within"):
+            layout_from_dict(doc)
+
+    def test_coordinate_limit_itself_allowed(self):
+        doc = {"shapes": [{"id": 0, "rect": [-COORD_LIMIT, 0, COORD_LIMIT, 10]}]}
+        assert layout_from_dict(doc).shapes[0].rect[2] == COORD_LIMIT
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(LayoutError):
@@ -268,7 +282,7 @@ def reference_overlap_error(shapes) -> str | None:
 
 def overlap_error(shapes) -> str | None:
     try:
-        _check_disjoint(tuple(shapes))
+        _check_disjoint(tuple(shapes), _rect_array(tuple(shapes)))
     except LayoutError as exc:
         return str(exc)
     return None
@@ -321,6 +335,62 @@ def rects(draw, max_size=30, span=400, max_len=300):
 HYPOTHESIS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
 
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+PARAMS = st.dictionaries(
+    st.sampled_from(["min_s", "overlap_margin", "alpha", "min_width", "min_spacing", "gap"]),
+    st.integers() | JSON_SCALARS, max_size=3,
+) | JSON_VALUES
+COORDS = (st.integers(-300, 300) | st.integers(-(2**64), 2**64)
+          | st.sampled_from([COORD_LIMIT, COORD_LIMIT + 1, 2**63, -(2**63) - 1]))
+
+
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 5)) == 0
+
+
+@st.composite
+def shape_entries(draw):
+    if rarely(draw):
+        return draw(JSON_VALUES)
+    sid = draw(JSON_SCALARS) if rarely(draw) else draw(st.integers(-3, 3))
+    rects = st.lists(COORDS, max_size=6) | JSON_VALUES
+    rect = draw(rects) if rarely(draw) else draw(st.lists(COORDS, min_size=4, max_size=4))
+    return {"id": sid, "rect": rect}
+
+
+@st.composite
+def layout_documents(draw):
+    """JSON-like documents, most of them close enough to a layout file that
+    the checks past the first few are reached."""
+    if rarely(draw):
+        return draw(JSON_VALUES)
+    doc = {"shapes": draw(JSON_VALUES if rarely(draw) else st.lists(shape_entries(), max_size=4))}
+    if rarely(draw):
+        doc["params"] = draw(PARAMS)
+    if rarely(draw):
+        doc["units"] = draw(st.just("nm") | JSON_SCALARS)
+    return doc
+
+
+class TestLayoutDocuments:
+    @HYPOTHESIS
+    @given(layout_documents())
+    def test_layout_from_dict_raises_only_layout_error(self, doc):
+        try:
+            layout = layout_from_dict(doc)
+        except LayoutError:
+            return
+        # an accepted layout builds its graph without overflow
+        build_layout_graph(layout)
+
+
 class TestSweepOracle:
     @HYPOTHESIS
     @given(rects(), st.sampled_from([0, 1, 30, 85]))
@@ -367,6 +437,23 @@ class TestSweepOracle:
         assert assert_matches_reference([(0, 0, 10, 10), (94, 0, 104, 10)]) == {(0, 1)}
         assert assert_matches_reference([(0, 0, 10, 10), (0, 94, 10, 104)]) == {(0, 1)}
         assert assert_matches_reference([(0, 0, 10, 10), (95, 0, 105, 10)]) == frozenset()
+
+    def test_far_pair_is_not_a_conflict_through_int64_overflow(self):
+        # the three shapes at y=0 make the x sweep the cheaper one, so the
+        # pair (0, 1) is tested; its squared y gap, about 2**64, wraps in int64
+        big = 2**32
+        rs = [(0, 0, 10, 30), (0, big, 10, big + 30), (100_000, 0, 100_010, 30),
+              (200_000, 0, 200_010, 30), (300_000, 0, 300_010, 30)]
+        layout = Layout(tuple(Shape(i, r) for i, r in enumerate(rs)), ProcessParams())
+        assert build_layout_graph(layout).edges == frozenset()
+
+    def test_largest_coordinates_and_min_s_stay_exact(self):
+        lim = COORD_LIMIT
+        rs = [(-lim, -lim, -lim + 10, -lim + 10), (lim - 10, lim - 10, lim, lim),
+              (-lim + 10 + 2**30 - 1, -lim, -lim + 2**31, -lim + 10)]
+        layout = Layout(tuple(Shape(i, r) for i, r in enumerate(rs)),
+                        ProcessParams(min_s=2**30))
+        assert build_layout_graph(layout).edges == {(0, 2)}
 
     def test_negative_coordinates_and_equal_low_edges(self):
         rs = [(-300, -50, -200, -25), (-300, 20, -250, 45), (-300, -140, -100, -115),

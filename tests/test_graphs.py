@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
 from trimask.graphs import (
@@ -140,6 +142,38 @@ class TestEdgeList:
     def test_comments_and_blanks_skipped(self):
         dg = parse_edgelist("# triangle\n3\n\nC 0 1\nC 1 2\nC 0 2\n")
         assert dg.ce == {(0, 1), (1, 2), (0, 2)}
+
+
+TOKENS = st.sampled_from(["C", "S", "X", "c", "0", "1", "2", "-1", "7", "1_0", "x", "#", "٣"])
+EDGE_LINES = st.lists(TOKENS, max_size=4).map(" ".join)
+EDGE_LISTS = st.builds(
+    lambda head, body: "\n".join([head, *body]),
+    st.integers(-2, 8).map(str) | TOKENS | st.just(""),
+    st.lists(EDGE_LINES, max_size=8),
+)
+
+
+def declared_nodes(text: str) -> int:
+    """The node count a text's first content line declares, 0 if none."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    try:
+        return int(lines[0]) if lines else 0
+    except ValueError:
+        return 0
+
+
+class TestEdgeListText:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.text() | EDGE_LISTS)
+    def test_parse_edgelist_raises_only_value_error(self, text):
+        # a first line like 9999999999 would allocate that many segments
+        assume(declared_nodes(text) <= 64)
+        try:
+            dg = parse_edgelist(text)
+        except ValueError:
+            return
+        assert len(dg.nodes) == max(declared_nodes(text), 0)
 
 
 class TestGraphValidation:

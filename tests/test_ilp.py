@@ -306,3 +306,48 @@ class TestLookAheadIdentity:
         assert len(comp.nodes) <= 25
         got, want = assert_same_as_reference(comp, Fraction(1, 10))
         assert 4 * got <= want
+
+
+def highs_optimum(model) -> float:
+    """Optimum of the 0-1 model as ``scipy.optimize.milp`` (HiGHS) finds it,
+    with every constraint row as one row of a sparse matrix."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    column = {name: k for k, name in enumerate(model.variables)}
+    rows, cols, coeffs = [], [], []
+    for row, con in enumerate(model.constraints):
+        for name, coeff in con.coeffs.items():
+            rows.append(row)
+            cols.append(column[name])
+            coeffs.append(coeff)
+    a = sparse.csr_array((coeffs, (rows, cols)),
+                         shape=(len(model.constraints), len(model.variables)))
+    cost = np.zeros(len(model.variables))
+    for name, weight in model.objective.items():
+        cost[column[name]] = float(weight)
+    res = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(a, -np.inf, [con.rhs for con in model.constraints]),
+        integrality=np.ones(len(cost)),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+class TestHighsOracle:
+    """Past brute force's 16 nodes, HiGHS on the paper's 0-1 model checks
+    the optimum the exact search proves. Distinct objectives differ by at
+    least alpha = 1/10, far above HiGHS's default optimality gap. HiGHS's
+    time varies more than tenfold between such graphs; these four are among
+    the quick ones."""
+
+    @pytest.mark.parametrize("n, ce_density, seed", [
+        (17, 0.25, 6), (18, 0.25, 0), (19, 0.25, 3), (20, 0.2, 4),
+    ])
+    def test_exact_search_optimum(self, n, ce_density, seed):
+        dg = random_graph(np.random.default_rng(seed), n, ce_density, 0.1)
+        report = solve_exact(dg, Fraction(1, 10))
+        assert report.proven_optimal
+        optimum = highs_optimum(build_ilp(dg, Fraction(1, 10)))
+        assert optimum == pytest.approx(float(report.assignment.objective), abs=1e-6)

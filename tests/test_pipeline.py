@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+import trimask.pipeline
+from conftest import random_graph, worked_example_graph
 from trimask.cli import generate_layout
 from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, project_and_split
 from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
 from trimask.ilp import solve_exact
 from trimask.pipeline import AUTO_THRESHOLD, DecomposeConfig, decompose, decompose_graph
-from trimask.reductions import peel_low_degree
+from trimask.reductions import find_bridges, peel_low_degree
+from trimask.sdp import build_cost_matrix, solve_relaxation
 
 
 def squares(points, side=50):
@@ -224,3 +226,27 @@ class TestWitnessPlumbing:
         assert len(result.witnesses) == 1
         edge = result.witnesses[0].edge
         assert edge[0] in result.assignment.colors
+
+
+class TestOneRelaxationSchedule:
+    """The pipeline hands a leaf to the relaxation exactly as a direct call
+    would, so both get the schedule ``solve_relaxation`` picks for the size."""
+
+    @pytest.mark.parametrize("dg, seed", [
+        (random_graph(np.random.default_rng(1), 20, 0.3, 0.1), 7),
+        (worked_example_graph(), 3),
+    ], ids=["20-nodes", "5-nodes"])
+    def test_leaf_factor_equals_direct_call(self, monkeypatch, dg, seed):
+        assert len(connected_components(dg)) == 1 and not find_bridges(dg)
+        factors = []
+
+        def spy(*args, **kwargs):
+            sol = solve_relaxation(*args, **kwargs)
+            factors.append(sol.v)
+            return sol
+
+        monkeypatch.setattr(trimask.pipeline, "solve_relaxation", spy)
+        decompose_graph(dg, DecomposeConfig(solver="sdp", seed=seed))
+        direct = solve_relaxation(build_cost_matrix(dg, 0.1), dg, seed=seed).v
+        assert len(factors) == 1
+        assert factors[0].tobytes() == direct.tobytes()
