@@ -162,6 +162,7 @@ def format_stats(result: DecomposeResult) -> str:
         "st": result.stitch_count,
         "cn": result.conflict_count,
         "objective": result.objective,
+        "proven_optimal": result.proven_optimal,
         "cpu_s": round(result.wall_time, 6),
         "solver": result.solver,
         "un3colorable_witnesses": [

@@ -58,6 +58,7 @@ class ComponentReport:
     proven_optimal: bool = True
     bridges_cut: int = 0
     sdp_converged: bool | None = None
+    sdp_iterations: int = 0  # relaxation descent iterations over all pieces
     peel_fallback: bool = False
 
 
@@ -113,6 +114,7 @@ def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: Com
     report.sdp_converged = sol.converged if report.sdp_converged is None else (
         report.sdp_converged and sol.converged
     )
+    report.sdp_iterations += sol.iterations
     report.proven_optimal = False
     return map_to_masks(sol, dg, alpha=alpha, seed=cfg.seed).colors
 

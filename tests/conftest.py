@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import trimask.sdp
 from trimask.graphs import DecompositionGraph
 
 
@@ -38,3 +41,20 @@ def worked_example_graph():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def stall_tolerances(monkeypatch):
+    """The stall tolerance passed to every relaxation descent, in call order."""
+    descend = trimask.sdp._minimize_on_sphere
+    signature = inspect.signature(descend)
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["stall"])
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(trimask.sdp, "_minimize_on_sphere", spy)
+    return seen

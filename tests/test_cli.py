@@ -45,7 +45,8 @@ class TestDecomposeCommand:
         run(["decompose", "--graph", str(graph), "--stats", str(stats)])
         doc = json.loads(stats.read_text())
         assert list(doc) == ["components", "SE", "CE", "st", "cn", "objective",
-                             "cpu_s", "solver", "un3colorable_witnesses"]
+                             "proven_optimal", "cpu_s", "solver", "un3colorable_witnesses"]
+        assert doc["proven_optimal"] is True
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run(["decompose", "--input", str(tmp_path / "nope.json")]) == 2

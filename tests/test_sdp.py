@@ -8,9 +8,15 @@ import trimask.sdp
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
 from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
 from trimask.sdp import (
+    DRAWS,
+    GRAD_TOL,
     MASK_VECTORS,
+    RANK,
+    STALL_TOL,
     RelaxationSolution,
     _edge_positions,
+    _minimize_on_sphere,
+    _normalize_rows,
     _penalized_value,
     _riemannian_grad,
     _scatter_cells,
@@ -122,7 +128,7 @@ class TestRelaxation:
         assert sol.converged
         assert abs(sol.obj_relaxation - 2.0 / 3.0) < 1e-3
 
-    def test_lower_bound_when_converged(self, rng):
+    def test_lower_bound_when_converged(self, rng, stall_tolerances):
         checked = 0
         for _ in range(15):
             n = int(rng.integers(3, 11))
@@ -134,6 +140,9 @@ class TestRelaxation:
             opt = float(brute_force_optimum(dg, 0.1).objective)
             assert sol.obj_relaxation <= opt + 1e-4
         assert checked >= 8
+        # no stall stop at this size, so the count predates it
+        assert stall_tolerances and all(tol is None for tol in stall_tolerances)
+        assert checked == 9
 
     def test_deterministic(self, rng):
         dg = random_graph(rng, 6)
@@ -141,6 +150,39 @@ class TestRelaxation:
         a = solve_relaxation(cm, dg)
         b = solve_relaxation(cm, dg)
         assert np.array_equal(a.x, b.x)
+
+
+class TestStallStop:
+    """Descents above 16 nodes end once their value stops improving."""
+
+    @staticmethod
+    def instance(n, seed=3):
+        rng = np.random.default_rng(seed)
+        dg = random_graph(rng, n, ce_density=0.3, se_density=0.1)
+        ce, _ = _edge_positions(dg, dg.nodes)
+        v = _normalize_rows(rng.normal(size=(n, RANK)))
+        return dg, build_cost_matrix(dg, 0.1).matrix, ce, v
+
+    def test_ends_a_large_descent_early_without_raising_its_value(self):
+        _, w, ce, v0 = self.instance(40)
+        for mu in (4.0, 40.0):  # the ramp rounds before the last
+            v0, *_ = _minimize_on_sphere(v0, w, mu, ce, 200, GRAD_TOL)
+        start, *_ = _penalized_value(v0, w, 400.0, ce)
+        _, _, capped = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL)
+        v, _, used = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL, stall=STALL_TOL)
+        assert capped == 200
+        assert used < 200
+        assert _penalized_value(v, w, 400.0, ce)[0] < start
+
+    def test_only_relaxations_above_16_nodes_pass_a_tolerance(self, rng, stall_tolerances):
+        dg = random_graph(rng, 16)
+        solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        assert stall_tolerances and all(tol is None for tol in stall_tolerances)
+        stall_tolerances.clear()
+        dg = random_graph(rng, 17)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        assert stall_tolerances and all(tol == STALL_TOL for tol in stall_tolerances)
+        assert 0 < sol.iterations < 200 * len(stall_tolerances)
 
 
 def add_at_value_and_gradient(v, w, mu, ce, shift=None):
@@ -268,8 +310,8 @@ class TestMapping:
     def test_best_draw_recovers_a_planted_coloring(self, rng, monkeypatch):
         # rows on the ideal mask directions of a proper coloring: a draw that
         # labels the three directions apart costs 0, and the best draw must
-        # be one, with no local search to repair a worse one
-        monkeypatch.setattr(trimask.sdp, "local_search", lambda dg, colors, alpha: colors)
+        # be one, with no local search moves to repair a worse one
+        monkeypatch.setattr(trimask.sdp, "_one_opt", lambda links, labels: labels)
         planted = rng.integers(0, 3, size=30)
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.4]
         dg = DecompositionGraph.from_edges(
@@ -306,6 +348,32 @@ class TestMapping:
             for color in range(3):
                 moved = evaluate(dg, {**asg.colors, node: color}, alpha)
                 assert moved.objective >= asg.objective, (node, color)
+
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 30),
+        st.sampled_from([0.1, 0.3, 0.6]),
+        st.integers(1, 8),
+        st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_never_above_polishing_the_cheapest_draw(self, n, ce_density, rank, alpha, seed):
+        rng = np.random.default_rng(seed)
+        dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
+        v = rng.normal(size=(n, rank))
+        ce, se = _edge_positions(dg, dg.nodes)
+        sol = RelaxationSolution.from_factor(
+            v / np.linalg.norm(v, axis=1, keepdims=True), dg.nodes, ce, se, alpha
+        )
+        g = np.random.default_rng(seed).normal(size=(DRAWS, rank, 3))
+        labels = np.argmax(sol.v @ g, axis=2)
+        conflicts = (labels[:, ce[:, 0]] == labels[:, ce[:, 1]]).sum(axis=1)
+        stitches = (labels[:, se[:, 0]] != labels[:, se[:, 1]]).sum(axis=1)
+        cheapest = labels[int(np.argmin(alpha.denominator * conflicts + alpha.numerator * stitches))]
+        polished = local_search(dg, dict(zip(dg.nodes, cheapest.tolist())), alpha)
+        asg = map_to_masks(sol, dg, alpha=alpha, seed=seed)
+        assert asg.objective <= evaluate(dg, polished, alpha).objective
 
 
 class TestLocalSearch:
