@@ -26,13 +26,13 @@ cost = build_cost_matrix(dg, alpha=0.1)
 print("edge-weight matrix (1 = conflict pair, -0.1 = stitch pair):")
 print(cost.matrix)
 
-sol = solve_relaxation(cost, dg)
+sol = solve_relaxation(cost)
 np.set_printoptions(precision=3, suppress=True)
 print("\nGram matrix of the optimized vectors:")
 print(sol.x)
 print(f"converged: {sol.converged}  relaxation value: {sol.obj_relaxation:.2e}")
 
-assignment = map_to_masks(sol, dg, alpha=0.1)
+assignment = map_to_masks(sol)
 groups = {}
 for node, mask in sorted(assignment.colors.items()):
     groups.setdefault(mask, []).append(node)

@@ -140,7 +140,7 @@ def cmd_decompose(args) -> int:
     if args.dump_lp:
         Path(args.dump_lp).write_text(write_lp(build_ilp(result.dg, alpha)))
     if args.dump_x:
-        sol = solve_relaxation(build_cost_matrix(result.dg, alpha), result.dg, seed=cfg.seed)
+        sol = solve_relaxation(build_cost_matrix(result.dg, alpha), seed=cfg.seed)
         Path(args.dump_x).write_text(format_x_csv(sol.x))
     return 0
 

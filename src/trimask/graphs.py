@@ -196,14 +196,13 @@ def _color_table(n: int) -> np.ndarray:
     return ((codes[:, None] // place[None, :]) % 3).astype(np.int8)
 
 
-def brute_force_optimum(
-    dg: DecompositionGraph, alpha, max_nodes: int = 16, chunk: int = 1 << 19
-) -> MaskAssignment:
+def brute_force_optimum(dg: DecompositionGraph, alpha, max_nodes: int = 16) -> MaskAssignment:
     """Exhaustive 3^n minimization; the reference oracle for every solver.
 
     Ties break toward the lexicographically smallest color vector over nodes
-    in ascending id order. The full enumeration table is cached up to n=12;
-    larger n (up to ``max_nodes``) is enumerated in chunks.
+    in ascending id order. The last (at most 12) nodes take their colors
+    from the cached table of all their colorings; each coloring of the first
+    n - 12 nodes, in lexicographic order, scores one block of that table.
     """
     nodes = dg.nodes
     n = len(nodes)
@@ -217,34 +216,22 @@ def brute_force_optimum(
     stitch_w, conflict_w = frac.numerator, frac.denominator
     ce = [(index[u], index[v]) for u, v in sorted(dg.ce)]
     se = [(index[u], index[v]) for u, v in sorted(dg.se)]
+    high = max(0, n - 12)
+    table = _color_table(n - high)
     place = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    def chunk_best(cols, start):
-        score = np.zeros(len(cols), dtype=np.int64)
+    best_score = best_code = None
+    for prefix in range(3**high):
+        # per node position: a fixed digit of the prefix, or a table column
+        cols = [*(prefix * len(table) // place[:high] % 3), *table.T]
+        score = np.zeros(len(table), dtype=np.int64)
         for u, v in ce:
-            score += conflict_w * (cols[:, u] == cols[:, v])
+            score += conflict_w * (cols[u] == cols[v])
         for u, v in se:
-            score += stitch_w * (cols[:, u] != cols[:, v])
+            score += stitch_w * (cols[u] != cols[v])
         k = int(np.argmin(score))
-        return int(score[k]), start + k
-
-    total = 3**n
-    if n <= 12 and chunk >= total:
-        best_score, best_code = chunk_best(_color_table(n), 0)
-    elif n <= 12:
-        table = _color_table(n)
-        candidates = [
-            chunk_best(table[s : s + chunk], s) for s in range(0, total, chunk)
-        ]
-        best_score, best_code = min(candidates)
-    else:
-        best_score = best_code = None
-        for start in range(0, total, chunk):
-            codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            cols = (codes[:, None] // place[None, :]) % 3
-            score, code = chunk_best(cols, start)
-            if best_score is None or score < best_score:
-                best_score, best_code = score, code
+        if best_score is None or score[k] < best_score:
+            best_score, best_code = int(score[k]), prefix * len(table) + k
 
     digits = (best_code // place) % 3
     colors = {node: int(digits[index[node]]) for node in nodes}

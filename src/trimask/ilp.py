@@ -10,7 +10,6 @@ verification and for export to external LP solvers.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,7 +207,6 @@ class SolveReport:
     assignment: MaskAssignment
     nodes_explored: int
     proven_optimal: bool
-    wall_time: float
 
 
 # the two colors other than c, indexed by c
@@ -241,13 +239,12 @@ def solve_exact(
     ``nodes_explored`` is never larger. When the explored node budget runs
     out the best incumbent is returned unproven.
     """
-    t0 = time.perf_counter()
     frac = as_fraction(alpha)
     stitch_w, conflict_w = frac.numerator, frac.denominator
     nodes = dg.nodes
     n = len(nodes)
     if n == 0:
-        return SolveReport(evaluate(dg, {}, alpha), 0, True, time.perf_counter() - t0)
+        return SolveReport(evaluate(dg, {}, alpha), 0, True)
 
     order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
     pos = {v: k for k, v in enumerate(order)}
@@ -370,7 +367,6 @@ def solve_exact(
         assignment=assignment,
         nodes_explored=explored,
         proven_optimal=proven,
-        wall_time=time.perf_counter() - t0,
     )
 
 

@@ -110,13 +110,13 @@ def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: Com
         if res.proven_optimal:
             return res.assignment.colors
         return local_search(dg, res.assignment.colors, alpha)
-    sol = solve_relaxation(build_cost_matrix(dg, alpha), dg, seed=cfg.seed)
+    sol = solve_relaxation(build_cost_matrix(dg, alpha), seed=cfg.seed)
     report.sdp_converged = sol.converged if report.sdp_converged is None else (
         report.sdp_converged and sol.converged
     )
     report.sdp_iterations += sol.iterations
     report.proven_optimal = False
-    return map_to_masks(sol, dg, alpha=alpha, seed=cfg.seed).colors
+    return map_to_masks(sol, seed=cfg.seed).colors
 
 
 def _solve_with_bridges(dg: DecompositionGraph, alpha, cfg, report) -> dict[int, int]:

@@ -24,10 +24,6 @@ class PeelRecord:
     def __len__(self) -> int:
         return len(self.stack)
 
-    @property
-    def peeled_nodes(self) -> frozenset[int]:
-        return frozenset(node for node, _ in self.stack)
-
 
 def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
     """Remove nodes of current degree <= 2 until none remain.

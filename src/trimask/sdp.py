@@ -1,5 +1,10 @@
 """Semidefinite relaxation of mask assignment and its rounding to three masks.
 
+The relaxation has one input, ``CostMatrix``: the graph, its exact stitch
+weight, the weight matrix and the edge pairs. ``solve_relaxation`` keeps it
+in its solution, and ``map_to_masks`` rounds with the graph, pairs and
+alpha it finds there, so the rounding scores the weight the matrix holds.
+
 Each node gets a unit vector; three ideal directions at mutual angle 2*pi/3
 encode the masks, so same-mask pairs have dot product 1 and different-mask
 pairs -1/2. Dropping the discreteness leaves: minimize the conflict-weighted
@@ -103,79 +108,74 @@ def discrete_vector_objective(colors: dict[int, int], dg: DecompositionGraph, al
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Symmetric edge-weight matrix: 1 on conflict pairs, -alpha on stitch
-    pairs, 0 elsewhere (zero diagonal). Row k corresponds to index[k]."""
+    """The relaxation's input. ``matrix`` is symmetric: 1 on conflict pairs,
+    -alpha on stitch pairs, 0 elsewhere (zero diagonal), row k for node
+    ``index[k]``. ``ce`` and ``se`` are the conflict and stitch edges as
+    sorted pairs of those positions, one row each."""
 
+    dg: DecompositionGraph
+    alpha: Fraction
     matrix: np.ndarray
-    index: tuple[int, ...]
-    alpha: float = 0.1
+    ce: np.ndarray
+    se: np.ndarray
+
+    @property
+    def index(self) -> tuple[int, ...]:
+        return self.dg.nodes
 
 
 def build_cost_matrix(dg: DecompositionGraph, alpha) -> CostMatrix:
-    nodes = dg.nodes
-    pos = {node: k for k, node in enumerate(nodes)}
-    a = float(as_fraction(alpha))
-    m = np.zeros((len(nodes), len(nodes)))
-    for u, v in dg.ce:
-        m[pos[u], pos[v]] = m[pos[v], pos[u]] = 1.0
-    for u, v in dg.se:
-        m[pos[u], pos[v]] = m[pos[v], pos[u]] = -a
-    return CostMatrix(matrix=m, index=nodes, alpha=a)
+    frac = as_fraction(alpha)
+    n = len(dg.nodes)
+    ce, se = _edge_positions(dg)
+    m = np.zeros((n, n))
+    m[ce[:, 0], ce[:, 1]] = m[ce[:, 1], ce[:, 0]] = 1.0
+    m[se[:, 0], se[:, 1]] = m[se[:, 1], se[:, 0]] = -float(frac)
+    return CostMatrix(dg=dg, alpha=frac, matrix=m, ce=ce, se=se)
 
 
 @dataclass(frozen=True)
 class RelaxationSolution:
+    cost: CostMatrix
     x: np.ndarray
     v: np.ndarray
-    index: tuple[int, ...]
     obj_relaxation: float
     converged: bool
     grad_norm: float
     max_violation: float
     iterations: int = 0  # descent iterations over all restarts
 
+    @property
+    def index(self) -> tuple[int, ...]:
+        return self.cost.index
+
     @classmethod
-    def from_factor(cls, v, index, ce_pairs, se_pairs, alpha, converged=True, grad_norm=0.0):
+    def from_factor(cls, v, cost: CostMatrix):
+        """Wrap a given factor, e.g. one built by hand for the rounding."""
         v = np.asarray(v, dtype=float)
         x = v @ v.T
         return cls(
+            cost=cost,
             x=x,
             v=v,
-            index=tuple(index),
-            obj_relaxation=_objective_relaxation(x, ce_pairs, se_pairs, alpha),
-            converged=converged,
-            grad_norm=grad_norm,
-            max_violation=_max_violation(x, ce_pairs),
+            obj_relaxation=_objective_relaxation(x, cost),
+            converged=True,
+            grad_norm=0.0,
+            max_violation=_max_violation(x, cost.ce),
         )
 
-    @classmethod
-    def from_matrix(cls, x, index, ce_pairs, se_pairs, alpha):
-        """Factor an explicit Gram matrix (eigendecomposition, clipped)."""
-        x = np.asarray(x, dtype=float)
-        vals, vecs = np.linalg.eigh(x)
-        vals = np.clip(vals, 0.0, None)
-        v = vecs * np.sqrt(vals)
-        return cls.from_factor(v, index, ce_pairs, se_pairs, alpha)
 
-
-def _edge_positions(dg: DecompositionGraph, index):
-    pos = {node: k for k, node in enumerate(index)}
+def _edge_positions(dg: DecompositionGraph):
+    """The conflict and stitch edges as sorted pairs of ``dg.nodes`` positions."""
+    pos = {node: k for k, node in enumerate(dg.nodes)}
     ce = np.array(sorted((pos[u], pos[v]) for u, v in dg.ce), dtype=int).reshape(-1, 2)
     se = np.array(sorted((pos[u], pos[v]) for u, v in dg.se), dtype=int).reshape(-1, 2)
     return ce, se
 
 
-def _objective_simplified(x, ce, se, alpha) -> float:
-    # sum over conflict pairs minus alpha times sum over stitch pairs
-    a = float(as_fraction(alpha))
-    tot = float(x[ce[:, 0], ce[:, 1]].sum()) if len(ce) else 0.0
-    if len(se):
-        tot -= a * float(x[se[:, 0], se[:, 1]].sum())
-    return tot
-
-
-def _objective_relaxation(x, ce, se, alpha) -> float:
-    a = float(as_fraction(alpha))
+def _objective_relaxation(x, cost: CostMatrix) -> float:
+    ce, se = cost.ce, cost.se
+    a = float(cost.alpha)
     tot = 0.0
     if len(ce):
         tot += (2.0 / 3.0) * float((x[ce[:, 0], ce[:, 1]] + 0.5).sum())
@@ -196,7 +196,7 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-def _penalized_value(v, w, mu, ce, shift=None):
+def _penalized_value(v, w, mu, ce, shift):
     """Objective plus quadratic wall penalty.
 
     ``shift`` (multiplier estimates divided by 2*mu) moves each hinge so the
@@ -209,9 +209,6 @@ def _penalized_value(v, w, mu, ce, shift=None):
     x_ce = (head * tail).sum(axis=1)
     base = 0.5 * float(np.sum(wv * v))
     raw = -0.5 - x_ce
-    if shift is None:
-        hinge = np.maximum(0.0, raw)
-        return base + mu * float(hinge @ hinge), hinge, wv, head, tail
     hinge = np.maximum(0.0, raw + shift)
     return base + mu * float(hinge @ hinge - shift @ shift), hinge, wv, head, tail
 
@@ -245,7 +242,7 @@ def _lipschitz_bound(w, mu, ce) -> float:
     return max(1.0, row + 2.0 * mu * float(degree.max(initial=0)))
 
 
-def _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift=None, stall=None):
+def _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift, stall=None):
     """Projected gradient with spectral (Barzilai-Borwein) steps and a
     nonmonotone backtracking safeguard; rows are renormalized every step.
 
@@ -323,7 +320,7 @@ def _certified(grad_norm: float, violation: float) -> bool:
     return grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL
 
 
-def solve_relaxation(a: CostMatrix, dg: DecompositionGraph, seed: int = 42) -> RelaxationSolution:
+def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     """Approximately minimize the relaxation through a low-rank factor.
 
     The -1/2 floor on conflict pairs is enforced by a quadratic penalty: a
@@ -334,23 +331,21 @@ def solve_relaxation(a: CostMatrix, dg: DecompositionGraph, seed: int = 42) -> R
     ``converged`` certifies both a small final gradient and a small
     constraint violation.
     """
-    nodes = a.index
-    n = len(nodes)
+    n = len(cost.index)
     if n == 0:
         return RelaxationSolution(
-            x=np.zeros((0, 0)), v=np.zeros((0, 0)), index=(), obj_relaxation=0.0,
+            cost=cost, x=np.zeros((0, 0)), v=np.zeros((0, 0)), obj_relaxation=0.0,
             converged=True, grad_norm=0.0, max_violation=0.0,
         )
-    ce, se = _edge_positions(dg, nodes)
-    alpha = a.alpha
+    ce, w = cost.ce, cost.matrix
     # the size rule of the module docstring
     restarts, shift_rounds, max_iters, stall = (
         (5, 12, 400, None) if n <= 16 else (3, 5, 200, STALL_TOL)
     )
-    w = a.matrix
     rng = np.random.default_rng(seed)
+    no_shift = np.zeros(len(ce))
 
-    def descend(v, mu, tol, shift=None):
+    def descend(v, mu, tol, shift):
         nonlocal iterations
         v, grad_norm, used = _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift, stall)
         iterations += used
@@ -365,14 +360,14 @@ def solve_relaxation(a: CostMatrix, dg: DecompositionGraph, seed: int = 42) -> R
         grad_norm = 0.0
         for round_idx in range(RAMP_ROUNDS):
             tol = max(GRAD_TOL, 1e-3 / (round_idx + 1))
-            v, grad_norm = descend(v, mu, tol)
+            v, grad_norm = descend(v, mu, tol, no_shift)
             if round_idx < RAMP_ROUNDS - 1:
                 mu *= MU_GROWTH
         # multiplier rounds: hinge shifts let a moderate mu enforce the walls
         # exactly, so the end game stays well conditioned; once some restart
         # has certified, later restarts get a shorter schedule
         rounds = shift_rounds if not have_certified else max(3, shift_rounds // 3)
-        shift = np.zeros(len(ce))
+        shift = no_shift
         violation = _max_violation(v @ v.T, ce)
         previous_norm = None
         stall_rounds = 0
@@ -404,7 +399,7 @@ def solve_relaxation(a: CostMatrix, dg: DecompositionGraph, seed: int = 42) -> R
             stall_rounds += 1
             if stall_rounds >= 2:
                 break
-        obj = _objective_simplified(v @ v.T, ce, se, alpha)
+        obj = _objective_relaxation(v @ v.T, cost)
         feasible = violation <= CONSTRAINT_TOL
         key = (not feasible, obj if feasible else violation)
         if best is None or key < best[0]:
@@ -415,10 +410,10 @@ def solve_relaxation(a: CostMatrix, dg: DecompositionGraph, seed: int = 42) -> R
     x = v @ v.T
     np.fill_diagonal(x, 1.0)
     return RelaxationSolution(
+        cost=cost,
         x=x,
         v=v,
-        index=nodes,
-        obj_relaxation=_objective_relaxation(x, ce, se, alpha),
+        obj_relaxation=_objective_relaxation(x, cost),
         converged=_certified(grad_norm, violation),
         grad_norm=grad_norm,
         max_violation=violation,
@@ -470,13 +465,11 @@ def local_search(dg: DecompositionGraph, colors: dict[int, int], alpha) -> dict[
     Nodes are visited in id order, pass after pass, until a pass moves none.
     """
     nodes = dg.nodes
-    links = _neighbor_links(len(nodes), *_edge_positions(dg, nodes), as_fraction(alpha))
+    links = _neighbor_links(len(nodes), *_edge_positions(dg), as_fraction(alpha))
     return dict(zip(nodes, _one_opt(links, [colors[node] for node in nodes])))
 
 
-def map_to_masks(
-    sol: RelaxationSolution, dg: DecompositionGraph, alpha=None, seed: int = 42
-) -> MaskAssignment:
+def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
     """Round a relaxation to three masks and polish the best draws.
 
     Each of ``DRAWS`` Gaussian draws of three vectors, seeded by ``seed``,
@@ -484,15 +477,15 @@ def map_to_masks(
     node's factor row (Frieze & Jerrum 1997). The ``POLISHED`` draws of
     lowest exact integer cost (stable order) each go through
     ``local_search``'s moves, and the polished coloring of lowest cost is
-    kept, the first on a tie. ``alpha`` defaults to 0.1.
+    kept, the first on a tie. The graph, its pairs and the exact alpha come
+    from ``sol.cost``.
     """
-    frac = as_fraction(0.1 if alpha is None else alpha)
-    nodes = sol.index
+    cost = sol.cost
+    ce, se, frac = cost.ce, cost.se, cost.alpha
     g = np.random.default_rng(seed).normal(size=(DRAWS, sol.v.shape[1], 3))
     labels = np.argmax(sol.v @ g, axis=2)  # (draw, node position)
-    ce, se = _edge_positions(dg, nodes)
     cheapest = np.argsort(_integer_costs(labels, ce, se, frac), kind="stable")[:POLISHED]
-    links = _neighbor_links(len(nodes), ce, se, frac)
+    links = _neighbor_links(len(sol.index), ce, se, frac)
     polished = np.array([_one_opt(links, labels[k].tolist()) for k in cheapest], dtype=int)
     best = polished[int(np.argmin(_integer_costs(polished, ce, se, frac)))].tolist()
-    return evaluate(dg, dict(zip(nodes, best)), frac)
+    return evaluate(cost.dg, dict(zip(sol.index, best)), frac)

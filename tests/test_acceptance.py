@@ -59,13 +59,13 @@ def test_criterion_2_reference_instance_via_sdp():
     with criterion(2, "five-node reference instance: Gram matrix and grouping"):
         start = time.perf_counter()
         dg = worked_example_graph()
-        sol = solve_relaxation(build_cost_matrix(dg, ALPHA), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, ALPHA))
         idx = {node: k for k, node in enumerate(sol.index)}
         assert abs(sol.x[idx[1], idx[4]] - 1.0) <= 0.05
         assert abs(sol.x[idx[3], idx[5]] - 1.0) <= 0.05
         for j in (2, 3, 5):
             assert abs(sol.x[idx[1], idx[j]] + 0.5) <= 0.05
-        asg = map_to_masks(sol, dg, alpha=ALPHA)
+        asg = map_to_masks(sol)
         assert asg.colors[1] == asg.colors[4]
         assert asg.colors[3] == asg.colors[5]
         assert len({asg.colors[1], asg.colors[2], asg.colors[3]}) == 3
@@ -81,7 +81,7 @@ def test_criterion_3_relaxation_lower_bound(stall_tolerances):
         for _ in range(100):
             n = int(rng.integers(2, 11))
             dg = random_graph(rng, n, ce_density=0.3, se_density=0.1)
-            sol = solve_relaxation(build_cost_matrix(dg, ALPHA), dg)
+            sol = solve_relaxation(build_cost_matrix(dg, ALPHA))
             if not sol.converged:
                 continue
             converged += 1
@@ -194,8 +194,8 @@ def test_criterion_8_triangle_and_k4_anchors():
 
         k4 = k4_graph()
         assert solve_exact(k4, ALPHA).assignment.conflict_count == 1
-        sol = solve_relaxation(build_cost_matrix(k4, ALPHA), k4)
-        sdp_asg = map_to_masks(sol, k4, alpha=ALPHA)
+        sol = solve_relaxation(build_cost_matrix(k4, ALPHA))
+        sdp_asg = map_to_masks(sol)
         assert sdp_asg.conflict_count >= 1
 
 

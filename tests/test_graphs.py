@@ -82,12 +82,30 @@ class TestBruteForce:
     def test_empty_graph(self):
         assert brute_force_optimum(DecompositionGraph.from_edges(0), 0.1).objective == 0
 
-    def test_chunking_consistent(self):
-        rng = np.random.default_rng(3)
-        dg = random_graph(rng, 8)
-        a = brute_force_optimum(dg, 0.1)
-        b = brute_force_optimum(dg, 0.1, chunk=100)
-        assert a.colors == b.colors
+    def test_ties_break_like_a_lexicographic_enumeration(self, rng):
+        for trial in range(40):
+            n = int(rng.integers(1, 8))
+            dg = random_graph(rng, n, ce_density=0.4, se_density=0.2)
+            alpha = (Fraction(1, 10), Fraction(1, 2), Fraction(1))[trial % 3]
+            first = min(
+                itertools.product(range(3), repeat=n),
+                key=lambda colors: evaluate(dg, dict(zip(dg.nodes, colors)), alpha).objective,
+            )
+            assert brute_force_optimum(dg, alpha).colors == dict(zip(dg.nodes, first))
+
+    def test_ties_cross_the_table_block_boundary(self):
+        # beyond 12 nodes each coloring of the first n - 12 nodes scores its
+        # own block of 3^12; a tie must still go to the earliest block
+        edgeless = DecompositionGraph.from_edges(13)
+        assert brute_force_optimum(edgeless, 0.1).colors == dict.fromkeys(range(13), 0)
+        # a K4 on the first node and the last three: one conflict is optimal
+        # in every block, and the lexicographically first such coloring is
+        # 0 on node 0, then 0, 1, 2 on nodes 10..12
+        quad = (0, 10, 11, 12)
+        tied = DecompositionGraph.from_edges(13, ce=itertools.combinations(quad, 2))
+        asg = brute_force_optimum(tied, 0.1)
+        assert asg.objective == 1
+        assert asg.colors == {**dict.fromkeys(range(13), 0), 11: 1, 12: 2}
 
 
 class TestComponents:

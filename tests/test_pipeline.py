@@ -262,6 +262,6 @@ class TestOneRelaxationSchedule:
 
         monkeypatch.setattr(trimask.pipeline, "solve_relaxation", spy)
         decompose_graph(dg, DecomposeConfig(solver="sdp", seed=seed))
-        direct = solve_relaxation(build_cost_matrix(dg, 0.1), dg, seed=seed).v
+        direct = solve_relaxation(build_cost_matrix(dg, 0.1), seed=seed).v
         assert len(factors) == 1
         assert factors[0].tobytes() == direct.tobytes()

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimask.sdp
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
-from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
+from trimask.graphs import DecompositionGraph, as_fraction, brute_force_optimum, evaluate
 from trimask.sdp import (
     DRAWS,
     GRAD_TOL,
@@ -14,7 +15,6 @@ from trimask.sdp import (
     RANK,
     STALL_TOL,
     RelaxationSolution,
-    _edge_positions,
     _minimize_on_sphere,
     _normalize_rows,
     _penalized_value,
@@ -56,6 +56,54 @@ class TestCostMatrix:
         cm = build_cost_matrix(DecompositionGraph.from_edges(2, ce=[(0, 1)]), 0.1)
         assert cm.matrix[0, 1] == 1.0 and cm.matrix[1, 0] == 1.0
 
+    @staticmethod
+    def loop_built(dg, alpha):
+        """The matrix filled one edge at a time, conflicts then stitches."""
+        pos = {node: k for k, node in enumerate(dg.nodes)}
+        a = float(as_fraction(alpha))
+        m = np.zeros((len(dg.nodes), len(dg.nodes)))
+        for u, v in dg.ce:
+            m[pos[u], pos[v]] = m[pos[v], pos[u]] = 1.0
+        for u, v in dg.se:
+            m[pos[u], pos[v]] = m[pos[v], pos[u]] = -a
+        return m
+
+    @staticmethod
+    def sparse_ids(rng, n):
+        """A random graph on non-contiguous node ids."""
+        dg = random_graph(rng, n, ce_density=0.4, se_density=0.2)
+        ids = sorted(rng.choice(10 * n, size=n, replace=False).tolist())
+        relabel = dict(zip(range(n), ids))
+        return DecompositionGraph.from_edges(
+            ids, ce=[(relabel[u], relabel[v]) for u, v in dg.ce],
+            se=[(relabel[u], relabel[v]) for u, v in dg.se],
+        )
+
+    @pytest.mark.parametrize("alpha", [0.1, Fraction(1, 3), 2])
+    def test_equals_the_loop_built_matrix(self, rng, alpha):
+        graphs = [self.sparse_ids(rng, int(rng.integers(2, 25))) for _ in range(20)]
+        graphs += [worked_example_graph(), DecompositionGraph.from_edges([3, 8, 40])]
+        for dg in graphs:
+            cm = build_cost_matrix(dg, alpha)
+            assert cm.matrix.tobytes() == self.loop_built(dg, alpha).tobytes()
+            assert cm.alpha == as_fraction(alpha) and cm.index == dg.nodes
+
+    def test_pairs_are_sorted_positions(self, rng):
+        for _ in range(20):
+            dg = self.sparse_ids(rng, int(rng.integers(1, 25)))
+            cm = build_cost_matrix(dg, 0.1)
+            pos = {node: k for k, node in enumerate(dg.nodes)}
+            for got, edges in ((cm.ce, dg.ce), (cm.se, dg.se)):
+                assert got.shape == (len(edges), 2)
+                assert got.tolist() == sorted([pos[u], pos[v]] for u, v in edges)
+                assert (got[:, 0] < got[:, 1]).all()
+
+    def test_rounding_scores_with_the_matrix_alpha(self, rng):
+        dg = self.sparse_ids(rng, 12)
+        cost = build_cost_matrix(dg, Fraction(1, 3))
+        asg = map_to_masks(solve_relaxation(cost))
+        assert asg.alpha == cost.alpha == Fraction(1, 3)
+
 
 class TestVectorObjective:
     def test_conflict_same_color_contributes_one(self):
@@ -83,7 +131,7 @@ class TestVectorObjective:
 class TestRelaxation:
     def test_triangle_analytic_optimum(self):
         dg = triangle_graph()
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert sol.converged
         for i in range(3):
             assert abs(sol.x[i, i] - 1.0) < 1e-6
@@ -93,18 +141,18 @@ class TestRelaxation:
 
     def test_single_node(self):
         dg = DecompositionGraph.from_edges(1)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert sol.converged
         np.testing.assert_allclose(sol.x, [[1.0]])
 
     def test_empty_graph(self):
         dg = DecompositionGraph.from_edges(0)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert sol.converged and sol.x.shape == (0, 0)
 
     def test_worked_example_matches_reference_matrix(self):
         dg = worked_example_graph()
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         idx = {node: k for k, node in enumerate(sol.index)}
         assert abs(sol.x[idx[1], idx[4]] - 1.0) <= 0.05
         assert abs(sol.x[idx[3], idx[5]] - 1.0) <= 0.05
@@ -113,18 +161,18 @@ class TestRelaxation:
 
     def test_factor_consistency(self, rng):
         dg = random_graph(rng, 7)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert np.max(np.abs(sol.x - sol.v @ sol.v.T)) <= 1e-8
 
     def test_psd_within_tolerance(self, rng):
         dg = random_graph(rng, 8)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert np.linalg.eigvalsh(sol.x).min() >= -1e-6
 
     def test_k4_relaxation_value(self):
         # tetrahedral configuration: all entries -1/3, objective 2/3
         dg = k4_graph()
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert sol.converged
         assert abs(sol.obj_relaxation - 2.0 / 3.0) < 1e-3
 
@@ -133,7 +181,7 @@ class TestRelaxation:
         for _ in range(15):
             n = int(rng.integers(3, 11))
             dg = random_graph(rng, n)
-            sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+            sol = solve_relaxation(build_cost_matrix(dg, 0.1))
             if not sol.converged:
                 continue
             checked += 1
@@ -147,8 +195,8 @@ class TestRelaxation:
     def test_deterministic(self, rng):
         dg = random_graph(rng, 6)
         cm = build_cost_matrix(dg, 0.1)
-        a = solve_relaxation(cm, dg)
-        b = solve_relaxation(cm, dg)
+        a = solve_relaxation(cm)
+        b = solve_relaxation(cm)
         assert np.array_equal(a.x, b.x)
 
 
@@ -158,29 +206,29 @@ class TestStallStop:
     @staticmethod
     def instance(n, seed=3):
         rng = np.random.default_rng(seed)
-        dg = random_graph(rng, n, ce_density=0.3, se_density=0.1)
-        ce, _ = _edge_positions(dg, dg.nodes)
+        cost = build_cost_matrix(random_graph(rng, n, ce_density=0.3, se_density=0.1), 0.1)
         v = _normalize_rows(rng.normal(size=(n, RANK)))
-        return dg, build_cost_matrix(dg, 0.1).matrix, ce, v
+        return cost.matrix, cost.ce, v
 
     def test_ends_a_large_descent_early_without_raising_its_value(self):
-        _, w, ce, v0 = self.instance(40)
+        w, ce, v0 = self.instance(40)
+        zero = np.zeros(len(ce))
         for mu in (4.0, 40.0):  # the ramp rounds before the last
-            v0, *_ = _minimize_on_sphere(v0, w, mu, ce, 200, GRAD_TOL)
-        start, *_ = _penalized_value(v0, w, 400.0, ce)
-        _, _, capped = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL)
-        v, _, used = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL, stall=STALL_TOL)
+            v0, *_ = _minimize_on_sphere(v0, w, mu, ce, 200, GRAD_TOL, zero)
+        start, *_ = _penalized_value(v0, w, 400.0, ce, zero)
+        _, _, capped = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL, zero)
+        v, _, used = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL, zero, STALL_TOL)
         assert capped == 200
         assert used < 200
-        assert _penalized_value(v, w, 400.0, ce)[0] < start
+        assert _penalized_value(v, w, 400.0, ce, zero)[0] < start
 
     def test_only_relaxations_above_16_nodes_pass_a_tolerance(self, rng, stall_tolerances):
         dg = random_graph(rng, 16)
-        solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        solve_relaxation(build_cost_matrix(dg, 0.1))
         assert stall_tolerances and all(tol is None for tol in stall_tolerances)
         stall_tolerances.clear()
         dg = random_graph(rng, 17)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert stall_tolerances and all(tol == STALL_TOL for tol in stall_tolerances)
         assert 0 < sol.iterations < 200 * len(stall_tolerances)
 
@@ -211,16 +259,16 @@ def add_at_value_and_gradient(v, w, mu, ce, shift=None):
 class TestGradientAccumulation:
     @staticmethod
     def fast(v, w, mu, ce, shift=None):
+        # the plain penalty of the reference is the zero shift here
+        shift = np.zeros(len(ce)) if shift is None else shift
         value, *parts = _penalized_value(v, w, mu, ce, shift)
         return value, parts[0], _riemannian_grad(v, mu, *parts, _scatter_cells(ce, *v.shape))
 
     @staticmethod
     def instance(rng, n, rank, ce_density):
-        dg = random_graph(rng, n, ce_density=ce_density)
-        w = build_cost_matrix(dg, 0.1).matrix
-        ce, _ = _edge_positions(dg, dg.nodes)
+        cost = build_cost_matrix(random_graph(rng, n, ce_density=ce_density), 0.1)
         v = rng.normal(size=(n, rank))
-        return v / np.linalg.norm(v, axis=1, keepdims=True), w, ce
+        return v / np.linalg.norm(v, axis=1, keepdims=True), cost.matrix, cost.ce
 
     def test_matches_add_at_reference_bit_for_bit(self, rng):
         active = 0
@@ -253,17 +301,11 @@ class TestGradientAccumulation:
 
 
 def reference_solution(dg, x, alpha=0.1):
-    """Wrap an explicit Gram matrix for mapping tests."""
-    nodes = dg.nodes
-    pos = {n: k for k, n in enumerate(nodes)}
-    ce = [(pos[u], pos[v]) for u, v in sorted(dg.ce)]
-    se = [(pos[u], pos[v]) for u, v in sorted(dg.se)]
-    return RelaxationSolution.from_matrix(
-        np.array(x, dtype=float), nodes,
-        np.array(ce, dtype=int).reshape(-1, 2),
-        np.array(se, dtype=int).reshape(-1, 2),
-        alpha,
-    )
+    """Wrap an explicit Gram matrix for mapping tests, factored through its
+    eigendecomposition with negative eigenvalues clipped to zero."""
+    vals, vecs = np.linalg.eigh(np.array(x, dtype=float))
+    v = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return RelaxationSolution.from_factor(v, build_cost_matrix(dg, alpha))
 
 
 WORKED_X = [
@@ -279,7 +321,7 @@ class TestMapping:
     def test_worked_example_grouping(self):
         dg = worked_example_graph()
         sol = reference_solution(dg, WORKED_X)
-        asg = map_to_masks(sol, dg, alpha=0.1)
+        asg = map_to_masks(sol)
         assert asg.colors[1] == asg.colors[4]
         assert asg.colors[3] == asg.colors[5]
         assert len({asg.colors[1], asg.colors[2], asg.colors[3]}) == 3
@@ -288,7 +330,7 @@ class TestMapping:
     def test_identity_matrix_three_singletons(self):
         dg = triangle_graph()
         sol = reference_solution(dg, np.eye(3))
-        asg = map_to_masks(sol, dg, alpha=0.1)
+        asg = map_to_masks(sol)
         assert sorted(asg.colors.values()) == [0, 1, 2]
         assert asg.objective == 0
 
@@ -296,15 +338,15 @@ class TestMapping:
         for _ in range(10):
             n = int(rng.integers(2, 10))
             dg = random_graph(rng, n)
-            sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
-            mapped = map_to_masks(sol, dg, alpha=0.1)
+            sol = solve_relaxation(build_cost_matrix(dg, 0.1))
+            mapped = map_to_masks(sol)
             assert mapped.objective >= brute_force_optimum(dg, 0.1).objective
 
     def test_mapping_deterministic(self, rng):
         dg = random_graph(rng, 8)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1), dg)
-        a = map_to_masks(sol, dg, alpha=0.1)
-        b = map_to_masks(sol, dg, alpha=0.1)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
+        a = map_to_masks(sol)
+        b = map_to_masks(sol)
         assert a.colors == b.colors
 
     def test_best_draw_recovers_a_planted_coloring(self, rng, monkeypatch):
@@ -319,9 +361,8 @@ class TestMapping:
             se=[(i, j) for i, j in pairs if planted[i] == planted[j]],
         )
         v = np.array([MASK_VECTORS[c] for c in planted])
-        ce, se = _edge_positions(dg, dg.nodes)
-        sol = RelaxationSolution.from_factor(v, dg.nodes, ce, se, 0.1)
-        asg = map_to_masks(sol, dg, alpha=0.1)
+        sol = RelaxationSolution.from_factor(v, build_cost_matrix(dg, 0.1))
+        asg = map_to_masks(sol)
         assert asg.objective == 0
         assert len(set(asg.colors.values())) == 3
 
@@ -337,11 +378,10 @@ class TestMapping:
         rng = np.random.default_rng(seed)
         dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
         v = rng.normal(size=(n, rank))
-        ce, se = _edge_positions(dg, dg.nodes)
         sol = RelaxationSolution.from_factor(
-            v / np.linalg.norm(v, axis=1, keepdims=True), dg.nodes, ce, se, alpha
+            v / np.linalg.norm(v, axis=1, keepdims=True), build_cost_matrix(dg, alpha)
         )
-        asg = map_to_masks(sol, dg, alpha=alpha, seed=seed)
+        asg = map_to_masks(sol, seed=seed)
         assert set(asg.colors) == set(dg.nodes)
         assert asg.objective == evaluate(dg, asg.colors, alpha).objective
         for node in dg.nodes:
@@ -362,17 +402,17 @@ class TestMapping:
         rng = np.random.default_rng(seed)
         dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
         v = rng.normal(size=(n, rank))
-        ce, se = _edge_positions(dg, dg.nodes)
         sol = RelaxationSolution.from_factor(
-            v / np.linalg.norm(v, axis=1, keepdims=True), dg.nodes, ce, se, alpha
+            v / np.linalg.norm(v, axis=1, keepdims=True), build_cost_matrix(dg, alpha)
         )
+        ce, se = sol.cost.ce, sol.cost.se
         g = np.random.default_rng(seed).normal(size=(DRAWS, rank, 3))
         labels = np.argmax(sol.v @ g, axis=2)
         conflicts = (labels[:, ce[:, 0]] == labels[:, ce[:, 1]]).sum(axis=1)
         stitches = (labels[:, se[:, 0]] != labels[:, se[:, 1]]).sum(axis=1)
         cheapest = labels[int(np.argmin(alpha.denominator * conflicts + alpha.numerator * stitches))]
         polished = local_search(dg, dict(zip(dg.nodes, cheapest.tolist())), alpha)
-        asg = map_to_masks(sol, dg, alpha=alpha, seed=seed)
+        asg = map_to_masks(sol, seed=seed)
         assert asg.objective <= evaluate(dg, polished, alpha).objective
 
 

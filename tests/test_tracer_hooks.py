@@ -4,10 +4,14 @@ a renamed or inlined call would silently zero its per-layer metric."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import trimask.pipeline
+from conftest import random_graph
 from trimask.cli import generate_layout
-from trimask.graphs import DecompositionGraph
+from trimask.graphs import DecompositionGraph, connected_components
 from trimask.pipeline import DecomposeConfig
+from trimask.reductions import find_bridges
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -48,3 +52,20 @@ def test_traced_relaxation_records_the_rounding():
         lambda: trimask.pipeline.decompose_graph(dg, DecomposeConfig(solver="sdp"))
     )
     assert {"solve_relaxation", "map_to_masks"} <= names
+
+
+def test_traced_relaxation_records_size_and_convergence():
+    # the benchmark's sdp metrics read n and converged from these two spans,
+    # through the records' .index and .converged
+    dg = random_graph(np.random.default_rng(1), 20, 0.3, 0.1)
+    assert len(connected_components(dg)) == 1 and not find_bridges(dg)
+    tracer = spans.Tracer()
+    with tracer.patched(trimask.pipeline):
+        trimask.pipeline.decompose_graph(dg, DecomposeConfig(solver="sdp"))
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span["name"], []).append(span)
+    (built,) = by_name["build_cost_matrix"]
+    (relaxed,) = by_name["solve_relaxation"]
+    assert built["n"] == relaxed["n"] == 20
+    assert isinstance(relaxed["converged"], bool)
