@@ -19,7 +19,6 @@ from .geometry import (
     ProcessParams,
     Shape,
     build_layout_graph,
-    euclidean_gap,
     load_layout,
     project_and_split,
     stitch_candidates,
@@ -81,7 +80,6 @@ __all__ = [
     "ProcessParams",
     "Shape",
     "build_layout_graph",
-    "euclidean_gap",
     "load_layout",
     "project_and_split",
     "stitch_candidates",

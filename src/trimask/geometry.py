@@ -6,6 +6,12 @@ pair. Features are split into segments at stitch candidates found by
 projecting conflicting neighbors onto the feature's long axis: the midpoint
 of each wide-enough uncovered interval becomes a legal split location.
 
+One predicate, ``_close``, decides "closer than ``min_s``" for whole shapes
+and for segments alike. Gaps are integers, so ``dx² + dy² < min_s²`` holds
+iff ``dx² + dy² <= ceil(min_s²) - 1``, with ``min_s²`` taken exactly as a
+fraction; clamped at ``ceil(min_s)`` the squares stay inside int64. The test
+is exact for every finite ``min_s`` up to ``MIN_S_LIMIT``.
+
 Pair queries over the shapes (the layout graph's conflict pairs and the
 disjointness check) are a sort and sweep along one axis, costing
 O(n log n + candidates) time and memory, where the candidates are the pairs
@@ -18,6 +24,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -30,7 +37,7 @@ Rect = tuple[int, int, int, int]
 # bound on a coordinate's magnitude: a gap between two coordinates, plus
 # min_s, stays inside int64
 COORD_LIMIT = 2**60
-# bound on min_s: two gaps clamped at min_s, squared and summed, stay
+# bound on min_s: two gaps clamped at ceil(min_s), squared and summed, stay
 # inside int64
 MIN_S_LIMIT = 2**30
 
@@ -167,6 +174,16 @@ def _axis_gaps(r: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray,
     return gx, gy
 
 
+def _close(r: np.ndarray, i: np.ndarray, j: np.ndarray, min_s) -> np.ndarray:
+    """Whether rectangles ``r[i]`` and ``r[j]`` are closer than ``min_s``,
+    exactly (see the module docstring). A gap of ``ceil(min_s)`` or more is
+    never close, and clamped there its square still fails the test."""
+    cap = math.ceil(min_s)
+    gx, gy = _axis_gaps(r, i, j)
+    dx, dy = np.clip(gx, 0, cap), np.clip(gy, 0, cap)
+    return dx * dx + dy * dy <= math.ceil(Fraction(min_s) ** 2) - 1
+
+
 def load_layout(path) -> Layout:
     """Parse a layout JSON file; every layout invariant is enforced here."""
     try:
@@ -218,15 +235,6 @@ def layout_to_dict(layout: Layout) -> dict:
     }
 
 
-def euclidean_gap(a: Shape | Rect, b: Shape | Rect) -> float:
-    """Minimum euclidean distance between two closed rectangles (0 if touching)."""
-    ra = a.rect if isinstance(a, Shape) else a
-    rb = b.rect if isinstance(b, Shape) else b
-    dx = max(0, ra[0] - rb[2], rb[0] - ra[2])
-    dy = max(0, ra[1] - rb[3], rb[1] - ra[3])
-    return math.hypot(dx, dy)
-
-
 @dataclass(frozen=True)
 class LayoutGraph:
     """Conflict graph over whole shapes: an edge iff gap < min_s (strict)."""
@@ -257,12 +265,8 @@ def build_layout_graph(layout: Layout) -> LayoutGraph:
         return LayoutGraph(nodes=tuple(ids), edges=frozenset())
     r = np.array([s.rect for s in shapes], dtype=np.int64)
     min_s = layout.params.min_s
-    i, j = _near_pairs(r, min_s)
-    gx, gy = _axis_gaps(r, i, j)
-    # a gap of min_s or more is never close, and clamped at min_s the
-    # squares stay inside int64
-    dx, dy = np.clip(gx, 0, min_s), np.clip(gy, 0, min_s)
-    close = dx * dx + dy * dy < min_s**2
+    i, j = _near_pairs(r, math.ceil(min_s))
+    close = _close(r, i, j, min_s)
     i, j = i[close], j[close]
     # insert in row-major (i, j) order: the frozenset's iteration order
     # depends on insertion order, and callers iterate it
@@ -345,55 +349,52 @@ def project_and_split(
     of it). ``split_nodes`` restricts which shapes may be split (all by
     default); unsplit shapes still appear as single-segment nodes and still
     project onto their neighbors.
-    """
-    if split_nodes is None:
-        split_nodes = set(lg.nodes)
-    else:
-        split_nodes = set(split_nodes)
 
-    min_s = layout.params.min_s
+    A segment is never closer to anything than its shape, so the only CE
+    candidates are the non-consecutive pieces of one shape and the pieces
+    of two shapes that ``lg`` joins. ``_close`` tests them in one array,
+    and the close pairs are inserted in row-major order, as in
+    ``build_layout_graph``.
+    """
+    split_nodes = set(lg.nodes if split_nodes is None else split_nodes)
+    shapes = sorted(layout.shapes, key=lambda s: s.id)
     segments: list[Segment] = []
-    by_shape: dict[int, list[Segment]] = {}
-    next_id = 0
-    for shape in sorted(layout.shapes, key=lambda s: s.id):
+    se: set[Pair] = set()
+    first, count = [], []  # per shape: its first segment id and piece count
+    for shape in shapes:
         x_lo, y_lo, x_hi, y_hi = shape.rect
         horizontal = (x_hi - x_lo) >= (y_hi - y_lo)
         cuts = stitch_candidates(layout, lg, shape.id) if shape.id in split_nodes else []
         pieces = _split_rect(shape.rect, cuts, horizontal) if cuts else [shape.rect]
-        segs = []
+        first.append(len(segments))
+        count.append(len(pieces))
         for rect in pieces:
-            segs.append(Segment(id=next_id, parent=shape.id, rect=rect))
-            next_id += 1
-        segments.extend(segs)
-        by_shape[shape.id] = segs
+            segments.append(Segment(id=len(segments), parent=shape.id, rect=rect))
+        se.update((k - 1, k) for k in range(first[-1] + 1, len(segments)))
 
-    se: set[Pair] = set()
-    ce: set[Pair] = set()
-    for shape_id, segs in by_shape.items():
-        for a, b in zip(segs, segs[1:]):
-            se.add(ordered_pair(a.id, b.id))
-        # non-consecutive pieces of one shape sit apart but may still conflict
-        for i in range(len(segs)):
-            for j in range(i + 2, len(segs)):
-                if euclidean_gap(segs[i].rect, segs[j].rect) < min_s:
-                    ce.add(ordered_pair(segs[i].id, segs[j].id))
-    # build_layout_graph keeps an edge iff dx² + dy² < min_s². For an
-    # integral min_s up to 2**20 that test is exact and the squared gap is
-    # at most min_s² - 1, so the gap is below min_s by more than 1/(2 min_s),
-    # far beyond hypot's rounding error: the gap test below passes, and a
-    # pair of unsplit shapes (each one segment, the shape itself) is a
-    # conflict without testing
-    edge_is_ce = float(min_s).is_integer() and 0 < min_s <= 2**20
-    for u, v in sorted(lg.edges):
-        segs_u, segs_v = by_shape[u], by_shape[v]
-        if edge_is_ce and len(segs_u) == 1 and len(segs_v) == 1:
-            ce.add(ordered_pair(segs_u[0].id, segs_v[0].id))
-            continue
-        for a in segs_u:
-            for b in segs_v:
-                if euclidean_gap(a.rect, b.rect) < min_s:
-                    ce.add(ordered_pair(a.id, b.id))
+    # candidate blocks (u, v) of shape positions: each layout-graph edge,
+    # and each shape of three or more pieces paired with itself
+    first, count = np.array(first, dtype=np.int64), np.array(count, dtype=np.int64)
+    edges = np.array(list(lg.edges), dtype=np.int64).reshape(-1, 2)
+    ids = np.array([s.id for s in shapes], dtype=np.int64)
+    many = np.flatnonzero(count > 2)
+    u = np.concatenate([np.searchsorted(ids, edges[:, 0]), many])
+    v = np.concatenate([np.searchsorted(ids, edges[:, 1]), many])
+    # every (piece of u, piece of v) of each block, numbered within its block
+    sizes = count[u] * count[v]
+    block = np.repeat(np.arange(len(u)), sizes)
+    rank = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = count[v][block]
+    i = first[u][block] + rank // width
+    j = first[v][block] + rank % width
+    # u < v by id, so its pieces come first; within one shape, skip
+    # consecutive pieces (they stitch) and each pair's mirror
+    keep = (u != v)[block] | (j - i >= 2)
+    i, j = i[keep], j[keep]
+    r = np.array([seg.rect for seg in segments], dtype=np.int64).reshape(-1, 4)
+    close = _close(r, i, j, layout.params.min_s)
+    i, j = i[close], j[close]
+    order = np.lexsort((j, i))
+    ce = frozenset(zip(i[order].tolist(), j[order].tolist()))
 
-    return DecompositionGraph(
-        segments=tuple(segments), ce=frozenset(ce), se=frozenset(se)
-    )
+    return DecompositionGraph(segments=tuple(segments), ce=ce, se=frozenset(se))

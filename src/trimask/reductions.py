@@ -17,12 +17,12 @@ from .graphs import DecompositionGraph, Pair, ordered_pair
 
 @dataclass(frozen=True)
 class PeelRecord:
-    """Stack of (node, neighbors at removal time); pop order reverses push."""
+    """Peeled nodes in removal order; reinsertion pops them in reverse."""
 
-    stack: tuple[tuple[int, frozenset[int]], ...]
+    order: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.stack)
+        return len(self.order)
 
 
 def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
@@ -32,7 +32,7 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
     deterministic. The residual graph has minimum degree 3 (or is empty).
     """
     adj = {n: set(lg.adjacency[n]) for n in lg.nodes}
-    stack: list[tuple[int, frozenset[int]]] = []
+    order: list[int] = []
     candidates = sorted((n for n in adj if len(adj[n]) <= 2), reverse=True)
     in_queue = set(candidates)
     while candidates:
@@ -40,9 +40,8 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
         in_queue.discard(node)
         if node not in adj or len(adj[node]) > 2:
             continue
-        neighbors = frozenset(adj[node])
-        stack.append((node, neighbors))
-        for other in neighbors:
+        order.append(node)
+        for other in adj[node]:
             adj[other].discard(node)
             if len(adj[other]) <= 2 and other not in in_queue:
                 in_queue.add(other)
@@ -50,41 +49,33 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
                 candidates.sort(reverse=True)
         del adj[node]
     residual = lg.subgraph(adj.keys())
-    return residual, PeelRecord(stack=tuple(stack))
+    return residual, PeelRecord(order=tuple(order))
 
 
 def reinsert_segments(dg: DecompositionGraph, record: PeelRecord, colors: dict[int, int]):
-    """Pop peeled shapes, coloring each against the segments of its recorded
-    neighbors that sit within the coloring distance. Returns the colored map
-    and the set of shapes for which all three colors were blocked; such a
-    shape takes the color that clashes with the fewest colored segments."""
-    by_parent: dict[int, list[int]] = {}
-    for seg in dg.segments:
-        by_parent.setdefault(seg.parent, []).append(seg.id)
+    """Pop peeled shapes, giving each the lowest color that clashes with the
+    fewest colored segments within the coloring distance. Returns the
+    colored map and the set of shapes for which all three colors clashed.
+
+    When a shape comes back, the colored segments are those of the residual
+    and of shapes peeled after it: all of them shapes still present when it
+    was peeled, so at most two of them are its layout-graph neighbors, and
+    a conflict-free color exists unless one of those is split."""
+    # peeled shapes are never split: each is its parent's only segment
+    seg_of = {seg.parent: seg.id for seg in dg.segments}
     adjacency = dg.adjacency
     out = dict(colors)
     blocked: set[int] = set()
-    for shape_id, neighbor_shapes in reversed(record.stack):
-        seg_id = by_parent[shape_id][0]  # peeled shapes are never split
-        used = set()
+    for shape_id in reversed(record.order):
+        seg_id = seg_of[shape_id]
+        clash = [0, 0, 0]
         for other_seg in adjacency[seg_id]:
-            parent = dg.segment_by_id[other_seg].parent
-            if parent in neighbor_shapes and other_seg in out:
-                used.add(out[other_seg])
-        free = [c for c in range(3) if c not in used]
-        if free:
-            out[seg_id] = free[0]
-        else:
+            if other_seg in out:
+                clash[out[other_seg]] += 1
+        color = clash.index(min(clash))
+        if clash[color]:
             blocked.add(shape_id)
-            costs = []
-            for c in range(3):
-                clash = sum(
-                    1
-                    for other_seg in adjacency[seg_id]
-                    if other_seg in out and out[other_seg] == c
-                )
-                costs.append((clash, c))
-            out[seg_id] = min(costs)[1]
+        out[seg_id] = color
     return out, blocked
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from trimask.geometry import (
     _near_pairs,
     _rect_array,
     build_layout_graph,
-    euclidean_gap,
     layout_from_dict,
     layout_to_dict,
     load_layout,
@@ -31,21 +31,6 @@ from trimask.graphs import ordered_pair
 def make_layout(rects, **params):
     shapes = tuple(Shape(id=i, rect=r) for i, r in enumerate(rects))
     return Layout(shapes=shapes, params=ProcessParams(**params))
-
-
-class TestEuclideanGap:
-    def test_aligned_horizontal(self):
-        assert euclidean_gap(Shape(0, (0, 0, 10, 10)), Shape(1, (20, 0, 30, 10))) == 10
-
-    def test_corner_345(self):
-        assert euclidean_gap(Shape(0, (0, 0, 10, 10)), Shape(1, (13, 14, 20, 20))) == 5
-
-    def test_touching(self):
-        assert euclidean_gap(Shape(0, (0, 0, 10, 10)), Shape(1, (10, 0, 20, 10))) == 0
-
-    def test_symmetric(self):
-        a, b = Shape(0, (0, 0, 10, 10)), Shape(1, (40, 25, 60, 30))
-        assert euclidean_gap(a, b) == euclidean_gap(b, a)
 
 
 class TestLoadLayout(object):
@@ -246,21 +231,27 @@ def test_non_contiguous_shape_ids():
     assert {s.parent for s in dg.segments} == {10, 99}
 
 
-# --- dense-broadcast references for the sort-and-sweep pair queries --------
+# --- exact all-pairs references for the sort-and-sweep pair queries --------
+
+
+def squared_gap(a, b) -> int:
+    """Squared euclidean distance between two closed rectangles, in integers."""
+    dx = max(0, a[0] - b[2], b[0] - a[2])
+    dy = max(0, a[1] - b[3], b[1] - a[3])
+    return dx * dx + dy * dy
 
 
 def reference_layout_edges(layout: Layout) -> list:
-    """Layout-graph edges from n×n gap matrices, in row-major insertion order."""
+    """Layout-graph edges from every pair's exact rational distance test, in
+    row-major insertion order."""
     shapes = sorted(layout.shapes, key=lambda s: s.id)
-    ids = [s.id for s in shapes]
-    if len(shapes) < 2:
-        return []
-    r = np.array([s.rect for s in shapes], dtype=np.int64)
-    x_lo, y_lo, x_hi, y_hi = r[:, 0], r[:, 1], r[:, 2], r[:, 3]
-    dx = np.maximum(0, np.maximum(x_lo[:, None] - x_hi[None, :], x_lo[None, :] - x_hi[:, None]))
-    dy = np.maximum(0, np.maximum(y_lo[:, None] - y_hi[None, :], y_lo[None, :] - y_hi[:, None]))
-    close = dx * dx + dy * dy < layout.params.min_s**2
-    return [ordered_pair(ids[i], ids[j]) for i, j in np.argwhere(np.triu(close, k=1))]
+    limit = Fraction(layout.params.min_s) ** 2
+    return [
+        ordered_pair(a.id, b.id)
+        for k, a in enumerate(shapes)
+        for b in shapes[k + 1:]
+        if squared_gap(a.rect, b.rect) < limit
+    ]
 
 
 def reference_overlap_error(shapes) -> str | None:
@@ -333,6 +324,12 @@ def rects(draw, max_size=30, span=400, max_len=300):
 
 
 HYPOTHESIS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+MIN_S = st.one_of(
+    st.integers(31, 200),
+    st.integers(31, 200).map(float),
+    st.floats(30.01, 200.0).filter(lambda s: not s.is_integer()),
+)
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -407,7 +404,7 @@ class TestSweepOracle:
         assert len(got) == min(len(by_x), len(by_y))
 
     @HYPOTHESIS
-    @given(rects(), st.integers(31, 200), st.randoms(use_true_random=False))
+    @given(rects(), MIN_S, st.randoms(use_true_random=False))
     def test_layout_graph_matches_dense_reference(self, rs, min_s, random):
         rs = disjoint(rs)
         ids = random.sample(range(10 * len(rs) + 1), len(rs))
@@ -500,13 +497,13 @@ def test_layout_graph_memory_stays_linear(tmp_path):
     assert peak < 64 * 2**20
 
 
-# --- gap-testing reference for the conflict edges of project_and_split ------
+# --- exact reference for the conflict edges of project_and_split ------------
 
 
 def reference_split_ce(layout: Layout, lg, dg) -> set:
-    """Segment-level CE of ``dg``'s segments with every candidate pair gap-tested,
-    in the insertion order of ``project_and_split``."""
-    min_s = layout.params.min_s
+    """Segment-level CE of ``dg``'s segments with every candidate pair tested
+    by its exact rational distance."""
+    limit = Fraction(layout.params.min_s) ** 2
     by_shape: dict = {}
     for seg in dg.segments:
         by_shape.setdefault(seg.parent, []).append(seg)
@@ -514,12 +511,12 @@ def reference_split_ce(layout: Layout, lg, dg) -> set:
     for segs in by_shape.values():
         for i in range(len(segs)):
             for j in range(i + 2, len(segs)):
-                if euclidean_gap(segs[i].rect, segs[j].rect) < min_s:
+                if squared_gap(segs[i].rect, segs[j].rect) < limit:
                     ce.add(ordered_pair(segs[i].id, segs[j].id))
     for u, v in sorted(lg.edges):
         for a in by_shape[u]:
             for b in by_shape[v]:
-                if euclidean_gap(a.rect, b.rect) < min_s:
+                if squared_gap(a.rect, b.rect) < limit:
                     ce.add(ordered_pair(a.id, b.id))
     return ce
 
@@ -527,17 +524,11 @@ def reference_split_ce(layout: Layout, lg, dg) -> set:
 def assert_split_ce_matches_reference(layout: Layout, split_nodes=None):
     lg = build_layout_graph(layout)
     dg = project_and_split(layout, lg, split_nodes=split_nodes)
-    expected = frozenset(reference_split_ce(layout, lg, dg))
+    # inserted in row-major order, so the frozenset iterates in the same order
+    expected = frozenset(sorted(reference_split_ce(layout, lg, dg)))
     assert dg.ce == expected
     assert list(dg.ce) == list(expected)
     return dg
-
-
-MIN_S = st.one_of(
-    st.integers(31, 200),
-    st.integers(31, 200).map(float),
-    st.floats(30.01, 200.0).filter(lambda s: not s.is_integer()),
-)
 
 
 class TestSplitOracle:
@@ -563,11 +554,14 @@ class TestSplitOracle:
         dg = assert_split_ce_matches_reference(generate_layout(40, 6, seed=1))
         assert dg.se and len(dg.segments) > 40
 
-    def test_layout_graph_and_gap_test_disagree(self):
-        # dx=1, dy=31: 962 < min_s**2 rounds up, but hypot equals min_s, so the
-        # layout graph has the edge and the gap test keeps it out of CE
-        min_s = math.sqrt(962)
-        layout = make_layout([(0, 0, 10, 10), (11, 41, 21, 51)], min_s=min_s)
+    @pytest.mark.parametrize("square, dx, dy", [(962, 1, 31), (905, 8, 29)])
+    def test_boundary_pair_conflicts_in_both_graphs(self, square, dx, dy):
+        # min_s is the float nearest sqrt(square), which lies just above it,
+        # so a pair at exactly that distance is closer than min_s. Float
+        # tests miss it: hypot(dx, dy) == min_s, and sqrt(905)**2 == 905.0
+        min_s = math.sqrt(square)
+        assert dx * dx + dy * dy == square < Fraction(min_s) ** 2
+        layout = make_layout([(0, 0, 10, 10), (10 + dx, 10 + dy, 20 + dx, 20 + dy)],
+                             min_s=min_s)
         assert build_layout_graph(layout).edges == {(0, 1)}
-        assert euclidean_gap(*layout.shapes) == min_s
-        assert not assert_split_ce_matches_reference(layout).ce
+        assert assert_split_ce_matches_reference(layout).ce == {(0, 1)}

@@ -42,13 +42,17 @@ class TestPeel:
         assert len(record) == 8
 
     def test_recorded_neighbor_sets_small(self):
+        # replaying the order on lg, each node has at most 2 neighbors left
         rng = np.random.default_rng(0)
         for _ in range(20):
             dg = random_graph(rng, 10, 0.3, 0.0)
             lg = lg_from_edges(10, dg.ce)
             _, record = peel_low_degree(lg)
-            for _, neighbors in record.stack:
-                assert len(neighbors) <= 2
+            adj = {n: set(lg.adjacency[n]) for n in lg.nodes}
+            for node in record.order:
+                assert len(adj[node]) <= 2
+                for other in adj.pop(node):
+                    adj[other].discard(node)
 
     def test_residual_min_degree_three(self):
         rng = np.random.default_rng(1)
@@ -65,12 +69,12 @@ class TestReinsert:
 
     def test_isolated_gets_zero(self):
         dg = DecompositionGraph.from_edges([7])
-        record = PeelRecord(stack=(((7, frozenset())),))
+        record = PeelRecord(order=(7,))
         assert reinsert_segments(dg, record, {}) == ({7: 0}, set())
 
     def test_forced_color(self):
         dg = DecompositionGraph.from_edges(3, ce=[(0, 1), (0, 2)])
-        record = PeelRecord(stack=((0, frozenset({1, 2})),))
+        record = PeelRecord(order=(0,))
         colors, blocked = reinsert_segments(dg, record, {1: 0, 2: 1})
         assert colors[0] == 2 and not blocked
 
@@ -97,12 +101,12 @@ class TestReinsert:
 
     def test_blocked_shape_takes_least_clashing_color(self):
         # shape 1 is split into segments 1 and 3, so the peeled shape 0 sees
-        # all three colors on its two recorded neighbors; segment 4 belongs
-        # to an unrecorded shape and only counts toward the clash
+        # all three colors on its neighbor shapes 1 and 2; segment 4, of
+        # shape 4, adds a second clash to color 0
         dg = DecompositionGraph.from_edges(
             5, ce=[(0, 1), (0, 2), (0, 3), (0, 4)], se=[(1, 3)], parents={3: 1}
         )
-        record = PeelRecord(stack=((0, frozenset({1, 2})),))
+        record = PeelRecord(order=(0,))
         colors, blocked = reinsert_segments(dg, record, {1: 0, 2: 2, 3: 1, 4: 0})
         assert blocked == {0}
         assert colors[0] == 1  # color 0 clashes twice, colors 1 and 2 once

@@ -69,3 +69,22 @@ def test_traced_relaxation_records_size_and_convergence():
     (relaxed,) = by_name["solve_relaxation"]
     assert built["n"] == relaxed["n"] == 20
     assert isinstance(relaxed["converged"], bool)
+
+
+def test_traced_layout_records_graph_sizes_and_peeled_count():
+    # the sparse layer check reads these counts from the geometry and peel spans
+    layout = generate_layout(40, 6, seed=1)
+    tracer = spans.Tracer()
+    with tracer.patched(trimask.pipeline):
+        result = trimask.pipeline.decompose(layout, DecomposeConfig())
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span["name"], []).append(span)
+    (built,) = by_name["build_layout_graph"]
+    (peeled,) = by_name["peel_low_degree"]
+    (split,) = by_name["project_and_split"]
+    assert built["lg_edges"] == len(result.lg.edges)
+    assert peeled["peeled"] == result.peeled > 0
+    assert split["segments"] == len(result.dg.segments)
+    assert split["ce"] == len(result.dg.ce)
+    assert split["se"] == len(result.dg.se) > 0
