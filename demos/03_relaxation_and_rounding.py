@@ -29,7 +29,7 @@ print(cost.matrix)
 sol = solve_relaxation(cost)
 np.set_printoptions(precision=3, suppress=True)
 print("\nGram matrix of the optimized vectors:")
-print(sol.x)
+print(sol.v @ sol.v.T)
 print(f"converged: {sol.converged}  relaxation value: {sol.obj_relaxation:.2e}")
 
 assignment = map_to_masks(sol)

@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     dec.add_argument("--graph", help="edge-list file (first line n, then 'C u v'/'S u v')")
     dec.add_argument("--solver", choices=("exact", "sdp", "auto"), default="auto")
     dec.add_argument("--alpha", type=float, default=None, help="stitch weight override")
-    dec.add_argument("--min-s", type=int, default=None, help="coloring distance override (nm)")
+    dec.add_argument("--min-s", type=float, default=None, help="coloring distance override (nm)")
     dec.add_argument("--seed", type=int, default=42)
     dec.add_argument("--out", help="assignment JSON output path")
     dec.add_argument("--stats", help="stats JSON output path")
@@ -141,7 +141,7 @@ def cmd_decompose(args) -> int:
         Path(args.dump_lp).write_text(write_lp(build_ilp(result.dg, alpha)))
     if args.dump_x:
         sol = solve_relaxation(build_cost_matrix(result.dg, alpha), seed=cfg.seed)
-        Path(args.dump_x).write_text(format_x_csv(sol.x))
+        Path(args.dump_x).write_text(format_x_csv(sol.v @ sol.v.T))
     return 0
 
 
@@ -246,7 +246,7 @@ def generate_layout(
     params = params or ProcessParams()
     if shapes < 1:
         raise ValueError(f"need at least one shape, got {shapes}")
-    if density < 0 or density > 8:
+    if not 0 <= density <= 8:
         raise ValueError(f"infeasible density {density}: expected 0..8")
     rng = np.random.default_rng(seed)
     min_s = params.min_s

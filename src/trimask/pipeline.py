@@ -47,6 +47,9 @@ class DecomposeConfig:
         real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
         if alpha is not None and not (real and math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
+        seed = self.seed
+        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -193,18 +196,21 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
 
     if fallback_parents:
         # a peeled shape ran out of free colors against a stitched neighbor;
-        # re-solve its whole layout-graph component without peeling
+        # re-solve its whole layout-graph component without peeling, and let
+        # the redo's reports and witnesses replace those of the first pass
         redo = set()
         for comp in connected_components(lg):
             if set(comp.nodes) & fallback_parents:
                 redo.update(comp.nodes)
-        redo_dg = dg.subgraph([s.id for s in dg.segments if s.parent in redo])
-        redo_colors, redo_reports, redo_witnesses = _solve_components(redo_dg, alpha, cfg)
+        redo_ids = {s.id for s in dg.segments if s.parent in redo}
+        redo_colors, redo_reports, redo_witnesses = _solve_components(
+            dg.subgraph(redo_ids), alpha, cfg
+        )
         for rep in redo_reports:
             rep.peel_fallback = True
         colors.update(redo_colors)
-        reports.extend(redo_reports)
-        witnesses.extend(redo_witnesses)
+        reports = [r for r in reports if r.component not in redo_ids] + redo_reports
+        witnesses = [w for w in witnesses if w.edge[0] not in redo_ids] + redo_witnesses
 
     assignment = evaluate(dg, colors, alpha)
     return _result(assignment, dg, lg, reports, witnesses, len(record), t0, cfg)

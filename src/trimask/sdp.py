@@ -48,6 +48,14 @@ second endpoints, in one ``np.bincount`` over a fixed cell index. A sparse
 timings. The order is fixed within one numpy and BLAS build; a host whose
 BLAS kernels sum ``w @ v`` or ``v @ g`` in another order may round to
 other masks.
+
+The factor is the relaxation's only state: the objective, the constraint
+violation and the rounding read its rows, and the Gram matrix X = v vᵀ is
+never stored. Two n × n arrays remain. The cost matrix stays dense because
+its ``w @ v`` is the accumulation order above. ``_rank_reduced``
+eigendecomposes the Gram matrix: a thin SVD of the factor spans the same
+subspace but rounds otherwise, and moved the held-out ``dense`` objective
+from 485.4 to 491.3.
 """
 
 from __future__ import annotations
@@ -136,13 +144,14 @@ def build_cost_matrix(dg: DecompositionGraph, alpha) -> CostMatrix:
 
 @dataclass(frozen=True)
 class RelaxationSolution:
+    """The relaxation's factor ``v``, one row per node position (unit rows
+    from ``solve_relaxation``); the relaxed X is its Gram matrix v vᵀ,
+    which is never stored."""
+
     cost: CostMatrix
-    x: np.ndarray
     v: np.ndarray
     obj_relaxation: float
     converged: bool
-    grad_norm: float
-    max_violation: float
     iterations: int = 0  # descent iterations over all restarts
 
     @property
@@ -153,16 +162,7 @@ class RelaxationSolution:
     def from_factor(cls, v, cost: CostMatrix):
         """Wrap a given factor, e.g. one built by hand for the rounding."""
         v = np.asarray(v, dtype=float)
-        x = v @ v.T
-        return cls(
-            cost=cost,
-            x=x,
-            v=v,
-            obj_relaxation=_objective_relaxation(x, cost),
-            converged=True,
-            grad_norm=0.0,
-            max_violation=_max_violation(x, cost.ce),
-        )
+        return cls(cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost), converged=True)
 
 
 def _edge_positions(dg: DecompositionGraph):
@@ -173,21 +173,21 @@ def _edge_positions(dg: DecompositionGraph):
     return ce, se
 
 
-def _objective_relaxation(x, cost: CostMatrix) -> float:
-    ce, se = cost.ce, cost.se
+def _pair_dots(v, pairs) -> np.ndarray:
+    """The entries of the Gram matrix v vᵀ at the position pairs."""
+    return (v[pairs[:, 0]] * v[pairs[:, 1]]).sum(axis=1)
+
+
+def _objective_relaxation(v, cost: CostMatrix) -> float:
     a = float(cost.alpha)
-    tot = 0.0
-    if len(ce):
-        tot += (2.0 / 3.0) * float((x[ce[:, 0], ce[:, 1]] + 0.5).sum())
-    if len(se):
-        tot += (2.0 * a / 3.0) * float((1.0 - x[se[:, 0], se[:, 1]]).sum())
-    return tot
+    tot = (2.0 / 3.0) * float((_pair_dots(v, cost.ce) + 0.5).sum())
+    return tot + (2.0 * a / 3.0) * float((1.0 - _pair_dots(v, cost.se)).sum())
 
 
-def _max_violation(x, ce) -> float:
-    diag = float(np.max(np.abs(np.diag(x) - 1.0))) if len(x) else 0.0
-    floor = float(np.max(np.maximum(0.0, -0.5 - x[ce[:, 0], ce[:, 1]]))) if len(ce) else 0.0
-    return max(diag, floor)
+def _max_violation(v, ce) -> float:
+    diag = np.max(np.abs((v * v).sum(axis=1) - 1.0), initial=0.0)
+    floor = np.max(-0.5 - _pair_dots(v, ce), initial=0.0)
+    return float(max(diag, floor))
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -304,7 +304,13 @@ def _rank_reduced(v):
 
     Low-rank factorizations stall on flat saddles where a spurious small
     eigenvalue decays only quadratically; truncating it and re-descending
-    escapes the saddle. Returns None when there is nothing to truncate.
+    escapes the saddle. Returns None when there is nothing to truncate,
+    which can only happen up to ``RANK`` nodes: above, the n × n Gram of an
+    n × ``RANK`` factor has at least n - ``RANK`` zero eigenvalues, so every
+    call re-factors, and every stalled multiplier round of
+    ``solve_relaxation`` runs one more ``GRAD_TOL`` descent from the
+    rotated factor. That descent stays on purpose: without it the held-out
+    ``dense`` objective rose from 485.4 to 488.6.
     """
     x = v @ v.T
     vals, vecs = np.linalg.eigh(x)
@@ -332,11 +338,6 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     constraint violation.
     """
     n = len(cost.index)
-    if n == 0:
-        return RelaxationSolution(
-            cost=cost, x=np.zeros((0, 0)), v=np.zeros((0, 0)), obj_relaxation=0.0,
-            converged=True, grad_norm=0.0, max_violation=0.0,
-        )
     ce, w = cost.ce, cost.matrix
     # the size rule of the module docstring
     restarts, shift_rounds, max_iters, stall = (
@@ -368,7 +369,7 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
         # has certified, later restarts get a shorter schedule
         rounds = shift_rounds if not have_certified else max(3, shift_rounds // 3)
         shift = no_shift
-        violation = _max_violation(v @ v.T, ce)
+        violation = _max_violation(v, ce)
         previous_norm = None
         stall_rounds = 0
         for round_idx in range(rounds):
@@ -379,7 +380,7 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
             if violation > 10.0 * CONSTRAINT_TOL and round_idx < rounds - 1:
                 round_tol = max(GRAD_TOL, min(1e-3, violation))
             v, grad_norm = descend(v, mu, round_tol, shift)
-            violation = _max_violation(v @ v.T, ce)
+            violation = _max_violation(v, ce)
             if _certified(grad_norm, violation):
                 break
             stalled = previous_norm is not None and grad_norm > 0.5 * previous_norm
@@ -393,31 +394,23 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
                 f_new, *_ = _penalized_value(v_cut, w, mu, ce, shift)
                 if f_new <= f_old + 1e-12:
                     v, grad_norm = v_cut, grad_cut
-                    violation = _max_violation(v @ v.T, ce)
+                    violation = _max_violation(v, ce)
                     previous_norm = None
                     continue
             stall_rounds += 1
             if stall_rounds >= 2:
                 break
-        obj = _objective_relaxation(v @ v.T, cost)
+        obj = _objective_relaxation(v, cost)
         feasible = violation <= CONSTRAINT_TOL
         key = (not feasible, obj if feasible else violation)
+        certified = _certified(grad_norm, violation)
         if best is None or key < best[0]:
-            best = (key, v, grad_norm, violation)
-        have_certified = have_certified or _certified(grad_norm, violation)
+            best = (key, v, obj, certified)
+        have_certified = have_certified or certified
 
-    _, v, grad_norm, violation = best
-    x = v @ v.T
-    np.fill_diagonal(x, 1.0)
+    _, v, obj, converged = best
     return RelaxationSolution(
-        cost=cost,
-        x=x,
-        v=v,
-        obj_relaxation=_objective_relaxation(x, cost),
-        converged=_certified(grad_norm, violation),
-        grad_norm=grad_norm,
-        max_violation=violation,
-        iterations=iterations,
+        cost=cost, v=v, obj_relaxation=obj, converged=converged, iterations=iterations
     )
 
 

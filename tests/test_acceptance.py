@@ -61,10 +61,11 @@ def test_criterion_2_reference_instance_via_sdp():
         dg = worked_example_graph()
         sol = solve_relaxation(build_cost_matrix(dg, ALPHA))
         idx = {node: k for k, node in enumerate(sol.index)}
-        assert abs(sol.x[idx[1], idx[4]] - 1.0) <= 0.05
-        assert abs(sol.x[idx[3], idx[5]] - 1.0) <= 0.05
+        x = sol.v @ sol.v.T
+        assert abs(x[idx[1], idx[4]] - 1.0) <= 0.05
+        assert abs(x[idx[3], idx[5]] - 1.0) <= 0.05
         for j in (2, 3, 5):
-            assert abs(sol.x[idx[1], idx[j]] + 0.5) <= 0.05
+            assert abs(x[idx[1], idx[j]] + 0.5) <= 0.05
         asg = map_to_masks(sol)
         assert asg.colors[1] == asg.colors[4]
         assert asg.colors[3] == asg.colors[5]

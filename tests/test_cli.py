@@ -193,6 +193,52 @@ class TestDecomposeCommand:
         assert run(["decompose", source, str(path)]) == 3
         assert "internal error: stage bug" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["--graph", "--input"])
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, source, seed):
+        path = tmp_path / "in.txt"
+        if source == "--graph":
+            path.write_text(WORKED_EDGELIST)
+        else:
+            assert run(["gen", "--shapes", "40", "--density", "6", "--seed", "1",
+                        "--out", str(path)]) == 0
+        out = tmp_path / "out.json"
+        assert run(["decompose", source, str(path), "--seed", seed, "--out", str(out)]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_real_min_s(self, tmp_path):
+        # a gap of 85 nm conflicts at min_s 85.5 but not at 85
+        doc = {"shapes": [{"id": 0, "rect": [0, 0, 50, 50]},
+                          {"id": 1, "rect": [135, 0, 185, 50]}]}
+        layout = tmp_path / "pair.json"
+        layout.write_text(json.dumps(doc))
+        edges = {}
+        for min_s in ("85", "85.5"):
+            stats = tmp_path / f"stats_{min_s}.json"
+            assert run(["decompose", "--input", str(layout), "--min-s", min_s,
+                        "--stats", str(stats)]) == 0
+            edges[min_s] = json.loads(stats.read_text())["CE"]
+        assert edges == {"85": 0, "85.5": 1}
+
+    @pytest.mark.parametrize("min_s", ["nan", "inf", "-85.5", "30", "2e9"])
+    def test_bad_min_s_exit_2(self, tmp_path, min_s):
+        layout = tmp_path / "layout.json"
+        assert run(["gen", "--shapes", "12", "--density", "2", "--seed", "3",
+                    "--out", str(layout)]) == 0
+        assert run(["decompose", "--input", str(layout), "--min-s", min_s]) == 2
+
+    def test_integral_min_s_matches_the_layout_value(self, tmp_path):
+        layout = tmp_path / "layout.json"
+        assert run(["gen", "--shapes", "40", "--density", "6", "--seed", "1",
+                    "--out", str(layout)]) == 0
+        outs = []
+        for extra in ([], ["--min-s", "85"]):
+            out = tmp_path / f"out{len(outs)}.json"
+            assert run(["decompose", "--input", str(layout), "--out", str(out), *extra]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_min_s_override_adds_edges(self, tmp_path):
         doc = {"shapes": [{"id": 0, "rect": [0, 0, 50, 50]},
                           {"id": 1, "rect": [150, 0, 200, 50]}]}
@@ -228,6 +274,13 @@ class TestGenCommand:
     def test_infeasible_density_exit_2(self, tmp_path):
         assert run(["gen", "--shapes", "10", "--density", "9", "--seed", "1",
                     "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("density", ["nan", "inf", "-inf", "-0.5", "8.5"])
+    def test_density_outside_0_8_exit_2(self, tmp_path, density):
+        out = tmp_path / "x.json"
+        assert run(["gen", "--shapes", "10", f"--density={density}", "--seed", "1",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_no_shapes_exit_2(self, tmp_path):
         assert run(["gen", "--shapes", "0", "--density", "2", "--seed", "1",

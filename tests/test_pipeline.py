@@ -151,6 +151,11 @@ class TestDecomposeGraph:
             with pytest.raises(ValueError):
                 DecomposeConfig(alpha=alpha)
         assert DecomposeConfig(alpha=0.5).alpha == 0.5
+        for seed in (-1, -5, 1.5, float("nan"), True, "1", None):
+            with pytest.raises(ValueError):
+                DecomposeConfig(seed=seed)
+        assert DecomposeConfig(seed=0).seed == 0
+        assert DecomposeConfig(seed=np.int64(7)).seed == 7
 
     def test_config_has_four_fields(self):
         assert list(DecomposeConfig.__dataclass_fields__) == [
@@ -241,6 +246,28 @@ class TestWitnessPlumbing:
         assert len(result.witnesses) == 1
         edge = result.witnesses[0].edge
         assert edge[0] in result.assignment.colors
+
+
+class TestPeelFallback:
+    """A peeled shape with no free color sends its layout-graph component
+    back to the solver unpeeled; the redo replaces the first pass."""
+
+    LAYOUT = Layout(
+        shapes=tuple(Shape(id=i, rect=r) for i, r in enumerate([
+            (295, 44, 320, 158), (176, 300, 333, 325), (207, 249, 302, 274),
+            (355, 193, 380, 489), (368, 90, 673, 115), (195, 184, 354, 209),
+        ])),
+        params=ProcessParams(),
+    )
+
+    def test_redo_replaces_first_pass_reports_and_witnesses(self):
+        result = decompose(self.LAYOUT)
+        (report,) = result.per_component
+        assert report.peel_fallback and report.size == len(result.dg.nodes)
+        (witness,) = result.witnesses
+        assert witness.edge == (0, 3)
+        assert result.objective == 2.0
+        assert result.objective == float(brute_force_optimum(result.dg, 0.1).objective)
 
 
 class TestOneRelaxationSchedule:

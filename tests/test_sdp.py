@@ -133,41 +133,38 @@ class TestRelaxation:
         dg = triangle_graph()
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert sol.converged
+        x = sol.v @ sol.v.T
         for i in range(3):
-            assert abs(sol.x[i, i] - 1.0) < 1e-6
+            assert abs(x[i, i] - 1.0) < 1e-6
             for j in range(i + 1, 3):
-                assert abs(sol.x[i, j] + 0.5) < 1e-4
+                assert abs(x[i, j] + 0.5) < 1e-4
         assert abs(sol.obj_relaxation) < 1e-4
 
     def test_single_node(self):
         dg = DecompositionGraph.from_edges(1)
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert sol.converged
-        np.testing.assert_allclose(sol.x, [[1.0]])
+        np.testing.assert_allclose(sol.v @ sol.v.T, [[1.0]])
 
     def test_empty_graph(self):
         dg = DecompositionGraph.from_edges(0)
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
-        assert sol.converged and sol.x.shape == (0, 0)
+        assert sol.converged and (sol.v @ sol.v.T).shape == (0, 0)
 
     def test_worked_example_matches_reference_matrix(self):
         dg = worked_example_graph()
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         idx = {node: k for k, node in enumerate(sol.index)}
-        assert abs(sol.x[idx[1], idx[4]] - 1.0) <= 0.05
-        assert abs(sol.x[idx[3], idx[5]] - 1.0) <= 0.05
+        x = sol.v @ sol.v.T
+        assert abs(x[idx[1], idx[4]] - 1.0) <= 0.05
+        assert abs(x[idx[3], idx[5]] - 1.0) <= 0.05
         for j in (2, 3, 5):
-            assert abs(sol.x[idx[1], idx[j]] + 0.5) <= 0.05
-
-    def test_factor_consistency(self, rng):
-        dg = random_graph(rng, 7)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
-        assert np.max(np.abs(sol.x - sol.v @ sol.v.T)) <= 1e-8
+            assert abs(x[idx[1], idx[j]] + 0.5) <= 0.05
 
     def test_psd_within_tolerance(self, rng):
         dg = random_graph(rng, 8)
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
-        assert np.linalg.eigvalsh(sol.x).min() >= -1e-6
+        assert np.linalg.eigvalsh(sol.v @ sol.v.T).min() >= -1e-6
 
     def test_k4_relaxation_value(self):
         # tetrahedral configuration: all entries -1/3, objective 2/3
@@ -197,7 +194,7 @@ class TestRelaxation:
         cm = build_cost_matrix(dg, 0.1)
         a = solve_relaxation(cm)
         b = solve_relaxation(cm)
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.v, b.v)
 
 
 class TestStallStop:
