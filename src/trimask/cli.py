@@ -64,7 +64,8 @@ def _build_parser() -> _Parser:
     dec.add_argument("--graph", help="edge-list file (first line n, then 'C u v'/'S u v')")
     dec.add_argument("--solver", choices=("exact", "sdp", "auto"), default="auto")
     dec.add_argument("--alpha", type=float, default=None, help="stitch weight override")
-    dec.add_argument("--min-s", type=float, default=None, help="coloring distance override (nm)")
+    dec.add_argument("--min-s", type=float, default=None,
+                     help="coloring distance override (nm, layout input only)")
     dec.add_argument("--seed", type=int, default=42)
     dec.add_argument("--out", help="assignment JSON output path")
     dec.add_argument("--stats", help="stats JSON output path")
@@ -107,9 +108,10 @@ def cmd_decompose(args) -> int:
     if bool(args.input) == bool(args.graph):
         print("error: exactly one of --input or --graph is required", file=sys.stderr)
         return 1
-    if args.svg and not args.input:
-        print("error: --svg needs a layout (--input)", file=sys.stderr)
-        return 2
+    for flag, value in (("--svg", args.svg), ("--min-s", args.min_s)):
+        if value is not None and not args.input:
+            print(f"error: {flag} needs a layout (--input)", file=sys.stderr)
+            return 2
 
     with _validating():
         cfg = DecomposeConfig(solver=args.solver, alpha=args.alpha, seed=args.seed)
@@ -163,7 +165,7 @@ def format_stats(result: DecomposeResult) -> str:
         "cn": result.conflict_count,
         "objective": result.objective,
         "proven_optimal": result.proven_optimal,
-        "cpu_s": round(result.wall_time, 6),
+        "wall_s": round(result.wall_time, 6),
         "solver": result.solver,
         "un3colorable_witnesses": [
             {"edge": list(w.edge), "path": list(w.path)} for w in result.witnesses

@@ -21,22 +21,24 @@ they pay for the stall stop below: on the benchmark's ``dense`` corpus the
 stop alone raised the objective by about 3.5%, while with 200 draws and 20
 polished the objective ends lower than with 50 draws and one polished.
 
-Every caller (the pipeline's leaves, ``--dump-x``, a direct call) gets one
-schedule for a given graph, the tuple (restarts, multiplier rounds, inner
-iterations per descent, stall tolerance): ``(5, 12, 400, None)`` up to 16
-nodes and ``(3, 5, 200, STALL_TOL)`` above. One gradient tolerance,
-``GRAD_TOL``, holds at every size; large relaxations reach neither it nor
-``CONSTRAINT_TOL``. Above 16 nodes a descent therefore also stops once its
-accepted penalized value has not improved by ``STALL_TOL * (1 + |best|)``
-for ``STALL_WINDOW`` iterations: without it every descent on a 120-node
-component ran to its 200-iteration cap, though most of the decrease comes
-in the first tenth of them. Up to 16 nodes no stall tolerance is passed,
-so those relaxations, and the certification that rests on them, are as
-before. The size rule stays because neither schedule serves both sides:
-the light one certifies too few small relaxations for their value to bound
-the optimum, and the full one makes 400-shape layouts at density 6 about
-eight times slower for a 2% better objective. A stop on the duality gap
-could retire it.
+Every caller (the pipeline's leaves, ``--dump-x``, a direct call) runs the
+same schedule for a given graph. Up to ``RESTARTS`` restarts each run the
+penalty ramp and then the multiplier rounds, and the first restart that
+certifies ends the relaxation, so no later restart of lower value but no
+certificate displaces it. Every descent stops at the one gradient
+tolerance ``GRAD_TOL``. Only the tuple (multiplier rounds,
+inner iterations per descent, stall tolerance) depends on size:
+``(12, 400, None)`` up to 16 nodes and ``(5, 200, STALL_TOL)`` above.
+Large relaxations reach neither ``GRAD_TOL`` nor ``CONSTRAINT_TOL``, so
+above 16 nodes a descent also stops once its accepted penalized value has
+not improved by ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW``
+iterations: without it every descent on a 120-node component ran to its
+200-iteration cap, though most of the decrease comes in the first tenth of
+them. The size rule stays because neither setting serves both sides: the
+light one certifies 41 of criterion 3's 100 small relaxations, too few for
+their value to bound the optimum, and the full one makes 400-shape layouts
+at density 6 about eight times slower for a 2% better objective. A stop on
+the duality gap could retire it.
 
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks, and the relaxation's floating-point sums must
@@ -82,8 +84,9 @@ DOT_DIFFERENT = Fraction(-1, 2)
 DRAWS = 200
 POLISHED = 20
 
-# the relaxation: factor columns (at most n), penalty weight, its growth per
-# ramp round, ramp rounds, and the tolerances that certify a restart
+# the relaxation: restarts, factor columns (at most n), penalty weight, its
+# growth per ramp round, ramp rounds, and the tolerances that certify a restart
+RESTARTS = 3
 RANK = 8
 MU_INITIAL = 4.0
 MU_GROWTH = 10.0
@@ -242,9 +245,10 @@ def _lipschitz_bound(w, mu, ce) -> float:
     return max(1.0, row + 2.0 * mu * float(degree.max(initial=0)))
 
 
-def _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift, stall=None):
+def _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall=None):
     """Projected gradient with spectral (Barzilai-Borwein) steps and a
     nonmonotone backtracking safeguard; rows are renormalized every step.
+    The descent ends when the gradient norm falls below ``GRAD_TOL``.
 
     With a ``stall`` tolerance the descent also ends once its accepted value
     has not improved by ``stall * (1 + |best|)`` for ``STALL_WINDOW``
@@ -262,7 +266,7 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift, stall=None):
         if stall is not None and idle >= STALL_WINDOW:
             break
         gnorm = float(np.sqrt((grad * grad).sum()))
-        if gnorm < tol:
+        if gnorm < GRAD_TOL:
             break
         iterations += 1
         idle += 1
@@ -308,8 +312,8 @@ def _rank_reduced(v):
     which can only happen up to ``RANK`` nodes: above, the n × n Gram of an
     n × ``RANK`` factor has at least n - ``RANK`` zero eigenvalues, so every
     call re-factors, and every stalled multiplier round of
-    ``solve_relaxation`` runs one more ``GRAD_TOL`` descent from the
-    rotated factor. That descent stays on purpose: without it the held-out
+    ``solve_relaxation`` runs one more descent from the rotated factor.
+    That descent stays on purpose: without it the held-out
     ``dense`` objective rose from 485.4 to 488.6.
     """
     x = v @ v.T
@@ -332,54 +336,43 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     The -1/2 floor on conflict pairs is enforced by a quadratic penalty: a
     short ramp multiplies the weight by a fixed factor per round, then
     multiplier shifts take over at the final weight so the floor tightens
-    without runaway stiffness. Each restart begins from a fresh random
-    factor drawn from ``seed``, and the best feasible candidate wins.
-    ``converged`` certifies both a small final gradient and a small
-    constraint violation.
+    without runaway stiffness. Each of up to ``RESTARTS`` restarts begins
+    from a fresh random factor drawn from ``seed``; the first certified
+    restart ends the run, and the best candidate so far wins, feasible
+    before infeasible, then by objective or violation. ``converged``
+    certifies both a small final gradient and a small constraint violation.
     """
     n = len(cost.index)
     ce, w = cost.ce, cost.matrix
     # the size rule of the module docstring
-    restarts, shift_rounds, max_iters, stall = (
-        (5, 12, 400, None) if n <= 16 else (3, 5, 200, STALL_TOL)
-    )
+    shift_rounds, max_iters, stall = (12, 400, None) if n <= 16 else (5, 200, STALL_TOL)
     rng = np.random.default_rng(seed)
     no_shift = np.zeros(len(ce))
 
-    def descend(v, mu, tol, shift):
+    def descend(v, mu, shift):
         nonlocal iterations
-        v, grad_norm, used = _minimize_on_sphere(v, w, mu, ce, max_iters, tol, shift, stall)
+        v, grad_norm, used = _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall)
         iterations += used
         return v, grad_norm
 
     best = None
-    have_certified = False
     iterations = 0
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         v = _normalize_rows(rng.normal(size=(n, min(n, RANK))))
         mu = MU_INITIAL
-        grad_norm = 0.0
         for round_idx in range(RAMP_ROUNDS):
-            tol = max(GRAD_TOL, 1e-3 / (round_idx + 1))
-            v, grad_norm = descend(v, mu, tol, no_shift)
+            v, grad_norm = descend(v, mu, no_shift)
             if round_idx < RAMP_ROUNDS - 1:
                 mu *= MU_GROWTH
         # multiplier rounds: hinge shifts let a moderate mu enforce the walls
-        # exactly, so the end game stays well conditioned; once some restart
-        # has certified, later restarts get a shorter schedule
-        rounds = shift_rounds if not have_certified else max(3, shift_rounds // 3)
+        # exactly, so the end game stays well conditioned
         shift = no_shift
         violation = _max_violation(v, ce)
         previous_norm = None
         stall_rounds = 0
-        for round_idx in range(rounds):
+        for _ in range(shift_rounds):
             _, shift, *_ = _penalized_value(v, w, mu, ce, shift)
-            # intermediate rounds only need enough accuracy to update the
-            # multipliers; certification accuracy is for the settled walls
-            round_tol = GRAD_TOL
-            if violation > 10.0 * CONSTRAINT_TOL and round_idx < rounds - 1:
-                round_tol = max(GRAD_TOL, min(1e-3, violation))
-            v, grad_norm = descend(v, mu, round_tol, shift)
+            v, grad_norm = descend(v, mu, shift)
             violation = _max_violation(v, ce)
             if _certified(grad_norm, violation):
                 break
@@ -389,7 +382,7 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
                 continue
             v_cut = _rank_reduced(v)  # flat-saddle escape
             if v_cut is not None:
-                v_cut, grad_cut = descend(v_cut, mu, GRAD_TOL, shift)
+                v_cut, grad_cut = descend(v_cut, mu, shift)
                 f_old, *_ = _penalized_value(v, w, mu, ce, shift)
                 f_new, *_ = _penalized_value(v_cut, w, mu, ce, shift)
                 if f_new <= f_old + 1e-12:
@@ -406,7 +399,8 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
         certified = _certified(grad_norm, violation)
         if best is None or key < best[0]:
             best = (key, v, obj, certified)
-        have_certified = have_certified or certified
+        if certified:
+            break
 
     _, v, obj, converged = best
     return RelaxationSolution(

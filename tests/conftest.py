@@ -43,17 +43,31 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class DescentLog(list):
+    """The stall tolerance of every relaxation descent, in call order, with
+    the descents' penalty weights ``mu`` in ``mus``."""
+
+    def __init__(self):
+        super().__init__()
+        self.mus = []
+
+    def clear(self):
+        super().clear()
+        self.mus.clear()
+
+
 @pytest.fixture
 def stall_tolerances(monkeypatch):
-    """The stall tolerance passed to every relaxation descent, in call order."""
+    """A ``DescentLog`` of every relaxation descent."""
     descend = trimask.sdp._minimize_on_sphere
     signature = inspect.signature(descend)
-    seen = []
+    seen = DescentLog()
 
     def spy(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         seen.append(bound.arguments["stall"])
+        seen.mus.append(bound.arguments["mu"])
         return descend(*args, **kwargs)
 
     monkeypatch.setattr(trimask.sdp, "_minimize_on_sphere", spy)

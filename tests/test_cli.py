@@ -45,7 +45,7 @@ class TestDecomposeCommand:
         run(["decompose", "--graph", str(graph), "--stats", str(stats)])
         doc = json.loads(stats.read_text())
         assert list(doc) == ["components", "SE", "CE", "st", "cn", "objective",
-                             "proven_optimal", "cpu_s", "solver", "un3colorable_witnesses"]
+                             "proven_optimal", "wall_s", "solver", "un3colorable_witnesses"]
         assert doc["proven_optimal"] is True
 
     def test_missing_input_exit_2(self, tmp_path):
@@ -66,6 +66,13 @@ class TestDecomposeCommand:
         graph = tmp_path / "g.txt"
         graph.write_text(TRIANGLE_EDGELIST)
         assert run(["decompose", "--graph", str(graph), "--svg", str(tmp_path / "x.svg")]) == 2
+
+    @pytest.mark.parametrize("min_s", ["nan", "-3"])
+    def test_min_s_requires_layout(self, tmp_path, capsys, min_s):
+        graph = tmp_path / "g.txt"
+        graph.write_text(TRIANGLE_EDGELIST)
+        assert run(["decompose", "--graph", str(graph), "--min-s", min_s]) == 2
+        assert "--min-s needs a layout" in capsys.readouterr().err
 
     def test_degenerate_layout_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

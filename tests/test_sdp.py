@@ -10,9 +10,10 @@ from conftest import k4_graph, random_graph, triangle_graph, worked_example_grap
 from trimask.graphs import DecompositionGraph, as_fraction, brute_force_optimum, evaluate
 from trimask.sdp import (
     DRAWS,
-    GRAD_TOL,
     MASK_VECTORS,
+    MU_INITIAL,
     RANK,
+    RESTARTS,
     STALL_TOL,
     RelaxationSolution,
     _minimize_on_sphere,
@@ -185,9 +186,10 @@ class TestRelaxation:
             opt = float(brute_force_optimum(dg, 0.1).objective)
             assert sol.obj_relaxation <= opt + 1e-4
         assert checked >= 8
-        # no stall stop at this size, so the count predates it
+        # no stall stop at this size; the count is the one measured since a
+        # certified restart ends the relaxation
         assert stall_tolerances and all(tol is None for tol in stall_tolerances)
-        assert checked == 9
+        assert checked == 11
 
     def test_deterministic(self, rng):
         dg = random_graph(rng, 6)
@@ -211,10 +213,10 @@ class TestStallStop:
         w, ce, v0 = self.instance(40)
         zero = np.zeros(len(ce))
         for mu in (4.0, 40.0):  # the ramp rounds before the last
-            v0, *_ = _minimize_on_sphere(v0, w, mu, ce, 200, GRAD_TOL, zero)
+            v0, *_ = _minimize_on_sphere(v0, w, mu, ce, 200, zero)
         start, *_ = _penalized_value(v0, w, 400.0, ce, zero)
-        _, _, capped = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL, zero)
-        v, _, used = _minimize_on_sphere(v0, w, 400.0, ce, 200, GRAD_TOL, zero, STALL_TOL)
+        _, _, capped = _minimize_on_sphere(v0, w, 400.0, ce, 200, zero)
+        v, _, used = _minimize_on_sphere(v0, w, 400.0, ce, 200, zero, STALL_TOL)
         assert capped == 200
         assert used < 200
         assert _penalized_value(v, w, 400.0, ce, zero)[0] < start
@@ -228,6 +230,23 @@ class TestStallStop:
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert stall_tolerances and all(tol == STALL_TOL for tol in stall_tolerances)
         assert 0 < sol.iterations < 200 * len(stall_tolerances)
+
+
+class TestRestarts:
+    """A certified restart ends the relaxation; without one every restart
+    runs. Each restart opens its ramp with one descent at ``MU_INITIAL``,
+    and the penalty weight only grows after it."""
+
+    def test_certified_triangle_runs_one_restart(self, stall_tolerances):
+        sol = solve_relaxation(build_cost_matrix(triangle_graph(), 0.1))
+        assert sol.converged
+        assert stall_tolerances.mus.count(MU_INITIAL) == 1
+
+    def test_uncertified_17_node_graph_runs_every_restart(self, stall_tolerances):
+        dg = random_graph(np.random.default_rng(17), 17)
+        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
+        assert not sol.converged
+        assert stall_tolerances.mus.count(MU_INITIAL) == RESTARTS
 
 
 def add_at_value_and_gradient(v, w, mu, ce, shift=None):
