@@ -15,20 +15,28 @@ floor. The factor is rounded as Frieze & Jerrum (1997) round MAX k-CUT:
 each of ``DRAWS`` Gaussian draws of three vectors labels every node by the
 vector with the largest dot product with its row. The ``POLISHED`` draws
 of lowest exact cost each go through ``local_search``, which recolors
-single nodes until no move lowers the cost, and the cheapest polished
-coloring is kept. More draws give the polish better starting points, and
-they pay for the stall stop below: on the benchmark's ``dense`` corpus the
-stop alone raised the objective by about 3.5%, while with 200 draws and 20
-polished the objective ends lower than with 50 draws and one polished.
+single nodes until no move lowers the cost. The cheapest of them starts a
+tabu search (TabuCol: Hertz & de Werra 1987, Galinier & Hao 1999) of
+``TABU_ITERATIONS`` moves per node, each the recoloring of one node that
+raises the cost least or lowers it most, ties broken at random. A move bars
+its node from the color it left for a while, unless returning beats the
+best cost so far. The best coloring the search saw goes through
+``local_search``'s moves once more, so the result is a 1-opt fixpoint. The
+search climbs out of the 1-opt minima the draws fall into. On the held-out
+layouts of the benchmark's ``dense`` corpus, one polished draw and 5 moves
+per node score 474.2; 20 polished draws and no search scored 493.4 after
+one relaxation run and 486.4 after the best of three. The random ties
+matter: taking the first cheapest move, the search stalls on large pieces.
 
 Every caller (the pipeline's leaves, ``--dump-x``, a direct call) runs the
-same schedule for a given graph. Up to ``RESTARTS`` restarts each run the
-penalty ramp and then the multiplier rounds, and the first restart that
-certifies ends the relaxation, so no later restart of lower value but no
-certificate displaces it. Every descent stops at the one gradient
-tolerance ``GRAD_TOL``. Only the tuple (multiplier rounds,
-inner iterations per descent, stall tolerance) depends on size:
-``(12, 400, None)`` up to 16 nodes and ``(5, 200, STALL_TOL)`` above.
+same schedule for a given graph: one run of the penalty ramp and then the
+multiplier rounds, from one random factor drawn from the seed. Above 16
+nodes no run ever certified, so each extra restart ran in full; the tabu
+search gains more than they did, in less time.
+Every descent stops at the one gradient tolerance ``GRAD_TOL``. Only the
+tuple (multiplier rounds, inner iterations per descent, stall tolerance)
+depends on size: ``(12, 400, None)`` up to 16 nodes and
+``(5, 200, STALL_TOL)`` above.
 Large relaxations reach neither ``GRAD_TOL`` nor ``CONSTRAINT_TOL``, so
 above 16 nodes a descent also stops once its accepted penalized value has
 not improved by ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW``
@@ -80,13 +88,17 @@ DOT_SAME = Fraction(1)
 DOT_DIFFERENT = Fraction(-1, 2)
 
 # Gaussian draws of the rounding, and how many of the cheapest are polished
-# by the local search before the best by exact cost is kept
+# by the local search before the best by exact cost goes to the tabu search
 DRAWS = 200
-POLISHED = 20
+POLISHED = 1
+# the tabu search: moves per node, and a move's tenure of TABU_TENURE plus a
+# uniform draw from [0, TABU_SPREAD) moves
+TABU_ITERATIONS = 5
+TABU_TENURE = 7
+TABU_SPREAD = 10
 
-# the relaxation: restarts, factor columns (at most n), penalty weight, its
-# growth per ramp round, ramp rounds, and the tolerances that certify a restart
-RESTARTS = 3
+# the relaxation: factor columns (at most n), penalty weight, its growth per
+# ramp round, ramp rounds, and the tolerances that certify the run
 RANK = 8
 MU_INITIAL = 4.0
 MU_GROWTH = 10.0
@@ -155,7 +167,7 @@ class RelaxationSolution:
     v: np.ndarray
     obj_relaxation: float
     converged: bool
-    iterations: int = 0  # descent iterations over all restarts
+    iterations: int = 0  # descent iterations of the run
 
     @property
     def index(self) -> tuple[int, ...]:
@@ -336,17 +348,14 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     The -1/2 floor on conflict pairs is enforced by a quadratic penalty: a
     short ramp multiplies the weight by a fixed factor per round, then
     multiplier shifts take over at the final weight so the floor tightens
-    without runaway stiffness. Each of up to ``RESTARTS`` restarts begins
-    from a fresh random factor drawn from ``seed``; the first certified
-    restart ends the run, and the best candidate so far wins, feasible
-    before infeasible, then by objective or violation. ``converged``
-    certifies both a small final gradient and a small constraint violation.
+    without runaway stiffness. The ramp and the multiplier rounds run once,
+    from one random factor drawn from ``seed``. ``converged`` certifies both
+    a small final gradient and a small constraint violation of that run.
     """
     n = len(cost.index)
     ce, w = cost.ce, cost.matrix
     # the size rule of the module docstring
     shift_rounds, max_iters, stall = (12, 400, None) if n <= 16 else (5, 200, STALL_TOL)
-    rng = np.random.default_rng(seed)
     no_shift = np.zeros(len(ce))
 
     def descend(v, mu, shift):
@@ -355,56 +364,46 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
         iterations += used
         return v, grad_norm
 
-    best = None
     iterations = 0
-    for _ in range(RESTARTS):
-        v = _normalize_rows(rng.normal(size=(n, min(n, RANK))))
-        mu = MU_INITIAL
-        for round_idx in range(RAMP_ROUNDS):
-            v, grad_norm = descend(v, mu, no_shift)
-            if round_idx < RAMP_ROUNDS - 1:
-                mu *= MU_GROWTH
-        # multiplier rounds: hinge shifts let a moderate mu enforce the walls
-        # exactly, so the end game stays well conditioned
-        shift = no_shift
+    v = _normalize_rows(np.random.default_rng(seed).normal(size=(n, min(n, RANK))))
+    mu = MU_INITIAL
+    for round_idx in range(RAMP_ROUNDS):
+        v, grad_norm = descend(v, mu, no_shift)
+        if round_idx < RAMP_ROUNDS - 1:
+            mu *= MU_GROWTH
+    # multiplier rounds: hinge shifts let a moderate mu enforce the walls
+    # exactly, so the end game stays well conditioned
+    shift = no_shift
+    violation = _max_violation(v, ce)
+    previous_norm = None
+    stall_rounds = 0
+    for _ in range(shift_rounds):
+        _, shift, *_ = _penalized_value(v, w, mu, ce, shift)
+        v, grad_norm = descend(v, mu, shift)
         violation = _max_violation(v, ce)
-        previous_norm = None
-        stall_rounds = 0
-        for _ in range(shift_rounds):
-            _, shift, *_ = _penalized_value(v, w, mu, ce, shift)
-            v, grad_norm = descend(v, mu, shift)
-            violation = _max_violation(v, ce)
-            if _certified(grad_norm, violation):
-                break
-            stalled = previous_norm is not None and grad_norm > 0.5 * previous_norm
-            previous_norm = grad_norm
-            if not stalled:
+        if _certified(grad_norm, violation):
+            break
+        stalled = previous_norm is not None and grad_norm > 0.5 * previous_norm
+        previous_norm = grad_norm
+        if not stalled:
+            continue
+        v_cut = _rank_reduced(v)  # flat-saddle escape
+        if v_cut is not None:
+            v_cut, grad_cut = descend(v_cut, mu, shift)
+            f_old, *_ = _penalized_value(v, w, mu, ce, shift)
+            f_new, *_ = _penalized_value(v_cut, w, mu, ce, shift)
+            if f_new <= f_old + 1e-12:
+                v, grad_norm = v_cut, grad_cut
+                violation = _max_violation(v, ce)
+                previous_norm = None
                 continue
-            v_cut = _rank_reduced(v)  # flat-saddle escape
-            if v_cut is not None:
-                v_cut, grad_cut = descend(v_cut, mu, shift)
-                f_old, *_ = _penalized_value(v, w, mu, ce, shift)
-                f_new, *_ = _penalized_value(v_cut, w, mu, ce, shift)
-                if f_new <= f_old + 1e-12:
-                    v, grad_norm = v_cut, grad_cut
-                    violation = _max_violation(v, ce)
-                    previous_norm = None
-                    continue
-            stall_rounds += 1
-            if stall_rounds >= 2:
-                break
-        obj = _objective_relaxation(v, cost)
-        feasible = violation <= CONSTRAINT_TOL
-        key = (not feasible, obj if feasible else violation)
-        certified = _certified(grad_norm, violation)
-        if best is None or key < best[0]:
-            best = (key, v, obj, certified)
-        if certified:
+        stall_rounds += 1
+        if stall_rounds >= 2:
             break
 
-    _, v, obj, converged = best
     return RelaxationSolution(
-        cost=cost, v=v, obj_relaxation=obj, converged=converged, iterations=iterations
+        cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost),
+        converged=_certified(grad_norm, violation), iterations=iterations,
     )
 
 
@@ -437,6 +436,61 @@ def _one_opt(links, labels: list[int]) -> list[int]:
     return labels
 
 
+def _tabu_search(links, labels: list[int], rng) -> list[int]:
+    """TabuCol (Hertz & de Werra 1987; Galinier & Hao 1999) on a label list
+    indexed like ``links``: ``TABU_ITERATIONS`` moves per node, each the
+    recoloring of one node that changes the cost least, ties broken by
+    ``rng``. A move bars its node from its old color for ``TABU_TENURE``
+    plus a draw from [0, ``TABU_SPREAD``) moves, unless returning reaches a
+    cost below the best so far. The tie breaks and tenures are drawn from
+    ``rng`` up front. Returns the cheapest coloring seen, so never one
+    costlier than ``labels``.
+    """
+    n = len(labels)
+    moves = TABU_ITERATIONS * n
+    picks = rng.random(moves)
+    tenures = TABU_TENURE + rng.integers(TABU_SPREAD, size=moves)
+    neighbors = [np.array([other for other, _ in node_links], dtype=np.intp) for node_links in links]
+    weights = [np.array([weight for _, weight in node_links], dtype=np.int64) for node_links in links]
+    rows = [np.append(neighbors[k], k) for k in range(n)]
+    # table[k, c]: node k's cost on color c, up to a constant, as in _one_opt
+    table = np.zeros((n, 3), dtype=np.int64)
+    for k, node_links in enumerate(links):
+        for other, weight in node_links:
+            table[k, labels[other]] += weight
+    colors = np.array(labels, dtype=np.intp)
+    positions = np.arange(n)
+    # delta[k, c]: the cost change of recoloring node k to c
+    delta = table - table[positions, colors][:, None]
+    # a move is barred before barred_until; the current colors never move
+    never = np.iinfo(np.int64).max
+    barred_until = np.zeros((n, 3), dtype=np.int64)
+    barred_until[positions, colors] = never
+    flat_delta, flat_barred = delta.ravel(), barred_until.ravel()
+    cost = best_cost = 0  # relative to the start
+    best = colors.copy()
+    for move in range(moves):
+        masked = np.where((flat_barred <= move) | (flat_delta < best_cost - cost), flat_delta, never)
+        low = masked.min()
+        if low == never:
+            continue
+        choices = (masked == low).nonzero()[0]
+        k, color = divmod(int(choices[int(picks[move] * len(choices))]), 3)
+        old = colors[k]
+        colors[k] = color
+        table[neighbors[k], old] -= weights[k]
+        table[neighbors[k], color] += weights[k]
+        changed = rows[k]
+        delta[changed] = table[changed] - table[changed, colors[changed]][:, None]
+        barred_until[k, old] = move + tenures[move]
+        barred_until[k, color] = never
+        cost += int(low)
+        if cost < best_cost:
+            best_cost = cost
+            best = colors.copy()
+    return best.tolist()
+
+
 def _integer_costs(labels: np.ndarray, ce, se, frac) -> np.ndarray:
     """Exact integer cost of each row of ``labels`` (one label per node
     position): ``frac.denominator`` per conflict, ``frac.numerator`` per
@@ -463,16 +517,19 @@ def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
     labels every node by the vector with the largest dot product with the
     node's factor row (Frieze & Jerrum 1997). The ``POLISHED`` draws of
     lowest exact integer cost (stable order) each go through
-    ``local_search``'s moves, and the polished coloring of lowest cost is
-    kept, the first on a tie. The graph, its pairs and the exact alpha come
-    from ``sol.cost``.
+    ``local_search``'s moves. The polished coloring of lowest cost, the
+    first on a tie, starts ``_tabu_search`` on the same seeded generator,
+    and ``local_search``'s moves finish its best coloring. The graph, its
+    pairs and the exact alpha come from ``sol.cost``.
     """
     cost = sol.cost
     ce, se, frac = cost.ce, cost.se, cost.alpha
-    g = np.random.default_rng(seed).normal(size=(DRAWS, sol.v.shape[1], 3))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(DRAWS, sol.v.shape[1], 3))
     labels = np.argmax(sol.v @ g, axis=2)  # (draw, node position)
     cheapest = np.argsort(_integer_costs(labels, ce, se, frac), kind="stable")[:POLISHED]
     links = _neighbor_links(len(sol.index), ce, se, frac)
     polished = np.array([_one_opt(links, labels[k].tolist()) for k in cheapest], dtype=int)
-    best = polished[int(np.argmin(_integer_costs(polished, ce, se, frac)))].tolist()
+    start = polished[int(np.argmin(_integer_costs(polished, ce, se, frac)))].tolist()
+    best = _one_opt(links, _tabu_search(links, start, rng))
     return evaluate(cost.dg, dict(zip(sol.index, best)), frac)

@@ -13,14 +13,19 @@ from trimask.sdp import (
     MASK_VECTORS,
     MU_INITIAL,
     RANK,
-    RESTARTS,
     STALL_TOL,
+    TABU_ITERATIONS,
+    TABU_SPREAD,
+    TABU_TENURE,
     RelaxationSolution,
+    _integer_costs,
     _minimize_on_sphere,
+    _neighbor_links,
     _normalize_rows,
     _penalized_value,
     _riemannian_grad,
     _scatter_cells,
+    _tabu_search,
     build_cost_matrix,
     discrete_vector_objective,
     local_search,
@@ -186,10 +191,10 @@ class TestRelaxation:
             opt = float(brute_force_optimum(dg, 0.1).objective)
             assert sol.obj_relaxation <= opt + 1e-4
         assert checked >= 8
-        # no stall stop at this size; the count is the one measured since a
-        # certified restart ends the relaxation
+        # no stall stop at this size; the count is the one measured since the
+        # relaxation runs once
         assert stall_tolerances and all(tol is None for tol in stall_tolerances)
-        assert checked == 11
+        assert checked == 10
 
     def test_deterministic(self, rng):
         dg = random_graph(rng, 6)
@@ -232,21 +237,21 @@ class TestStallStop:
         assert 0 < sol.iterations < 200 * len(stall_tolerances)
 
 
-class TestRestarts:
-    """A certified restart ends the relaxation; without one every restart
-    runs. Each restart opens its ramp with one descent at ``MU_INITIAL``,
-    and the penalty weight only grows after it."""
+class TestOneRun:
+    """The relaxation runs its ramp once, certified or not. The ramp opens
+    with the one descent at ``MU_INITIAL``, and the penalty weight only
+    grows after it."""
 
-    def test_certified_triangle_runs_one_restart(self, stall_tolerances):
+    def test_certified_triangle_runs_one_ramp(self, stall_tolerances):
         sol = solve_relaxation(build_cost_matrix(triangle_graph(), 0.1))
         assert sol.converged
         assert stall_tolerances.mus.count(MU_INITIAL) == 1
 
-    def test_uncertified_17_node_graph_runs_every_restart(self, stall_tolerances):
+    def test_uncertified_17_node_graph_runs_one_ramp(self, stall_tolerances):
         dg = random_graph(np.random.default_rng(17), 17)
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert not sol.converged
-        assert stall_tolerances.mus.count(MU_INITIAL) == RESTARTS
+        assert stall_tolerances.mus.count(MU_INITIAL) == 1
 
 
 def add_at_value_and_gradient(v, w, mu, ce, shift=None):
@@ -333,6 +338,27 @@ WORKED_X = [
 ]
 
 
+# the rounding's hypothesis cases: nodes, conflict density, factor rank,
+# alpha and seed
+ROUNDING_CASES = (
+    st.integers(1, 30),
+    st.sampled_from([0.1, 0.3, 0.6]),
+    st.integers(1, 8),
+    st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2)]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def random_factor_solution(n, ce_density, rank, alpha, seed):
+    """A random graph and a random unit-row factor of the given rank."""
+    rng = np.random.default_rng(seed)
+    dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
+    v = rng.normal(size=(n, rank))
+    return RelaxationSolution.from_factor(
+        v / np.linalg.norm(v, axis=1, keepdims=True), build_cost_matrix(dg, alpha)
+    )
+
+
 class TestMapping:
     def test_worked_example_grouping(self):
         dg = worked_example_graph()
@@ -368,8 +394,9 @@ class TestMapping:
     def test_best_draw_recovers_a_planted_coloring(self, rng, monkeypatch):
         # rows on the ideal mask directions of a proper coloring: a draw that
         # labels the three directions apart costs 0, and the best draw must
-        # be one, with no local search moves to repair a worse one
+        # be one, with no local or tabu search moves to repair a worse one
         monkeypatch.setattr(trimask.sdp, "_one_opt", lambda links, labels: labels)
+        monkeypatch.setattr(trimask.sdp, "_tabu_search", lambda links, labels, rng: labels)
         planted = rng.integers(0, 3, size=30)
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.4]
         dg = DecompositionGraph.from_edges(
@@ -383,20 +410,10 @@ class TestMapping:
         assert len(set(asg.colors.values())) == 3
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @given(
-        st.integers(1, 30),
-        st.sampled_from([0.1, 0.3, 0.6]),
-        st.integers(1, 8),
-        st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2)]),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(*ROUNDING_CASES)
     def test_rounding_is_a_one_opt_fixpoint(self, n, ce_density, rank, alpha, seed):
-        rng = np.random.default_rng(seed)
-        dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
-        v = rng.normal(size=(n, rank))
-        sol = RelaxationSolution.from_factor(
-            v / np.linalg.norm(v, axis=1, keepdims=True), build_cost_matrix(dg, alpha)
-        )
+        sol = random_factor_solution(n, ce_density, rank, alpha, seed)
+        dg = sol.cost.dg
         asg = map_to_masks(sol, seed=seed)
         assert set(asg.colors) == set(dg.nodes)
         assert asg.objective == evaluate(dg, asg.colors, alpha).objective
@@ -405,22 +422,11 @@ class TestMapping:
                 moved = evaluate(dg, {**asg.colors, node: color}, alpha)
                 assert moved.objective >= asg.objective, (node, color)
 
-
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(
-        st.integers(1, 30),
-        st.sampled_from([0.1, 0.3, 0.6]),
-        st.integers(1, 8),
-        st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2)]),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(*ROUNDING_CASES)
     def test_never_above_polishing_the_cheapest_draw(self, n, ce_density, rank, alpha, seed):
-        rng = np.random.default_rng(seed)
-        dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
-        v = rng.normal(size=(n, rank))
-        sol = RelaxationSolution.from_factor(
-            v / np.linalg.norm(v, axis=1, keepdims=True), build_cost_matrix(dg, alpha)
-        )
+        sol = random_factor_solution(n, ce_density, rank, alpha, seed)
+        dg = sol.cost.dg
         ce, se = sol.cost.ce, sol.cost.se
         g = np.random.default_rng(seed).normal(size=(DRAWS, rank, 3))
         labels = np.argmax(sol.v @ g, axis=2)
@@ -430,6 +436,83 @@ class TestMapping:
         polished = local_search(dg, dict(zip(dg.nodes, cheapest.tolist())), alpha)
         asg = map_to_masks(sol, seed=seed)
         assert asg.objective <= evaluate(dg, polished, alpha).objective
+
+
+    def test_hits_the_optimum_on_small_graphs(self):
+        # measured: the rounding with three relaxation restarts and no tabu
+        # search hit the optimum on all 20
+        rng = np.random.default_rng(12)
+        hits = 0
+        for _ in range(20):
+            dg = random_graph(rng, int(rng.integers(2, 13)), ce_density=0.4)
+            asg = map_to_masks(solve_relaxation(build_cost_matrix(dg, 0.1)))
+            hits += asg.objective == brute_force_optimum(dg, 0.1).objective
+        assert hits >= 20
+
+
+def reference_tabu(links, labels, rng):
+    """``_tabu_search``'s moves with every cost summed afresh from ``links``
+    instead of read from a cost table: the same draws from ``rng``, and the
+    same candidate order, by node and then color."""
+    n = len(labels)
+    moves = TABU_ITERATIONS * n
+    picks = rng.random(moves)
+    tenures = TABU_TENURE + rng.integers(TABU_SPREAD, size=moves)
+    colors = list(labels)
+    barred_until = [[0, 0, 0] for _ in range(n)]
+
+    def node_cost(k, color):
+        return sum(weight for other, weight in links[k] if colors[other] == color)
+
+    cost = best_cost = 0
+    best = list(colors)
+    for move in range(moves):
+        allowed = []
+        for k in range(n):
+            here = node_cost(k, colors[k])
+            for color in range(3):
+                change = node_cost(k, color) - here
+                if color != colors[k] and (barred_until[k][color] <= move or change < best_cost - cost):
+                    allowed.append((change, k, color))
+        if not allowed:
+            continue
+        low = min(change for change, _, _ in allowed)
+        ties = [(k, color) for change, k, color in allowed if change == low]
+        k, color = ties[int(picks[move] * len(ties))]
+        barred_until[k][colors[k]] = move + tenures[move]
+        colors[k] = color
+        cost += low
+        if cost < best_cost:
+            best_cost, best = cost, list(colors)
+    return best
+
+
+class TestTabuSearch:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(*ROUNDING_CASES)
+    def test_matches_the_reference_and_never_rises(self, n, ce_density, rank, alpha, seed):
+        sol = random_factor_solution(n, ce_density, rank, alpha, seed)
+        ce, se = sol.cost.ce, sol.cost.se
+        links = _neighbor_links(n, ce, se, alpha)
+        # the start: the labels of one Gaussian draw, as the rounding makes them
+        start = np.argmax(sol.v @ np.random.default_rng(seed).normal(size=(rank, 3)), axis=1)
+        found = _tabu_search(links, start.tolist(), np.random.default_rng(seed))
+        assert found == _tabu_search(links, start.tolist(), np.random.default_rng(seed))
+        assert found == reference_tabu(links, start.tolist(), np.random.default_rng(seed))
+        before, after = _integer_costs(np.array([start, found]), ce, se, alpha)
+        assert after <= before
+
+    def test_rounding_leaves_a_one_opt_trap(self):
+        # two triangles on the edge (0, 2), and node 4 hanging on node 2
+        dg = DecompositionGraph.from_edges(5, ce=[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (2, 4)])
+        optimum = brute_force_optimum(dg, 0.1).objective
+        # equal rows: every draw puts all nodes on one mask, and 1-opt from
+        # any one mask stops at a conflict
+        for mask in range(3):
+            stuck = local_search(dg, dict.fromkeys(dg.nodes, mask), 0.1)
+            assert evaluate(dg, stuck, 0.1).objective > optimum
+        sol = RelaxationSolution.from_factor(np.ones((5, 1)), build_cost_matrix(dg, 0.1))
+        assert map_to_masks(sol).objective == optimum
 
 
 class TestLocalSearch:
