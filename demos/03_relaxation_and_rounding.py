@@ -23,8 +23,10 @@ ce = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]
 dg = DecompositionGraph.from_edges([1, 2, 3, 4, 5], ce=ce, se=[(1, 4)])
 
 cost = build_cost_matrix(dg, alpha=0.1)
-print("edge-weight matrix (1 = conflict pair, -0.1 = stitch pair):")
-print(cost.matrix)
+print("edge pairs and their weights (1 = conflict pair, -0.1 = stitch pair):")
+for pairs, weight in ((cost.ce, 1.0), (cost.se, -float(cost.alpha))):
+    for a, b in pairs.tolist():
+        print(f"  {cost.index[a]} - {cost.index[b]}: {weight:g}")
 
 sol = solve_relaxation(cost)
 np.set_printoptions(precision=3, suppress=True)

@@ -1,9 +1,9 @@
 """Semidefinite relaxation of mask assignment and its rounding to three masks.
 
 The relaxation has one input, ``CostMatrix``: the graph, its exact stitch
-weight, the weight matrix and the edge pairs. ``solve_relaxation`` keeps it
-in its solution, and ``map_to_masks`` rounds with the graph, pairs and
-alpha it finds there, so the rounding scores the weight the matrix holds.
+weight and the edge pairs. ``solve_relaxation`` keeps it in its solution,
+and ``map_to_masks`` rounds with the graph, pairs and alpha it finds there,
+so the rounding scores the weight the relaxation used.
 
 Each node gets a unit vector; three ideal directions at mutual angle 2*pi/3
 encode the masks, so same-mask pairs have dot product 1 and different-mask
@@ -48,24 +48,30 @@ their value to bound the optimum, and the full one makes 400-shape layouts
 at density 6 about eight times slower for a 2% better objective. A stop on
 the duality gap could retire it.
 
-The argmax compares dot products of the factor's rows, so the last bit of
-one row can change the masks, and the relaxation's floating-point sums must
-keep their order for a seeded run to repeat. The gradient therefore
-accumulates each cell as ``w @ v`` computed densely, then the hinge terms
-of the conflict pairs' first endpoints in edge order, then those of their
-second endpoints, in one ``np.bincount`` over a fixed cell index. A sparse
-``w``, another scatter or a reordered sum changes results, not only
-timings. The order is fixed within one numpy and BLAS build; a host whose
-BLAS kernels sum ``w @ v`` or ``v @ g`` in another order may round to
-other masks.
+The descent works on edge lists and never forms an n × n array. Each
+step takes the endpoint rows of all conflict and stitch pairs with one
+``take`` and forms their row dots x_e. The value is
+Σ_e w_e·x_e + mu·(‖h‖² − ‖shift‖²), with weight w_e 1 on a conflict pair
+and -alpha on a stitch pair and h the hinge on the conflict pairs; the
+first sum is ½⟨W, v vᵀ⟩ for the symmetric weight matrix W. The gradient
+gives each pair a coefficient, 1 − 2·mu·h_e on a conflict pair and -alpha
+on a stitch pair, multiplies it by the other endpoint's row and sums into
+the rows with one ``np.bincount``. So a step costs O(|E|·r) time and
+memory. On a 3000-node graph of 5993 conflict pairs, one 71-iteration
+descent took 1.70 s and peaked at 70.8 MiB in ``tracemalloc`` with a dense
+n × n weight matrix, and takes 0.09 s and 4.5 MiB on edge lists (one BLAS
+thread, 2-CPU x86-64 host).
 
-The factor is the relaxation's only state: the objective, the constraint
-violation and the rounding read its rows, and the Gram matrix X = v vᵀ is
-never stored. Two n × n arrays remain. The cost matrix stays dense because
-its ``w @ v`` is the accumulation order above. ``_rank_reduced``
-eigendecomposes the Gram matrix: a thin SVD of the factor spans the same
-subspace but rounds otherwise, and moved the held-out ``dense`` objective
-from 485.4 to 491.3.
+The argmax compares dot products of the factor's rows, so the last bit of
+one row can change the masks. A seeded run therefore repeats byte for
+byte on one host, under one numpy and BLAS build; a host whose kernels
+sum the row dots, ``v @ g`` or the scatter in another order may round to
+other masks. ``_rank_reduced`` still eigendecomposes the n × n Gram
+matrix outside the descent: a thin SVD of the factor spans the same
+subspace but rounds otherwise, and scored 636.3 against 623.4 on
+``generate_layout(2000, 6, seed=1)``, 121.0 against 118.1 on
+``generate_layout(400, 6, seed=1)`` and 478.2 against 468.2 on the
+benchmark's main ``dense`` corpus.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,14 +138,13 @@ def discrete_vector_objective(colors: dict[int, int], dg: DecompositionGraph, al
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """The relaxation's input. ``matrix`` is symmetric: 1 on conflict pairs,
-    -alpha on stitch pairs, 0 elsewhere (zero diagonal), row k for node
-    ``index[k]``. ``ce`` and ``se`` are the conflict and stitch edges as
-    sorted pairs of those positions, one row each."""
+    """The relaxation's input, the weight matrix as edge lists: weight 1 on
+    the conflict pairs ``ce``, -``alpha`` on the stitch pairs ``se`` and 0
+    elsewhere. Both are sorted pairs of node positions, one row each, and
+    position k is node ``index[k]``."""
 
     dg: DecompositionGraph
     alpha: Fraction
-    matrix: np.ndarray
     ce: np.ndarray
     se: np.ndarray
 
@@ -148,13 +154,8 @@ class CostMatrix:
 
 
 def build_cost_matrix(dg: DecompositionGraph, alpha) -> CostMatrix:
-    frac = as_fraction(alpha)
-    n = len(dg.nodes)
     ce, se = _edge_positions(dg)
-    m = np.zeros((n, n))
-    m[ce[:, 0], ce[:, 1]] = m[ce[:, 1], ce[:, 0]] = 1.0
-    m[se[:, 0], se[:, 1]] = m[se[:, 1], se[:, 0]] = -float(frac)
-    return CostMatrix(dg=dg, alpha=frac, matrix=m, ce=ce, se=se)
+    return CostMatrix(dg=dg, alpha=as_fraction(alpha), ce=ce, se=se)
 
 
 @dataclass(frozen=True)
@@ -206,58 +207,69 @@ def _max_violation(v, ce) -> float:
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
+    norms = np.sqrt((v * v) @ np.ones(v.shape[1]))
     norms[norms == 0.0] = 1.0
-    return v / norms
+    return v / norms[:, None]
 
 
-def _penalized_value(v, w, mu, ce, shift):
-    """Objective plus quadratic wall penalty.
+class _EdgeTerms(NamedTuple):
+    """The pairs of a ``CostMatrix`` laid out for a factor of ``rank``
+    columns, conflict pairs first. ``v.take(ends, axis=0)`` stacks every
+    pair's first endpoint row over its second's, and ``cells`` sends each of
+    those rows to the flat gradient cells of the pair's other endpoint."""
+
+    ends: np.ndarray
+    weight: np.ndarray  # 1 per conflict pair, -alpha per stitch pair
+    cells: np.ndarray
+    conflicts: int
+    ones: np.ndarray  # a product with it sums each row
+
+
+def _edge_terms(cost: CostMatrix, rank: int) -> _EdgeTerms:
+    pairs = np.concatenate([cost.ce, cost.se])
+    weight = np.concatenate([np.ones(len(cost.ce)), np.full(len(cost.se), -float(cost.alpha))])
+    others = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    cells = (others[:, None] * rank + np.arange(rank)).ravel()
+    return _EdgeTerms(pairs.T.ravel(), weight, cells, len(cost.ce), np.ones(rank))
+
+
+def _penalized_value(v, edges: _EdgeTerms, mu, shift):
+    """Objective plus quadratic wall penalty: Σ_e w_e·x_e over the pairs'
+    row dots x, plus mu·(‖h‖² − ‖shift‖²) over the conflict pairs' hinge h.
 
     ``shift`` (multiplier estimates divided by 2*mu) moves each hinge so the
     walls can be enforced exactly without driving mu to stiffness; zero shift
-    is the plain penalty. Besides the value, returns the hinge, ``w @ v`` and
-    the conflict pairs' endpoint rows, which the gradient at ``v`` reuses.
+    is the plain penalty. Besides the value, returns the hinge and the
+    endpoint rows, which the gradient at ``v`` reuses.
     """
-    wv = w @ v
-    head, tail = v[ce[:, 0]], v[ce[:, 1]]
-    x_ce = (head * tail).sum(axis=1)
-    base = 0.5 * float(np.sum(wv * v))
-    raw = -0.5 - x_ce
-    hinge = np.maximum(0.0, raw + shift)
-    return base + mu * float(hinge @ hinge - shift @ shift), hinge, wv, head, tail
+    rows = v.take(edges.ends, axis=0)
+    m = len(edges.weight)
+    x = (rows[:m] * rows[m:]) @ edges.ones
+    hinge = np.maximum(0.0, -0.5 - x[: edges.conflicts] + shift)
+    return float(edges.weight @ x) + mu * float(hinge @ hinge - shift @ shift), hinge, rows
 
 
-def _scatter_cells(ce, n, rank):
-    """Flat cell index of the gradient's accumulation: every cell of
-    ``w @ v`` in order, then the first endpoints' rows in edge order, then
-    the second endpoints'."""
-    cols = np.arange(rank)
-    return np.concatenate(
-        [np.arange(n * rank), (ce[:, 0, None] * rank + cols).ravel(),
-         (ce[:, 1, None] * rank + cols).ravel()]
-    )
-
-
-def _riemannian_grad(v, mu, hinge, wv, head, tail, cells):
+def _riemannian_grad(v, edges: _EdgeTerms, mu, hinge, rows):
     """Gradient on the sphere from the parts ``_penalized_value`` returned
-    at ``v``; ``cells`` is ``_scatter_cells`` for ``v``'s conflict pairs."""
-    grad = wv
-    if len(hinge) and mu and hinge.any():
-        coef = -2.0 * mu * hinge[:, None]
-        terms = np.concatenate([wv, coef * tail, coef * head]).ravel()
-        grad = np.bincount(cells, weights=terms, minlength=wv.size).reshape(wv.shape)
-    radial = (grad * v).sum(axis=1, keepdims=True)
-    return grad - radial * v
+    at ``v``: each pair's coefficient times the other endpoint's row, summed
+    into the rows, less its radial part."""
+    m = len(edges.weight)
+    coef = np.concatenate([1.0 - 2.0 * mu * hinge, edges.weight[edges.conflicts:]])
+    terms = rows.reshape(2, m, v.shape[1]) * coef[:, None]
+    grad = np.bincount(edges.cells, weights=terms.ravel(), minlength=v.size).reshape(v.shape)
+    radial = (grad * v) @ edges.ones
+    return grad - radial[:, None] * v
 
 
-def _lipschitz_bound(w, mu, ce) -> float:
-    degree = np.bincount(ce.ravel(), minlength=len(w))
-    row = float(np.abs(w).sum(axis=1).max()) if len(w) else 1.0
-    return max(1.0, row + 2.0 * mu * float(degree.max(initial=0)))
+def _lipschitz_bound(edges: _EdgeTerms, mu) -> float:
+    """A step bound from the weight matrix's largest absolute row sum (the
+    weighted degree) and the most conflict pairs at one node."""
+    row = np.bincount(edges.ends, weights=np.tile(np.abs(edges.weight), 2))
+    degree = np.bincount(edges.ends.reshape(2, -1)[:, : edges.conflicts].ravel())
+    return max(1.0, float(row.max(initial=0.0)) + 2.0 * mu * float(degree.max(initial=0)))
 
 
-def _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall=None):
+def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift, stall=None):
     """Projected gradient with spectral (Barzilai-Borwein) steps and a
     nonmonotone backtracking safeguard; rows are renormalized every step.
     The descent ends when the gradient norm falls below ``GRAD_TOL``.
@@ -266,10 +278,9 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall=None):
     has not improved by ``stall * (1 + |best|)`` for ``STALL_WINDOW``
     iterations. Returns the factor, its gradient norm and the iterations run.
     """
-    cells = _scatter_cells(ce, *v.shape)
-    value, *parts = _penalized_value(v, w, mu, ce, shift)
-    grad = _riemannian_grad(v, mu, *parts, cells)
-    safe_step = 1.0 / _lipschitz_bound(w, mu, ce)
+    value, *parts = _penalized_value(v, edges, mu, shift)
+    grad = _riemannian_grad(v, edges, mu, *parts)
+    safe_step = 1.0 / _lipschitz_bound(edges, mu)
     step = safe_step
     memory = [value]
     fresh_step = False
@@ -277,7 +288,7 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall=None):
     for _ in range(max_iters):
         if stall is not None and idle >= STALL_WINDOW:
             break
-        gnorm = float(np.sqrt((grad * grad).sum()))
+        gnorm = math.sqrt(np.vdot(grad, grad))
         if gnorm < GRAD_TOL:
             break
         iterations += 1
@@ -287,7 +298,7 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall=None):
         reference = max(memory)
         for _ in range(25):
             v_new = _normalize_rows(v - trial_step * grad)
-            value_new, *parts_new = _penalized_value(v_new, w, mu, ce, shift)
+            value_new, *parts_new = _penalized_value(v_new, edges, mu, shift)
             if value_new <= reference - 1e-4 * trial_step * gnorm * gnorm:
                 accepted = True
                 break
@@ -300,11 +311,10 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall=None):
             fresh_step = True
             continue
         fresh_step = False
-        grad_new = _riemannian_grad(v_new, mu, *parts_new, cells)
-        dv = (v_new - v).ravel()
-        dg_ = (grad_new - grad).ravel()
-        denom = float(dv @ dg_)
-        step = float(dv @ dv) / denom if denom > 1e-16 else trial_step * 2.0
+        grad_new = _riemannian_grad(v_new, edges, mu, *parts_new)
+        dv = v_new - v
+        denom = float(np.vdot(dv, grad_new - grad))
+        step = float(np.vdot(dv, dv)) / denom if denom > 1e-16 else trial_step * 2.0
         step = min(max(step, 1e-12), 1e3)
         v, value, grad = v_new, value_new, grad_new
         memory.append(value)
@@ -312,7 +322,7 @@ def _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall=None):
             memory.pop(0)
         if stall is not None and value < best - stall * (1.0 + abs(best)):
             best, idle = value, 0
-    return v, float(np.sqrt((grad * grad).sum())), iterations
+    return v, math.sqrt(np.vdot(grad, grad)), iterations
 
 
 def _rank_reduced(v):
@@ -353,14 +363,15 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     a small final gradient and a small constraint violation of that run.
     """
     n = len(cost.index)
-    ce, w = cost.ce, cost.matrix
+    ce = cost.ce
+    edges = _edge_terms(cost, min(n, RANK))
     # the size rule of the module docstring
     shift_rounds, max_iters, stall = (12, 400, None) if n <= 16 else (5, 200, STALL_TOL)
     no_shift = np.zeros(len(ce))
 
     def descend(v, mu, shift):
         nonlocal iterations
-        v, grad_norm, used = _minimize_on_sphere(v, w, mu, ce, max_iters, shift, stall)
+        v, grad_norm, used = _minimize_on_sphere(v, edges, mu, max_iters, shift, stall)
         iterations += used
         return v, grad_norm
 
@@ -378,7 +389,7 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     previous_norm = None
     stall_rounds = 0
     for _ in range(shift_rounds):
-        _, shift, *_ = _penalized_value(v, w, mu, ce, shift)
+        _, shift, _ = _penalized_value(v, edges, mu, shift)
         v, grad_norm = descend(v, mu, shift)
         violation = _max_violation(v, ce)
         if _certified(grad_norm, violation):
@@ -390,8 +401,8 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
         v_cut = _rank_reduced(v)  # flat-saddle escape
         if v_cut is not None:
             v_cut, grad_cut = descend(v_cut, mu, shift)
-            f_old, *_ = _penalized_value(v, w, mu, ce, shift)
-            f_new, *_ = _penalized_value(v_cut, w, mu, ce, shift)
+            f_old, *_ = _penalized_value(v, edges, mu, shift)
+            f_new, *_ = _penalized_value(v_cut, edges, mu, shift)
             if f_new <= f_old + 1e-12:
                 v, grad_norm = v_cut, grad_cut
                 violation = _max_violation(v, ce)
@@ -436,59 +447,109 @@ def _one_opt(links, labels: list[int]) -> list[int]:
     return labels
 
 
+def _take(buckets: dict[int, set[int]], key: int, candidate: int) -> None:
+    """Remove ``candidate`` from the bucket ``key``, and the bucket once empty."""
+    entries = buckets[key]
+    entries.remove(candidate)
+    if not entries:
+        del buckets[key]
+
+
 def _tabu_search(links, labels: list[int], rng) -> list[int]:
     """TabuCol (Hertz & de Werra 1987; Galinier & Hao 1999) on a label list
     indexed like ``links``: ``TABU_ITERATIONS`` moves per node, each the
     recoloring of one node that changes the cost least, ties broken by
-    ``rng``. A move bars its node from its old color for ``TABU_TENURE``
-    plus a draw from [0, ``TABU_SPREAD``) moves, unless returning reaches a
-    cost below the best so far. The tie breaks and tenures are drawn from
-    ``rng`` up front. Returns the cheapest coloring seen, so never one
-    costlier than ``labels``.
+    ``rng`` over the candidates in order of node, then color. A move bars
+    its node from its old color for ``TABU_TENURE`` plus a draw from
+    [0, ``TABU_SPREAD``) moves, unless returning reaches a cost below the
+    best so far. The tie breaks and tenures are drawn from ``rng`` up front.
+    Returns the cheapest coloring seen, so never one costlier than
+    ``labels``.
+
+    A move costs O(degree), as in Galinier & Hao's incremental evaluation.
+    Every candidate, the recoloring of node k to a color c other than its
+    own, numbered 3k + c, sits in a bucket keyed by its cost change: free
+    candidates in one dict of buckets, barred ones in another, so the
+    cheapest allowed candidates are found among the lowest keys. A move
+    rekeys only the candidates of the moved node and its neighbors, and a
+    release list frees each barred candidate when its tenure ends.
     """
     n = len(labels)
     moves = TABU_ITERATIONS * n
-    picks = rng.random(moves)
-    tenures = TABU_TENURE + rng.integers(TABU_SPREAD, size=moves)
-    neighbors = [np.array([other for other, _ in node_links], dtype=np.intp) for node_links in links]
-    weights = [np.array([weight for _, weight in node_links], dtype=np.int64) for node_links in links]
-    rows = [np.append(neighbors[k], k) for k in range(n)]
-    # table[k, c]: node k's cost on color c, up to a constant, as in _one_opt
-    table = np.zeros((n, 3), dtype=np.int64)
+    picks = rng.random(moves).tolist()
+    tenures = (TABU_TENURE + rng.integers(TABU_SPREAD, size=moves)).tolist()
+    colors = list(labels)
+    # the nodes whose candidates a move of node k changes: k and its neighbors
+    touched = [[k] + [other for other, _ in node_links] for k, node_links in enumerate(links)]
+    # table[k][c]: node k's cost on color c, up to a constant, as in _one_opt
+    table = [[0, 0, 0] for _ in range(n)]
     for k, node_links in enumerate(links):
         for other, weight in node_links:
-            table[k, labels[other]] += weight
-    colors = np.array(labels, dtype=np.intp)
-    positions = np.arange(n)
-    # delta[k, c]: the cost change of recoloring node k to c
-    delta = table - table[positions, colors][:, None]
-    # a move is barred before barred_until; the current colors never move
-    never = np.iinfo(np.int64).max
-    barred_until = np.zeros((n, 3), dtype=np.int64)
-    barred_until[positions, colors] = never
-    flat_delta, flat_barred = delta.ravel(), barred_until.ravel()
+            table[k][colors[other]] += weight
+    # per candidate: its cost change, and while barred the move that frees it
+    delta = [0] * (3 * n)
+    barred_until = [0] * (3 * n)
+    free: dict[int, set[int]] = {}
+    barred: dict[int, set[int]] = {}
+    release: list[list[int]] = [[] for _ in range(moves)]
+    for k, row in enumerate(table):
+        for c in range(3):
+            if c != colors[k]:
+                delta[3 * k + c] = change = row[c] - row[colors[k]]
+                free.setdefault(change, set()).add(3 * k + c)
     cost = best_cost = 0  # relative to the start
-    best = colors.copy()
+    best = list(colors)
     for move in range(moves):
-        masked = np.where((flat_barred <= move) | (flat_delta < best_cost - cost), flat_delta, never)
-        low = masked.min()
-        if low == never:
+        for i in release[move]:
+            if barred_until[i] == move:  # not taken or barred again since
+                barred_until[i] = 0
+                _take(barred, delta[i], i)
+                free.setdefault(delta[i], set()).add(i)
+        # aspiration: a barred candidate is allowed below this cost change
+        aspiration = best_cost - cost
+        low = min(free, default=None)
+        low_barred = min(barred, default=aspiration)
+        if low_barred < aspiration and (low is None or low_barred < low):
+            low = low_barred
+        if low is None:
             continue
-        choices = (masked == low).nonzero()[0]
-        k, color = divmod(int(choices[int(picks[move] * len(choices))]), 3)
+        ties = list(free.get(low, ()))
+        if low < aspiration:
+            ties.extend(barred.get(low, ()))
+        ties.sort()
+        chosen = ties[int(picks[move] * len(ties))]
+        k, color = divmod(chosen, 3)
         old = colors[k]
         colors[k] = color
-        table[neighbors[k], old] -= weights[k]
-        table[neighbors[k], color] += weights[k]
-        changed = rows[k]
-        delta[changed] = table[changed] - table[changed, colors[changed]][:, None]
-        barred_until[k, old] = move + tenures[move]
-        barred_until[k, color] = never
-        cost += int(low)
+        _take(barred if barred_until[chosen] > move else free, delta[chosen], chosen)
+        delta[chosen] = barred_until[chosen] = 0
+        back = 3 * k + old
+        barred_until[back] = until = move + tenures[move]
+        if until < moves:
+            release[until].append(back)
+        for other, weight in links[k]:
+            row = table[other]
+            row[old] -= weight
+            row[color] += weight
+        delta[back] = table[k][old] - table[k][color]
+        barred.setdefault(delta[back], set()).add(back)
+        for j in touched[k]:
+            row = table[j]
+            for c in range(3):
+                i = 3 * j + c
+                if c == colors[j] or i == back:
+                    continue
+                change = row[c] - row[colors[j]]
+                if change != delta[i]:
+                    bucket = barred if barred_until[i] > move else free
+                    _take(bucket, delta[i], i)
+                    bucket.setdefault(change, set()).add(i)
+                    delta[i] = change
+        cost += low
         if cost < best_cost:
             best_cost = cost
-            best = colors.copy()
-    return best.tolist()
+            best = list(colors)
+    return best
 
 
 def _integer_costs(labels: np.ndarray, ce, se, frac) -> np.ndarray:

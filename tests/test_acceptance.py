@@ -91,9 +91,10 @@ def test_criterion_3_relaxation_lower_bound(stall_tolerances):
         # the bound is vacuous if certification hardly ever fires
         assert converged >= 50, f"only {converged}/100 runs certified convergence"
         # relaxations of at most 16 nodes run without the stall stop; the
-        # count is the one measured since the relaxation runs once
+        # count is the one measured since the relaxation runs once on edge
+        # lists
         assert stall_tolerances and all(tol is None for tol in stall_tolerances)
-        assert converged == 79, f"{converged}/100 runs certified convergence, expected 79"
+        assert converged == 80, f"{converged}/100 runs certified convergence, expected 80"
 
 
 def test_criterion_4_reductions_preserve_optimality():
