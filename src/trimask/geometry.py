@@ -13,9 +13,14 @@ fraction; clamped at ``ceil(min_s)`` the squares stay inside int64. The test
 is exact for every finite ``min_s`` up to ``MIN_S_LIMIT``.
 
 Pair queries over the shapes (the layout graph's conflict pairs and the
-disjointness check) are a sort and sweep along one axis, costing
-O(n log n + candidates) time and memory, where the candidates are the pairs
-within reach along the swept axis; no n×n array is built.
+disjointness check) go through ``_near_pairs``: it lists every pair whose x
+and y gaps are both below the reach, once, among candidates for the exact
+test. It sorts and sweeps along one axis and, when that sweep pairs many
+shapes of one row, sweeps within strips across the other axis instead. It
+costs O(n log n + candidates) time and memory, where the candidates are
+the pairs within reach along the swept axis that share a strip; no n×n
+array is built. On ``generate_layout(5000, 2)`` that is about 5k candidates
+for about 5k conflict pairs, where the sweep alone listed 174k.
 """
 
 from __future__ import annotations
@@ -137,32 +142,105 @@ def _check_disjoint(shapes: tuple[Shape, ...], r: np.ndarray) -> None:
 
 def _near_pairs(r: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(i, j)``, ``i < j``, of rectangles ``r`` (rows of
-    ``x_lo, y_lo, x_hi, y_hi``) whose signed gap along the sweep axis is
-    below ``reach``, each pair once and in no particular order.
+    ``x_lo, y_lo, x_hi, y_hi``), each pair once and in no particular order.
+    Every pair whose x and y gaps are both below ``reach`` is listed; the
+    others listed are candidates for the caller to test.
 
-    Sorted by low edge, a rectangle ``a`` and a later ``b`` have signed gap
-    ``lo[b] - hi[a]`` (negative when their extents overlap), so the later
-    rectangles within reach of ``a`` form one run that ``searchsorted``
-    finds. Both axes are counted and the one listing fewer pairs is swept,
-    so a column of vertical wires costs no more than a row of horizontal
-    ones. Needs ``reach >= 0`` and ``lo < hi`` on every row.
+    Both axes are swept (``_sweep``) and the one listing fewer pairs is
+    kept, so a column of vertical wires costs no more than a row of
+    horizontal ones. When that sweep would list more than about four
+    candidates per rectangle, the rectangles are first bucketed into strips
+    across the other axis (``_strip_pairs``), so the wires of one row are
+    no longer all paired with each other. Needs ``reach >= 0`` and
+    ``lo < hi`` on every row.
     """
     n = len(r)
     best = None
     for axis in (0, 1):
-        order = np.argsort(r[:, axis], kind="stable")
-        end = np.searchsorted(r[order, axis], r[order, axis + 2] + reach, side="left")
+        order, end = _sweep(r, reach, axis)
         counts = end - np.arange(1, n + 1)
         total = int(counts.sum())
         if best is None or total < best[0]:
-            best = (total, order, counts)
-    total, order, counts = best
-    first = np.repeat(np.arange(n), counts)
+            best = (total, axis, order, end, counts)
+    total, axis, order, end, counts = best
+    # the strip pass costs about as much as the sweep spends on four
+    # candidates a rectangle plus 1024 in all (measured on a 2-CPU x86-64
+    # host), so smaller sweeps are listed as they are; a layout of at most
+    # 49 rectangles never reaches the strip pass
+    if total > 4 * n + 1024:
+        a, b = _strip_pairs(r, reach, axis, order, end)
+    else:
+        first, second = _windows(counts)
+        a, b = order[first], order[second]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _sweep(r: np.ndarray, reach: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rectangles ``r`` in order of their low edge along ``axis``, and for
+    each position ``p`` in that order the end of the run of later positions
+    whose signed gap to ``p`` along ``axis`` is below ``reach``.
+
+    A rectangle ``a`` and a later ``b`` have signed gap ``lo[b] - hi[a]``
+    (negative when their extents overlap), so those later rectangles are
+    the ones whose low edge lies below ``hi[a] + reach``, and
+    ``searchsorted`` finds where they end.
+    """
+    order = np.argsort(r[:, axis], kind="stable")
+    end = np.searchsorted(r[order, axis], r[order, axis + 2] + reach, side="left")
+    return order, end
+
+
+def _windows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``(p, q)`` with ``p < q <= p + counts[p]``."""
+    first = np.repeat(np.arange(len(counts)), counts)
     # a pair's rank within its window, shifted past the window's own row
     starts = np.cumsum(counts) - counts
-    second = first + 1 + np.arange(total) - np.repeat(starts, counts)
-    a, b = order[first], order[second]
-    return np.minimum(a, b), np.maximum(a, b)
+    second = first + 1 + np.arange(len(first)) - np.repeat(starts, counts)
+    return first, second
+
+
+def _strip_pairs(
+    r: np.ndarray, reach: int, axis: int, order: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep ``order, end = _sweep(r, reach, axis)`` run within strips
+    across the other axis: index pairs, each once, whose gap along ``axis``
+    is below ``reach`` and that share a strip, which every pair within
+    ``reach`` on both axes does.
+
+    The strips are ``h`` wide. Along the other axis a rectangle covers
+    ``[lo, hi + reach)``, and two rectangles whose gap there is below
+    ``reach`` have covers that meet at the later low edge, in the later
+    one's first strip. So a rectangle joins only the strips its cover meets
+    that are some rectangle's first strip, and a pair is kept only in the
+    first strip both join. ``h`` is at least ``reach`` and the mean extent,
+    so there are fewer than ``4 n`` memberships, whatever the coordinates.
+
+    One sorted int64 key per membership, strip rank × (n + 1) + sweep
+    position, lists each strip's rectangles in sweep order, and the run a
+    rectangle is paired with ends at its strip's key of ``end``. The ranks
+    stay below ``n``, so no coordinate is multiplied.
+    """
+    n = len(r)
+    lo, hi = r[order, 1 - axis], r[order, 3 - axis]
+    h = max(reach, math.ceil((hi - lo).mean()))
+    first_strip = lo // h
+    # the distinct first strips, sorted (np.unique would import numpy.ma)
+    heads = np.sort(first_strip)
+    heads = heads[np.concatenate(([True], heads[1:] != heads[:-1]))]
+    rank = np.searchsorted(heads, first_strip)
+    joined = np.searchsorted(heads, (hi + reach - 1) // h, side="right") - rank
+    w = n + 1
+    # the t-th strip that position p joins gets key (rank[p] + t) * w + p
+    starts = np.cumsum(joined) - joined
+    key = np.repeat((rank - starts) * w + np.arange(n), joined)
+    key += np.arange(len(key)) * w
+    key.sort()
+    strip, pos = np.divmod(key, w)
+    stop = np.searchsorted(key, key - pos + end[pos], side="left")
+    first, second = _windows(stop - np.arange(1, len(key) + 1))
+    p, q = pos[first], pos[second]
+    keep = strip[first] == np.maximum(rank[p], rank[q])
+    return order[p[keep]], order[q[keep]]
 
 
 def _axis_gaps(r: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,16 +355,6 @@ def build_layout_graph(layout: Layout) -> LayoutGraph:
     return LayoutGraph(nodes=tuple(ids), edges=edges)
 
 
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[list[int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
-
-
 def stitch_candidates(layout: Layout, lg: LayoutGraph, shape_id: int) -> list[int]:
     """Legal split positions along one shape's long axis.
 
@@ -295,42 +363,40 @@ def stitch_candidates(layout: Layout, lg: LayoutGraph, shape_id: int) -> list[in
     midpoint, kept only when the midpoint clears both shape ends and the
     adjacent covers by at least the overlap margin.
     """
-    shape = layout.shape_by_id[shape_id]
-    x_lo, y_lo, x_hi, y_hi = shape.rect
-    horizontal = (x_hi - x_lo) >= (y_hi - y_lo)
-    lo, hi = (x_lo, x_hi) if horizontal else (y_lo, y_hi)
-    margin = layout.params.overlap_margin
+    by_id = layout.shape_by_id
+    rect = by_id[shape_id].rect
+    others = [by_id[other].rect for other in lg.adjacency[shape_id]]
+    return _cuts(rect, others, layout.params.overlap_margin)
 
-    covers = []
-    for other in lg.adjacency[shape_id]:
-        o = layout.shape_by_id[other].rect
-        c_lo, c_hi = (o[0], o[2]) if horizontal else (o[1], o[3])
-        c_lo, c_hi = max(c_lo, lo), min(c_hi, hi)
-        if c_lo < c_hi:
-            covers.append((c_lo, c_hi))
-    covers = _merge_intervals(covers)
 
-    # only spans strictly between two covered regions qualify: splitting an
-    # unconstrained stretch separates no conflicts
-    uncovered = [
-        (prev_hi, next_lo)
-        for (_, prev_hi), (next_lo, _) in zip(covers, covers[1:])
-        if prev_hi < next_lo
-    ]
+def _horizontal(rect: Rect) -> bool:
+    return rect[2] - rect[0] >= rect[3] - rect[1]
 
+
+def _cuts(rect: Rect, others: list[Rect], margin) -> list[int]:
+    """``stitch_candidates`` of ``rect`` against its neighbors' rectangles."""
+    a = 0 if _horizontal(rect) else 1
+    lo, hi = rect[a], rect[a + 2]
+    covers = sorted([(max(o[a], lo), min(o[a + 2], hi)) for o in others])
     out = []
-    for u_lo, u_hi in uncovered:
-        mid = (u_lo + u_hi) // 2
-        if mid - lo < margin or hi - mid < margin:
+    covered = None  # the high end of the covers merged so far
+    for c_lo, c_hi in covers:
+        if c_lo >= c_hi:
             continue
-        if mid - u_lo < margin or u_hi - mid < margin:
-            continue
-        out.append(mid)
+        # only spans strictly between two covered regions qualify: splitting
+        # an unconstrained stretch separates no conflicts. The covers lie
+        # within the shape, so a midpoint that clears them clears its ends
+        if covered is not None and covered < c_lo:
+            mid = (covered + c_lo) // 2
+            if mid - covered >= margin and c_lo - mid >= margin:
+                out.append(mid)
+        covered = c_hi if covered is None else max(covered, c_hi)
     return out
 
 
-def _split_rect(rect: Rect, cuts: list[int], horizontal: bool) -> list[Rect]:
+def _split_rect(rect: Rect, cuts: list[int]) -> list[Rect]:
     x_lo, y_lo, x_hi, y_hi = rect
+    horizontal = _horizontal(rect)
     lo, hi = (x_lo, x_hi) if horizontal else (y_lo, y_hi)
     bounds = [lo] + sorted(cuts) + [hi]
     pieces = []
@@ -358,14 +424,17 @@ def project_and_split(
     """
     split_nodes = set(lg.nodes if split_nodes is None else split_nodes)
     shapes = sorted(layout.shapes, key=lambda s: s.id)
+    rect_of = {s.id: s.rect for s in shapes}
+    margin = layout.params.overlap_margin
+    adjacency = lg.adjacency
     segments: list[Segment] = []
     se: set[Pair] = set()
     first, count = [], []  # per shape: its first segment id and piece count
     for shape in shapes:
-        x_lo, y_lo, x_hi, y_hi = shape.rect
-        horizontal = (x_hi - x_lo) >= (y_hi - y_lo)
-        cuts = stitch_candidates(layout, lg, shape.id) if shape.id in split_nodes else []
-        pieces = _split_rect(shape.rect, cuts, horizontal) if cuts else [shape.rect]
+        cuts = []
+        if shape.id in split_nodes:
+            cuts = _cuts(shape.rect, [rect_of[o] for o in adjacency[shape.id]], margin)
+        pieces = _split_rect(shape.rect, cuts) if cuts else [shape.rect]
         first.append(len(segments))
         count.append(len(pieces))
         for rect in pieces:

@@ -18,6 +18,8 @@ from trimask.geometry import (
     _check_disjoint,
     _near_pairs,
     _rect_array,
+    _strip_pairs,
+    _sweep,
     build_layout_graph,
     layout_from_dict,
     layout_to_dict,
@@ -323,6 +325,25 @@ def rects(draw, max_size=30, span=400, max_len=300):
     return out
 
 
+@st.composite
+def far_rects(draw, max_size=30):
+    """Rectangles near the origin or within 2**30 of ±COORD_LIMIT, each
+    coordinate on its own, in units of 1 or 2**20."""
+    unit = draw(st.sampled_from([1, 2**20]))
+    bases = st.sampled_from([-350 * unit, -COORD_LIMIT, COORD_LIMIT - 700 * unit])
+    out = []
+    for _ in range(draw(st.integers(2, max_size))):
+        x = draw(bases) + draw(st.integers(0, 400)) * unit
+        y = draw(bases) + draw(st.integers(0, 400)) * unit
+        w = draw(st.integers(1, 300)) * unit
+        h = draw(st.integers(1, 300)) * unit
+        out.append((x, y, x + w, y + h))
+    return out
+
+
+REACH = (st.sampled_from([0, 1, 85]) | st.integers(0, 300).map(lambda k: k * 2**20)
+         | st.just(2**30))
+
 HYPOTHESIS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
 MIN_S = st.one_of(
@@ -391,7 +412,7 @@ class TestLayoutDocuments:
 class TestSweepOracle:
     @HYPOTHESIS
     @given(rects(), st.sampled_from([0, 1, 30, 85]))
-    def test_near_pairs_sweeps_the_smaller_axis_exactly(self, rs, reach):
+    def test_near_pairs_lists_every_close_pair_once(self, rs, reach):
         if len(rs) < 2:
             return
         r = np.array(rs, dtype=np.int64)
@@ -400,8 +421,44 @@ class TestSweepOracle:
         assert len(got) == len(set(got))
         assert all(a < b for a, b in got)
         by_x, by_y = axis_pairs(r, 0, reach), axis_pairs(r, 1, reach)
-        assert set(got) in (by_x, by_y)
-        assert len(got) == min(len(by_x), len(by_y))
+        assert by_x & by_y <= set(got)
+        assert len(got) <= min(len(by_x), len(by_y))
+
+    @HYPOTHESIS
+    @given(far_rects(), REACH)
+    def test_strip_pass_lists_every_close_pair_once(self, rs, reach):
+        # the strip pass run on its own, since _near_pairs takes it only
+        # for inputs too large for a brute-force reference
+        r = np.array(rs, dtype=np.int64)
+        by_x, by_y = axis_pairs(r, 0, reach), axis_pairs(r, 1, reach)
+        for axis, swept in ((0, by_x), (1, by_y)):
+            i, j = _strip_pairs(r, reach, axis, *_sweep(r, reach, axis))
+            got = [(min(a, b), max(a, b)) for a, b in zip(i.tolist(), j.tolist())]
+            assert len(got) == len(set(got))
+            assert all(a != b for a, b in got)
+            assert by_x & by_y <= set(got) <= swept
+
+    @pytest.mark.parametrize("density", [2, 6])
+    def test_generated_layouts_take_the_strip_path(self, density):
+        layout = generate_layout(300, density, seed=1)
+        r = _rect_array(layout.shapes)
+        n = len(r)
+        sweeps = [_sweep(r, 85, axis)[1] - np.arange(1, n + 1) for axis in (0, 1)]
+        assert min(int(c.sum()) for c in sweeps) > 4 * n + 1024
+        assert_matches_reference([s.rect for s in layout.shapes])
+        shifted = [(x - 2**59, y + 2**59, u - 2**59, v + 2**59) for x, y, u, v in
+                   (s.rect for s in layout.shapes)]
+        assert_matches_reference(shifted)
+        x, y, u, v = layout.shapes[150].rect
+        bad = layout.shapes + (Shape(-1, (x + 1, y + 1, u + 1, v + 1)),)
+        assert overlap_error(bad) == reference_overlap_error(bad) is not None
+
+    def test_sparse_layout_lists_few_more_candidates_than_edges(self):
+        # the sweep alone listed 174,385 candidates for 4,929 edges
+        layout = generate_layout(5000, 2, seed=1)
+        r = _rect_array(layout.shapes)
+        i, _ = _near_pairs(r, math.ceil(layout.params.min_s))
+        assert len(i) <= 2 * len(build_layout_graph(layout).edges)
 
     @HYPOTHESIS
     @given(rects(), MIN_S, st.randoms(use_true_random=False))
@@ -485,7 +542,8 @@ class TestSweepOracle:
 
 
 def test_layout_graph_memory_stays_linear(tmp_path):
-    # the n×n gap matrices of 5000 shapes took 764 MiB
+    # the n×n gap matrices of 5000 shapes took 764 MiB, and the candidate
+    # pairs of a sweep without strips about 21 MiB
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps(layout_to_dict(generate_layout(5000, 2, seed=1))))
     tracemalloc.start()
@@ -494,7 +552,7 @@ def test_layout_graph_memory_stays_linear(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 8 * 2**20
 
 
 # --- exact reference for the conflict edges of project_and_split ------------
