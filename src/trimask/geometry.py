@@ -163,10 +163,12 @@ def _near_pairs(r: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
         if best is None or total < best[0]:
             best = (total, axis, order, end, counts)
     total, axis, order, end, counts = best
-    # the strip pass costs about as much as the sweep spends on four
-    # candidates a rectangle plus 1024 in all (measured on a 2-CPU x86-64
-    # host), so smaller sweeps are listed as they are; a layout of at most
-    # 49 rectangles never reaches the strip pass
+    # the strip pass has a fixed numpy cost that a small sweep never earns
+    # back: on 20-rectangle layouts it takes 1.75 times as long as listing
+    # the sweep's pairs, and on generated layouts of 200-400 rectangles the
+    # two break even between 1300 and 3800 candidates (2-CPU x86-64 host).
+    # So smaller sweeps are listed as they are; a layout of at most 49
+    # rectangles never reaches the strip pass
     if total > 4 * n + 1024:
         a, b = _strip_pairs(r, reach, axis, order, end)
     else:
@@ -422,18 +424,25 @@ def project_and_split(
     and the close pairs are inserted in row-major order, as in
     ``build_layout_graph``.
     """
-    split_nodes = set(lg.nodes if split_nodes is None else split_nodes)
     shapes = sorted(layout.shapes, key=lambda s: s.id)
     rect_of = {s.id: s.rect for s in shapes}
     margin = layout.params.overlap_margin
-    adjacency = lg.adjacency
+    # the neighbors' rectangles of each shape that may split
+    others: dict[int, list[Rect]] = {
+        n: [] for n in (lg.nodes if split_nodes is None else split_nodes)
+    }
+    for a, b in lg.edges:
+        if a in others:
+            others[a].append(rect_of[b])
+        if b in others:
+            others[b].append(rect_of[a])
     segments: list[Segment] = []
     se: set[Pair] = set()
     first, count = [], []  # per shape: its first segment id and piece count
     for shape in shapes:
         cuts = []
-        if shape.id in split_nodes:
-            cuts = _cuts(shape.rect, [rect_of[o] for o in adjacency[shape.id]], margin)
+        if shape.id in others:
+            cuts = _cuts(shape.rect, others[shape.id], margin)
         pieces = _split_rect(shape.rect, cuts) if cuts else [shape.rect]
         first.append(len(segments))
         count.append(len(pieces))

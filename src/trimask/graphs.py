@@ -27,31 +27,45 @@ def adjacency(nodes, edges) -> dict[int, tuple[int, ...]]:
     """Sorted neighbor tuples of an undirected edge set. Every node gets an
     entry, and so does an edge endpoint missing from ``nodes``."""
     adj: dict[int, set[int]] = {n: set() for n in nodes}
+    # not setdefault: its default set would be built for every endpoint
     for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        try:
+            adj[u].add(v)
+        except KeyError:
+            adj[u] = {v}
+        try:
+            adj[v].add(u)
+        except KeyError:
+            adj[v] = {u}
     return {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
 
 
 def component_sets(graph) -> list[set[int]]:
     """Node sets of the connected components of a graph with ``nodes`` and
-    ``adjacency`` (a layout or a decomposition graph), ordered by smallest
-    node id."""
-    adj = graph.adjacency
-    seen: set[int] = set()
-    comps = []
-    for root in sorted(graph.nodes):
-        if root in seen:
-            continue
-        stack, comp = [root], {root}
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    ``edges`` (a layout or a decomposition graph), ordered by smallest
+    node id.
+
+    A union-find over the edges that hangs the larger root under the
+    smaller, so every node's parent is smaller than the node, and roots
+    are the smallest nodes of their components; no adjacency is built.
+    """
+    parent = {n: n for n in graph.nodes}
+    for u, v in graph.edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[max(u, v)] = min(u, v)
+    comps: dict[int, set[int]] = {}
+    for n in sorted(parent):
+        # the parent is smaller, so it already points at its root
+        root = parent[n] = parent[parent[n]]
+        try:
+            comps[root].add(n)
+        except KeyError:
+            comps[root] = {n}
+    return list(comps.values())
 
 
 def connected_components(graph):
@@ -92,7 +106,7 @@ class DecompositionGraph:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate segment ids")
         known = set(ids)
-        for u, v in self.ce | self.se:
+        for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if u not in known or v not in known:
@@ -126,8 +140,13 @@ class DecompositionGraph:
         return {s.id: s for s in self.segments}
 
     @cached_property
+    def edges(self) -> frozenset[Pair]:
+        """Conflict and stitch edges together."""
+        return self.ce | self.se
+
+    @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return adjacency(self.nodes, self.ce | self.se)
+        return adjacency(self.nodes, self.edges)
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])

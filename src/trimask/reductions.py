@@ -9,6 +9,7 @@ makes the bridge edge free).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .geometry import LayoutGraph
@@ -30,25 +31,37 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
 
     Always removes the smallest eligible node id first, so the record is
     deterministic. The residual graph has minimum degree 3 (or is empty).
+
+    Degrees only fall, so a node joins the queue once: at the start, or
+    when its degree drops to 2. Only the nodes of degree 3 or more wait,
+    so only removals next to them are tracked, and no adjacency is built.
     """
-    adj = {n: set(lg.adjacency[n]) for n in lg.nodes}
+    degree = dict.fromkeys(lg.nodes, 0)
+    for u, v in lg.edges:
+        degree[u] += 1
+        degree[v] += 1
+    waiting = {n: d for n, d in degree.items() if d > 2}
+    # per node: its waiting neighbors, whose degree its removal lowers
+    lowers: dict[int, list[int]] = {}
+    for u, v in lg.edges:
+        if v in waiting:
+            lowers.setdefault(u, []).append(v)
+        if u in waiting:
+            lowers.setdefault(v, []).append(u)
+    queue = [n for n, d in degree.items() if d <= 2]
+    heapq.heapify(queue)
     order: list[int] = []
-    candidates = sorted((n for n in adj if len(adj[n]) <= 2), reverse=True)
-    in_queue = set(candidates)
-    while candidates:
-        node = candidates.pop()
-        in_queue.discard(node)
-        if node not in adj or len(adj[node]) > 2:
-            continue
+    while queue:
+        node = heapq.heappop(queue)
         order.append(node)
-        for other in adj[node]:
-            adj[other].discard(node)
-            if len(adj[other]) <= 2 and other not in in_queue:
-                in_queue.add(other)
-                candidates.append(other)
-                candidates.sort(reverse=True)
-        del adj[node]
-    residual = lg.subgraph(adj.keys())
+        for other in lowers.get(node, ()):
+            d = waiting.get(other)
+            if d == 3:
+                del waiting[other]
+                heapq.heappush(queue, other)
+            elif d is not None:
+                waiting[other] = d - 1
+    residual = lg.subgraph(waiting)
     return residual, PeelRecord(order=tuple(order))
 
 
@@ -63,13 +76,18 @@ def reinsert_segments(dg: DecompositionGraph, record: PeelRecord, colors: dict[i
     a conflict-free color exists unless one of those is split."""
     # peeled shapes are never split: each is its parent's only segment
     seg_of = {seg.parent: seg.id for seg in dg.segments}
-    adjacency = dg.adjacency
+    near: dict[int, set[int]] = {seg_of[shape_id]: set() for shape_id in record.order}
+    for u, v in dg.edges:
+        if u in near:
+            near[u].add(v)
+        if v in near:
+            near[v].add(u)
     out = dict(colors)
     blocked: set[int] = set()
     for shape_id in reversed(record.order):
         seg_id = seg_of[shape_id]
         clash = [0, 0, 0]
-        for other_seg in adjacency[seg_id]:
+        for other_seg in near[seg_id]:
             if other_seg in out:
                 clash[out[other_seg]] += 1
         color = clash.index(min(clash))

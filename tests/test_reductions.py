@@ -54,6 +54,25 @@ class TestPeel:
                 for other in adj.pop(node):
                     adj[other].discard(node)
 
+    def test_order_takes_the_smallest_eligible_node_first(self):
+        # reference: rescan every node's current degree at each step
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            dg = random_graph(rng, n, float(rng.uniform(0.05, 0.35)), 0.0)
+            lg = lg_from_edges(n, dg.ce)
+            adj = {v: set(lg.adjacency[v]) for v in lg.nodes}
+            order = []
+            while eligible := [v for v in adj if len(adj[v]) <= 2]:
+                node = min(eligible)
+                order.append(node)
+                for other in adj.pop(node):
+                    adj[other].discard(node)
+            residual, record = peel_low_degree(lg)
+            assert record.order == tuple(order)
+            assert residual.nodes == tuple(sorted(adj))
+            assert residual.edges == frozenset(e for e in lg.edges if e[0] in adj and e[1] in adj)
+
     def test_residual_min_degree_three(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
