@@ -267,6 +267,8 @@ def parse_edgelist(text: str) -> DecompositionGraph:
         n = int(lines[0])
     except ValueError as exc:
         raise ValueError(f"bad node count line: {lines[0]!r}") from exc
+    if n < 0:
+        raise ValueError(f"negative node count: {n}")
     ce, se = [], []
     for ln in lines[1:]:
         parts = ln.split()

@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .ilp import solve_exact
 from .reductions import find_bridges, peel_low_degree, reinsert_segments, stitch_and_rotate
-from .sdp import build_cost_matrix, local_search, map_to_masks, solve_relaxation
+from .sdp import build_cost_matrix, map_to_masks, polish, solve_relaxation
 from .unionfind import DisjointSet
 
 # solver "auto" searches components of at most this many nodes exactly
@@ -112,7 +112,7 @@ def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: Com
         report.proven_optimal = report.proven_optimal and res.proven_optimal
         if res.proven_optimal:
             return res.assignment.colors
-        return local_search(dg, res.assignment.colors, alpha)
+        return polish(dg, res.assignment.colors, alpha, seed=cfg.seed)
     sol = solve_relaxation(build_cost_matrix(dg, alpha), seed=cfg.seed)
     report.sdp_converged = sol.converged if report.sdp_converged is None else (
         report.sdp_converged and sol.converged

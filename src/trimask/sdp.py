@@ -13,20 +13,21 @@ and positive semidefiniteness. The engine optimizes a low-rank factor whose
 rows live on the unit sphere, with a quadratic penalty enforcing the -1/2
 floor. The factor is rounded as Frieze & Jerrum (1997) round MAX k-CUT:
 each of ``DRAWS`` Gaussian draws of three vectors labels every node by the
-vector with the largest dot product with its row. The ``POLISHED`` draws
-of lowest exact cost each go through ``local_search``, which recolors
-single nodes until no move lowers the cost. The cheapest of them starts a
-tabu search (TabuCol: Hertz & de Werra 1987, Galinier & Hao 1999) of
-``TABU_ITERATIONS`` moves per node, each the recoloring of one node that
-raises the cost least or lowers it most, ties broken at random. A move bars
-its node from the color it left for a while, unless returning beats the
-best cost so far. The best coloring the search saw goes through
-``local_search``'s moves once more, so the result is a 1-opt fixpoint. The
-search climbs out of the 1-opt minima the draws fall into. On the held-out
-layouts of the benchmark's ``dense`` corpus, one polished draw and 5 moves
-per node score 474.2; 20 polished draws and no search scored 493.4 after
-one relaxation run and 486.4 after the best of three. The random ties
-matter: taking the first cheapest move, the search stalls on large pieces.
+vector with the largest dot product with its row. The draw of lowest exact
+cost goes through ``polish``: single-node moves (``_one_opt``) until no
+move lowers the cost, then a tabu search (TabuCol: Hertz & de Werra 1987,
+Galinier & Hao 1999) of ``TABU_ITERATIONS`` moves per node, each the
+recoloring of one node that raises the cost least or lowers it most, ties
+broken at random. A move bars its node from the color it left for a while,
+unless returning beats the best cost so far. The best coloring the search
+saw takes single-node moves once more, so the result is a 1-opt fixpoint.
+The search climbs out of the 1-opt minima the draws fall into. The
+pipeline sends an exact search that ran out of budget through the same
+``polish``. On the held-out layouts of the benchmark's ``dense`` corpus,
+one polished draw and 5 moves per node score 474.2; 20 polished draws and
+no search scored 493.4 after one relaxation run and 486.4 after the best
+of three. The random ties matter: taking the first cheapest move, the
+search stalls on large pieces.
 
 Every caller (the pipeline's leaves, ``--dump-x``, a direct call) runs the
 same schedule for a given graph: one run of the penalty ramp and then the
@@ -94,10 +95,8 @@ MASK_VECTORS = (
 DOT_SAME = Fraction(1)
 DOT_DIFFERENT = Fraction(-1, 2)
 
-# Gaussian draws of the rounding, and how many of the cheapest are polished
-# by the local search before the best by exact cost goes to the tabu search
+# Gaussian draws of the rounding; the cheapest by exact cost is polished
 DRAWS = 200
-POLISHED = 1
 # the tabu search: moves per node, and a move's tenure of TABU_TENURE plus a
 # uniform draw from [0, TABU_SPREAD) moves
 TABU_ITERATIONS = 5
@@ -431,7 +430,10 @@ def _neighbor_links(n, ce, se, frac) -> list[list[tuple[int, int]]]:
 
 
 def _one_opt(links, labels: list[int]) -> list[int]:
-    """``local_search``'s moves on a label list indexed like ``links``."""
+    """Recolor single nodes of a label list indexed like ``links`` while a
+    move strictly lowers the exact integer cost. A move takes the node's
+    cheapest color, the lowest on a tie. Nodes are visited in order, pass
+    after pass, until a pass moves none."""
     moved = True
     while moved:
         moved = False
@@ -552,45 +554,40 @@ def _tabu_search(links, labels: list[int], rng) -> list[int]:
     return best
 
 
-def _integer_costs(labels: np.ndarray, ce, se, frac) -> np.ndarray:
+def _integer_costs(labels: np.ndarray, ce, se, frac) -> list[int]:
     """Exact integer cost of each row of ``labels`` (one label per node
     position): ``frac.denominator`` per conflict, ``frac.numerator`` per
-    stitch."""
-    cost = frac.denominator * (labels[:, ce[:, 0]] == labels[:, ce[:, 1]]).sum(axis=1)
-    return cost + frac.numerator * (labels[:, se[:, 0]] != labels[:, se[:, 1]]).sum(axis=1)
+    stitch. numpy counts, Python ints weigh, so no cost wraps or overflows."""
+    conflicts = (labels[:, ce[:, 0]] == labels[:, ce[:, 1]]).sum(axis=1).tolist()
+    stitches = (labels[:, se[:, 0]] != labels[:, se[:, 1]]).sum(axis=1).tolist()
+    return [frac.denominator * c + frac.numerator * s for c, s in zip(conflicts, stitches)]
 
 
-def local_search(dg: DecompositionGraph, colors: dict[int, int], alpha) -> dict[int, int]:
-    """Recolor single nodes while a move strictly lowers the exact integer
-    cost, ``alpha.denominator`` per conflict and ``alpha.numerator`` per
-    stitch. A move takes the node's cheapest color, the lowest on a tie.
-    Nodes are visited in id order, pass after pass, until a pass moves none.
-    """
+def polish(dg: DecompositionGraph, colors: dict[int, int], alpha, seed) -> dict[int, int]:
+    """``_one_opt``, then ``_tabu_search`` on ``np.random.default_rng(seed)``
+    (a generator passes through), then ``_one_opt``: a 1-opt fixpoint that
+    never costs more than ``colors`` at the exact ``alpha``."""
     nodes = dg.nodes
     links = _neighbor_links(len(nodes), *_edge_positions(dg), as_fraction(alpha))
-    return dict(zip(nodes, _one_opt(links, [colors[node] for node in nodes])))
+    labels = _one_opt(links, [colors[node] for node in nodes])
+    labels = _tabu_search(links, labels, np.random.default_rng(seed))
+    return dict(zip(nodes, _one_opt(links, labels)))
 
 
 def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
-    """Round a relaxation to three masks and polish the best draws.
+    """Round a relaxation to three masks and polish the cheapest draw.
 
     Each of ``DRAWS`` Gaussian draws of three vectors, seeded by ``seed``,
     labels every node by the vector with the largest dot product with the
-    node's factor row (Frieze & Jerrum 1997). The ``POLISHED`` draws of
-    lowest exact integer cost (stable order) each go through
-    ``local_search``'s moves. The polished coloring of lowest cost, the
-    first on a tie, starts ``_tabu_search`` on the same seeded generator,
-    and ``local_search``'s moves finish its best coloring. The graph, its
-    pairs and the exact alpha come from ``sol.cost``.
+    node's factor row (Frieze & Jerrum 1997). The draw of lowest exact
+    integer cost, the first on a tie, goes through ``polish`` on the
+    generator that made the draws. The graph, its pairs and the exact alpha
+    come from ``sol.cost``.
     """
     cost = sol.cost
-    ce, se, frac = cost.ce, cost.se, cost.alpha
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(DRAWS, sol.v.shape[1], 3))
     labels = np.argmax(sol.v @ g, axis=2)  # (draw, node position)
-    cheapest = np.argsort(_integer_costs(labels, ce, se, frac), kind="stable")[:POLISHED]
-    links = _neighbor_links(len(sol.index), ce, se, frac)
-    polished = np.array([_one_opt(links, labels[k].tolist()) for k in cheapest], dtype=int)
-    start = polished[int(np.argmin(_integer_costs(polished, ce, se, frac)))].tolist()
-    best = _one_opt(links, _tabu_search(links, start, rng))
-    return evaluate(cost.dg, dict(zip(sol.index, best)), frac)
+    costs = _integer_costs(labels, cost.ce, cost.se, cost.alpha)
+    start = dict(zip(sol.index, labels[costs.index(min(costs))].tolist()))
+    return evaluate(cost.dg, polish(cost.dg, start, cost.alpha, rng), cost.alpha)

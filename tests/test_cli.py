@@ -183,6 +183,32 @@ class TestDecomposeCommand:
         graph.write_text(text)
         assert run(["decompose", "--graph", str(graph)]) == 2
 
+    def test_negative_node_count_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "bad.txt"
+        graph.write_text("-1\n")
+        stats = tmp_path / "stats.json"
+        assert run(["decompose", "--graph", str(graph), "--stats", str(stats)]) == 2
+        assert "negative node count" in capsys.readouterr().err
+        assert not stats.exists()
+
+    @pytest.mark.parametrize("source", ["--graph", "--input"])
+    def test_tiny_alpha_exit_0(self, tmp_path, source):
+        # alpha 1e-300 is the fraction 1/10**300: the draws' exact costs
+        # exceed int64 and must still be scored and compared
+        path = tmp_path / "in.txt"
+        if source == "--graph":
+            path.write_text(WORKED_EDGELIST)
+            extra = ["--solver", "sdp"]
+        else:
+            assert run(["gen", "--shapes", "100", "--density", "6", "--seed", "1",
+                        "--out", str(path)]) == 0
+            extra = []
+        stats = tmp_path / "stats.json"
+        assert run(["decompose", source, str(path), "--alpha", "1e-300",
+                    "--stats", str(stats), *extra]) == 0
+        doc = json.loads(stats.read_text())
+        assert doc["objective"] >= doc["cn"]
+
     @pytest.mark.parametrize("source", ["--graph", "--input"])
     def test_value_error_inside_pipeline_exit_3(self, tmp_path, monkeypatch, capsys, source):
         # past input validation a ValueError is a bug, not bad input

@@ -107,8 +107,8 @@ def residual_component(layout, size):
 
 
 class TestUnprovenExactLeaves:
-    """A leaf whose exact search runs out of budget is polished by local
-    search."""
+    """A leaf whose exact search runs out of budget goes through
+    ``sdp.polish``, the rounding's 1-opt, tabu search and 1-opt."""
 
     def test_polish_never_worse_than_the_budgeted_search(self):
         comp = residual_component(generate_layout(40, 6, seed=1), 31)
@@ -118,7 +118,8 @@ class TestUnprovenExactLeaves:
         assert result.objective <= float(budgeted.assignment.objective)
 
     def test_polish_improves_an_unproven_leaf(self):
-        # the budgeted search stops at 12.0; single-node moves reach 9.0
+        # the budgeted search stops at 12.0; single-node moves alone reach 9.0
+        # and the polish 7.0
         comp = residual_component(generate_layout(40, 6, seed=3), 34)
         budgeted = solve_exact(comp, 0.1, budget=500)
         result = decompose_graph(comp, DecomposeConfig(solver="exact", node_budget=500))

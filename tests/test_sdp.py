@@ -31,8 +31,8 @@ from trimask.sdp import (
     _tabu_search,
     build_cost_matrix,
     discrete_vector_objective,
-    local_search,
     map_to_masks,
+    polish,
     solve_relaxation,
 )
 
@@ -502,9 +502,24 @@ class TestMapping:
         conflicts = (labels[:, ce[:, 0]] == labels[:, ce[:, 1]]).sum(axis=1)
         stitches = (labels[:, se[:, 0]] != labels[:, se[:, 1]]).sum(axis=1)
         cheapest = labels[int(np.argmin(alpha.denominator * conflicts + alpha.numerator * stitches))]
-        polished = local_search(dg, dict(zip(dg.nodes, cheapest.tolist())), alpha)
+        polished = _one_opt(_neighbor_links(n, ce, se, alpha), cheapest.tolist())
         asg = map_to_masks(sol, seed=seed)
-        assert asg.objective <= evaluate(dg, polished, alpha).objective
+        assert asg.objective <= evaluate(dg, dict(zip(dg.nodes, polished)), alpha).objective
+
+    def test_draw_costs_do_not_wrap(self):
+        # 923 conflicts at alpha 1/3 (3333333333333333/10**16) cost more than
+        # int64 holds; wrapped, the all-zero draw would look cheapest
+        alpha = as_fraction(1 / 3)
+        m = 923
+        dg = DecompositionGraph.from_edges(
+            2 * m + 1, ce=[(2 * i, 2 * i + 1) for i in range(m)], se=[(0, 2 * m)]
+        )
+        ce, se = _edge_positions(dg)
+        labels = np.array([[0] * (2 * m + 1), [0, 1] * m + [1]])
+        costs = _integer_costs(labels, ce, se, alpha)
+        assert costs == [m * alpha.denominator, alpha.numerator]
+        assert costs.index(min(costs)) == 1
+        assert m * alpha.denominator > np.iinfo(np.int64).max
 
 
     def test_hits_the_optimum_on_small_graphs(self):
@@ -590,14 +605,15 @@ class TestTabuSearch:
         optimum = brute_force_optimum(dg, 0.1).objective
         # equal rows: every draw puts all nodes on one mask, and 1-opt from
         # any one mask stops at a conflict
+        links = _neighbor_links(5, *_edge_positions(dg), as_fraction(0.1))
         for mask in range(3):
-            stuck = local_search(dg, dict.fromkeys(dg.nodes, mask), 0.1)
-            assert evaluate(dg, stuck, 0.1).objective > optimum
+            stuck = _one_opt(links, [mask] * 5)
+            assert evaluate(dg, dict(zip(dg.nodes, stuck)), 0.1).objective > optimum
         sol = RelaxationSolution.from_factor(np.ones((5, 1)), build_cost_matrix(dg, 0.1))
         assert map_to_masks(sol).objective == optimum
 
 
-class TestLocalSearch:
+class TestPolish:
     def test_never_raises_the_objective(self, rng):
         moved = 0
         for _ in range(200):
@@ -605,14 +621,20 @@ class TestLocalSearch:
             dg = random_graph(rng, n, ce_density=rng.uniform(0.1, 0.6))
             alpha = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 11)))
             colors = {node: int(rng.integers(0, 3)) for node in dg.nodes}
-            polished = local_search(dg, colors, alpha)
+            polished = polish(dg, colors, alpha, seed=n)
+            assert polished == polish(dg, colors, alpha, seed=n)
             before = evaluate(dg, colors, alpha).objective
             after = evaluate(dg, polished, alpha).objective
             assert after <= before
             moved += after < before
+            # a 1-opt fixpoint
+            for node in dg.nodes:
+                for color in range(3):
+                    assert evaluate(dg, {**polished, node: color}, alpha).objective >= after
         assert moved >= 100
 
     def test_ties_go_to_the_lowest_color(self):
         # node 0 conflicts with both others on color 0; colors 1 and 2 are free
         dg = DecompositionGraph.from_edges(3, ce=[(0, 1), (0, 2)])
-        assert local_search(dg, {0: 0, 1: 0, 2: 0}, 0.1) == {0: 1, 1: 0, 2: 0}
+        links = _neighbor_links(3, *_edge_positions(dg), as_fraction(0.1))
+        assert _one_opt(links, [0, 0, 0]) == [1, 0, 0]
