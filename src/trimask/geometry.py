@@ -21,6 +21,12 @@ costs O(n log n + candidates) time and memory, where the candidates are
 the pairs within reach along the swept axis that share a strip; no n×n
 array is built. On ``generate_layout(5000, 2)`` that is about 5k candidates
 for about 5k conflict pairs, where the sweep alone listed 174k.
+
+A layout keeps one id-sorted int64 array of its rectangles
+(``Layout.rects``, beside ``Layout.sorted_shapes``), built once while it is
+validated; the layout graph and the split read it. A shape without cuts
+becomes one segment on its own rectangle with no per-piece work, so when
+nothing splits the segments' array is the layout's.
 """
 
 from __future__ import annotations
@@ -28,14 +34,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DecompositionGraph, Pair, Segment, adjacency, ordered_pair
+from .graphs import DecompositionGraph, Pair, Segment, adjacency
 
 Rect = tuple[int, int, int, int]
 
@@ -79,31 +87,40 @@ class ProcessParams:
             raise LayoutError(f"alpha must be positive, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     id: int
     rect: Rect
 
 
 @dataclass(frozen=True)
 class Layout:
+    """Shapes in file order. Validation also keeps them sorted by id, in
+    ``sorted_shapes``, and their rectangles in that order as int64 rows of
+    ``x_lo, y_lo, x_hi, y_hi``, in ``rects``: the array it checked, so the
+    layout graph and the split build none."""
+
     shapes: tuple[Shape, ...]
     params: ProcessParams
     units: str = "nm"
+    sorted_shapes: tuple[Shape, ...] = field(init=False, repr=False, compare=False)
+    rects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.units != "nm":
             raise LayoutError(f"unsupported units {self.units!r}, expected 'nm'")
         ids = [s.id for s in self.shapes]
         if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise LayoutError(f"duplicate shape id {dup[0]}")
+            dup = min(i for i, count in Counter(ids).items() if count > 1)
+            raise LayoutError(f"duplicate shape id {dup}")
         r = _rect_array(self.shapes)
         degenerate = (r[:, 0] >= r[:, 2]) | (r[:, 1] >= r[:, 3])
         if degenerate.any():
             s = self.shapes[int(np.argmax(degenerate))]
             raise LayoutError(f"degenerate rectangle on shape {s.id}: {s.rect}")
         _check_disjoint(self.shapes, r)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        object.__setattr__(self, "sorted_shapes", tuple(map(self.shapes.__getitem__, order)))
+        object.__setattr__(self, "rects", r[order])
 
     @cached_property
     def shape_by_id(self) -> dict[int, Shape]:
@@ -291,6 +308,13 @@ def layout_from_dict(doc: dict) -> Layout:
             rect = entry["rect"]
         except (TypeError, KeyError) as exc:
             raise LayoutError(f"malformed shape entry {entry!r}") from exc
+        # the entries json.loads makes pass on exact types; any other entry
+        # takes the checks below, which accept and reject it as they would
+        if type(sid) is int and type(rect) in (list, tuple) and len(rect) == 4:
+            x_lo, y_lo, x_hi, y_hi = rect
+            if type(x_lo) is type(y_lo) is type(x_hi) is type(y_hi) is int:
+                shapes.append(Shape(sid, (x_lo, y_lo, x_hi, y_hi)))
+                continue
         if not isinstance(sid, int) or isinstance(sid, bool):
             raise LayoutError(f"shape id must be an integer, got {sid!r}")
         four = isinstance(rect, (list, tuple)) and len(rect) == 4
@@ -338,23 +362,22 @@ class LayoutGraph:
 
 
 def build_layout_graph(layout: Layout) -> LayoutGraph:
-    shapes = sorted(layout.shapes, key=lambda s: s.id)
-    ids = [s.id for s in shapes]
-    n = len(shapes)
-    if n < 2:
-        return LayoutGraph(nodes=tuple(ids), edges=frozenset())
-    r = np.array([s.rect for s in shapes], dtype=np.int64)
+    ids = tuple(s.id for s in layout.sorted_shapes)
+    if len(ids) < 2:
+        return LayoutGraph(nodes=ids, edges=frozenset())
+    r = layout.rects
     min_s = layout.params.min_s
     i, j = _near_pairs(r, math.ceil(min_s))
     close = _close(r, i, j, min_s)
     i, j = i[close], j[close]
     # insert in row-major (i, j) order: the frozenset's iteration order
-    # depends on insertion order, and callers iterate it
+    # depends on insertion order, and callers iterate it. The rows are in
+    # id order and i < j, so each pair is already ordered
     order = np.lexsort((j, i))
     edges = frozenset(
-        ordered_pair(ids[u], ids[v]) for u, v in zip(i[order].tolist(), j[order].tolist())
+        zip(map(ids.__getitem__, i[order].tolist()), map(ids.__getitem__, j[order].tolist()))
     )
-    return LayoutGraph(nodes=tuple(ids), edges=edges)
+    return LayoutGraph(nodes=ids, edges=edges)
 
 
 def stitch_candidates(layout: Layout, lg: LayoutGraph, shape_id: int) -> list[int]:
@@ -424,35 +447,49 @@ def project_and_split(
     and the close pairs are inserted in row-major order, as in
     ``build_layout_graph``.
     """
-    shapes = sorted(layout.shapes, key=lambda s: s.id)
-    rect_of = {s.id: s.rect for s in shapes}
+    shapes = layout.sorted_shapes
     margin = layout.params.overlap_margin
     # the neighbors' rectangles of each shape that may split
     others: dict[int, list[Rect]] = {
         n: [] for n in (lg.nodes if split_nodes is None else split_nodes)
     }
-    for a, b in lg.edges:
-        if a in others:
-            others[a].append(rect_of[b])
-        if b in others:
-            others[b].append(rect_of[a])
+    cuts_of: dict[int, list[int]] = {}  # per shape that splits
+    if others:
+        by_id = layout.shape_by_id
+        for a, b in lg.edges:
+            if a in others:
+                others[a].append(by_id[b].rect)
+            if b in others:
+                others[b].append(by_id[a].rect)
+        for n, rects in others.items():
+            if rects and (cuts := _cuts(by_id[n].rect, rects, margin)):
+                cuts_of[n] = cuts
+
+    # a shape without cuts is one segment; a split one is its pieces, in
+    # order, and a stitch edge between each two consecutive pieces
     segments: list[Segment] = []
     se: set[Pair] = set()
-    first, count = [], []  # per shape: its first segment id and piece count
-    for shape in shapes:
-        cuts = []
-        if shape.id in others:
-            cuts = _cuts(shape.rect, others[shape.id], margin)
-        pieces = _split_rect(shape.rect, cuts) if cuts else [shape.rect]
-        first.append(len(segments))
-        count.append(len(pieces))
-        for rect in pieces:
-            segments.append(Segment(id=len(segments), parent=shape.id, rect=rect))
-        se.update((k - 1, k) for k in range(first[-1] + 1, len(segments)))
+    count = np.ones(len(shapes), dtype=np.int64)  # per shape: its pieces
+    split_rows: list[int] = []  # the segments of split shapes, and their rects
+    split_rects: list[Rect] = []
+    for k, shape in enumerate(shapes):
+        cuts = cuts_of.get(shape.id)
+        if cuts is None:
+            segments.append(Segment(len(segments), shape.id, shape.rect))
+            continue
+        pieces = _split_rect(shape.rect, cuts)
+        start = len(segments)
+        count[k] = len(pieces)
+        segments.extend(Segment(start + t, shape.id, rect) for t, rect in enumerate(pieces))
+        split_rows.extend(range(start, len(segments)))
+        split_rects.extend(pieces)
+        se.update((t - 1, t) for t in range(start + 1, len(segments)))
+    r = np.repeat(layout.rects, count, axis=0)
+    r[split_rows] = np.array(split_rects, dtype=np.int64).reshape(-1, 4)
 
     # candidate blocks (u, v) of shape positions: each layout-graph edge,
     # and each shape of three or more pieces paired with itself
-    first, count = np.array(first, dtype=np.int64), np.array(count, dtype=np.int64)
+    first = np.cumsum(count) - count
     edges = np.array(list(lg.edges), dtype=np.int64).reshape(-1, 2)
     ids = np.array([s.id for s in shapes], dtype=np.int64)
     many = np.flatnonzero(count > 2)
@@ -469,7 +506,6 @@ def project_and_split(
     # consecutive pieces (they stitch) and each pair's mirror
     keep = (u != v)[block] | (j - i >= 2)
     i, j = i[keep], j[keep]
-    r = np.array([seg.rect for seg in segments], dtype=np.int64).reshape(-1, 4)
     close = _close(r, i, j, layout.params.min_s)
     i, j = i[close], j[close]
     order = np.lexsort((j, i))

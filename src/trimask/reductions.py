@@ -76,12 +76,13 @@ def reinsert_segments(dg: DecompositionGraph, record: PeelRecord, colors: dict[i
     a conflict-free color exists unless one of those is split."""
     # peeled shapes are never split: each is its parent's only segment
     seg_of = {seg.parent: seg.id for seg in dg.segments}
-    near: dict[int, set[int]] = {seg_of[shape_id]: set() for shape_id in record.order}
+    # each edge is listed once, so no neighbor is gathered twice
+    near: dict[int, list[int]] = {seg_of[shape_id]: [] for shape_id in record.order}
     for u, v in dg.edges:
         if u in near:
-            near[u].add(v)
+            near[u].append(v)
         if v in near:
-            near[v].add(u)
+            near[v].append(u)
     out = dict(colors)
     blocked: set[int] = set()
     for shape_id in reversed(record.order):

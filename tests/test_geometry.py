@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,12 +13,16 @@ from trimask.cli import generate_layout
 from trimask.geometry import (
     COORD_LIMIT,
     Layout,
+    LayoutGraph,
     LayoutError,
     ProcessParams,
     Shape,
     _check_disjoint,
+    _close,
+    _cuts,
     _near_pairs,
     _rect_array,
+    _split_rect,
     _strip_pairs,
     _sweep,
     build_layout_graph,
@@ -27,7 +32,8 @@ from trimask.geometry import (
     project_and_split,
     stitch_candidates,
 )
-from trimask.graphs import ordered_pair
+from trimask.graphs import DecompositionGraph, Segment, ordered_pair
+from trimask.reductions import peel_low_degree
 
 
 def make_layout(rects, **params):
@@ -76,6 +82,16 @@ class TestLoadLayout(object):
         path.write_text(json.dumps(doc))
         with pytest.raises(LayoutError, match="duplicate shape id"):
             load_layout(path)
+
+    def test_duplicate_id_among_many_shapes_is_found_in_one_pass(self):
+        # counting each id's occurrences took 5.9 s at 20,000 shapes, and
+        # grows with the square of the count
+        shapes = [{"id": i, "rect": [3 * i, 0, 3 * i + 2, 2]} for i in range(50_000)]
+        shapes.append({"id": 7, "rect": [0, 10, 2, 12]})
+        start = time.perf_counter()
+        with pytest.raises(LayoutError, match=r"^duplicate shape id 7$"):
+            layout_from_dict({"shapes": shapes})
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("coord", [10**20, -(2**63), COORD_LIMIT + 1, -COORD_LIMIT - 1])
     def test_coordinate_out_of_range(self, coord):
@@ -397,16 +413,66 @@ def layout_documents(draw):
     return doc
 
 
+def reference_layout_from_dict(doc: dict) -> Layout:
+    """The loader without its exact-type fast path: every entry takes the
+    full checks."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("shapes"), list):
+        raise LayoutError("layout document must be an object with a 'shapes' list")
+    params_doc = doc.get("params", {})
+    if not isinstance(params_doc, dict):
+        raise LayoutError(f"params must be an object, got {params_doc!r}")
+    known = {"min_s", "overlap_margin", "alpha", "min_width", "min_spacing"}
+    extra = set(params_doc) - known
+    if extra:
+        raise LayoutError(f"unknown params keys: {sorted(extra)}")
+    params = ProcessParams(**params_doc)
+    shapes = []
+    for entry in doc["shapes"]:
+        try:
+            sid = entry["id"]
+            rect = entry["rect"]
+        except (TypeError, KeyError) as exc:
+            raise LayoutError(f"malformed shape entry {entry!r}") from exc
+        if not isinstance(sid, int) or isinstance(sid, bool):
+            raise LayoutError(f"shape id must be an integer, got {sid!r}")
+        four = isinstance(rect, (list, tuple)) and len(rect) == 4
+        if not four or not all(isinstance(c, int) and not isinstance(c, bool) for c in rect):
+            raise LayoutError(f"shape {sid}: rect must be 4 integers, got {rect!r}")
+        shapes.append(Shape(id=sid, rect=tuple(rect)))
+    return Layout(shapes=tuple(shapes), params=params, units=doc.get("units", "nm"))
+
+
+def load_outcome(load, doc):
+    """The layout ``load(doc)`` returns, or the message of its LayoutError."""
+    try:
+        return load(doc)
+    except LayoutError as exc:
+        return str(exc)
+
+
 class TestLayoutDocuments:
     @HYPOTHESIS
     @given(layout_documents())
     def test_layout_from_dict_raises_only_layout_error(self, doc):
-        try:
-            layout = layout_from_dict(doc)
-        except LayoutError:
-            return
-        # an accepted layout builds its graph without overflow
-        build_layout_graph(layout)
+        layout = load_outcome(layout_from_dict, doc)
+        # the same layout, or the same message, as with the full checks
+        assert layout == load_outcome(reference_layout_from_dict, doc)
+        if isinstance(layout, Layout):
+            # an accepted layout builds its graph without overflow
+            build_layout_graph(layout)
+
+    @pytest.mark.parametrize("entry", [
+        {"id": 1, "rect": (0, 0, 5, 5)},
+        {"id": True, "rect": [0, 0, 5, 5]},
+        {"id": 1, "rect": [0, 0, 5, True]},
+        {"id": 1, "rect": [0, 0, 5, 5.0]},
+        {"id": 1, "rect": [0, 0, 5]},
+        {"id": 1, "rect": "0005"},
+        {"id": 1.0, "rect": [0, 0, 5, 5]},
+    ])
+    def test_entries_off_the_fast_path_match_the_reference(self, entry):
+        doc = {"shapes": [entry]}
+        assert load_outcome(layout_from_dict, doc) == load_outcome(reference_layout_from_dict, doc)
 
 
 class TestSweepOracle:
@@ -623,3 +689,99 @@ class TestSplitOracle:
                              min_s=min_s)
         assert build_layout_graph(layout).edges == {(0, 1)}
         assert assert_split_ce_matches_reference(layout).ce == {(0, 1)}
+
+
+# --- the per-shape loops that the layout's id-sorted array replaced ---------
+
+
+def reference_layout_graph(layout: Layout) -> LayoutGraph:
+    """``build_layout_graph`` sorting the shapes and building their array
+    itself."""
+    shapes = sorted(layout.shapes, key=lambda s: s.id)
+    ids = [s.id for s in shapes]
+    if len(shapes) < 2:
+        return LayoutGraph(nodes=tuple(ids), edges=frozenset())
+    r = np.array([s.rect for s in shapes], dtype=np.int64)
+    min_s = layout.params.min_s
+    i, j = _near_pairs(r, math.ceil(min_s))
+    close = _close(r, i, j, min_s)
+    i, j = i[close], j[close]
+    order = np.lexsort((j, i))
+    edges = frozenset(
+        ordered_pair(ids[u], ids[v]) for u, v in zip(i[order].tolist(), j[order].tolist())
+    )
+    return LayoutGraph(nodes=tuple(ids), edges=edges)
+
+
+def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> DecompositionGraph:
+    """``project_and_split`` cutting and splitting every shape in one loop,
+    and building the segment array from the segments' rectangles."""
+    shapes = sorted(layout.shapes, key=lambda s: s.id)
+    rect_of = {s.id: s.rect for s in shapes}
+    margin = layout.params.overlap_margin
+    others = {n: [] for n in (lg.nodes if split_nodes is None else split_nodes)}
+    for a, b in lg.edges:
+        if a in others:
+            others[a].append(rect_of[b])
+        if b in others:
+            others[b].append(rect_of[a])
+    segments, se = [], set()
+    first, count = [], []
+    for shape in shapes:
+        cuts = []
+        if shape.id in others:
+            cuts = _cuts(shape.rect, others[shape.id], margin)
+        pieces = _split_rect(shape.rect, cuts) if cuts else [shape.rect]
+        first.append(len(segments))
+        count.append(len(pieces))
+        for rect in pieces:
+            segments.append(Segment(id=len(segments), parent=shape.id, rect=rect))
+        se.update((k - 1, k) for k in range(first[-1] + 1, len(segments)))
+    first, count = np.array(first, dtype=np.int64), np.array(count, dtype=np.int64)
+    edges = np.array(list(lg.edges), dtype=np.int64).reshape(-1, 2)
+    ids = np.array([s.id for s in shapes], dtype=np.int64)
+    many = np.flatnonzero(count > 2)
+    u = np.concatenate([np.searchsorted(ids, edges[:, 0]), many])
+    v = np.concatenate([np.searchsorted(ids, edges[:, 1]), many])
+    sizes = count[u] * count[v]
+    block = np.repeat(np.arange(len(u)), sizes)
+    rank = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = count[v][block]
+    i = first[u][block] + rank // width
+    j = first[v][block] + rank % width
+    keep = (u != v)[block] | (j - i >= 2)
+    i, j = i[keep], j[keep]
+    r = np.array([seg.rect for seg in segments], dtype=np.int64).reshape(-1, 4)
+    close = _close(r, i, j, layout.params.min_s)
+    i, j = i[close], j[close]
+    order = np.lexsort((j, i))
+    ce = frozenset(zip(i[order].tolist(), j[order].tolist()))
+    return DecompositionGraph(segments=tuple(segments), ce=ce, se=frozenset(se))
+
+
+class TestReferenceLoops:
+    @pytest.mark.parametrize("density", [2, 4, 6])
+    @pytest.mark.parametrize("shapes, seed", [(40, 1), (200, 2), (400, 3)])
+    @pytest.mark.parametrize("file_order", ["generated", "reversed"])
+    def test_graphs_and_segments_match_the_reference(self, shapes, density, seed, file_order):
+        layout = generate_layout(shapes, density, seed=seed)
+        if file_order == "reversed":
+            layout = Layout(shapes=layout.shapes[::-1], params=layout.params)
+        lg = build_layout_graph(layout)
+        expected = reference_layout_graph(layout)
+        assert lg.nodes == expected.nodes
+        # the frozensets iterate in insertion order, and callers iterate them
+        assert list(lg.edges) == list(expected.edges)
+        for split_nodes in (None, peel_low_degree(lg)[0].nodes):
+            dg = project_and_split(layout, lg, split_nodes)
+            ref = reference_project_and_split(layout, lg, split_nodes)
+            assert dg.segments == ref.segments
+            assert list(dg.ce) == list(ref.ce)
+            assert list(dg.se) == list(ref.se)
+
+    def test_the_reference_cases_split_shapes(self):
+        # so that the comparison above covers the pieces and their stitches
+        layout = generate_layout(400, 6, seed=3)
+        lg = build_layout_graph(layout)
+        dg = project_and_split(layout, lg, peel_low_degree(lg)[0].nodes)
+        assert len(dg.se) > 50 and len(dg.segments) > 450
