@@ -11,13 +11,13 @@ need four colors pass undetected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .graphs import Pair, adjacency, ordered_pair
+from .graphs import Pair, neighbor_sets, ordered_pair
 from .unionfind import DisjointSet
 
 
-@dataclass(frozen=True)
-class TrianglePair:
+class TrianglePair(NamedTuple):
     """Two triangles sharing ``shared``; ``apex_a``/``apex_b`` must share a mask."""
 
     shared: Pair
@@ -44,14 +44,19 @@ class InfeasibleWitness:
 
 
 def find_adjacent_triangles(nodes, ce_edges) -> list[TrianglePair]:
-    """All pairs of triangles sharing an edge, over conflict edges only."""
-    adj = adjacency(nodes, ce_edges)
+    """All pairs of triangles sharing an edge, over conflict edges only, by
+    shared edge and then by apexes. A duplicated edge is listed as often as
+    it occurs, and an endpoint missing from ``nodes`` counts as a node."""
+    adj = neighbor_sets(nodes, ce_edges)
     out = []
     for u, v in sorted(ordered_pair(a, b) for a, b in ce_edges):
-        common = sorted(set(adj[u]).intersection(adj[v]))
-        for i in range(len(common)):
-            for j in range(i + 1, len(common)):
-                out.append(TrianglePair(shared=(u, v), apex_a=common[i], apex_b=common[j]))
+        common = adj[u] & adj[v]
+        if len(common) > 1:
+            common = sorted(common)
+            shared = (u, v)
+            for i, a in enumerate(common, 1):
+                for b in common[i:]:
+                    out.append(TrianglePair(shared, a, b))
     return out
 
 
@@ -70,11 +75,15 @@ def propagate_and_check(nodes, ce_edges) -> ConstraintClasses | InfeasibleWitnes
     links: dict[int, list[int]] = {n: [] for n in nodes}
 
     for tri in find_adjacent_triangles(nodes, edges):
-        pair = ordered_pair(tri.apex_a, tri.apex_b)
-        witness.setdefault(pair, []).append(tri)
-        if dsu.union(*pair):
-            links[pair[0]].append(pair[1])
-            links[pair[1]].append(pair[0])
+        a, b = pair = (tri.apex_a, tri.apex_b)  # apexes come in order
+        seen = witness.get(pair)
+        if seen is not None:  # already united
+            seen.append(tri)
+            continue
+        witness[pair] = [tri]
+        if dsu.union(a, b):
+            links[a].append(b)
+            links[b].append(a)
 
     for u, v in edges:
         if dsu.same(u, v):

@@ -112,6 +112,9 @@ class Layout:
         if len(set(ids)) != len(ids):
             dup = min(i for i, count in Counter(ids).items() if count > 1)
             raise LayoutError(f"duplicate shape id {dup}")
+        if ids and not (-(2**63) <= min(ids) and max(ids) < 2**63):
+            bad = next(i for i in ids if not -(2**63) <= i < 2**63)
+            raise LayoutError(f"shape {bad}: id must lie within [-2**63, 2**63 - 1]")
         r = _rect_array(self.shapes)
         degenerate = (r[:, 0] >= r[:, 2]) | (r[:, 1] >= r[:, 3])
         if degenerate.any():

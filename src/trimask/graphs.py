@@ -24,9 +24,9 @@ def ordered_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-def adjacency(nodes, edges) -> dict[int, tuple[int, ...]]:
-    """Sorted neighbor tuples of an undirected edge set. Every node gets an
-    entry, and so does an edge endpoint missing from ``nodes``."""
+def neighbor_sets(nodes, edges) -> dict[int, set[int]]:
+    """Neighbor sets of an undirected edge set. Every node gets an entry,
+    and so does an edge endpoint missing from ``nodes``."""
     adj: dict[int, set[int]] = {n: set() for n in nodes}
     # not setdefault: its default set would be built for every endpoint
     for u, v in edges:
@@ -38,7 +38,12 @@ def adjacency(nodes, edges) -> dict[int, tuple[int, ...]]:
             adj[v].add(u)
         except KeyError:
             adj[v] = {u}
-    return {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
+    return adj
+
+
+def adjacency(nodes, edges) -> dict[int, tuple[int, ...]]:
+    """Sorted neighbor tuples of ``neighbor_sets(nodes, edges)``."""
+    return {n: tuple(sorted(nbrs)) for n, nbrs in neighbor_sets(nodes, edges).items()}
 
 
 def component_sets(graph) -> list[set[int]]:

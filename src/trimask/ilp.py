@@ -223,13 +223,18 @@ def solve_exact(
     earlier nodes), which by color-permutation symmetry loses no optimum.
     A greedy pass in branch order seeds the incumbent.
 
-    Bound: every uncolored position keeps a 3-vector, the cost of each color
-    against its already-colored neighbors. Each edge from an uncolored to a
-    colored node sits in exactly one such vector, so the committed cost plus
-    the sum of the vectors' minima is a lower bound on every completion. The
-    vectors are updated when a position is colored and restored on
-    backtrack, and a position's own step cost is a lookup in its vector. A
-    branch is cut when its bound cannot beat the incumbent.
+    Bound: every uncolored position keeps a vector ``[c0, c1, c2, low]``:
+    the cost of each color against its already-colored neighbors, then the
+    least of the three. Each edge from an uncolored to a colored node sits
+    in exactly one such vector, so the committed cost plus the sum of the
+    ``low`` entries is a lower bound on every completion. A branch is cut
+    when its bound cannot beat the incumbent.
+
+    Each position lists the vectors of its later neighbors, one list per
+    edge kind. Coloring a position adds its edge costs to those vectors and
+    sums the rise of their ``low``; backtracking subtracts them again. Both
+    moves run inline in the branch loop, and a position's own step cost is
+    a lookup in its vector.
 
     The bound only cuts subtrees holding no strict improvement, so the
     search visits a subset of the tree the committed cost alone would visit
@@ -248,79 +253,38 @@ def solve_exact(
 
     order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
     pos = {v: k for k, v in enumerate(order)}
-    # later neighbors per position, by edge kind: a conflict edge costs
-    # conflict_w when its ends share a color, a stitch edge stitch_w when
-    # they differ
-    later_ce: list[list[int]] = [[] for _ in range(n)]
-    later_se: list[list[int]] = [[] for _ in range(n)]
+    # vec[k] = [c0, c1, c2, low]: cost of each color at position k against
+    # the colored positions, and their minimum
+    vec = [[0, 0, 0, 0] for _ in range(n)]
+    # the vectors of the later neighbors per position, by edge kind: a
+    # conflict edge costs conflict_w when its ends share a color, a stitch
+    # edge stitch_w when they differ
+    later_ce: list[list[list[int]]] = [[] for _ in range(n)]
+    later_se: list[list[list[int]]] = [[] for _ in range(n)]
     for later, edges in ((later_ce, dg.ce), (later_se, dg.se)):
         for u, v in edges:
-            later[min(pos[u], pos[v])].append(max(pos[u], pos[v]))
-
-    # vec[k][c]: cost of color c at position k against the colored positions;
-    # low[k] = min(vec[k])
-    vec = [[0, 0, 0] for _ in range(n)]
-    low = [0] * n
-
-    def place(k: int, c: int) -> int:
-        """Color position k with c in the vectors of its later neighbors;
-        return the rise of their minima."""
-        delta = 0
-        for j in later_ce[k]:
-            row = vec[j]
-            v = row[c]
-            row[c] = v + conflict_w
-            if v == low[j]:  # otherwise another color keeps the minimum
-                a, b, d = row
-                m = a if a < b else b
-                if d < m:
-                    m = d
-                delta += m - v
-                low[j] = m
-        x, y = _OTHER_COLORS[c]
-        for j in later_se[k]:
-            row = vec[j]
-            row[x] += stitch_w
-            row[y] += stitch_w
-            a, b, d = row
-            m = a if a < b else b
-            if d < m:
-                m = d
-            delta += m - low[j]
-            low[j] = m
-        return delta
-
-    def unplace(k: int, c: int) -> None:
-        """Undo place(k, c)."""
-        for j in later_ce[k]:
-            row = vec[j]
-            v = row[c] - conflict_w
-            row[c] = v
-            if v < low[j]:
-                low[j] = v
-        x, y = _OTHER_COLORS[c]
-        for j in later_se[k]:
-            row = vec[j]
-            row[x] -= stitch_w
-            row[y] -= stitch_w
-            a, b, d = row
-            m = a if a < b else b
-            if d < m:
-                m = d
-            low[j] = m
+            a, b = pos[u], pos[v]
+            if a < b:
+                later[a].append(vec[b])
+            else:
+                later[b].append(vec[a])
 
     # greedy incumbent: cheapest color per node in branch order
     greedy = [0] * n
     greedy_cost = 0
     for k in range(n):
         row = vec[k]
-        c = row.index(min(row))
+        c = row.index(min(row[:3]))
         greedy[k] = c
         greedy_cost += row[c]
-        place(k, c)
+        for r in later_ce[k]:
+            r[c] += conflict_w
+        x, y = _OTHER_COLORS[c]
+        for r in later_se[k]:
+            r[x] += stitch_w
+            r[y] += stitch_w
     for row in vec:
-        row[:] = [0, 0, 0]
-    low[:] = [0] * n
+        row[:] = (0, 0, 0, 0)
 
     best_cost = greedy_cost
     best_colors = list(greedy)
@@ -344,8 +308,10 @@ def solve_exact(
                 best_colors = colors[:n]
             return
         row = vec[k]
-        rest -= low[k]
-        for c in range(min(used + 1, 3)):
+        rest -= row[3]
+        ce_rows = later_ce[k]
+        se_rows = later_se[k]
+        for c in range(used + 1 if used < 3 else 3):
             if explored >= budget:
                 proven = False
                 return
@@ -354,11 +320,45 @@ def solve_exact(
             # coloring k only raises the later vectors, so this is a bound
             if nxt + rest >= best_cost:
                 continue
-            delta = place(k, c)
+            # color k with c in the later vectors; delta = rise of their low
+            delta = 0
+            for r in ce_rows:
+                v = r[c]
+                r[c] = v + conflict_w
+                if v == r[3]:  # otherwise another color keeps the minimum
+                    a, b, d, _ = r
+                    m = a if a < b else b
+                    if d < m:
+                        m = d
+                    delta += m - v
+                    r[3] = m
+            x, y = _OTHER_COLORS[c]
+            for r in se_rows:
+                r[x] += stitch_w
+                r[y] += stitch_w
+                a, b, d, lo = r
+                m = a if a < b else b
+                if d < m:
+                    m = d
+                delta += m - lo
+                r[3] = m
             if nxt + rest + delta < best_cost:
                 colors[k] = c
-                descend(k + 1, nxt, max(used, c + 1), rest + delta)
-            unplace(k, c)
+                descend(k + 1, nxt, used if used > c else c + 1, rest + delta)
+            # uncolor k
+            for r in ce_rows:
+                v = r[c] - conflict_w
+                r[c] = v
+                if v < r[3]:
+                    r[3] = v
+            for r in se_rows:
+                r[x] -= stitch_w
+                r[y] -= stitch_w
+                a, b, d, _ = r
+                m = a if a < b else b
+                if d < m:
+                    m = d
+                r[3] = m
 
     descend(0, 0, 0, 0)
 

@@ -47,9 +47,11 @@ class DecomposeConfig:
         real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
         if alpha is not None and not (real and math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
-        seed = self.seed
-        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        for name in ("node_budget", "seed"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral and value >= 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass

@@ -166,9 +166,9 @@ def test_criterion_6_detection_soundness():
 
 def test_criterion_7_dense_benchmark_tradeoff():
     with criterion(7, "dense benchmark: relaxation pipeline faster, never better"):
-        # seed calibrated so the exact search closes but grinds: about
-        # 1.4-1.8 s against 0.8-0.9 s for the relaxation on a 2-CPU x86-64
-        # host
+        # seed calibrated so the exact search closes but grinds: 1.5 M
+        # search nodes in about 1.1 s, against 0.07-0.10 s for the
+        # relaxation on a 2-CPU x86-64 host
         layout = generate_layout(40, 6.0, seed=6)
         t0 = time.perf_counter()
         exact = decompose(layout, DecomposeConfig(solver="exact", node_budget=60_000_000))

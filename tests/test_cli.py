@@ -102,6 +102,23 @@ class TestDecomposeCommand:
                        '"shapes": [{"id": 0, "rect": [0, 0, 10, 10]}]}')
         assert run(["decompose", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("sid", [2**63, 2**70, -(2**63) - 1])
+    def test_shape_id_beyond_int64_exit_2(self, tmp_path, capsys, sid):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"shapes": [{"id": sid, "rect": [0, 0, 50, 10]},
+                                              {"id": 1, "rect": [0, 40, 50, 50]}]}))
+        assert run(["decompose", "--input", str(bad)]) == 2
+        assert f"shape {sid}: id must lie within" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sid", [2**63 - 1, -(2**63)])
+    def test_shape_id_at_int64_limit_exit_0(self, tmp_path, sid):
+        path = tmp_path / "edge.json"
+        out = tmp_path / "out.json"
+        path.write_text(json.dumps({"shapes": [{"id": sid, "rect": [0, 0, 50, 10]},
+                                               {"id": 1, "rect": [0, 40, 50, 50]}]}))
+        assert run(["decompose", "--input", str(path), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["masks"]) == 2
+
     def test_params_not_an_object_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"params": [1], "shapes": []}')

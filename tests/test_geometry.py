@@ -33,6 +33,7 @@ from trimask.geometry import (
     stitch_candidates,
 )
 from trimask.graphs import DecompositionGraph, Segment, ordered_pair
+from trimask.pipeline import decompose
 from trimask.reductions import peel_low_degree
 
 
@@ -99,6 +100,25 @@ class TestLoadLayout(object):
                           {"id": 3, "rect": [0, coord, 10, 10]}]}
         with pytest.raises(LayoutError, match="shape 3: coordinates must lie within"):
             layout_from_dict(doc)
+
+    @pytest.mark.parametrize("sid", [2**63, 2**70, -(2**63) - 1])
+    def test_shape_id_beyond_int64(self, sid):
+        doc = {"shapes": [{"id": sid, "rect": [0, 0, 50, 10]},
+                          {"id": 1, "rect": [0, 40, 50, 50]}]}
+        message = rf"^shape {sid}: id must lie within \[-2\*\*63, 2\*\*63 - 1\]$"
+        with pytest.raises(LayoutError, match=message):
+            layout_from_dict(doc)
+        with pytest.raises(LayoutError, match=message):
+            Layout(shapes=(Shape(1, (0, 40, 50, 50)), Shape(sid, (0, 0, 50, 10))),
+                   params=ProcessParams())
+
+    @pytest.mark.parametrize("sid", [2**63 - 1, -(2**63)])
+    def test_shape_id_at_int64_limit_decomposes(self, sid):
+        layout = layout_from_dict({"shapes": [{"id": sid, "rect": [0, 0, 50, 10]},
+                                              {"id": 1, "rect": [0, 40, 50, 50]}]})
+        result = decompose(layout)
+        assert {s.parent for s in result.dg.segments} == {sid, 1}
+        assert result.conflict_count == 0
 
     def test_coordinate_limit_itself_allowed(self):
         doc = {"shapes": [{"id": 0, "rect": [-COORD_LIMIT, 0, COORD_LIMIT, 10]}]}

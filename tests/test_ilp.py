@@ -306,6 +306,203 @@ class TestLookAheadIdentity:
         assert 4 * got <= want
 
 
+# --- the look-ahead search with a call per move, as the reference for the
+# inline moves of solve_exact ---------------------------------------------------
+
+OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
+
+
+def reference_look_ahead(
+    dg: DecompositionGraph, alpha, budget: int = 5_000_000
+) -> SolveReport:
+    """``solve_exact`` with the look-ahead bound kept in separate lists
+    (``vec`` and ``low``) and moved by ``place``/``unplace`` calls."""
+    frac = as_fraction(alpha)
+    stitch_w, conflict_w = frac.numerator, frac.denominator
+    nodes = dg.nodes
+    n = len(nodes)
+    if n == 0:
+        return SolveReport(evaluate(dg, {}, alpha), 0, True)
+
+    order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
+    pos = {v: k for k, v in enumerate(order)}
+    # later neighbors per position, by edge kind: a conflict edge costs
+    # conflict_w when its ends share a color, a stitch edge stitch_w when
+    # they differ
+    later_ce: list[list[int]] = [[] for _ in range(n)]
+    later_se: list[list[int]] = [[] for _ in range(n)]
+    for later, edges in ((later_ce, dg.ce), (later_se, dg.se)):
+        for u, v in edges:
+            later[min(pos[u], pos[v])].append(max(pos[u], pos[v]))
+
+    # vec[k][c]: cost of color c at position k against the colored positions;
+    # low[k] = min(vec[k])
+    vec = [[0, 0, 0] for _ in range(n)]
+    low = [0] * n
+
+    def place(k: int, c: int) -> int:
+        """Color position k with c in the vectors of its later neighbors;
+        return the rise of their minima."""
+        delta = 0
+        for j in later_ce[k]:
+            row = vec[j]
+            v = row[c]
+            row[c] = v + conflict_w
+            if v == low[j]:  # otherwise another color keeps the minimum
+                a, b, d = row
+                m = a if a < b else b
+                if d < m:
+                    m = d
+                delta += m - v
+                low[j] = m
+        x, y = OTHER_COLORS[c]
+        for j in later_se[k]:
+            row = vec[j]
+            row[x] += stitch_w
+            row[y] += stitch_w
+            a, b, d = row
+            m = a if a < b else b
+            if d < m:
+                m = d
+            delta += m - low[j]
+            low[j] = m
+        return delta
+
+    def unplace(k: int, c: int) -> None:
+        """Undo place(k, c)."""
+        for j in later_ce[k]:
+            row = vec[j]
+            v = row[c] - conflict_w
+            row[c] = v
+            if v < low[j]:
+                low[j] = v
+        x, y = OTHER_COLORS[c]
+        for j in later_se[k]:
+            row = vec[j]
+            row[x] -= stitch_w
+            row[y] -= stitch_w
+            a, b, d = row
+            m = a if a < b else b
+            if d < m:
+                m = d
+            low[j] = m
+
+    # greedy incumbent: cheapest color per node in branch order
+    greedy = [0] * n
+    greedy_cost = 0
+    for k in range(n):
+        row = vec[k]
+        c = row.index(min(row))
+        greedy[k] = c
+        greedy_cost += row[c]
+        place(k, c)
+    for row in vec:
+        row[:] = [0, 0, 0]
+    low[:] = [0] * n
+
+    best_cost = greedy_cost
+    best_colors = list(greedy)
+    proven = True
+    explored = 0
+    colors = [0] * n
+
+    def descend(k: int, cost: int, used: int, rest: int) -> None:
+        # 'used' = number of distinct colors among positions < k; capping the
+        # next color at used keeps only canonical colorings (colors appear in
+        # first-use order), which is exactly where the lex-smallest optimum
+        # lives, so the reported assignment is unchanged.
+        # 'rest' = sum of low over the uncolored positions >= k
+        nonlocal best_cost, best_colors, proven, explored
+        if explored >= budget:
+            proven = False
+            return
+        if k == n:
+            if cost < best_cost:
+                best_cost = cost
+                best_colors = colors[:n]
+            return
+        row = vec[k]
+        rest -= low[k]
+        for c in range(min(used + 1, 3)):
+            if explored >= budget:
+                proven = False
+                return
+            explored += 1
+            nxt = cost + row[c]
+            # coloring k only raises the later vectors, so this is a bound
+            if nxt + rest >= best_cost:
+                continue
+            delta = place(k, c)
+            if nxt + rest + delta < best_cost:
+                colors[k] = c
+                descend(k + 1, nxt, max(used, c + 1), rest + delta)
+            unplace(k, c)
+
+    descend(0, 0, 0, 0)
+
+    assignment = evaluate(dg, {order[k]: best_colors[k] for k in range(n)}, alpha)
+    return SolveReport(
+        assignment=assignment,
+        nodes_explored=explored,
+        proven_optimal=proven,
+    )
+
+
+BUDGETS = (1, 2, 7, 50, 400, 5000, 5_000_000)
+
+
+def assert_same_search(dg: DecompositionGraph, alpha, budget: int) -> None:
+    got = solve_exact(dg, alpha, budget)
+    want = reference_look_ahead(dg, alpha, budget)
+    assert got.assignment.colors == want.assignment.colors
+    assert got.assignment.objective == want.assignment.objective
+    assert got.nodes_explored == want.nodes_explored
+    assert got.proven_optimal == want.proven_optimal
+
+
+class TestInlineMovesIdentity:
+    """Moving the look-ahead vectors inline changes no step of the search:
+    at every budget, colors, objective, explored node count and proven flag
+    equal those of the search that calls place/unplace."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 22),
+        st.sampled_from([0.1, 0.2, 0.3]),
+        st.sampled_from([0.05, 0.15]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2)]),
+    )
+    def test_random_graphs(self, n, ce_density, se_density, seed, alpha):
+        dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
+        for budget in BUDGETS:
+            assert_same_search(dg, alpha, budget)
+
+    @pytest.mark.parametrize("seed", range(1, 31))
+    def test_clip_components(self, seed):
+        for comp in clip_components(seed):
+            for budget in BUDGETS:
+                assert_same_search(comp, Fraction(1, 10), budget)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_budget_of_a_small_search(self, seed):
+        # the budget can run out on the step into a leaf, where the check at
+        # the top of the search must drop that leaf
+        rng = np.random.default_rng(seed)
+        dg = random_graph(rng, int(rng.integers(6, 12)), 0.35, 0.15)
+        full = solve_exact(dg, Fraction(1, 10)).nodes_explored
+        for budget in range(full + 2):
+            assert_same_search(dg, Fraction(1, 10), budget)
+
+    def test_budgets_cut_the_search(self):
+        # the budgets above stop the search mid-tree: not every run is proven
+        (comp,) = clip_components(22)
+        reports = [solve_exact(comp, Fraction(1, 10), b) for b in BUDGETS]
+        assert [r.nodes_explored for r in reports[:-1]] == list(BUDGETS[:-1])
+        assert not any(r.proven_optimal for r in reports[:-1])
+        assert reports[-1].proven_optimal
+
+
 def highs_optimum(model) -> float:
     """Optimum of the 0-1 model as ``scipy.optimize.milp`` (HiGHS) finds it,
     with every constraint row as one row of a sparse matrix."""

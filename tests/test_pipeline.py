@@ -158,6 +158,21 @@ class TestDecomposeGraph:
         assert DecomposeConfig(seed=0).seed == 0
         assert DecomposeConfig(seed=np.int64(7)).seed == 7
 
+    @pytest.mark.parametrize("budget", [-5, -1, 2.5, float("nan"), True, False, None, "10"])
+    def test_node_budget_must_be_a_non_negative_integer(self, budget):
+        with pytest.raises(ValueError, match="node_budget must be a non-negative integer"):
+            DecomposeConfig(node_budget=budget)
+
+    @pytest.mark.parametrize("budget", [0, 1, np.int64(7), 5_000_000])
+    def test_node_budget_accepts_non_negative_integers(self, budget):
+        assert DecomposeConfig(node_budget=budget).node_budget == budget
+
+    def test_node_budget_zero_keeps_the_greedy_incumbent(self):
+        result = decompose(K4, DecomposeConfig(solver="exact", node_budget=0))
+        (report,) = result.per_component
+        assert report.nodes_explored == 0 and not report.proven_optimal
+        assert result.conflict_count >= 1
+
     def test_config_has_four_fields(self):
         assert list(DecomposeConfig.__dataclass_fields__) == [
             "solver", "alpha", "node_budget", "seed"
