@@ -30,24 +30,51 @@ of three. The random ties matter: taking the first cheapest move, the
 search stalls on large pieces.
 
 Every caller (the pipeline's leaves, ``--dump-x``, a direct call) runs the
-same schedule for a given graph: one run of the penalty ramp and then the
-multiplier rounds, from one random factor drawn from the seed. Above 16
-nodes no run ever certified, so each extra restart ran in full; the tabu
-search gains more than they did, in less time.
+same schedule for a given graph, from one random factor drawn from the
+seed: the penalty ramp and, on graphs of at most 16 nodes, the multiplier
+rounds after it. Above 16 nodes no run ever certified, so each extra
+restart ran in full; the tabu search gains more than they did, in less
+time.
 Every descent stops at the one gradient tolerance ``GRAD_TOL``. Only the
 tuple (multiplier rounds, inner iterations per descent, stall tolerance)
 depends on size: ``(12, 400, None)`` up to 16 nodes and
-``(5, 200, STALL_TOL)`` above.
+``(0, 200, STALL_TOL)`` above.
 Large relaxations reach neither ``GRAD_TOL`` nor ``CONSTRAINT_TOL``, so
 above 16 nodes a descent also stops once its accepted penalized value has
 not improved by ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW``
 iterations: without it every descent on a 120-node component ran to its
 200-iteration cap, though most of the decrease comes in the first tenth of
-them. The size rule stays because neither setting serves both sides: the
-light one certifies 41 of criterion 3's 100 small relaxations, too few for
-their value to bound the optimum, and the full one makes 400-shape layouts
-at density 6 about eight times slower for a 2% better objective. A stop on
-the duality gap could retire it.
+them. Above 16 nodes the multiplier rounds never certified either. Up to
+five of them took 29% of the descent iterations of a ``dense`` layout,
+and each stalled one an n × n eigendecomposition (``_rank_reduced``).
+Without them a ``dense`` layout decomposes about a quarter faster, and the
+mean objective over the ten decompose seeds 1, 2, 3, 5, 7, 11, 13, 42, 99
+and 1234 moves by less than the spread between seeds (one BLAS thread,
+2-CPU x86-64 host):
+
+===================================  ===============  =========================
+instance                             mean objective   per-seed range
+                                     5 rounds → none  5 rounds / none
+===================================  ===============  =========================
+``dense`` main corpus, sum of 4      473.3 → 475.7    468.2–478.1 / 471.1–479.3
+``dense`` held-out corpus, sum of 4  478.4 → 477.1    470.1–489.2 / 471.2–483.2
+(400, 6), generator seeds 1–3, sum   361.1 → 362.9    357.2–364.0 / 359.1–365.2
+(400, 4), generator seeds 1–3, sum   203.7 → 204.7    193.4–213.4 / 196.7–212.7
+(1000, 3), generator seed 1          201.6 → 195.4    194.5–213.9 / 180.9–210.8
+(1000, 3), generator seed 2          199.8 → 200.1    187.5–207.8 / 188.6–206.4
+(2000, 4), generator seeds 1–2, sum  802.7 → 808.1    779.7–825.7 / 773.0–842.4
+(2000, 6), generator seed 1          625.9 → 628.0    615.5–637.3 / 612.2–646.4
+(2000, 6), generator seed 2          656.5 → 657.0    644.5–668.6 / 648.3–667.0
+(2000, 6), generator seed 3          651.7 → 654.6    638.8–662.6 / 645.7–665.2
+===================================  ===============  =========================
+
+One seed says less: at seed 42 the main ``dense`` corpus reads
+468.2 → 478.2 and the held-out one 477.1 → 472.2. The size rule stays
+because neither setting serves both sides: the ramp alone certifies 12 of
+criterion 3's 100 small relaxations, too few for their value to bound the
+optimum, and the full schedule makes the ``dense`` layouts about ten times
+slower for a 0.9% better mean objective. A stop on the duality gap could
+retire it.
 
 The descent works on edge lists and never forms an n × n array. Each
 step takes the endpoint rows of all conflict and stitch pairs with one
@@ -61,18 +88,17 @@ the rows with one ``np.bincount``. So a step costs O(|E|·r) time and
 memory. On a 3000-node graph of 5993 conflict pairs, one 71-iteration
 descent took 1.70 s and peaked at 70.8 MiB in ``tracemalloc`` with a dense
 n × n weight matrix, and takes 0.09 s and 4.5 MiB on edge lists (one BLAS
-thread, 2-CPU x86-64 host).
+thread, 2-CPU x86-64 host). The whole relaxation of that graph took 13.0 s
+and peaked at 140 MiB while multiplier rounds ran above 16 nodes, two of
+them in ``_rank_reduced``, and takes 0.3 s and 4.7 MiB as the ramp alone.
 
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks. A seeded run therefore repeats byte for
 byte on one host, under one numpy and BLAS build; a host whose kernels
 sum the row dots, ``v @ g`` or the scatter in another order may round to
-other masks. ``_rank_reduced`` still eigendecomposes the n × n Gram
-matrix outside the descent: a thin SVD of the factor spans the same
-subspace but rounds otherwise, and scored 636.3 against 623.4 on
-``generate_layout(2000, 6, seed=1)``, 121.0 against 118.1 on
-``generate_layout(400, 6, seed=1)`` and 478.2 against 468.2 on the
-benchmark's main ``dense`` corpus.
+other masks. ``_rank_reduced`` eigendecomposes the n × n Gram matrix, but
+only the multiplier rounds call it, so no relaxation above 16 nodes forms
+an n × n array.
 """
 
 from __future__ import annotations
@@ -205,8 +231,12 @@ def _max_violation(v, ce) -> float:
     return float(max(diag, floor))
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((v * v) @ np.ones(v.shape[1]))
+def _normalize_rows(v: np.ndarray, ones: np.ndarray | None = None) -> np.ndarray:
+    """``v`` with unit rows; ``ones``, a vector of ``v.shape[1]`` ones, saves
+    allocating one."""
+    if ones is None:
+        ones = np.ones(v.shape[1])
+    norms = np.sqrt((v * v) @ ones)
     norms[norms == 0.0] = 1.0
     return v / norms[:, None]
 
@@ -296,7 +326,7 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift, stall=None):
         trial_step = step
         reference = max(memory)
         for _ in range(25):
-            v_new = _normalize_rows(v - trial_step * grad)
+            v_new = _normalize_rows(v - trial_step * grad, edges.ones)
             value_new, *parts_new = _penalized_value(v_new, edges, mu, shift)
             if value_new <= reference - 1e-4 * trial_step * gnorm * gnorm:
                 accepted = True
@@ -332,10 +362,9 @@ def _rank_reduced(v):
     escapes the saddle. Returns None when there is nothing to truncate,
     which can only happen up to ``RANK`` nodes: above, the n × n Gram of an
     n × ``RANK`` factor has at least n - ``RANK`` zero eigenvalues, so every
-    call re-factors, and every stalled multiplier round of
-    ``solve_relaxation`` runs one more descent from the rotated factor.
-    That descent stays on purpose: without it the held-out
-    ``dense`` objective rose from 485.4 to 488.6.
+    call re-factors. Only the multiplier rounds of ``solve_relaxation``
+    call it, so n is at most 16. It stays on purpose: without it 60 of
+    criterion 3's 100 small relaxations certify, against 80 with it.
     """
     x = v @ v.T
     vals, vecs = np.linalg.eigh(x)
@@ -355,17 +384,19 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     """Approximately minimize the relaxation through a low-rank factor.
 
     The -1/2 floor on conflict pairs is enforced by a quadratic penalty: a
-    short ramp multiplies the weight by a fixed factor per round, then
-    multiplier shifts take over at the final weight so the floor tightens
-    without runaway stiffness. The ramp and the multiplier rounds run once,
-    from one random factor drawn from ``seed``. ``converged`` certifies both
-    a small final gradient and a small constraint violation of that run.
+    short ramp multiplies the weight by a fixed factor per round. On graphs
+    of at most 16 nodes multiplier shifts then take over at the final
+    weight, so the floor tightens without runaway stiffness; above 16 nodes
+    the ramp alone runs, as the module docstring measures. The schedule
+    runs once, from one random factor drawn from ``seed``. ``converged``
+    certifies both a small final gradient and a small constraint violation
+    of that run.
     """
     n = len(cost.index)
     ce = cost.ce
     edges = _edge_terms(cost, min(n, RANK))
     # the size rule of the module docstring
-    shift_rounds, max_iters, stall = (12, 400, None) if n <= 16 else (5, 200, STALL_TOL)
+    shift_rounds, max_iters, stall = (12, 400, None) if n <= 16 else (0, 200, STALL_TOL)
     no_shift = np.zeros(len(ce))
 
     def descend(v, mu, shift):

@@ -13,6 +13,7 @@ from trimask.sdp import (
     DRAWS,
     MASK_VECTORS,
     MU_INITIAL,
+    RAMP_ROUNDS,
     RANK,
     STALL_TOL,
     TABU_ITERATIONS,
@@ -249,38 +250,47 @@ class TestStallStop:
         assert used < 200
         assert _penalized_value(v, edges, 400.0, zero)[0] < start
 
-    def test_a_large_descent_allocates_no_square_array(self):
+    @staticmethod
+    def large_instance():
         # 3000 nodes and about 2 conflict pairs per node: one n × n float
         # array alone would take 72 MB
         n = 3000
         rng = np.random.default_rng(5)
         pairs = {tuple(sorted(p)) for p in rng.integers(n, size=(2 * n, 2)).tolist() if p[0] != p[1]}
         cost = build_cost_matrix(DecompositionGraph.from_edges(n, ce=sorted(pairs)), 0.1)
-        edges = _edge_terms(cost, RANK)
-        v = _normalize_rows(rng.normal(size=(n, RANK)))
+        return cost, _normalize_rows(rng.normal(size=(n, RANK)))
+
+    @staticmethod
+    def traced_peak(run) -> int:
         tracemalloc.start()
         try:
-            _minimize_on_sphere(v, edges, MU_INITIAL, 200, np.zeros(len(cost.ce)), STALL_TOL)
-            peak = tracemalloc.get_traced_memory()[1]
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_a_large_descent_allocates_no_square_array(self):
+        cost, v = self.large_instance()
+        edges = _edge_terms(cost, RANK)
+        zero = np.zeros(len(cost.ce))
+        peak = self.traced_peak(lambda: _minimize_on_sphere(v, edges, MU_INITIAL, 200, zero, STALL_TOL))
         assert peak < 16 * 2**20
 
-    def test_only_relaxations_above_16_nodes_pass_a_tolerance(self, rng, stall_tolerances):
-        dg = random_graph(rng, 16)
-        solve_relaxation(build_cost_matrix(dg, 0.1))
-        assert stall_tolerances and all(tol is None for tol in stall_tolerances)
-        stall_tolerances.clear()
-        dg = random_graph(rng, 17)
-        sol = solve_relaxation(build_cost_matrix(dg, 0.1))
-        assert stall_tolerances and all(tol == STALL_TOL for tol in stall_tolerances)
-        assert 0 < sol.iterations < 200 * len(stall_tolerances)
+    def test_a_large_relaxation_allocates_no_square_array(self, monkeypatch):
+        # above 16 nodes the relaxation is the penalty ramp alone, so the
+        # rank reduction's n × n eigendecomposition never runs
+        reductions = []
+        reduce = trimask.sdp._rank_reduced
+        monkeypatch.setattr(trimask.sdp, "_rank_reduced", lambda v: reductions.append(v) or reduce(v))
+        cost, _ = self.large_instance()
+        assert self.traced_peak(lambda: solve_relaxation(cost)) < 16 * 2**20
+        assert not reductions
 
 
 class TestOneRun:
     """The relaxation runs its ramp once, certified or not. The ramp opens
     with the one descent at ``MU_INITIAL``, and the penalty weight only
-    grows after it."""
+    grows after it. Multiplier rounds follow only up to 16 nodes."""
 
     def test_certified_triangle_runs_one_ramp(self, stall_tolerances):
         sol = solve_relaxation(build_cost_matrix(triangle_graph(), 0.1))
@@ -292,6 +302,19 @@ class TestOneRun:
         sol = solve_relaxation(build_cost_matrix(dg, 0.1))
         assert not sol.converged
         assert stall_tolerances.mus.count(MU_INITIAL) == 1
+
+    def test_the_schedule_on_each_side_of_16_nodes(self, rng, stall_tolerances):
+        # above 16 nodes: the penalty ramp alone, every descent with the
+        # stall stop
+        sol = solve_relaxation(build_cost_matrix(random_graph(rng, 17), 0.1))
+        assert stall_tolerances == [STALL_TOL] * RAMP_ROUNDS
+        assert stall_tolerances.mus == [4.0, 40.0, 400.0]
+        assert 0 < sol.iterations < 200 * RAMP_ROUNDS
+        stall_tolerances.clear()
+        # up to 16 nodes: the ramp, then multiplier rounds, no stall stop
+        solve_relaxation(build_cost_matrix(random_graph(rng, 16), 0.1))
+        assert len(stall_tolerances) > RAMP_ROUNDS
+        assert all(tol is None for tol in stall_tolerances)
 
 
 def add_at_value_and_gradient(v, w, mu, ce, shift=None):
