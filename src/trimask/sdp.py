@@ -30,51 +30,66 @@ of three. The random ties matter: taking the first cheapest move, the
 search stalls on large pieces.
 
 Every caller (the pipeline's leaves, ``--dump-x``, a direct call) runs the
-same schedule for a given graph, from one random factor drawn from the
-seed: the penalty ramp and, on graphs of at most 16 nodes, the multiplier
-rounds after it. Above 16 nodes no run ever certified, so each extra
-restart ran in full; the tabu search gains more than they did, in less
-time.
-Every descent stops at the one gradient tolerance ``GRAD_TOL``. Only the
-tuple (multiplier rounds, inner iterations per descent, stall tolerance)
-depends on size: ``(12, 400, None)`` up to 16 nodes and
-``(0, 200, STALL_TOL)`` above.
+same schedule for a given graph, once, from one random factor drawn from
+the seed. Every descent stops at the one gradient tolerance ``GRAD_TOL`` or
+after ``MAX_ITERS`` iterations. Only the tuple (ramp rounds, multiplier
+rounds, stall tolerance) depends on size: ``(RAMP_ROUNDS, 12, None)`` up to
+16 nodes and ``(1, 0, STALL_TOL)`` above. Up to 16 nodes the penalty ramp
+(``RAMP_ROUNDS`` descents, the weight times ``MU_GROWTH`` after each) and
+the multiplier rounds after it run as they always have; above 16 nodes the
+relaxation is one descent at ``MU_INITIAL``.
+
 Large relaxations reach neither ``GRAD_TOL`` nor ``CONSTRAINT_TOL``, so
-above 16 nodes a descent also stops once its accepted penalized value has
-not improved by ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW``
-iterations: without it every descent on a 120-node component ran to its
-200-iteration cap, though most of the decrease comes in the first tenth of
-them. Above 16 nodes the multiplier rounds never certified either. Up to
-five of them took 29% of the descent iterations of a ``dense`` layout,
-and each stalled one an n × n eigendecomposition (``_rank_reduced``).
-Without them a ``dense`` layout decomposes about a quarter faster, and the
-mean objective over the ten decompose seeds 1, 2, 3, 5, 7, 11, 13, 42, 99
-and 1234 moves by less than the spread between seeds (one BLAS thread,
-2-CPU x86-64 host):
+above 16 nodes the descent also stops once its accepted penalized value
+has not improved by ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW``
+iterations. The relaxed clips of the benchmark (26–29 nodes) stop there
+after about 220 of their 400 iterations; the ``dense`` pieces of 113–124
+nodes still improve at their cap.
+
+Above 16 nodes no run ever certified, so more runs, multiplier rounds and
+a stiffer penalty each bought iterations and no bound. Multiplier rounds
+went first: they took 29% of the descent iterations of a ``dense`` layout,
+and each stalled one an n × n eigendecomposition (``_rank_reduced``). The
+ramp's rounds at mu = 40 and 400 went next: on the ``dense`` pieces the
+rounds at mu = 4 and 40 always ran to their 200-iteration cap, and the two
+stiff rounds took 63% of the iterations. One descent at mu = 4 of up to
+400 iterations makes 25–57% fewer iterations and scores a better mean
+objective over the ten decompose seeds 1, 2, 3, 5, 7, 11, 13, 42, 99 and
+1234 on every instance below (one BLAS thread, 2-CPU x86-64 host):
 
 ===================================  ===============  =========================
 instance                             mean objective   per-seed range
-                                     5 rounds → none  5 rounds / none
+                                     ramp → one       ramp / one
 ===================================  ===============  =========================
-``dense`` main corpus, sum of 4      473.3 → 475.7    468.2–478.1 / 471.1–479.3
-``dense`` held-out corpus, sum of 4  478.4 → 477.1    470.1–489.2 / 471.2–483.2
-(400, 6), generator seeds 1–3, sum   361.1 → 362.9    357.2–364.0 / 359.1–365.2
-(400, 4), generator seeds 1–3, sum   203.7 → 204.7    193.4–213.4 / 196.7–212.7
-(1000, 3), generator seed 1          201.6 → 195.4    194.5–213.9 / 180.9–210.8
-(1000, 3), generator seed 2          199.8 → 200.1    187.5–207.8 / 188.6–206.4
-(2000, 4), generator seeds 1–2, sum  802.7 → 808.1    779.7–825.7 / 773.0–842.4
-(2000, 6), generator seed 1          625.9 → 628.0    615.5–637.3 / 612.2–646.4
-(2000, 6), generator seed 2          656.5 → 657.0    644.5–668.6 / 648.3–667.0
-(2000, 6), generator seed 3          651.7 → 654.6    638.8–662.6 / 645.7–665.2
+``dense`` main corpus, sum of 4      475.7 → 474.7    471.1–479.3 / 470.0–480.2
+``dense`` held-out corpus, sum of 4  477.2 → 474.3    471.2–483.2 / 468.1–479.4
+(400, 4), generator seeds 1–3, sum   204.7 → 196.8    196.7–212.7 / 192.3–201.8
+(400, 6), generator seeds 1–3, sum   362.9 → 362.0    359.1–365.2 / 358.1–367.1
+(1000, 3), generator seed 1          195.4 → 194.2    180.9–210.8 / 183.5–199.9
+(1000, 3), generator seed 2          200.1 → 196.4    188.6–206.4 / 184.3–210.7
+(2000, 4), generator seeds 1–2, sum  808.1 → 800.0    773.0–842.4 / 752.4–822.8
+(2000, 6), generator seed 1          628.0 → 625.5    612.2–646.4 / 613.5–631.4
+(2000, 6), generator seed 2          657.0 → 652.8    648.3–667.0 / 641.6–658.8
+(2000, 6), generator seed 3          654.6 → 653.6    645.7–665.2 / 644.5–660.1
+``clips`` relaxed, main / held-out   65.0 / 63.2      equal at every seed
 ===================================  ===============  =========================
 
+A cap of 200 iterations scores 1.1–2.6% worse means than the ramp on five
+of these instances, and one descent at mu = 40 2–20% worse on all of them.
 One seed says less: at seed 42 the main ``dense`` corpus reads
-468.2 → 478.2 and the held-out one 477.1 → 472.2. The size rule stays
-because neither setting serves both sides: the ramp alone certifies 12 of
-criterion 3's 100 small relaxations, too few for their value to bound the
-optimum, and the full schedule makes the ``dense`` layouts about ten times
-slower for a 0.9% better mean objective. A stop on the duality gap could
-retire it.
+478.2 → 474.0 and the held-out one 472.2 → 476.4.
+
+At mu = 4 the factor meets the -1/2 floor only softly: on a ``dense``
+piece the largest violation is about 0.13, against 0.002 after the ramp,
+and conflict dots fall to about -0.63. So ``obj_relaxation`` above 16
+nodes is no bound, which it never was there since no such run certifies;
+the rounding reads only the directions of the rows. The size rule stays
+because one schedule cannot serve both sides: one descent at mu = 4
+certifies 12 of criterion 3's 100 small relaxations, too few for their
+value to bound the optimum, and the full small-graph schedule made the
+``dense`` layouts about ten times slower than the ramp for a 0.9% better
+mean objective.
+A stop on the duality gap could retire it.
 
 The descent works on edge lists and never forms an n × n array. Each
 step takes the endpoint rows of all conflict and stitch pairs with one
@@ -90,15 +105,20 @@ descent took 1.70 s and peaked at 70.8 MiB in ``tracemalloc`` with a dense
 n × n weight matrix, and takes 0.09 s and 4.5 MiB on edge lists (one BLAS
 thread, 2-CPU x86-64 host). The whole relaxation of that graph took 13.0 s
 and peaked at 140 MiB while multiplier rounds ran above 16 nodes, two of
-them in ``_rank_reduced``, and takes 0.3 s and 4.7 MiB as the ramp alone.
+them in ``_rank_reduced``, 0.30 s and 4.7 MiB as the three-round ramp
+(282 iterations), and takes 0.07 s and 4.7 MiB as one descent (79).
 
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks. A seeded run therefore repeats byte for
-byte on one host, under one numpy and BLAS build; a host whose kernels
-sum the row dots, ``v @ g`` or the scatter in another order may round to
-other masks. ``_rank_reduced`` eigendecomposes the n × n Gram matrix, but
-only the multiplier rounds call it, so no relaxation above 16 nodes forms
-an n × n array.
+byte on one host, under one numpy and BLAS build and BLAS thread count; a
+host whose kernels sum the row dots, ``v @ g`` or the scatter in another
+order may round to other masks. The thread count matters through
+``np.vdot``: OpenBLAS splits a dot product of more than 10,000 entries
+over its threads, so the descent's norms and step lengths of a factor of
+more than 1,250 rows at rank 8 differ in the last bits between thread
+counts. ``_rank_reduced`` eigendecomposes the n × n Gram matrix, but only
+the multiplier rounds call it, so no relaxation above 16 nodes forms an
+n × n array.
 """
 
 from __future__ import annotations
@@ -129,15 +149,18 @@ TABU_ITERATIONS = 5
 TABU_TENURE = 7
 TABU_SPREAD = 10
 
-# the relaxation: factor columns (at most n), penalty weight, its growth per
-# ramp round, ramp rounds, and the tolerances that certify the run
+# the relaxation: factor columns (at most n) and the penalty weight of its
+# first descent, the only one above 16 nodes; up to 16 nodes, the weight's
+# growth per ramp round and the ramp rounds; the iteration cap of every
+# descent; and the tolerances that certify the run
 RANK = 8
 MU_INITIAL = 4.0
 MU_GROWTH = 10.0
 RAMP_ROUNDS = 3
+MAX_ITERS = 400
 GRAD_TOL = 1e-5
 CONSTRAINT_TOL = 1e-6
-# the stall stop of descents above 16 nodes: a descent ends once its accepted
+# the stall stop of the descent above 16 nodes: it ends once its accepted
 # penalized value has not improved by STALL_TOL * (1 + |best|) for
 # STALL_WINDOW iterations
 STALL_TOL = 1e-5
@@ -383,12 +406,13 @@ def _certified(grad_norm: float, violation: float) -> bool:
 def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     """Approximately minimize the relaxation through a low-rank factor.
 
-    The -1/2 floor on conflict pairs is enforced by a quadratic penalty: a
-    short ramp multiplies the weight by a fixed factor per round. On graphs
-    of at most 16 nodes multiplier shifts then take over at the final
-    weight, so the floor tightens without runaway stiffness; above 16 nodes
-    the ramp alone runs, as the module docstring measures. The schedule
-    runs once, from one random factor drawn from ``seed``. ``converged``
+    The -1/2 floor on conflict pairs is enforced by a quadratic penalty. On
+    graphs of at most 16 nodes a short ramp multiplies its weight by
+    ``MU_GROWTH`` per round, then multiplier shifts take over at the final
+    weight, so the floor tightens without runaway stiffness. Above 16 nodes
+    one descent at ``MU_INITIAL`` runs, with the stall stop, and meets the
+    floor only softly, as the module docstring measures. The schedule runs
+    once, from one random factor drawn from ``seed``. ``converged``
     certifies both a small final gradient and a small constraint violation
     of that run.
     """
@@ -396,21 +420,21 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     ce = cost.ce
     edges = _edge_terms(cost, min(n, RANK))
     # the size rule of the module docstring
-    shift_rounds, max_iters, stall = (12, 400, None) if n <= 16 else (0, 200, STALL_TOL)
+    ramp_rounds, shift_rounds, stall = (RAMP_ROUNDS, 12, None) if n <= 16 else (1, 0, STALL_TOL)
     no_shift = np.zeros(len(ce))
 
     def descend(v, mu, shift):
         nonlocal iterations
-        v, grad_norm, used = _minimize_on_sphere(v, edges, mu, max_iters, shift, stall)
+        v, grad_norm, used = _minimize_on_sphere(v, edges, mu, MAX_ITERS, shift, stall)
         iterations += used
         return v, grad_norm
 
     iterations = 0
     v = _normalize_rows(np.random.default_rng(seed).normal(size=(n, min(n, RANK))))
     mu = MU_INITIAL
-    for round_idx in range(RAMP_ROUNDS):
+    for round_idx in range(ramp_rounds):
         v, grad_norm = descend(v, mu, no_shift)
-        if round_idx < RAMP_ROUNDS - 1:
+        if round_idx < ramp_rounds - 1:
             mu *= MU_GROWTH
     # multiplier rounds: hinge shifts let a moderate mu enforce the walls
     # exactly, so the end game stays well conditioned
@@ -594,15 +618,23 @@ def _integer_costs(labels: np.ndarray, ce, se, frac) -> list[int]:
     return [frac.denominator * c + frac.numerator * s for c, s in zip(conflicts, stitches)]
 
 
+def _polish(labels: list[int], ce, se, frac, rng) -> list[int]:
+    """``_one_opt``, ``_tabu_search`` on ``rng``, then ``_one_opt`` on a
+    label list indexed by node position, with the conflict and stitch pairs
+    ``ce`` and ``se`` of those positions and the exact alpha ``frac``."""
+    links = _neighbor_links(len(labels), ce, se, frac)
+    labels = _tabu_search(links, _one_opt(links, labels), rng)
+    return _one_opt(links, labels)
+
+
 def polish(dg: DecompositionGraph, colors: dict[int, int], alpha, seed) -> dict[int, int]:
     """``_one_opt``, then ``_tabu_search`` on ``np.random.default_rng(seed)``
     (a generator passes through), then ``_one_opt``: a 1-opt fixpoint that
     never costs more than ``colors`` at the exact ``alpha``."""
     nodes = dg.nodes
-    links = _neighbor_links(len(nodes), *_edge_positions(dg), as_fraction(alpha))
-    labels = _one_opt(links, [colors[node] for node in nodes])
-    labels = _tabu_search(links, labels, np.random.default_rng(seed))
-    return dict(zip(nodes, _one_opt(links, labels)))
+    ce, se = _edge_positions(dg)
+    rng = np.random.default_rng(seed)
+    return dict(zip(nodes, _polish([colors[node] for node in nodes], ce, se, as_fraction(alpha), rng)))
 
 
 def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
@@ -611,7 +643,7 @@ def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
     Each of ``DRAWS`` Gaussian draws of three vectors, seeded by ``seed``,
     labels every node by the vector with the largest dot product with the
     node's factor row (Frieze & Jerrum 1997). The draw of lowest exact
-    integer cost, the first on a tie, goes through ``polish`` on the
+    integer cost, the first on a tie, takes the steps of ``polish`` on the
     generator that made the draws. The graph, its pairs and the exact alpha
     come from ``sol.cost``.
     """
@@ -620,5 +652,6 @@ def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
     g = rng.normal(size=(DRAWS, sol.v.shape[1], 3))
     labels = np.argmax(sol.v @ g, axis=2)  # (draw, node position)
     costs = _integer_costs(labels, cost.ce, cost.se, cost.alpha)
-    start = dict(zip(sol.index, labels[costs.index(min(costs))].tolist()))
-    return evaluate(cost.dg, polish(cost.dg, start, cost.alpha, rng), cost.alpha)
+    start = labels[costs.index(min(costs))].tolist()
+    polished = _polish(start, cost.ce, cost.se, cost.alpha, rng)
+    return evaluate(cost.dg, dict(zip(sol.index, polished)), cost.alpha)

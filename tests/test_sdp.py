@@ -240,15 +240,13 @@ class TestStallStop:
         return _edge_terms(cost, RANK), np.zeros(len(cost.ce)), v
 
     def test_ends_a_large_descent_early_without_raising_its_value(self):
+        # the one descent above 16 nodes: MU_INITIAL, at most 400 iterations
         edges, zero, v0 = self.instance(40)
-        for mu in (4.0, 40.0):  # the ramp rounds before the last
-            v0, *_ = _minimize_on_sphere(v0, edges, mu, 200, zero)
-        start, *_ = _penalized_value(v0, edges, 400.0, zero)
-        _, _, capped = _minimize_on_sphere(v0, edges, 400.0, 200, zero)
-        v, _, used = _minimize_on_sphere(v0, edges, 400.0, 200, zero, STALL_TOL)
-        assert capped == 200
-        assert used < 200
-        assert _penalized_value(v, edges, 400.0, zero)[0] < start
+        start, *_ = _penalized_value(v0, edges, MU_INITIAL, zero)
+        _, _, unstopped = _minimize_on_sphere(v0, edges, MU_INITIAL, 400, zero)
+        v, _, used = _minimize_on_sphere(v0, edges, MU_INITIAL, 400, zero, STALL_TOL)
+        assert used < unstopped <= 400
+        assert _penalized_value(v, edges, MU_INITIAL, zero)[0] < start
 
     @staticmethod
     def large_instance():
@@ -277,8 +275,8 @@ class TestStallStop:
         assert peak < 16 * 2**20
 
     def test_a_large_relaxation_allocates_no_square_array(self, monkeypatch):
-        # above 16 nodes the relaxation is the penalty ramp alone, so the
-        # rank reduction's n × n eigendecomposition never runs
+        # above 16 nodes the relaxation is one descent and no multiplier
+        # round, so the rank reduction's n × n eigendecomposition never runs
         reductions = []
         reduce = trimask.sdp._rank_reduced
         monkeypatch.setattr(trimask.sdp, "_rank_reduced", lambda v: reductions.append(v) or reduce(v))
@@ -288,9 +286,9 @@ class TestStallStop:
 
 
 class TestOneRun:
-    """The relaxation runs its ramp once, certified or not. The ramp opens
-    with the one descent at ``MU_INITIAL``, and the penalty weight only
-    grows after it. Multiplier rounds follow only up to 16 nodes."""
+    """The relaxation runs once, certified or not, and opens with the one
+    descent at ``MU_INITIAL``. Up to 16 nodes the penalty weight grows after
+    it and multiplier rounds follow; above, that descent is the whole run."""
 
     def test_certified_triangle_runs_one_ramp(self, stall_tolerances):
         sol = solve_relaxation(build_cost_matrix(triangle_graph(), 0.1))
@@ -304,12 +302,12 @@ class TestOneRun:
         assert stall_tolerances.mus.count(MU_INITIAL) == 1
 
     def test_the_schedule_on_each_side_of_16_nodes(self, rng, stall_tolerances):
-        # above 16 nodes: the penalty ramp alone, every descent with the
-        # stall stop
+        # above 16 nodes: one descent at the initial penalty weight, with
+        # the stall stop
         sol = solve_relaxation(build_cost_matrix(random_graph(rng, 17), 0.1))
-        assert stall_tolerances == [STALL_TOL] * RAMP_ROUNDS
-        assert stall_tolerances.mus == [4.0, 40.0, 400.0]
-        assert 0 < sol.iterations < 200 * RAMP_ROUNDS
+        assert stall_tolerances == [STALL_TOL]
+        assert stall_tolerances.mus == [MU_INITIAL]
+        assert 0 < sol.iterations <= 400
         stall_tolerances.clear()
         # up to 16 nodes: the ramp, then multiplier rounds, no stall stop
         solve_relaxation(build_cost_matrix(random_graph(rng, 16), 0.1))
