@@ -30,32 +30,27 @@ of three. The random ties matter: taking the first cheapest move, the
 search stalls on large pieces.
 
 Every caller (the pipeline's leaves, ``--dump-x``, a direct call) runs the
-same schedule for a given graph, once, from one random factor drawn from
-the seed. Every descent stops at the one gradient tolerance ``GRAD_TOL`` or
-after ``MAX_ITERS`` iterations. Only the tuple (ramp rounds, multiplier
-rounds, stall tolerance) depends on size: ``(RAMP_ROUNDS, 12, None)`` up to
-16 nodes and ``(1, 0, STALL_TOL)`` above. Up to 16 nodes the penalty ramp
-(``RAMP_ROUNDS`` descents, the weight times ``MU_GROWTH`` after each) and
-the multiplier rounds after it run as they always have; above 16 nodes the
-relaxation is one descent at ``MU_INITIAL``.
+same rule for a given graph, once, from one random factor drawn from the
+seed. The run opens with one descent at the penalty weight ``MU_INITIAL``.
+A descent ends at the gradient tolerance ``GRAD_TOL``, after ``MAX_ITERS``
+iterations, or once its accepted penalized value has not improved by
+``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW`` iterations. A multiplier
+round at the same weight follows only while the last descent met
+``GRAD_TOL`` but broke the -1/2 floor by more than ``CONSTRAINT_TOL``, at
+most ``MULTIPLIER_ROUNDS`` times: it shifts each hinge by its multiplier
+estimate, so the floor can hold exactly without a stiffer penalty. The
+rule reads the run, not the graph's size. Large relaxations never reach
+``GRAD_TOL``, so there the run is the one descent: the relaxed clips of
+the benchmark (26–29 nodes) stop at the stall stop after about 220 of
+their 400 iterations, and the ``dense`` pieces of 113–124 nodes still
+improve at their cap. ``converged`` certifies a run whose last descent
+met both tolerances.
 
-Large relaxations reach neither ``GRAD_TOL`` nor ``CONSTRAINT_TOL``, so
-above 16 nodes the descent also stops once its accepted penalized value
-has not improved by ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW``
-iterations. The relaxed clips of the benchmark (26–29 nodes) stop there
-after about 220 of their 400 iterations; the ``dense`` pieces of 113–124
-nodes still improve at their cap.
-
-Above 16 nodes no run ever certified, so more runs, multiplier rounds and
-a stiffer penalty each bought iterations and no bound. Multiplier rounds
-went first: they took 29% of the descent iterations of a ``dense`` layout,
-and each stalled one an n × n eigendecomposition (``_rank_reduced``). The
-ramp's rounds at mu = 40 and 400 went next: on the ``dense`` pieces the
-rounds at mu = 4 and 40 always ran to their 200-iteration cap, and the two
-stiff rounds took 63% of the iterations. One descent at mu = 4 of up to
-400 iterations makes 25–57% fewer iterations and scores a better mean
-objective over the ten decompose seeds 1, 2, 3, 5, 7, 11, 13, 42, 99 and
-1234 on every instance below (one BLAS thread, 2-CPU x86-64 host):
+On pieces above 16 nodes the one descent at mu = 4 replaced a penalty
+ramp (descents at mu = 4, 40 and 400). It makes 25–57% fewer iterations
+and scores a better mean objective over the ten decompose seeds 1, 2, 3,
+5, 7, 11, 13, 42, 99 and 1234 on every instance below (one BLAS thread,
+2-CPU x86-64 host):
 
 ===================================  ===============  =========================
 instance                             mean objective   per-seed range
@@ -81,15 +76,22 @@ One seed says less: at seed 42 the main ``dense`` corpus reads
 
 At mu = 4 the factor meets the -1/2 floor only softly: on a ``dense``
 piece the largest violation is about 0.13, against 0.002 after the ramp,
-and conflict dots fall to about -0.63. So ``obj_relaxation`` above 16
-nodes is no bound, which it never was there since no such run certifies;
-the rounding reads only the directions of the rows. The size rule stays
-because one schedule cannot serve both sides: one descent at mu = 4
-certifies 12 of criterion 3's 100 small relaxations, too few for their
-value to bound the optimum, and the full small-graph schedule made the
-``dense`` layouts about ten times slower than the ramp for a 0.9% better
-mean objective.
-A stop on the duality gap could retire it.
+and conflict dots fall to about -0.63. So the ``obj_relaxation`` of an
+uncertified run is no bound; the rounding reads only the directions of
+the rows.
+
+``RelaxationSolution.lower_bound`` is a bound from any factor, certified
+or not (Burer & Monteiro 2003; Boumal, Voroninski & Bandeira 2016). The
+run keeps its final floor multipliers z_e = 4·mu·max(0, -1/2 - x_e + s_e)
+at hinge shift s. With Z holding z_e/2 at both cells of a conflict pair,
+y_i = ((W - Z)v)_i·v_i and S = W - Diag(y) - Z, every X the relaxation
+admits has ⟨W, X⟩ >= Σy - ½Σz + n·min(0, λ_min(S)), and the objective is
+⟨W, X⟩/3 + ⅔(|CE|/2 + alpha·|SE|). On criterion 3's 100 graphs of 2–10
+nodes the bound lies a median of 0.0023 and at most 0.34 below the
+exhaustive optimum. On the benchmark's pieces the gap is the relaxation's
+integrality gap, 25–71% of the incumbent, so there it proves nothing. It
+needs a dense ``eigvalsh`` of S, 1.4 s at 2353 nodes, so it is computed
+on demand and never by the pipeline.
 
 The descent works on edge lists and never forms an n × n array. Each
 step takes the endpoint rows of all conflict and stitch pairs with one
@@ -103,10 +105,8 @@ the rows with one ``np.bincount``. So a step costs O(|E|·r) time and
 memory. On a 3000-node graph of 5993 conflict pairs, one 71-iteration
 descent took 1.70 s and peaked at 70.8 MiB in ``tracemalloc`` with a dense
 n × n weight matrix, and takes 0.09 s and 4.5 MiB on edge lists (one BLAS
-thread, 2-CPU x86-64 host). The whole relaxation of that graph took 13.0 s
-and peaked at 140 MiB while multiplier rounds ran above 16 nodes, two of
-them in ``_rank_reduced``, 0.30 s and 4.7 MiB as the three-round ramp
-(282 iterations), and takes 0.07 s and 4.7 MiB as one descent (79).
+thread, 2-CPU x86-64 host). The whole relaxation of that graph is one
+descent of 79 iterations, 0.07 s and 4.7 MiB.
 
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks. A seeded run therefore repeats byte for
@@ -116,9 +116,7 @@ order may round to other masks. The thread count matters through
 ``np.vdot``: OpenBLAS splits a dot product of more than 10,000 entries
 over its threads, so the descent's norms and step lengths of a factor of
 more than 1,250 rows at rank 8 differ in the last bits between thread
-counts. ``_rank_reduced`` eigendecomposes the n × n Gram matrix, but only
-the multiplier rounds call it, so no relaxation above 16 nodes forms an
-n × n array.
+counts.
 """
 
 from __future__ import annotations
@@ -149,20 +147,17 @@ TABU_ITERATIONS = 5
 TABU_TENURE = 7
 TABU_SPREAD = 10
 
-# the relaxation: factor columns (at most n) and the penalty weight of its
-# first descent, the only one above 16 nodes; up to 16 nodes, the weight's
-# growth per ramp round and the ramp rounds; the iteration cap of every
-# descent; and the tolerances that certify the run
+# the relaxation: factor columns (at most n), the penalty weight of every
+# descent, the iteration cap of a descent, its most multiplier rounds, and
+# the tolerances that certify the run
 RANK = 8
 MU_INITIAL = 4.0
-MU_GROWTH = 10.0
-RAMP_ROUNDS = 3
 MAX_ITERS = 400
+MULTIPLIER_ROUNDS = 12
 GRAD_TOL = 1e-5
 CONSTRAINT_TOL = 1e-6
-# the stall stop of the descent above 16 nodes: it ends once its accepted
-# penalized value has not improved by STALL_TOL * (1 + |best|) for
-# STALL_WINDOW iterations
+# the stall stop: a descent ends once its accepted penalized value has not
+# improved by STALL_TOL * (1 + |best|) for STALL_WINDOW iterations
 STALL_TOL = 1e-5
 STALL_WINDOW = 20
 
@@ -210,12 +205,14 @@ def build_cost_matrix(dg: DecompositionGraph, alpha) -> CostMatrix:
 class RelaxationSolution:
     """The relaxation's factor ``v``, one row per node position (unit rows
     from ``solve_relaxation``); the relaxed X is its Gram matrix v vᵀ,
-    which is never stored."""
+    which is never stored. ``multipliers`` holds the final floor multiplier
+    z_e of each conflict pair, in ``cost.ce`` order."""
 
     cost: CostMatrix
     v: np.ndarray
     obj_relaxation: float
     converged: bool
+    multipliers: np.ndarray
     iterations: int = 0  # descent iterations of the run
 
     @property
@@ -224,9 +221,33 @@ class RelaxationSolution:
 
     @classmethod
     def from_factor(cls, v, cost: CostMatrix):
-        """Wrap a given factor, e.g. one built by hand for the rounding."""
+        """Wrap a given factor, e.g. one built by hand for the rounding:
+        uncertified, with zero multipliers."""
         v = np.asarray(v, dtype=float)
-        return cls(cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost), converged=True)
+        return cls(
+            cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost), converged=False,
+            multipliers=np.zeros(len(cost.ce)),
+        )
+
+    def lower_bound(self) -> float:
+        """A lower bound on the objective of every three-mask assignment of
+        the graph, from the dual of the relaxation at this factor and these
+        multipliers; the module docstring gives the formula. It forms the
+        n × n matrix S and its eigenvalues, and subtracts a margin for their
+        rounding error."""
+        cost, v, z = self.cost, self.v, self.multipliers
+        n = len(v)
+        alpha = float(cost.alpha)
+        s = np.zeros((n, n))
+        s[cost.ce[:, 0], cost.ce[:, 1]] = 1.0 - 0.5 * z
+        s[cost.se[:, 0], cost.se[:, 1]] = -alpha
+        s += s.T
+        y = ((s @ v) * v).sum(axis=1)
+        s[np.diag_indices(n)] = -y
+        low = float(np.linalg.eigvalsh(s).min(initial=0.0))  # min(0, λ_min(S))
+        margin = 4.0 * n * np.finfo(float).eps * (n * np.linalg.norm(s) + np.abs(y).sum() + z.sum())
+        dual = float(y.sum()) - 0.5 * float(z.sum()) + n * low - margin
+        return dual / 3.0 + (2.0 / 3.0) * (len(cost.ce) / 2.0 + alpha * len(cost.se))
 
 
 def _edge_positions(dg: DecompositionGraph):
@@ -321,14 +342,13 @@ def _lipschitz_bound(edges: _EdgeTerms, mu) -> float:
     return max(1.0, float(row.max(initial=0.0)) + 2.0 * mu * float(degree.max(initial=0)))
 
 
-def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift, stall=None):
+def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     """Projected gradient with spectral (Barzilai-Borwein) steps and a
     nonmonotone backtracking safeguard; rows are renormalized every step.
-    The descent ends when the gradient norm falls below ``GRAD_TOL``.
-
-    With a ``stall`` tolerance the descent also ends once its accepted value
-    has not improved by ``stall * (1 + |best|)`` for ``STALL_WINDOW``
-    iterations. Returns the factor, its gradient norm and the iterations run.
+    The descent ends when the gradient norm falls below ``GRAD_TOL``, or
+    once its accepted value has not improved by ``STALL_TOL * (1 + |best|)``
+    for ``STALL_WINDOW`` iterations. Returns the factor, its gradient norm
+    and the iterations run.
     """
     value, *parts = _penalized_value(v, edges, mu, shift)
     grad = _riemannian_grad(v, edges, mu, *parts)
@@ -338,7 +358,7 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift, stall=None):
     fresh_step = False
     best, idle, iterations = value, 0, 0
     for _ in range(max_iters):
-        if stall is not None and idle >= STALL_WINDOW:
+        if idle >= STALL_WINDOW:
             break
         gnorm = math.sqrt(np.vdot(grad, grad))
         if gnorm < GRAD_TOL:
@@ -372,103 +392,40 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift, stall=None):
         memory.append(value)
         if len(memory) > 10:
             memory.pop(0)
-        if stall is not None and value < best - stall * (1.0 + abs(best)):
+        if value < best - STALL_TOL * (1.0 + abs(best)):
             best, idle = value, 0
     return v, math.sqrt(np.vdot(grad, grad)), iterations
-
-
-def _rank_reduced(v):
-    """Drop negligible eigen-components of the Gram matrix and re-factor.
-
-    Low-rank factorizations stall on flat saddles where a spurious small
-    eigenvalue decays only quadratically; truncating it and re-descending
-    escapes the saddle. Returns None when there is nothing to truncate,
-    which can only happen up to ``RANK`` nodes: above, the n × n Gram of an
-    n × ``RANK`` factor has at least n - ``RANK`` zero eigenvalues, so every
-    call re-factors. Only the multiplier rounds of ``solve_relaxation``
-    call it, so n is at most 16. It stays on purpose: without it 60 of
-    criterion 3's 100 small relaxations certify, against 80 with it.
-    """
-    x = v @ v.T
-    vals, vecs = np.linalg.eigh(x)
-    keep = vals > 1e-3 * max(float(vals.max()), 1e-12)
-    if keep.all() or not keep.any():
-        return None
-    reduced = vecs[:, keep] * np.sqrt(vals[keep])
-    pad = np.zeros((v.shape[0], v.shape[1] - reduced.shape[1]))
-    return _normalize_rows(np.hstack([reduced, pad]))
-
-
-def _certified(grad_norm: float, violation: float) -> bool:
-    return grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL
 
 
 def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     """Approximately minimize the relaxation through a low-rank factor.
 
-    The -1/2 floor on conflict pairs is enforced by a quadratic penalty. On
-    graphs of at most 16 nodes a short ramp multiplies its weight by
-    ``MU_GROWTH`` per round, then multiplier shifts take over at the final
-    weight, so the floor tightens without runaway stiffness. Above 16 nodes
-    one descent at ``MU_INITIAL`` runs, with the stall stop, and meets the
-    floor only softly, as the module docstring measures. The schedule runs
-    once, from one random factor drawn from ``seed``. ``converged``
-    certifies both a small final gradient and a small constraint violation
-    of that run.
+    The -1/2 floor on conflict pairs is enforced by a quadratic penalty at
+    weight ``MU_INITIAL``. One descent runs from a random factor drawn from
+    ``seed``; multiplier rounds follow only as the module docstring's rule
+    says. ``converged`` certifies both a small final gradient and a small
+    constraint violation of the run.
     """
     n = len(cost.index)
-    ce = cost.ce
     edges = _edge_terms(cost, min(n, RANK))
-    # the size rule of the module docstring
-    ramp_rounds, shift_rounds, stall = (RAMP_ROUNDS, 12, None) if n <= 16 else (1, 0, STALL_TOL)
-    no_shift = np.zeros(len(ce))
-
-    def descend(v, mu, shift):
-        nonlocal iterations
-        v, grad_norm, used = _minimize_on_sphere(v, edges, mu, MAX_ITERS, shift, stall)
-        iterations += used
-        return v, grad_norm
-
-    iterations = 0
     v = _normalize_rows(np.random.default_rng(seed).normal(size=(n, min(n, RANK))))
-    mu = MU_INITIAL
-    for round_idx in range(ramp_rounds):
-        v, grad_norm = descend(v, mu, no_shift)
-        if round_idx < ramp_rounds - 1:
-            mu *= MU_GROWTH
-    # multiplier rounds: hinge shifts let a moderate mu enforce the walls
-    # exactly, so the end game stays well conditioned
-    shift = no_shift
-    violation = _max_violation(v, ce)
-    previous_norm = None
-    stall_rounds = 0
-    for _ in range(shift_rounds):
-        _, shift, _ = _penalized_value(v, edges, mu, shift)
-        v, grad_norm = descend(v, mu, shift)
-        violation = _max_violation(v, ce)
-        if _certified(grad_norm, violation):
+    shift = np.zeros(len(cost.ce))
+    v, grad_norm, iterations = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
+    violation = _max_violation(v, cost.ce)
+    for _ in range(MULTIPLIER_ROUNDS):
+        if grad_norm >= GRAD_TOL or violation <= CONSTRAINT_TOL:
             break
-        stalled = previous_norm is not None and grad_norm > 0.5 * previous_norm
-        previous_norm = grad_norm
-        if not stalled:
-            continue
-        v_cut = _rank_reduced(v)  # flat-saddle escape
-        if v_cut is not None:
-            v_cut, grad_cut = descend(v_cut, mu, shift)
-            f_old, *_ = _penalized_value(v, edges, mu, shift)
-            f_new, *_ = _penalized_value(v_cut, edges, mu, shift)
-            if f_new <= f_old + 1e-12:
-                v, grad_norm = v_cut, grad_cut
-                violation = _max_violation(v, ce)
-                previous_norm = None
-                continue
-        stall_rounds += 1
-        if stall_rounds >= 2:
-            break
-
+        # the hinge at the last shift is the next shift: the multiplier
+        # estimates divided by 2*mu
+        _, shift, _ = _penalized_value(v, edges, MU_INITIAL, shift)
+        v, grad_norm, used = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
+        iterations += used
+        violation = _max_violation(v, cost.ce)
+    _, hinge, _ = _penalized_value(v, edges, MU_INITIAL, shift)
     return RelaxationSolution(
         cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost),
-        converged=_certified(grad_norm, violation), iterations=iterations,
+        converged=grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL,
+        multipliers=4.0 * MU_INITIAL * hinge, iterations=iterations,
     )
 
 

@@ -1,4 +1,4 @@
-import inspect
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -43,32 +43,27 @@ def rng():
     return np.random.default_rng(1234)
 
 
-class DescentLog(list):
-    """The stall tolerance of every relaxation descent, in call order, with
-    the descents' penalty weights ``mu`` in ``mus``."""
+class Descent(NamedTuple):
+    """One relaxation descent: its penalty weight and hinge shift, and the
+    factor, gradient norm and iterations it returned."""
 
-    def __init__(self):
-        super().__init__()
-        self.mus = []
-
-    def clear(self):
-        super().clear()
-        self.mus.clear()
+    mu: float
+    shift: np.ndarray
+    v: np.ndarray
+    grad_norm: float
+    iterations: int
 
 
 @pytest.fixture
-def stall_tolerances(monkeypatch):
-    """A ``DescentLog`` of every relaxation descent."""
+def descents(monkeypatch):
+    """Every relaxation descent, in call order, as a ``Descent``."""
     descend = trimask.sdp._minimize_on_sphere
-    signature = inspect.signature(descend)
-    seen = DescentLog()
+    seen = []
 
-    def spy(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        seen.append(bound.arguments["stall"])
-        seen.mus.append(bound.arguments["mu"])
-        return descend(*args, **kwargs)
+    def spy(v, edges, mu, max_iters, shift):
+        found = descend(v, edges, mu, max_iters, shift)
+        seen.append(Descent(mu, shift, *found))
+        return found
 
     monkeypatch.setattr(trimask.sdp, "_minimize_on_sphere", spy)
     return seen

@@ -288,7 +288,8 @@ class TestPeelFallback:
 
 class TestOneRelaxationSchedule:
     """The pipeline hands a leaf to the relaxation exactly as a direct call
-    would, so both get the schedule ``solve_relaxation`` picks for the size."""
+    would, so both run the one rule of ``solve_relaxation`` on the same
+    factor."""
 
     @pytest.mark.parametrize("dg, seed", [
         (random_graph(np.random.default_rng(1), 20, 0.3, 0.1), 7),
