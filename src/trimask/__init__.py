@@ -63,6 +63,7 @@ from .sdp import (
     RelaxationSolution,
     build_cost_matrix,
     discrete_vector_objective,
+    join_costs,
     map_to_masks,
     solve_relaxation,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "RelaxationSolution",
     "build_cost_matrix",
     "discrete_vector_objective",
+    "join_costs",
     "map_to_masks",
     "solve_relaxation",
 ]

@@ -1,10 +1,25 @@
 """End-to-end decomposition flow.
 
 Order of operations: build the layout graph, peel low-degree shapes, project
-and split the survivors, then solve each connected component of the residual
-decomposition graph (cutting at every bridge, exact search or the relaxation
-per configuration), merge, and finally pop the peeled shapes back with
-greedy conflict-free colors.
+and split the survivors, solve the residual decomposition graph, and finally
+pop the peeled shapes back with greedy conflict-free colors.
+
+The residual graph is solved in one pass of three phases:
+
+1. Plan every leaf. Each connected component is checked for a triangle
+   witness and cut at every bridge; its bridge-free pieces are the leaves.
+   A single node takes mask 0, a leaf for the exact search (per the
+   configuration) is solved at once, and the rest wait for phase 2.
+2. Relax the waiting leaves together: one ``CostMatrix`` per leaf from
+   ``build_cost_matrix``, joined by ``join_costs`` into one disjoint union,
+   one ``solve_relaxation`` call on it, and each leaf rounded by
+   ``map_to_masks`` on its own part of the run, ``sol.restrict(cost)``.
+   The descent steps each leaf on its own (see ``trimask.sdp``), so a pass
+   of many relaxed leaves pays the per-call overhead of one.
+3. Merge each component's pieces back along its bridges with
+   ``stitch_and_rotate``.
+
+A peel fallback runs one more pass on the components it redoes.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from .graphs import (
 )
 from .ilp import solve_exact
 from .reductions import find_bridges, peel_low_degree, reinsert_segments, stitch_and_rotate
-from .sdp import build_cost_matrix, map_to_masks, polish, solve_relaxation
+from .sdp import build_cost_matrix, join_costs, map_to_masks, polish, solve_relaxation
 from .unionfind import DisjointSet
 
 # solver "auto" searches components of at most this many nodes exactly
@@ -62,8 +77,10 @@ class ComponentReport:
     nodes_explored: int = 0
     proven_optimal: bool = True
     bridges_cut: int = 0
+    # the pass's one relaxation run, shared by every relaxed piece of every
+    # component: whether it certified, and its descent iterations
     sdp_converged: bool | None = None
-    sdp_iterations: int = 0  # relaxation descent iterations over all pieces
+    sdp_iterations: int = 0
     peel_fallback: bool = False
 
 
@@ -102,73 +119,100 @@ class DecomposeResult:
         }
 
 
-def _solve_leaf(dg: DecompositionGraph, alpha, cfg: DecomposeConfig, report: ComponentReport):
-    n = len(dg.nodes)
+def _leaf_solver(n: int, cfg: DecomposeConfig, report: ComponentReport) -> str:
+    """The solver of a leaf of ``n`` nodes, which the report records."""
     solver = cfg.solver
     if solver == "auto":
         solver = "exact" if n <= AUTO_THRESHOLD else "sdp"
     report.solver = solver if report.solver in ("none", solver) else "mixed"
-    if solver == "exact":
-        res = solve_exact(dg, alpha, budget=cfg.node_budget)
-        report.nodes_explored += res.nodes_explored
-        report.proven_optimal = report.proven_optimal and res.proven_optimal
-        if res.proven_optimal:
-            return res.assignment.colors
-        return polish(dg, res.assignment.colors, alpha, seed=cfg.seed)
-    sol = solve_relaxation(build_cost_matrix(dg, alpha), seed=cfg.seed)
-    report.sdp_converged = sol.converged if report.sdp_converged is None else (
-        report.sdp_converged and sol.converged
-    )
-    report.sdp_iterations += sol.iterations
-    report.proven_optimal = False
-    return map_to_masks(sol, seed=cfg.seed).colors
+    return solver
 
 
-def _solve_with_bridges(dg: DecompositionGraph, alpha, cfg, report) -> dict[int, int]:
-    """Cut every bridge of a connected component, solve the bridge-free
-    pieces, and merge them back along the bridge forest; each reattachment
-    rotates one side so the bridge edge costs nothing."""
-    if len(dg.nodes) <= 1:
-        return {node: 0 for node in dg.nodes}
-    cuts = find_bridges(dg)
+def _solve_exact_leaf(dg: DecompositionGraph, alpha, cfg, report) -> dict[int, int]:
+    res = solve_exact(dg, alpha, budget=cfg.node_budget)
+    report.nodes_explored += res.nodes_explored
+    report.proven_optimal = report.proven_optimal and res.proven_optimal
+    if res.proven_optimal:
+        return res.assignment.colors
+    return polish(dg, res.assignment.colors, alpha, seed=cfg.seed)
+
+
+def _bridge_pieces(comp: DecompositionGraph, cuts) -> list[DecompositionGraph]:
+    """The bridge-free pieces left of ``comp`` once every bridge of ``cuts``
+    is cut."""
     if not cuts:
-        return _solve_leaf(dg, alpha, cfg, report)
-    report.bridges_cut += len(cuts)
+        return [comp]
     bridge_set = {cut.bridge for cut in cuts}
-    pruned = DecompositionGraph(
-        segments=dg.segments, ce=dg.ce - bridge_set, se=dg.se - bridge_set
-    )
-    dsu = DisjointSet(dg.nodes)
-    blocks: dict[int, dict[int, int]] = {}
-    for piece in connected_components(pruned):
-        if len(piece.nodes) == 1:
-            colors = {piece.nodes[0]: 0}
-        else:
-            colors = _solve_leaf(piece, alpha, cfg, report)
+    return connected_components(DecompositionGraph(
+        segments=comp.segments, ce=comp.ce - bridge_set, se=comp.se - bridge_set
+    ))
+
+
+def _merge_pieces(comp: DecompositionGraph, cuts, blocks) -> dict[int, int]:
+    """Merge the colored bridge-free pieces ``blocks`` (pairs of a piece and
+    its colors) of ``comp`` back along the bridge forest of ``cuts``; each
+    reattachment rotates one side so the bridge edge costs nothing."""
+    if not cuts:
+        ((_, colors),) = blocks
+        return colors
+    dsu = DisjointSet(comp.nodes)
+    merged: dict[int, dict[int, int]] = {}
+    for piece, colors in blocks:
         for a, b in zip(piece.nodes, piece.nodes[1:]):
             dsu.union(a, b)
-        blocks[dsu.find(piece.nodes[0])] = colors
+        merged[dsu.find(piece.nodes[0])] = colors
     for cut in cuts:
         u, v = cut.bridge
         ru, rv = dsu.find(u), dsu.find(v)
-        merged = stitch_and_rotate(cut, blocks.pop(ru), blocks.pop(rv))
+        rotated = stitch_and_rotate(cut, merged.pop(ru), merged.pop(rv))
         dsu.union(ru, rv)
-        blocks[dsu.find(ru)] = merged
-    (colors,) = blocks.values()
+        merged[dsu.find(ru)] = rotated
+    (colors,) = merged.values()
     return colors
 
 
 def _solve_components(dg: DecompositionGraph, alpha, cfg):
-    colors: dict[int, int] = {}
+    """One pass over the components of ``dg`` in the three phases of the
+    module docstring: plan and solve the exact leaves, relax the rest in
+    one run, merge the bridge pieces."""
     reports: list[ComponentReport] = []
     witnesses: list[InfeasibleWitness] = []
+    # per component: the component, its bridge cuts and its pieces with
+    # their colors, which phase 2 fills in for the relaxed pieces
+    plans = []
+    relaxed: list[tuple[DecompositionGraph, ComponentReport, dict[int, int]]] = []
     for comp in connected_components(dg):
         verdict = propagate_and_check(comp.nodes, comp.ce)
         if isinstance(verdict, InfeasibleWitness):
             witnesses.append(verdict)
         report = ComponentReport(component=min(comp.nodes), size=len(comp.nodes))
-        colors.update(_solve_with_bridges(comp, alpha, cfg, report))
         reports.append(report)
+        cuts = find_bridges(comp) if len(comp.nodes) > 1 else []
+        report.bridges_cut = len(cuts)
+        blocks = []
+        for piece in _bridge_pieces(comp, cuts):
+            if len(piece.nodes) == 1:
+                colors = {piece.nodes[0]: 0}
+            elif _leaf_solver(len(piece.nodes), cfg, report) == "exact":
+                colors = _solve_exact_leaf(piece, alpha, cfg, report)
+            else:
+                colors = {}
+                relaxed.append((piece, report, colors))
+                report.proven_optimal = False
+            blocks.append((piece, colors))
+        plans.append((comp, cuts, blocks))
+
+    if relaxed:
+        costs = [build_cost_matrix(piece, alpha) for piece, _, _ in relaxed]
+        sol = solve_relaxation(join_costs(costs), seed=cfg.seed)
+        for cost, (_, report, colors) in zip(costs, relaxed):
+            report.sdp_converged = sol.converged
+            report.sdp_iterations = sol.iterations
+            colors.update(map_to_masks(sol.restrict(cost), seed=cfg.seed).colors)
+
+    colors = {}
+    for comp, cuts, blocks in plans:
+        colors.update(_merge_pieces(comp, cuts, blocks))
     return colors, reports, witnesses
 
 

@@ -29,9 +29,24 @@ no search scored 493.4 after one relaxation run and 486.4 after the best
 of three. The random ties matter: taking the first cheapest move, the
 search stalls on large pieces.
 
-Every caller (the pipeline's leaves, ``--dump-x``, a direct call) runs the
-same rule for a given graph, once, from one random factor drawn from the
-seed. The run opens with one descent at the penalty weight ``MU_INITIAL``.
+Every caller (the pipeline, ``--dump-x``, a direct call) runs the same
+rule for a given graph, once, from one random factor drawn from the seed.
+The pipeline relaxes all the leaves of a pass in one run: ``join_costs``
+lays their matrices side by side as one disjoint union, and each leaf is
+rounded on its own part of the run, ``RelaxationSolution.restrict``. A
+leaf alone is its own union and relaxes as a direct call would.
+
+The descent keeps a Barzilai-Borwein step, a safe step and a share of
+the gradient norm for each connected component of the graph, from
+per-component sums of row dots, so each component steps as it would
+alone. One nonmonotone acceptance test on the whole value, one stall stop
+and one ``MAX_ITERS`` cap rule the run, so a connected graph runs the rule
+it ran alone. An iteration makes the same few dozen numpy calls at any
+size, and at ~120 nodes their overhead is most of its time: the four
+relaxed leaves of a ``dense`` layout (115–124 nodes) take about 0.7 of
+the time in one run that they take in four.
+
+The run opens with one descent at the penalty weight ``MU_INITIAL``.
 A descent ends at the gradient tolerance ``GRAD_TOL``, after ``MAX_ITERS``
 iterations, or once its accepted penalized value has not improved by
 ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW`` iterations. A multiplier
@@ -42,8 +57,8 @@ estimate, so the floor can hold exactly without a stiffer penalty. The
 rule reads the run, not the graph's size. Large relaxations never reach
 ``GRAD_TOL``, so there the run is the one descent: the relaxed clips of
 the benchmark (26–29 nodes) stop at the stall stop after about 220 of
-their 400 iterations, and the ``dense`` pieces of 113–124 nodes still
-improve at their cap. ``converged`` certifies a run whose last descent
+their 400 iterations, and the run on a ``dense`` layout's four pieces
+still improves at its cap. ``converged`` certifies a run whose last descent
 met both tolerances.
 
 On pieces above 16 nodes the one descent at mu = 4 replaced a penalty
@@ -81,12 +96,15 @@ uncertified run is no bound; the rounding reads only the directions of
 the rows.
 
 ``RelaxationSolution.lower_bound`` is a bound from any factor, certified
-or not (Burer & Monteiro 2003; Boumal, Voroninski & Bandeira 2016). The
+or not (Burer & Monteiro 2003; Boumal, Voroninski & Bandeira 2016), and
+so from a leaf's part of a shared run too. The
 run keeps its final floor multipliers z_e = 4·mu·max(0, -1/2 - x_e + s_e)
 at hinge shift s. With Z holding z_e/2 at both cells of a conflict pair,
 y_i = ((W - Z)v)_i·v_i and S = W - Diag(y) - Z, every X the relaxation
 admits has ⟨W, X⟩ >= Σy - ½Σz + n·min(0, λ_min(S)), and the objective is
-⟨W, X⟩/3 + ⅔(|CE|/2 + alpha·|SE|). On criterion 3's 100 graphs of 2–10
+⟨W, X⟩/3 + ⅔(|CE|/2 + alpha·|SE|), raised to 0 and then up to a
+multiple of 1/alpha.denominator, as every objective is one. On criterion
+3's 100 graphs of 2–10
 nodes the bound lies a median of 0.0023 and at most 0.34 below the
 exhaustive optimum. On the benchmark's pieces the gap is the relaxation's
 integrality gap, 25–71% of the incumbent, so there it proves nothing. It
@@ -102,21 +120,29 @@ first sum is ½⟨W, v vᵀ⟩ for the symmetric weight matrix W. The gradient
 gives each pair a coefficient, 1 − 2·mu·h_e on a conflict pair and -alpha
 on a stitch pair, multiplies it by the other endpoint's row and sums into
 the rows with one ``np.bincount``. So a step costs O(|E|·r) time and
-memory. On a 3000-node graph of 5993 conflict pairs, one 71-iteration
-descent took 1.70 s and peaked at 70.8 MiB in ``tracemalloc`` with a dense
-n × n weight matrix, and takes 0.09 s and 4.5 MiB on edge lists (one BLAS
-thread, 2-CPU x86-64 host). The whole relaxation of that graph is one
-descent of 79 iterations, 0.07 s and 4.7 MiB.
+memory. The descent keeps its factor column-major, so each of these
+passes runs along contiguous columns of n or |E| entries rather than
+rows of r = 8. On a 3000-node graph of 5993 conflict pairs, one
+71-iteration descent took 1.70 s and peaked at 70.8 MiB in
+``tracemalloc`` with a dense n × n weight matrix, and takes 0.09 s and
+4.5 MiB on edge lists (one BLAS thread, 2-CPU x86-64 host). The whole
+relaxation of that graph is one descent of 83 iterations, 0.07 s and
+4.9 MiB.
 
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks. A seeded run therefore repeats byte for
-byte on one host, under one numpy and BLAS build and BLAS thread count; a
-host whose kernels sum the row dots, ``v @ g`` or the scatter in another
-order may round to other masks. The thread count matters through
-``np.vdot``: OpenBLAS splits a dot product of more than 10,000 entries
-over its threads, so the descent's norms and step lengths of a factor of
-more than 1,250 rows at rank 8 differ in the last bits between thread
-counts.
+byte on one host under one numpy build; a host whose kernels sum the row
+dots or the scatter in another order may round to other masks. The
+descent calls no BLAS: every sum in it (the value, the row dots, the
+per-component sums behind the gradient norm and the spectral step) is
+numpy's own reduction, ``np.add.reduce`` or ``np.einsum``, whose order
+does not depend on the BLAS thread count. It used ``np.vdot`` for the
+norms and step lengths, and OpenBLAS splits a dot product of more than
+10,000 entries over its threads, so a factor of more than 1,250 rows gave
+other bits on another thread count: ``generate_layout(2000, 4, seed=1)``
+read 354.8 on one thread and 349.8 on two. It now reads the same on both.
+Outside the descent the rounding's ``v @ g`` and ``lower_bound`` still
+call BLAS.
 """
 
 from __future__ import annotations
@@ -124,11 +150,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DecompositionGraph, MaskAssignment, as_fraction, evaluate
+from .graphs import DecompositionGraph, MaskAssignment, as_fraction, component_sets, evaluate
 
 # the three ideal directions; pairwise dots are exactly 1 (same) or -1/2
 MASK_VECTORS = (
@@ -184,21 +211,46 @@ class CostMatrix:
     """The relaxation's input, the weight matrix as edge lists: weight 1 on
     the conflict pairs ``ce``, -``alpha`` on the stitch pairs ``se`` and 0
     elsewhere. Both are sorted pairs of node positions, one row each, and
-    position k is node ``index[k]``."""
+    position k is node ``index[k]``, a node of ``dg``. ``build_cost_matrix``
+    takes the positions in id order, ``join_costs`` leaf after leaf."""
 
     dg: DecompositionGraph
     alpha: Fraction
     ce: np.ndarray
     se: np.ndarray
+    index: tuple[int, ...]
 
-    @property
-    def index(self) -> tuple[int, ...]:
-        return self.dg.nodes
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Each node's position, the inverse of ``index``."""
+        return {node: k for k, node in enumerate(self.index)}
 
 
 def build_cost_matrix(dg: DecompositionGraph, alpha) -> CostMatrix:
     ce, se = _edge_positions(dg)
-    return CostMatrix(dg=dg, alpha=as_fraction(alpha), ce=ce, se=se)
+    return CostMatrix(dg=dg, alpha=as_fraction(alpha), ce=ce, se=se, index=dg.nodes)
+
+
+def join_costs(costs) -> CostMatrix:
+    """The disjoint union of the matrices ``costs`` of one alpha and
+    disjoint node sets: their positions follow one another in order, so
+    each keeps its rows, and its pairs, as one block. The join of one
+    matrix is that matrix."""
+    if len(costs) == 1:
+        return costs[0]
+    (alpha,) = {cost.alpha for cost in costs}
+    offsets = np.cumsum([0] + [len(cost.index) for cost in costs[:-1]])
+    dg = DecompositionGraph(
+        segments=tuple(s for cost in costs for s in cost.dg.segments),
+        ce=frozenset().union(*(cost.dg.ce for cost in costs)),
+        se=frozenset().union(*(cost.dg.se for cost in costs)),
+    )
+    return CostMatrix(
+        dg=dg, alpha=alpha,
+        ce=np.concatenate([cost.ce + k for cost, k in zip(costs, offsets)]),
+        se=np.concatenate([cost.se + k for cost, k in zip(costs, offsets)]),
+        index=tuple(node for cost in costs for node in cost.index),
+    )
 
 
 @dataclass(frozen=True)
@@ -219,6 +271,28 @@ class RelaxationSolution:
     def index(self) -> tuple[int, ...]:
         return self.cost.index
 
+    def restrict(self, cost: CostMatrix) -> RelaxationSolution:
+        """The part of this run that belongs to ``cost``, one of the
+        matrices ``join_costs`` joined into ``self.cost``: that leaf's rows
+        and its conflict pairs' multipliers, with the run's ``converged``
+        and ``iterations``."""
+        if cost is self.cost:
+            return self
+        n = len(cost.index)
+        start = self.cost.positions.get(cost.index[0], -1) if n else 0
+        first = int(np.searchsorted(self.cost.ce[:, 0], start))
+        ce = self.cost.ce[first:first + len(cost.ce)]
+        if start < 0 or self.index[start:start + n] != cost.index or not np.array_equal(
+            ce, cost.ce + start
+        ):
+            raise ValueError("the matrix is not a leaf of this relaxation")
+        v = self.v[start:start + n]
+        return RelaxationSolution(
+            cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost),
+            converged=self.converged, multipliers=self.multipliers[first:first + len(cost.ce)],
+            iterations=self.iterations,
+        )
+
     @classmethod
     def from_factor(cls, v, cost: CostMatrix):
         """Wrap a given factor, e.g. one built by hand for the rounding:
@@ -234,7 +308,9 @@ class RelaxationSolution:
         the graph, from the dual of the relaxation at this factor and these
         multipliers; the module docstring gives the formula. It forms the
         n × n matrix S and its eigenvalues, and subtracts a margin for their
-        rounding error."""
+        rounding error. Every objective is a multiple of
+        1/``alpha.denominator`` and none is negative, so the bound is
+        raised to 0 and then up to that lattice."""
         cost, v, z = self.cost, self.v, self.multipliers
         n = len(v)
         alpha = float(cost.alpha)
@@ -247,7 +323,9 @@ class RelaxationSolution:
         low = float(np.linalg.eigvalsh(s).min(initial=0.0))  # min(0, λ_min(S))
         margin = 4.0 * n * np.finfo(float).eps * (n * np.linalg.norm(s) + np.abs(y).sum() + z.sum())
         dual = float(y.sum()) - 0.5 * float(z.sum()) + n * low - margin
-        return dual / 3.0 + (2.0 / 3.0) * (len(cost.ce) / 2.0 + alpha * len(cost.se))
+        bound = dual / 3.0 + (2.0 / 3.0) * (len(cost.ce) / 2.0 + alpha * len(cost.se))
+        lattice = cost.alpha.denominator
+        return float(Fraction(math.ceil(Fraction(max(bound, 0.0)) * lattice), lattice))
 
 
 def _edge_positions(dg: DecompositionGraph):
@@ -275,35 +353,53 @@ def _max_violation(v, ce) -> float:
     return float(max(diag, floor))
 
 
-def _normalize_rows(v: np.ndarray, ones: np.ndarray | None = None) -> np.ndarray:
-    """``v`` with unit rows; ``ones``, a vector of ``v.shape[1]`` ones, saves
-    allocating one."""
-    if ones is None:
-        ones = np.ones(v.shape[1])
-    norms = np.sqrt((v * v) @ ones)
-    norms[norms == 0.0] = 1.0
-    return v / norms[:, None]
+def _dot(a, b) -> float:
+    """The sum of the entries of ``a * b``, by numpy's own reduction and
+    not a BLAS dot product, so it does not depend on the BLAS thread
+    count."""
+    return float(np.add.reduce(a * b, axis=None))
+
+
+def _row_dots(a, b) -> np.ndarray:
+    """⟨a_i, b_i⟩ for each row i, by numpy's own reduction."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _normalize_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` with unit rows, in ``v``'s memory order. No row may be 0: a
+    Gaussian row is not, and a descent step, orthogonal to its unit row,
+    only lengthens it."""
+    return v / np.sqrt(_row_dots(v, v))[:, None]
 
 
 class _EdgeTerms(NamedTuple):
     """The pairs of a ``CostMatrix`` laid out for a factor of ``rank``
-    columns, conflict pairs first. ``v.take(ends, axis=0)`` stacks every
-    pair's first endpoint row over its second's, and ``cells`` sends each of
-    those rows to the flat gradient cells of the pair's other endpoint."""
+    columns, conflict pairs first. ``v.T.take(ends, axis=1)`` puts every
+    pair's first endpoint row beside its second's, one factor column per
+    row, and ``cells`` sends each of those entries to the flat cell of the
+    pair's other endpoint in the gradient's transpose. ``label`` numbers
+    each row's connected component, 0 to ``components`` - 1."""
 
     ends: np.ndarray
     weight: np.ndarray  # 1 per conflict pair, -alpha per stitch pair
     cells: np.ndarray
     conflicts: int
-    ones: np.ndarray  # a product with it sums each row
+    label: np.ndarray
+    components: int
 
 
 def _edge_terms(cost: CostMatrix, rank: int) -> _EdgeTerms:
+    n = len(cost.index)
     pairs = np.concatenate([cost.ce, cost.se])
     weight = np.concatenate([np.ones(len(cost.ce)), np.full(len(cost.se), -float(cost.alpha))])
     others = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    cells = (others[:, None] * rank + np.arange(rank)).ravel()
-    return _EdgeTerms(pairs.T.ravel(), weight, cells, len(cost.ce), np.ones(rank))
+    cells = (np.arange(rank)[:, None] * n + others).ravel()
+    pos = cost.positions
+    comps = component_sets(cost.dg)
+    label = np.zeros(n, dtype=np.intp)
+    for c, comp in enumerate(comps):
+        label[[pos[node] for node in comp]] = c
+    return _EdgeTerms(pairs.T.ravel(), weight, cells, len(cost.ce), label, len(comps))
 
 
 def _penalized_value(v, edges: _EdgeTerms, mu, shift):
@@ -315,44 +411,83 @@ def _penalized_value(v, edges: _EdgeTerms, mu, shift):
     is the plain penalty. Besides the value, returns the hinge and the
     endpoint rows, which the gradient at ``v`` reuses.
     """
-    rows = v.take(edges.ends, axis=0)
+    return _value_at(v, edges, mu, shift - 0.5, _dot(shift, shift))
+
+
+def _value_at(v, edges: _EdgeTerms, mu, offset, shift_sq):
+    """``_penalized_value`` given its parts that depend on the shift alone,
+    ``offset`` = shift - 1/2 and ``shift_sq`` = ‖shift‖², which a descent
+    computes once."""
+    rows = v.T.take(edges.ends, axis=1)
     m = len(edges.weight)
-    x = (rows[:m] * rows[m:]) @ edges.ones
-    hinge = np.maximum(0.0, -0.5 - x[: edges.conflicts] + shift)
-    return float(edges.weight @ x) + mu * float(hinge @ hinge - shift @ shift), hinge, rows
+    x = np.einsum("ij,ij->j", rows[:, :m], rows[:, m:])
+    hinge = np.maximum(0.0, offset - x[: edges.conflicts])
+    return _dot(edges.weight, x) + mu * (_dot(hinge, hinge) - shift_sq), hinge, rows
 
 
 def _riemannian_grad(v, edges: _EdgeTerms, mu, hinge, rows):
     """Gradient on the sphere from the parts ``_penalized_value`` returned
     at ``v``: each pair's coefficient times the other endpoint's row, summed
-    into the rows, less its radial part."""
+    into the rows, less its radial part. It comes out in column-major
+    order, as ``_minimize_on_sphere`` keeps its factor."""
     m = len(edges.weight)
     coef = np.concatenate([1.0 - 2.0 * mu * hinge, edges.weight[edges.conflicts:]])
-    terms = rows.reshape(2, m, v.shape[1]) * coef[:, None]
-    grad = np.bincount(edges.cells, weights=terms.ravel(), minlength=v.size).reshape(v.shape)
-    radial = (grad * v) @ edges.ones
-    return grad - radial[:, None] * v
+    terms = rows.reshape(2 * v.shape[1], m) * coef
+    grad = np.bincount(edges.cells, weights=terms.ravel(), minlength=v.size)
+    grad = grad.reshape(v.shape[::-1]).T
+    return grad - _row_dots(grad, v)[:, None] * v
 
 
-def _lipschitz_bound(edges: _EdgeTerms, mu) -> float:
-    """A step bound from the weight matrix's largest absolute row sum (the
-    weighted degree) and the most conflict pairs at one node."""
-    row = np.bincount(edges.ends, weights=np.tile(np.abs(edges.weight), 2))
-    degree = np.bincount(edges.ends.reshape(2, -1)[:, : edges.conflicts].ravel())
-    return max(1.0, float(row.max(initial=0.0)) + 2.0 * mu * float(degree.max(initial=0)))
+def _lipschitz_bound(edges: _EdgeTerms, mu) -> np.ndarray:
+    """Per component, a step bound from the weight matrix's largest
+    absolute row sum (the weighted degree) and the most conflict pairs at
+    one node."""
+    n = len(edges.label)
+    row = np.bincount(edges.ends, weights=np.tile(np.abs(edges.weight), 2), minlength=n)
+    degree = np.bincount(edges.ends.reshape(2, -1)[:, : edges.conflicts].ravel(), minlength=n)
+    row_max = np.zeros(edges.components)
+    degree_max = np.zeros(edges.components)
+    np.maximum.at(row_max, edges.label, row)
+    np.maximum.at(degree_max, edges.label, degree)
+    return np.maximum(1.0, row_max + 2.0 * mu * degree_max)
+
+
+def _component_sums(a, b, edges: _EdgeTerms) -> list[float]:
+    """Per component, the sum of ⟨a_i, b_i⟩ over its rows i, by numpy's
+    own reductions. One component takes one reduction and no per-row pass,
+    which matters on small graphs, where each numpy call costs more than
+    its arithmetic."""
+    if edges.components == 1:
+        return [_dot(a, b)]
+    return np.bincount(edges.label, weights=_row_dots(a, b), minlength=edges.components).tolist()
+
+
+def _row_steps(step: list[float], edges: _EdgeTerms):
+    """Each row's step, its component's, as a column to scale the rows;
+    of one component, its step as a scalar."""
+    if edges.components == 1:
+        return step[0]
+    return np.array(step)[edges.label][:, None]
 
 
 def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     """Projected gradient with spectral (Barzilai-Borwein) steps and a
     nonmonotone backtracking safeguard; rows are renormalized every step.
-    The descent ends when the gradient norm falls below ``GRAD_TOL``, or
-    once its accepted value has not improved by ``STALL_TOL * (1 + |best|)``
-    for ``STALL_WINDOW`` iterations. Returns the factor, its gradient norm
-    and the iterations run.
+    Each connected component takes its own step, its own fallback safe
+    step and its own spectral update from its rows' part of the gradient,
+    as if it ran alone; one acceptance test on the whole value halves all
+    steps together. The descent ends when the gradient norm falls below
+    ``GRAD_TOL``, or once its accepted value has not improved by
+    ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW`` iterations. Returns
+    the factor, its gradient norm and the iterations run. The few
+    per-component numbers are Python floats, which cost less to update
+    than numpy arrays.
     """
-    value, *parts = _penalized_value(v, edges, mu, shift)
+    offset, shift_sq = shift - 0.5, _dot(shift, shift)
+    value, *parts = _value_at(v, edges, mu, offset, shift_sq)
     grad = _riemannian_grad(v, edges, mu, *parts)
-    safe_step = 1.0 / _lipschitz_bound(edges, mu)
+    grad_sq = _component_sums(grad, grad, edges)
+    safe_step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
     step = safe_step
     memory = [value]
     fresh_step = False
@@ -360,21 +495,25 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     for _ in range(max_iters):
         if idle >= STALL_WINDOW:
             break
-        gnorm = math.sqrt(np.vdot(grad, grad))
-        if gnorm < GRAD_TOL:
+        if math.sqrt(sum(grad_sq)) < GRAD_TOL:
             break
         iterations += 1
         idle += 1
-        accepted = False
-        trial_step = step
+        # each row's move at its component's full step, and the decrease
+        # the acceptance test asks of it; a failed trial halves both
+        move = _row_steps(step, edges) * grad
+        decrease = 1e-4 * sum(t * g for t, g in zip(step, grad_sq))
         reference = max(memory)
+        scale = 1.0
+        accepted = False
         for _ in range(25):
-            v_new = _normalize_rows(v - trial_step * grad, edges.ones)
-            value_new, *parts_new = _penalized_value(v_new, edges, mu, shift)
-            if value_new <= reference - 1e-4 * trial_step * gnorm * gnorm:
+            v_new = _normalize_rows(v - move)
+            value_new, *parts_new = _value_at(v_new, edges, mu, offset, shift_sq)
+            if value_new <= reference - scale * decrease:
                 accepted = True
                 break
-            trial_step *= 0.5
+            scale *= 0.5
+            move *= 0.5
         if not accepted:
             # spectral step may be poisoned; retry once from the safe step
             if fresh_step:
@@ -385,16 +524,20 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
         fresh_step = False
         grad_new = _riemannian_grad(v_new, edges, mu, *parts_new)
         dv = v_new - v
-        denom = float(np.vdot(dv, grad_new - grad))
-        step = float(np.vdot(dv, dv)) / denom if denom > 1e-16 else trial_step * 2.0
-        step = min(max(step, 1e-12), 1e3)
+        moved = _component_sums(dv, dv, edges)
+        curved = _component_sums(dv, grad_new - grad, edges)
+        step = [
+            min(max(s / y if y > 1e-16 else 2.0 * scale * t, 1e-12), 1e3)
+            for s, y, t in zip(moved, curved, step)
+        ]
         v, value, grad = v_new, value_new, grad_new
+        grad_sq = _component_sums(grad, grad, edges)
         memory.append(value)
         if len(memory) > 10:
             memory.pop(0)
         if value < best - STALL_TOL * (1.0 + abs(best)):
             best, idle = value, 0
-    return v, math.sqrt(np.vdot(grad, grad)), iterations
+    return v, math.sqrt(sum(grad_sq)), iterations
 
 
 def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
@@ -408,7 +551,8 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     """
     n = len(cost.index)
     edges = _edge_terms(cost, min(n, RANK))
-    v = _normalize_rows(np.random.default_rng(seed).normal(size=(n, min(n, RANK))))
+    # column-major: each factor column is contiguous, as the descent reads it
+    v = np.asfortranarray(_normalize_rows(np.random.default_rng(seed).normal(size=(n, min(n, RANK)))))
     shift = np.zeros(len(cost.ce))
     v, grad_norm, iterations = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
     violation = _max_violation(v, cost.ce)
@@ -422,6 +566,7 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
         iterations += used
         violation = _max_violation(v, cost.ce)
     _, hinge, _ = _penalized_value(v, edges, MU_INITIAL, shift)
+    v = np.ascontiguousarray(v)
     return RelaxationSolution(
         cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost),
         converged=grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL,

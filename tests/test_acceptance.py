@@ -95,8 +95,11 @@ def test_criterion_3_relaxation_lower_bound():
         # median gap of 0.0023 and a largest of 0.34
         assert np.median(gaps) <= 0.01, f"median gap {np.median(gaps):.4f}"
         assert max(gaps) <= 0.5, f"largest gap {max(gaps):.4f}"
-        # the count measured under the one relaxation rule
-        assert certified == 40, f"{certified}/100 runs certified convergence, expected 40"
+        # the count measured under the one relaxation rule, with one step
+        # per connected component: 37 of the graphs are disconnected, and
+        # one of them certifies with its own steps where one shared step
+        # stalled (40 certified)
+        assert certified == 41, f"{certified}/100 runs certified convergence, expected 41"
 
 
 def test_criterion_4_reductions_preserve_optimality():

@@ -222,20 +222,25 @@ class TestComponentSolver:
         assert result.per_component[0].bridges_cut == 2
 
 
-    def test_sdp_iterations_sum_over_pieces(self, monkeypatch):
-        iterations = []
+    def test_sdp_iterations_come_from_the_one_run(self, monkeypatch):
+        # both triangles of the bridged pair relax in one run, and the
+        # report takes that run's iterations once
+        runs = []
 
         def spy(*args, **kwargs):
             sol = solve_relaxation(*args, **kwargs)
-            iterations.append(sol.iterations)
+            runs.append(sol)
             return sol
 
         monkeypatch.setattr(trimask.pipeline, "solve_relaxation", spy)
         result = decompose_graph(two_triangles_bridged(), DecomposeConfig(solver="sdp"))
         (report,) = result.per_component
-        assert len(iterations) == 2 and all(iterations)
-        assert report.sdp_iterations == sum(iterations)
+        (run,) = runs
+        assert len(run.index) == 6 and run.iterations
+        assert report.sdp_iterations == run.iterations
+        assert report.sdp_converged == run.converged
         assert "sdp_iterations" not in str(result.payload())
+
 
 class TestCompareSolvers:
     """The exact search and the relaxation side by side on one layout."""

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import trimask.sdp
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
-from trimask.graphs import DecompositionGraph, as_fraction, brute_force_optimum, evaluate
+from trimask.graphs import (
+    DecompositionGraph,
+    as_fraction,
+    brute_force_optimum,
+    connected_components,
+    evaluate,
+)
 from trimask.ilp import solve_exact
 from trimask.sdp import (
     CONSTRAINT_TOL,
@@ -23,9 +29,11 @@ from trimask.sdp import (
     TABU_SPREAD,
     TABU_TENURE,
     RelaxationSolution,
+    _component_sums,
     _edge_positions,
     _edge_terms,
     _integer_costs,
+    _lipschitz_bound,
     _max_violation,
     _minimize_on_sphere,
     _neighbor_links,
@@ -36,6 +44,7 @@ from trimask.sdp import (
     _tabu_search,
     build_cost_matrix,
     discrete_vector_objective,
+    join_costs,
     map_to_masks,
     polish,
     solve_relaxation,
@@ -363,7 +372,105 @@ class TestLowerBound:
     def test_a_hand_built_factor_is_uncertified_and_bounded(self):
         sol = reference_solution(worked_example_graph(), WORKED_X)
         assert not sol.converged and not sol.multipliers.any()
-        assert sol.lower_bound() <= 0.0  # the worked example's optimum
+        assert sol.lower_bound() == 0.0  # the worked example's optimum
+
+    def test_never_below_zero_and_on_the_objective_lattice(self):
+        # the dual alone reads -0.021 here: no objective is negative, and
+        # every objective is a multiple of 1/alpha.denominator
+        dg = random_graph(np.random.default_rng(3), 12)
+        bounds = []
+        for alpha in (Fraction(1, 10**6), Fraction(1, 10), Fraction(2, 3)):
+            bound = solve_relaxation(build_cost_matrix(dg, alpha)).lower_bound()
+            assert 0.0 <= bound <= float(brute_force_optimum(dg, alpha).objective)
+            steps = Fraction(bound) * alpha.denominator
+            assert abs(steps - round(steps)) < 1e-6
+            bounds.append(bound)
+        assert bounds[0] == 0.0
+
+
+def sparse_leaves(rng, sizes, ce_density=0.4):
+    """Connected random graphs of ``sizes`` nodes on disjoint id ranges."""
+    leaves, start = [], 0
+    for n in sizes:
+        while True:
+            dg = random_graph(rng, n, ce_density=ce_density, se_density=0.1)
+            if len(connected_components(dg)) == 1:
+                break
+        ids = {k: start + 3 * k for k in range(n)}  # spread, not contiguous
+        leaves.append(DecompositionGraph.from_edges(
+            ids.values(), ce=[(ids[u], ids[v]) for u, v in dg.ce],
+            se=[(ids[u], ids[v]) for u, v in dg.se],
+        ))
+        start += 3 * n + 1
+    return leaves
+
+
+class TestJoin:
+    """``join_costs`` lays leaves side by side, one relaxation runs on the
+    join, and ``restrict`` hands each leaf its part."""
+
+    def test_a_join_of_one_is_that_matrix(self):
+        cost = build_cost_matrix(worked_example_graph(), 0.1)
+        assert join_costs([cost]) is cost
+        sol = solve_relaxation(cost)
+        assert sol.restrict(cost) is sol
+
+    def test_positions_follow_leaf_after_leaf(self, rng):
+        costs = [build_cost_matrix(dg, 0.1) for dg in sparse_leaves(rng, [5, 7, 4])]
+        joined = join_costs(costs)
+        assert joined.index == sum((c.index for c in costs), ())
+        assert joined.dg.nodes == tuple(sorted(joined.index))
+        offset, ce, se = 0, [], []
+        for c in costs:
+            ce += (c.ce + offset).tolist()
+            se += (c.se + offset).tolist()
+            offset += len(c.index)
+        assert joined.ce.tolist() == ce and joined.se.tolist() == se
+        with pytest.raises(ValueError):
+            join_costs([costs[0], build_cost_matrix(costs[1].dg, 0.5)])
+
+    def test_one_step_per_component(self, rng):
+        leaves = sparse_leaves(rng, [6, 9, 3])
+        costs = [build_cost_matrix(dg, 0.1) for dg in leaves]
+        edges = _edge_terms(join_costs(costs), RANK)
+        assert edges.components == 3
+        assert edges.label.tolist() == [0] * 6 + [1] * 9 + [2] * 3
+        alone = [_lipschitz_bound(_edge_terms(c, RANK), MU_INITIAL) for c in costs]
+        assert _lipschitz_bound(edges, MU_INITIAL).tolist() == np.concatenate(alone).tolist()
+        v = random_unit_factor(rng, 18, RANK)
+        sums = _component_sums(v, 2.0 * v, edges)
+        np.testing.assert_allclose(sums, [12.0, 18.0, 6.0], rtol=1e-12)
+
+    def test_restrict_keeps_the_leaf_rows_and_multipliers(self, rng):
+        costs = [build_cost_matrix(dg, 0.1) for dg in sparse_leaves(rng, [8, 12, 5])]
+        joined = join_costs(costs)
+        sol = solve_relaxation(joined, seed=4)
+        offset = first = 0
+        for cost in costs:
+            part = sol.restrict(cost)
+            n, m = len(cost.index), len(cost.ce)
+            assert part.cost is cost
+            assert part.v.tobytes() == sol.v[offset:offset + n].tobytes()
+            assert part.multipliers.tolist() == sol.multipliers[first:first + m].tolist()
+            assert (part.converged, part.iterations) == (sol.converged, sol.iterations)
+            assert part.obj_relaxation == RelaxationSolution.from_factor(part.v, cost).obj_relaxation
+            offset, first = offset + n, first + m
+        leaf = costs[1].dg
+        fewer = DecompositionGraph(segments=leaf.segments, ce=leaf.ce - {min(leaf.ce)}, se=leaf.se)
+        for other in (fewer, DecompositionGraph.from_edges([10**6])):
+            with pytest.raises(ValueError):
+                sol.restrict(build_cost_matrix(other, 0.1))
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(1, 10**6)])
+    def test_a_restricted_bound_is_below_the_leaf_optimum(self, alpha):
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            leaves = sparse_leaves(rng, rng.integers(3, 13, size=3).tolist(), 0.3)
+            costs = [build_cost_matrix(dg, alpha) for dg in leaves]
+            sol = solve_relaxation(join_costs(costs))
+            for dg, cost in zip(leaves, costs):
+                bound = sol.restrict(cost).lower_bound()
+                assert bound <= float(brute_force_optimum(dg, alpha).objective)
 
 
 def add_at_value_and_gradient(v, w, mu, ce, shift=None):

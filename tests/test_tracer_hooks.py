@@ -88,3 +88,26 @@ def test_traced_layout_records_graph_sizes_and_peeled_count():
     assert split["segments"] == len(result.dg.segments)
     assert split["ce"] == len(result.dg.ce)
     assert split["se"] == len(result.dg.se) > 0
+
+
+def test_one_relaxation_for_two_relaxed_components():
+    # two disjoint dense blocks above the exact search's size: each is
+    # built as its own leaf, and both relax in one call
+    block = random_graph(np.random.default_rng(4), 30, 0.5, 0.0)
+    dg = DecompositionGraph.from_edges(
+        60, ce=[*block.ce, *((u + 30, v + 30) for u, v in block.ce)]
+    )
+    assert [len(c.nodes) for c in connected_components(dg)] == [30, 30]
+    assert not find_bridges(block)
+    tracer = spans.Tracer()
+    with tracer.patched(trimask.pipeline):
+        result = trimask.pipeline.decompose_graph(dg, DecomposeConfig(solver="auto"))
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span["name"], []).append(span)
+    assert [span["n"] for span in by_name["build_cost_matrix"]] == [30, 30]
+    (relaxed,) = by_name["solve_relaxation"]
+    assert relaxed["n"] == 60
+    assert len(by_name["map_to_masks"]) == 2
+    assert [r.solver for r in result.per_component] == ["sdp", "sdp"]
+    assert spans.layer_metrics(tracer.spans)["reductions.largest_piece"] == 30
