@@ -4,6 +4,8 @@ When two triangles of the conflict graph share an edge, their two outer
 apexes are forced onto the same mask by any conflict-free coloring. Those
 same-mask constraints are transitive; if a conflict edge ever joins two
 nodes of one constraint class, no conflict-free assignment exists. The
+classes are the connected components of the apex pairs, and the witness of
+such an edge is the shortest chain of apex pairs between its endpoints. The
 check is sound but deliberately incomplete: triangle-free graphs that still
 need four colors pass undetected.
 """
@@ -13,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graphs import Pair, neighbor_sets, ordered_pair
-from .unionfind import DisjointSet
+from .graphs import Pair, adjacency, component_sets, neighbor_sets, ordered_pair
 
 
 class TrianglePair(NamedTuple):
@@ -61,55 +62,54 @@ def find_adjacent_triangles(nodes, ce_edges) -> list[TrianglePair]:
 
 
 def propagate_and_check(nodes, ce_edges) -> ConstraintClasses | InfeasibleWitness:
-    """Union every apex pair, then look for a conflict edge whose endpoints
-    were forced together.
+    """Join every apex pair into same-mask classes, then look for a conflict
+    edge whose endpoints were forced together.
 
     Triangles are enumerated once on the original edge set and merged
-    classes never act as synthetic edges, so one union pass reaches the
-    fixpoint.
+    classes never act as synthetic edges, so the classes are the connected
+    components of the apex pairs. The witness edge is the first such edge
+    in sorted order.
     """
     nodes = sorted(set(nodes) | {n for e in ce_edges for n in e})
     edges = sorted(ordered_pair(u, v) for u, v in ce_edges)
-    dsu = DisjointSet(nodes)
     witness: dict[Pair, list[TrianglePair]] = {}
-    links: dict[int, list[int]] = {n: [] for n in nodes}
-
     for tri in find_adjacent_triangles(nodes, edges):
-        a, b = pair = (tri.apex_a, tri.apex_b)  # apexes come in order
+        pair = (tri.apex_a, tri.apex_b)  # apexes come in order
         seen = witness.get(pair)
-        if seen is not None:  # already united
+        if seen is None:
+            witness[pair] = [tri]
+        else:
             seen.append(tri)
-            continue
-        witness[pair] = [tri]
-        if dsu.union(a, b):
-            links[a].append(b)
-            links[b].append(a)
 
+    classes = component_sets(nodes, witness)
+    label = {n: k for k, cls in enumerate(classes) for n in cls}
     for u, v in edges:
-        if dsu.same(u, v):
-            return InfeasibleWitness(edge=(u, v), path=_constraint_path(links, u, v))
+        if label[u] == label[v]:
+            path = _constraint_path(adjacency(nodes, witness), u, v)
+            return InfeasibleWitness(edge=(u, v), path=path)
 
-    groups = dsu.groups()
     return ConstraintClasses(
-        classes=tuple(tuple(members) for members in groups.values()),
+        classes=tuple(tuple(sorted(cls)) for cls in classes),
         witness={p: tuple(w) for p, w in sorted(witness.items())},
     )
 
 
-def _constraint_path(links: dict[int, list[int]], start: int, goal: int) -> tuple[int, ...]:
-    """Shortest chain of same-mask constraints from start to goal (BFS)."""
-    prev = {start: None}
+def _constraint_path(adj: dict[int, tuple[int, ...]], start: int, goal: int) -> tuple[int, ...]:
+    """Shortest chain of same-mask constraints from start to goal: a
+    breadth-first search over the apex-pair adjacency ``adj`` that visits
+    neighbors in ascending id order, so of several shortest chains it
+    returns the one first reached in that order."""
+    prev = {start: start}
     queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            path = []
-            while node is not None:
-                path.append(node)
-                node = prev[node]
-            return tuple(reversed(path))
-        for nxt in links[node]:
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
+    for node in queue:  # the list grows as it is read: a FIFO without pops
+        for nxt in adj[node]:
+            if nxt in prev:
+                continue
+            prev[nxt] = node
+            if nxt == goal:
+                path = [goal]
+                while path[-1] != start:
+                    path.append(prev[path[-1]])
+                return tuple(reversed(path))
+            queue.append(nxt)
     raise AssertionError("constrained nodes must be linked")

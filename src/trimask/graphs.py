@@ -46,17 +46,18 @@ def adjacency(nodes, edges) -> dict[int, tuple[int, ...]]:
     return {n: tuple(sorted(nbrs)) for n, nbrs in neighbor_sets(nodes, edges).items()}
 
 
-def component_sets(graph) -> list[set[int]]:
-    """Node sets of the connected components of a graph with ``nodes`` and
-    ``edges`` (a layout or a decomposition graph), ordered by smallest
-    node id.
+def component_sets(nodes, edges) -> list[set[int]]:
+    """Node sets of the connected components of the graph on ``nodes`` and
+    ``edges``, ordered by smallest node id; the program's one union-find.
+    Components, the same-mask classes of detection and the relaxation's
+    per-component steps all read it.
 
-    A union-find over the edges that hangs the larger root under the
-    smaller, so every node's parent is smaller than the node, and roots
-    are the smallest nodes of their components; no adjacency is built.
+    It hangs the larger root under the smaller, so every node's parent is
+    smaller than the node, and roots are the smallest nodes of their
+    components; no adjacency is built.
     """
-    parent = {n: n for n in graph.nodes}
-    for u, v in graph.edges:
+    parent = {n: n for n in nodes}
+    for u, v in edges:
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -77,10 +78,27 @@ def component_sets(graph) -> list[set[int]]:
     return list(comps.values())
 
 
-def connected_components(graph):
-    """The components of a layout or a decomposition graph as induced
-    subgraphs, ordered by smallest node id."""
-    return [graph.subgraph(comp) for comp in component_sets(graph)]
+def connected_components(dg: DecompositionGraph) -> list[DecompositionGraph]:
+    """The components of a decomposition graph as induced subgraphs,
+    ordered by smallest node id. A layout graph's components are its
+    ``component_sets``.
+
+    One pass over the segments and the edges deals each to the component
+    of its node in ``component_sets``. Each component keeps the parent's
+    segment order and edge order, so its edge sets iterate as an induced
+    ``subgraph`` of each would.
+    """
+    comps = component_sets(dg.nodes, dg.edges)
+    label = {n: k for k, comp in enumerate(comps) for n in comp}
+    # per component: its segments, conflict edges and stitch edges
+    parts = [([], [], []) for _ in comps]
+    for seg in dg.segments:
+        parts[label[seg.id]][0].append(seg)
+    for e in dg.ce:
+        parts[label[e[0]]][1].append(e)
+    for e in dg.se:
+        parts[label[e[0]]][2].append(e)
+    return [DecompositionGraph(tuple(s), frozenset(c), frozenset(t)) for s, c, t in parts]
 
 
 def as_fraction(alpha) -> Fraction:

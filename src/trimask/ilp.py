@@ -374,8 +374,9 @@ def write_lp(model: IlpModel) -> str:
     """Serialize the model in LP-format text (minimize, <= rows, binaries)."""
     terms = []
     for var, w in model.objective.items():
+        # repr, not a fixed precision: the float of alpha reads back exactly
         coef = float(w)
-        terms.append(f"+ {coef:g} {var}" if coef >= 0 else f"- {-coef:g} {var}")
+        terms.append(f"+ {coef!r} {var}" if coef >= 0 else f"- {-coef!r} {var}")
     obj = " ".join(terms) if terms else "0"
     lines = ["Minimize", f" obj: {obj}", "Subject To"]
     for con in model.constraints:

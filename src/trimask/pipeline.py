@@ -42,7 +42,6 @@ from .graphs import (
 from .ilp import solve_exact
 from .reductions import find_bridges, peel_low_degree, reinsert_segments, stitch_and_rotate
 from .sdp import build_cost_matrix, join_costs, map_to_masks, polish, solve_relaxation
-from .unionfind import DisjointSet
 
 # solver "auto" searches components of at most this many nodes exactly
 AUTO_THRESHOLD = 25
@@ -148,27 +147,35 @@ def _bridge_pieces(comp: DecompositionGraph, cuts) -> list[DecompositionGraph]:
     ))
 
 
-def _merge_pieces(comp: DecompositionGraph, cuts, blocks) -> dict[int, int]:
+def _merge_pieces(cuts, blocks) -> dict[int, int]:
     """Merge the colored bridge-free pieces ``blocks`` (pairs of a piece and
-    its colors) of ``comp`` back along the bridge forest of ``cuts``; each
-    reattachment rotates one side so the bridge edge costs nothing."""
+    its colors) of one component back along the bridge forest of ``cuts``.
+
+    A walk over the bridge forest starts at the first piece, which keeps its
+    colors. Each bridge the walk crosses leads to a piece not yet placed,
+    which ``stitch_and_rotate`` rotates once against the placed endpoint's
+    final color, so the bridge edge costs nothing.
+    """
     if not cuts:
         ((_, colors),) = blocks
         return colors
-    dsu = DisjointSet(comp.nodes)
-    merged: dict[int, dict[int, int]] = {}
-    for piece, colors in blocks:
-        for a, b in zip(piece.nodes, piece.nodes[1:]):
-            dsu.union(a, b)
-        merged[dsu.find(piece.nodes[0])] = colors
+    piece_colors = {n: colors for piece, colors in blocks for n in piece.nodes}
+    crossings: dict[int, list] = {}
     for cut in cuts:
         u, v = cut.bridge
-        ru, rv = dsu.find(u), dsu.find(v)
-        rotated = stitch_and_rotate(cut, merged.pop(ru), merged.pop(rv))
-        dsu.union(ru, rv)
-        merged[dsu.find(ru)] = rotated
-    (colors,) = merged.values()
-    return colors
+        crossings.setdefault(u, []).append((cut, v))
+        crossings.setdefault(v, []).append((cut, u))
+    first = blocks[0][1]
+    out = dict(first)
+    todo = [first]
+    while todo:
+        for node in todo.pop():
+            for cut, far in crossings.get(node, ()):
+                if far not in out:
+                    far_colors = piece_colors[far]
+                    out.update(stitch_and_rotate(cut, {node: out[node]}, far_colors))
+                    todo.append(far_colors)
+    return out
 
 
 def _solve_components(dg: DecompositionGraph, alpha, cfg):
@@ -177,8 +184,8 @@ def _solve_components(dg: DecompositionGraph, alpha, cfg):
     one run, merge the bridge pieces."""
     reports: list[ComponentReport] = []
     witnesses: list[InfeasibleWitness] = []
-    # per component: the component, its bridge cuts and its pieces with
-    # their colors, which phase 2 fills in for the relaxed pieces
+    # per component: its bridge cuts and its pieces with their colors,
+    # which phase 2 fills in for the relaxed pieces
     plans = []
     relaxed: list[tuple[DecompositionGraph, ComponentReport, dict[int, int]]] = []
     for comp in connected_components(dg):
@@ -200,7 +207,7 @@ def _solve_components(dg: DecompositionGraph, alpha, cfg):
                 relaxed.append((piece, report, colors))
                 report.proven_optimal = False
             blocks.append((piece, colors))
-        plans.append((comp, cuts, blocks))
+        plans.append((cuts, blocks))
 
     if relaxed:
         costs = [build_cost_matrix(piece, alpha) for piece, _, _ in relaxed]
@@ -211,8 +218,8 @@ def _solve_components(dg: DecompositionGraph, alpha, cfg):
             colors.update(map_to_masks(sol.restrict(cost), seed=cfg.seed).colors)
 
     colors = {}
-    for comp, cuts, blocks in plans:
-        colors.update(_merge_pieces(comp, cuts, blocks))
+    for cuts, blocks in plans:
+        colors.update(_merge_pieces(cuts, blocks))
     return colors, reports, witnesses
 
 
@@ -245,9 +252,9 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
         # re-solve its whole layout-graph component without peeling, and let
         # the redo's reports and witnesses replace those of the first pass
         redo = set()
-        for comp in connected_components(lg):
-            if set(comp.nodes) & fallback_parents:
-                redo.update(comp.nodes)
+        for comp in component_sets(lg.nodes, lg.edges):
+            if comp & fallback_parents:
+                redo |= comp
         redo_ids = {s.id for s in dg.segments if s.parent in redo}
         redo_colors, redo_reports, redo_witnesses = _solve_components(
             dg.subgraph(redo_ids), alpha, cfg
@@ -270,7 +277,7 @@ def _result(assignment, dg, lg, reports, witnesses, peeled, t0, cfg) -> Decompos
         per_component=reports,
         witnesses=witnesses,
         peeled=peeled,
-        components=len(component_sets(dg)),
+        components=len(component_sets(dg.nodes, dg.edges)),
         stitch_count=assignment.stitch_count,
         conflict_count=assignment.conflict_count,
         objective=assignment.objective_float(),

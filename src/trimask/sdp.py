@@ -395,7 +395,7 @@ def _edge_terms(cost: CostMatrix, rank: int) -> _EdgeTerms:
     others = np.concatenate([pairs[:, 1], pairs[:, 0]])
     cells = (np.arange(rank)[:, None] * n + others).ravel()
     pos = cost.positions
-    comps = component_sets(cost.dg)
+    comps = component_sets(cost.dg.nodes, cost.dg.edges)
     label = np.zeros(n, dtype=np.intp)
     for c, comp in enumerate(comps):
         label[[pos[node] for node in comp]] = c

@@ -4,7 +4,7 @@ import pytest
 
 from trimask.cli import format_assignment, generate_layout, main, render_svg
 from trimask.geometry import build_layout_graph, load_layout, project_and_split
-from trimask.graphs import connected_components, evaluate, parse_edgelist
+from trimask.graphs import component_sets, evaluate, parse_edgelist
 from trimask.pipeline import DecomposeConfig, decompose
 
 TRIANGLE_EDGELIST = "3\nC 0 1\nC 1 2\nC 0 2\n"
@@ -319,7 +319,7 @@ class TestGenCommand:
         out = tmp_path / "dense.json"
         run(["gen", "--shapes", "40", "--density", "6", "--seed", "4", "--out", str(out)])
         lg = build_layout_graph(load_layout(out))
-        assert max(len(c.nodes) for c in connected_components(lg)) >= 10
+        assert max(map(len, component_sets(lg.nodes, lg.edges))) >= 10
 
     def test_infeasible_density_exit_2(self, tmp_path):
         assert run(["gen", "--shapes", "10", "--density", "9", "--seed", "1",

@@ -6,12 +6,10 @@ from trimask.detection import (
     ConstraintClasses,
     InfeasibleWitness,
     TrianglePair,
-    _constraint_path,
     find_adjacent_triangles,
     propagate_and_check,
 )
 from trimask.graphs import adjacency, brute_force_optimum, ordered_pair
-from trimask.unionfind import DisjointSet
 
 BOWTIE = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]  # triangles 012 and 123 share (1,2)
 
@@ -67,6 +65,27 @@ class TestPropagate:
         verdict = propagate_and_check(dg.nodes, dg.ce)
         assert isinstance(verdict, InfeasibleWitness)
 
+    def test_k4_witness_is_the_shortest_chain(self):
+        # K4's apex pairs, in the order triangles are listed: (0,1) shared
+        # by the last triangles, so a spanning forest grown in that order
+        # (2-3, 1-3, 0-3) links 0 to 1 only through 3; the shortest chain
+        # is the apex pair (0,1) itself
+        dg = k4_graph()
+        verdict = propagate_and_check(dg.nodes, dg.ce)
+        assert verdict.edge == (0, 1)
+        assert verdict.path == (0, 1)
+
+    def test_shortest_chain_ties_go_to_the_smaller_neighbor(self):
+        # two chains of two apex pairs from 0 to 6, through 3 or through 2
+        edges = [(0, 1), (0, 4), (1, 4), (1, 3), (3, 4),  # apexes 0, 3 on (1,4)
+                 (0, 5), (0, 7), (5, 7), (5, 2), (2, 7),  # apexes 0, 2 on (5,7)
+                 (3, 8), (3, 9), (8, 9), (8, 6), (6, 9),  # apexes 3, 6 on (8,9)
+                 (2, 10), (2, 11), (10, 11), (10, 6), (6, 11),  # apexes 2, 6
+                 (0, 6)]
+        verdict = propagate_and_check(range(12), edges)
+        assert verdict.edge == (0, 6)
+        assert verdict.path == (0, 2, 6)
+
     def test_bipartite_all_singletons(self):
         edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
         verdict = propagate_and_check(range(4), edges)
@@ -106,8 +125,8 @@ class TestPropagate:
         assert edges == BOWTIE and nodes == list(range(4))
 
 
-# --- the detection with sorted-tuple adjacency, a set per shared edge and a
-# union per triangle pair, as the reference for the module's ------------------
+# --- the detection with sorted-tuple adjacency and a set per shared edge, and
+# networkx's components and shortest paths, as the reference for the module's -
 
 
 def reference_triangles(nodes, ce_edges) -> list[TrianglePair]:
@@ -121,25 +140,13 @@ def reference_triangles(nodes, ce_edges) -> list[TrianglePair]:
     return out
 
 
-def reference_propagate(nodes, ce_edges):
-    nodes = sorted(set(nodes) | {n for e in ce_edges for n in e})
-    edges = sorted(ordered_pair(u, v) for u, v in ce_edges)
-    dsu = DisjointSet(nodes)
-    witness = {}
-    links = {n: [] for n in nodes}
-    for tri in reference_triangles(nodes, edges):
-        pair = ordered_pair(tri.apex_a, tri.apex_b)
-        witness.setdefault(pair, []).append(tri)
-        if dsu.union(*pair):
-            links[pair[0]].append(pair[1])
-            links[pair[1]].append(pair[0])
-    for u, v in edges:
-        if dsu.same(u, v):
-            return InfeasibleWitness(edge=(u, v), path=_constraint_path(links, u, v))
-    return ConstraintClasses(
-        classes=tuple(tuple(members) for members in dsu.groups().values()),
-        witness={p: tuple(w) for p, w in sorted(witness.items())},
-    )
+def apex_pair_graph(nodes, ce_edges):
+    """networkx graph of the apex pairs of ``reference_triangles``."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(set(nodes) | {n for e in ce_edges for n in e})
+    graph.add_edges_from((t.apex_a, t.apex_b) for t in reference_triangles(nodes, ce_edges))
+    return graph
 
 
 def messy_graph(rng, n, density):
@@ -157,24 +164,40 @@ def messy_graph(rng, n, density):
 
 
 class TestAgainstReference:
-    """Set adjacency, sorting only where two apexes meet, tuple triangles and
-    one union per apex pair: the same triangles in the same order, and the
-    same classes, witnesses and infeasibility chain."""
+    """Set adjacency, sorting only where two apexes meet, and tuple
+    triangles: the same triangles in the same order. The classes are the
+    connected components of the apex pairs, the witness edge is the first
+    sorted conflict edge inside a class, and its chain is a shortest path of
+    apex pairs between its endpoints."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_graphs(self, seed):
+        nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 30))
         nodes, edges = messy_graph(rng, n, float(rng.choice([0.1, 0.25, 0.5, 0.8])))
-        assert find_adjacent_triangles(nodes, edges) == reference_triangles(nodes, edges)
-        got, want = propagate_and_check(nodes, edges), reference_propagate(nodes, edges)
-        assert type(got) is type(want)
-        if isinstance(want, InfeasibleWitness):
-            assert (got.edge, got.path) == (want.edge, want.path)
+        triangles = reference_triangles(nodes, edges)
+        assert find_adjacent_triangles(nodes, edges) == triangles
+        apexes = apex_pair_graph(nodes, edges)
+        classes = sorted(tuple(sorted(c)) for c in nx.connected_components(apexes))
+        joined = [e for e in sorted({ordered_pair(u, v) for u, v in edges})
+                  if nx.has_path(apexes, *e)]
+        got = propagate_and_check(nodes, edges)
+        if joined:
+            assert isinstance(got, InfeasibleWitness)
+            assert got.edge == joined[0]
+            assert (got.path[0], got.path[-1]) == got.edge
+            assert all(apexes.has_edge(a, b) for a, b in zip(got.path, got.path[1:]))
+            assert len(got.path) - 1 == nx.shortest_path_length(apexes, *got.edge)
         else:
-            assert got.classes == want.classes
-            assert got.witness == want.witness
-            assert list(got.witness) == list(want.witness)
+            assert isinstance(got, ConstraintClasses)
+            assert sorted(got.classes) == classes
+            witness = {}
+            for tri in triangles:
+                witness.setdefault((tri.apex_a, tri.apex_b), []).append(tri)
+            want = {p: tuple(w) for p, w in sorted(witness.items())}
+            assert got.witness == want
+            assert list(got.witness) == list(want)
 
     def test_both_verdicts_are_covered(self):
         verdicts = set()

@@ -40,4 +40,4 @@ def test_layouts_that_split_stitch_peel_and_polish():
     ]
     # every path these digests should pin is taken
     assert all(r.dg.se and r.peeled and not r.proven_optimal for r in results)
-    assert digest(*map(payload_text, results)) == "aab26e62909825f8"
+    assert digest(*map(payload_text, results)) == "ec85ff89db3f1d81"

@@ -34,14 +34,26 @@ def check_core(graph, edges):
     ref = nx_graph(graph.nodes, edges)
     assert graph.adjacency == {n: tuple(sorted(ref[n])) for n in ref}
     expected = sorted(nx.connected_components(ref), key=min)
-    assert component_sets(graph) == expected
-    assert [set(c.nodes) for c in connected_components(graph)] == expected
+    assert component_sets(graph.nodes, edges) == expected
+
+
+def check_split(dg):
+    """The one-pass split against an induced subgraph per component: the
+    same nodes and segments, and edge sets that iterate in the same order."""
+    comps = connected_components(dg)
+    ref = nx_graph(dg.nodes, dg.edges)
+    refs = [dg.subgraph(comp) for comp in sorted(nx.connected_components(ref), key=min)]
+    assert [c.nodes for c in comps] == [r.nodes for r in refs]
+    assert [c.segments for c in comps] == [r.segments for r in refs]
+    assert [list(c.ce) for c in comps] == [list(r.ce) for r in refs]
+    assert [list(c.se) for c in comps] == [list(r.se) for r in refs]
 
 
 @pytest.mark.parametrize("make", [random_graphs, lambda: [path_graph()]], ids=["random", "path2000"])
 def test_decomposition_graph_matches_networkx(make):
     for dg in make():
         check_core(dg, dg.ce | dg.se)
+        check_split(dg)
         ref = nx_graph(dg.nodes, dg.ce | dg.se)
         bridges = {tuple(sorted(e)) for e in nx.bridges(ref)}
         cuts = find_bridges(dg)

@@ -176,6 +176,14 @@ class TestLpExport:
         text = write_lp(build_ilp(dg, 0.1))
         assert "0.1 s0_1" in text
 
+    @pytest.mark.parametrize("alpha", [0.123456789, Fraction(1, 3), 1e-7])
+    def test_alpha_reads_back_exactly(self, alpha):
+        dg = DecompositionGraph.from_edges(2, se=[(0, 1)])
+        text = write_lp(build_ilp(dg, alpha))
+        obj = text.splitlines()[1].split()
+        assert obj[:2] == ["obj:", "+"] and obj[3:] == ["s0_1"]
+        assert float(obj[2]) == float(as_fraction(alpha))
+
 
 # --- the search without look-ahead, as the reference for solve_exact ---------
 

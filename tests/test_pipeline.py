@@ -8,7 +8,7 @@ from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, p
 from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
 from trimask.ilp import solve_exact
 from trimask.pipeline import AUTO_THRESHOLD, DecomposeConfig, decompose, decompose_graph
-from trimask.reductions import find_bridges, peel_low_degree
+from trimask.reductions import find_bridges, peel_low_degree, stitch_and_rotate
 from trimask.sdp import build_cost_matrix, solve_relaxation
 
 
@@ -240,6 +240,54 @@ class TestComponentSolver:
         assert report.sdp_iterations == run.iterations
         assert report.sdp_converged == run.converged
         assert "sdp_iterations" not in str(result.payload())
+
+
+def triangle_chain(count=50):
+    """``count`` triangles in a row, joined by bridges that alternate
+    between conflict and stitch edges. The even triangles are three
+    conflict edges (optimum 0); the odd ones a conflict edge and two
+    stitches (optimum alpha)."""
+    ce, se = [], []
+    for k in range(count):
+        a, b, c = 3 * k, 3 * k + 1, 3 * k + 2
+        kind = ce if k % 2 == 0 else se
+        ce.append((a, b))
+        kind += [(b, c), (a, c)]
+        if k + 1 < count:
+            kind.append((c, c + 1))
+    return DecompositionGraph.from_edges(3 * count, ce=ce, se=se)
+
+
+class TestBridgeMerge:
+    def test_a_chain_of_triangles_merges_each_piece_once(self, monkeypatch):
+        calls = []
+
+        def spy(cut, color_a, color_b):
+            calls.append((cut, dict(color_b)))
+            return stitch_and_rotate(cut, color_a, color_b)
+
+        monkeypatch.setattr(trimask.pipeline, "stitch_and_rotate", spy)
+        dg = triangle_chain()
+        result = decompose_graph(dg, DecomposeConfig(solver="exact"))
+        cuts = find_bridges(dg)
+        (report,) = result.per_component
+        assert report.bridges_cut == len(cuts) == 49
+        assert {cut.edge_kind for cut in cuts} == {"CE", "SE"}
+
+        colors = result.assignment.colors
+        for cut in cuts:
+            u, v = cut.bridge
+            assert (colors[u] != colors[v]) == (cut.edge_kind == "CE")
+        bridges = {cut.bridge for cut in cuts}
+        pieces = connected_components(
+            DecompositionGraph(dg.segments, dg.ce - bridges, dg.se - bridges))
+        assert result.assignment.objective == sum(
+            brute_force_optimum(piece, 0.1).objective for piece in pieces)
+
+        # one call per bridge, each rotating one whole piece other than the first
+        assert sorted(cut.bridge for cut, _ in calls) == sorted(bridges)
+        assert sorted(tuple(sorted(rotated)) for _, rotated in calls) == [
+            piece.nodes for piece in pieces[1:]]
 
 
 class TestCompareSolvers:

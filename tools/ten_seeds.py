@@ -12,9 +12,12 @@ one BLAS thread, ``solver="auto"``:
 With two or more ``--src`` trees the table shows each tree's mean and
 range, and the last tree's mean against the first's. The instances are
 both ``dense`` corpora (sum of their 4 layouts), the 20 relaxed clips of
-each ``clips`` corpus (sum), and ``generate_layout`` rungs. The corpora are
-read from ``perfbench/pins.json``, and each generated layout must still
-have its pinned digest.
+each ``clips`` corpus (sum), and ``generate_layout`` rungs: each rung's
+generator seeds one row each, then a row of their sums per decompose seed.
+The change is judged on the sums only: a re-draw can move one generator
+seed's mean by more than 1% either way. The corpora are read from
+``perfbench/pins.json``, and each generated layout must still have its
+pinned digest.
 """
 
 from __future__ import annotations
@@ -87,10 +90,20 @@ def measure() -> dict[str, list[float]]:
         clips = _relaxed(_corpus("clips", part))
         rows[f"clips {part}, {len(clips)} relaxed, sum"] = _objectives(clips)
     for shapes, density, gen_seeds in RUNGS:
+        per_seed = []
         for gen_seed in gen_seeds:
             layout = generate_layout(shapes, density, seed=gen_seed)
-            rows[f"({shapes}, {density}) seed {gen_seed}"] = _objectives([layout])
+            per_seed.append(_objectives([layout]))
+            rows[f"({shapes}, {density}) seed {gen_seed}"] = per_seed[-1]
+        seeds = ", ".join(map(str, gen_seeds))
+        rows[f"({shapes}, {density}) seeds {seeds}, sum"] = [sum(v) for v in zip(*per_seed)]
     return rows
+
+
+def _judged(name: str) -> bool:
+    """Whether the table judges a row's change: every row but a single
+    generator seed of a rung."""
+    return ") seed " not in name
 
 
 def _run(src: str) -> dict[str, list[float]]:
@@ -114,7 +127,8 @@ def table(srcs: list[str], results: list[dict[str, list[float]]]) -> str:
                          f"({min(values):.1f}–{max(values):.1f})")
         if len(results) > 1:
             first, last = sum(results[0][name]), sum(results[-1][name])
-            cells.append(f"{100.0 * (last - first) / first:+.2f}%" if first else "—")
+            judged = first and _judged(name)
+            cells.append(f"{100.0 * (last - first) / first:+.2f}%" if judged else "—")
         lines.append(" | ".join(cells))
     return "\n".join(lines)
 
