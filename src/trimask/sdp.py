@@ -13,12 +13,12 @@ and positive semidefiniteness. The engine optimizes a low-rank factor whose
 rows live on the unit sphere, with a quadratic penalty enforcing the -1/2
 floor. The factor is rounded as Frieze & Jerrum (1997) round MAX k-CUT:
 each of ``DRAWS`` Gaussian draws of three vectors labels every node by the
-vector with the largest dot product with its row. The draw of lowest exact
-cost goes through ``polish``: single-node moves (``_one_opt``) until no
-move lowers the cost, then a tabu search (TabuCol: Hertz & de Werra 1987,
-Galinier & Hao 1999) of ``TABU_ITERATIONS`` moves per node, each the
-recoloring of one node that raises the cost least or lowers it most, ties
-broken at random. A move bars its node from the color it left for a while,
+vector with the largest dot product with its row, the first on a tie. The
+draw of lowest exact cost goes through ``polish``: single-node moves
+(``_one_opt``) until no move lowers the cost, then a tabu search
+(TabuCol: Hertz & de Werra 1987, Galinier & Hao 1999) of
+``TABU_ITERATIONS`` moves per node, each the recoloring of one node that
+raises the cost least or lowers it most, ties broken at random. A move bars its node from the color it left for a while,
 unless returning beats the best cost so far. The best coloring the search
 saw takes single-node moves once more, so the result is a 1-opt fixpoint.
 The search climbs out of the 1-opt minima the draws fall into. The
@@ -41,10 +41,26 @@ the gradient norm for each connected component of the graph, from
 per-component sums of row dots, so each component steps as it would
 alone. One nonmonotone acceptance test on the whole value, one stall stop
 and one ``MAX_ITERS`` cap rule the run, so a connected graph runs the rule
-it ran alone. An iteration makes the same few dozen numpy calls at any
+it ran alone. An iteration makes the same two dozen numpy calls at any
 size, and at ~120 nodes their overhead is most of its time: the four
 relaxed leaves of a ``dense`` layout (115–124 nodes) take about 0.7 of
-the time in one run that they take in four.
+the time in one run that they take in four. On that joined run (about
+490 rows and 1,600 pairs) three kernels take most of an iteration: the
+gradient's ``bincount``, the ``take`` of the endpoint rows and the row
+dots of the pairs.
+
+Every step writes into one ``_Workspace`` that the descent makes once:
+the endpoint rows, the pairs' row dots and hinge, the gradient's terms
+and coefficients (whose stitch part is filled once), and two trial
+factors, one of which holds the accepted factor while a trial goes into
+the other. Rows are normalized in place, and a step allocates only the
+gradient that ``bincount`` returns. ``_value_at`` and ``_riemannian_grad``
+are the kernels of both the descent and ``_penalized_value``, so the
+gradient tests check the code the descent runs. The workspace returns the
+allocating descent's factor bit for bit; it lowers the peak of the
+3000-node relaxation below from 4.98 to 4.36 MiB, and in-process it runs
+the relaxation of a ``dense`` layout at 0.97 of that descent's time
+(interquartile range 0.91–1.01 over 30 interleaved rounds).
 
 The run opens with one descent at the penalty weight ``MU_INITIAL``.
 A descent ends at the gradient tolerance ``GRAD_TOL``, after ``MAX_ITERS``
@@ -126,8 +142,8 @@ rows of r = 8. On a 3000-node graph of 5993 conflict pairs, one
 71-iteration descent took 1.70 s and peaked at 70.8 MiB in
 ``tracemalloc`` with a dense n × n weight matrix, and takes 0.09 s and
 4.5 MiB on edge lists (one BLAS thread, 2-CPU x86-64 host). The whole
-relaxation of that graph is one descent of 83 iterations, 0.07 s and
-4.9 MiB.
+relaxation of that graph is one descent of 83 iterations, 0.08 s and
+4.4 MiB.
 
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks. A seeded run therefore repeats byte for
@@ -148,6 +164,7 @@ call BLAS.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -353,23 +370,25 @@ def _max_violation(v, ce) -> float:
     return float(max(diag, floor))
 
 
-def _dot(a, b) -> float:
-    """The sum of the entries of ``a * b``, by numpy's own reduction and
-    not a BLAS dot product, so it does not depend on the BLAS thread
-    count."""
-    return float(np.add.reduce(a * b, axis=None))
+def _dot(a, b, out=None) -> float:
+    """The sum of the entries of ``a * b``, formed in ``out`` if given, by
+    numpy's own reduction and not a BLAS dot product, so it does not
+    depend on the BLAS thread count."""
+    return float(np.add.reduce(np.multiply(a, b, out=out), axis=None))
 
 
-def _row_dots(a, b) -> np.ndarray:
+def _row_dots(a, b, out=None) -> np.ndarray:
     """⟨a_i, b_i⟩ for each row i, by numpy's own reduction."""
-    return np.einsum("ij,ij->i", a, b)
+    return np.einsum("ij,ij->i", a, b, out=out)
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """``v`` with unit rows, in ``v``'s memory order. No row may be 0: a
-    Gaussian row is not, and a descent step, orthogonal to its unit row,
+def _normalize_rows(v: np.ndarray, norms=None) -> np.ndarray:
+    """Scale the rows of ``v`` to unit length in place, with ``norms``, one
+    entry per row, as scratch if given, and return ``v``. No row may be 0:
+    a Gaussian row is not, and a descent step, orthogonal to its unit row,
     only lengthens it."""
-    return v / np.sqrt(_row_dots(v, v))[:, None]
+    norms = np.sqrt(_row_dots(v, v, norms), out=norms)
+    return np.divide(v, norms[:, None], out=v)
 
 
 class _EdgeTerms(NamedTuple):
@@ -402,40 +421,80 @@ def _edge_terms(cost: CostMatrix, rank: int) -> _EdgeTerms:
     return _EdgeTerms(pairs.T.ravel(), weight, cells, len(cost.ce), label, len(comps))
 
 
+class _Workspace:
+    """The arrays one descent writes at every step, made once for a factor
+    of ``shape`` on ``edges``: ``_value_at`` leaves the endpoint rows, the
+    row dots ``x`` of the pairs and the hinge here for ``_riemannian_grad``
+    at the same factor. The stitch part of ``coef`` is filled once. The
+    factors are column-major, as the descent keeps its factor."""
+
+    def __init__(self, shape, edges: _EdgeTerms):
+        n, rank = shape
+        m, conflicts = len(edges.weight), edges.conflicts
+        self.rows = np.empty((rank, 2 * m))
+        self.terms = np.empty((2 * rank, m))
+        self.x = np.empty(m)
+        self.product = np.empty(m)  # the products behind a sum over pairs
+        self.hinge = np.empty(conflicts)
+        self.coef = np.empty(m)
+        self.coef[conflicts:] = edges.weight[conflicts:]
+        self.norms = np.empty(n)  # per row: its norm, or a row dot
+        # the descent's trial factors, move and differences, and the
+        # gradient's radial part and the products behind a component sum
+        self.trials = (np.empty(shape, order="F"), np.empty(shape, order="F"))
+        self.move = np.empty(shape, order="F")
+        self.dv = np.empty(shape, order="F")
+        self.dgrad = np.empty(shape, order="F")
+        self.scratch = np.empty(shape, order="F")
+
+
 def _penalized_value(v, edges: _EdgeTerms, mu, shift):
     """Objective plus quadratic wall penalty: Σ_e w_e·x_e over the pairs'
     row dots x, plus mu·(‖h‖² − ‖shift‖²) over the conflict pairs' hinge h.
 
     ``shift`` (multiplier estimates divided by 2*mu) moves each hinge so the
     walls can be enforced exactly without driving mu to stiffness; zero shift
-    is the plain penalty. Besides the value, returns the hinge and the
-    endpoint rows, which the gradient at ``v`` reuses.
+    is the plain penalty. Besides the value, returns a new workspace holding
+    the hinge and the endpoint rows, which ``_riemannian_grad`` at ``v``
+    reads.
     """
-    return _value_at(v, edges, mu, shift - 0.5, _dot(shift, shift))
+    work = _Workspace(v.shape, edges)
+    return _value_at(v, edges, mu, shift - 0.5, _dot(shift, shift), work), work
 
 
-def _value_at(v, edges: _EdgeTerms, mu, offset, shift_sq):
-    """``_penalized_value`` given its parts that depend on the shift alone,
-    ``offset`` = shift - 1/2 and ``shift_sq`` = ‖shift‖², which a descent
-    computes once."""
-    rows = v.T.take(edges.ends, axis=1)
+def _value_at(v, edges: _EdgeTerms, mu, offset, shift_sq, work: _Workspace) -> float:
+    """``_penalized_value`` into ``work``, given its parts that depend on
+    the shift alone, ``offset`` = shift - 1/2 and ``shift_sq`` = ‖shift‖²,
+    which a descent computes once."""
+    # every position is in range, so "wrap" takes them as they are; with
+    # the default "raise", numpy gathers into a buffer and copies it to out.
+    # The method skips the np.take wrapper, whose cost shows on small graphs
+    rows = v.T.take(edges.ends, axis=1, out=work.rows, mode="wrap")
     m = len(edges.weight)
-    x = np.einsum("ij,ij->j", rows[:, :m], rows[:, m:])
-    hinge = np.maximum(0.0, offset - x[: edges.conflicts])
-    return _dot(edges.weight, x) + mu * (_dot(hinge, hinge) - shift_sq), hinge, rows
+    x = np.einsum("ij,ij->j", rows[:, :m], rows[:, m:], out=work.x)
+    hinge = np.subtract(offset, x[: edges.conflicts], out=work.hinge)
+    np.maximum(0.0, hinge, out=hinge)
+    product = work.product
+    return _dot(edges.weight, x, product) + mu * (
+        _dot(hinge, hinge, product[: edges.conflicts]) - shift_sq
+    )
 
 
-def _riemannian_grad(v, edges: _EdgeTerms, mu, hinge, rows):
-    """Gradient on the sphere from the parts ``_penalized_value`` returned
+def _riemannian_grad(v, edges: _EdgeTerms, mu, work: _Workspace):
+    """Gradient on the sphere from the parts ``_value_at`` left in ``work``
     at ``v``: each pair's coefficient times the other endpoint's row, summed
     into the rows, less its radial part. It comes out in column-major
-    order, as ``_minimize_on_sphere`` keeps its factor."""
+    order, as ``_minimize_on_sphere`` keeps its factor, in a new array."""
     m = len(edges.weight)
-    coef = np.concatenate([1.0 - 2.0 * mu * hinge, edges.weight[edges.conflicts:]])
-    terms = rows.reshape(2 * v.shape[1], m) * coef
-    grad = np.bincount(edges.cells, weights=terms.ravel(), minlength=v.size)
-    grad = grad.reshape(v.shape[::-1]).T
-    return grad - _row_dots(grad, v)[:, None] * v
+    coef = work.coef[: edges.conflicts]
+    np.multiply(2.0 * mu, work.hinge, out=coef)
+    np.subtract(1.0, coef, out=coef)
+    np.multiply(work.rows.reshape(2 * v.shape[1], m), work.coef, out=work.terms)
+    # with no pairs bincount counts in int64, so the sum is cast to float
+    grad = np.bincount(edges.cells, weights=work.terms.ravel(), minlength=v.size)
+    grad = grad.astype(float, copy=False).reshape(v.shape[::-1]).T
+    radial = np.multiply(_row_dots(grad, v, work.norms)[:, None], v, out=work.scratch)
+    return np.subtract(grad, radial, out=grad)
 
 
 def _lipschitz_bound(edges: _EdgeTerms, mu) -> np.ndarray:
@@ -452,14 +511,15 @@ def _lipschitz_bound(edges: _EdgeTerms, mu) -> np.ndarray:
     return np.maximum(1.0, row_max + 2.0 * mu * degree_max)
 
 
-def _component_sums(a, b, edges: _EdgeTerms) -> list[float]:
+def _component_sums(a, b, edges: _EdgeTerms, work: _Workspace) -> list[float]:
     """Per component, the sum of ⟨a_i, b_i⟩ over its rows i, by numpy's
-    own reductions. One component takes one reduction and no per-row pass,
-    which matters on small graphs, where each numpy call costs more than
-    its arithmetic."""
+    own reductions, in ``work``'s scratch arrays. One component takes one
+    reduction and no per-row pass, which matters on small graphs, where
+    each numpy call costs more than its arithmetic."""
     if edges.components == 1:
-        return [_dot(a, b)]
-    return np.bincount(edges.label, weights=_row_dots(a, b), minlength=edges.components).tolist()
+        return [_dot(a, b, work.scratch)]
+    dots = _row_dots(a, b, work.norms)
+    return np.bincount(edges.label, weights=dots, minlength=edges.components).tolist()
 
 
 def _row_steps(step: list[float], edges: _EdgeTerms):
@@ -482,16 +542,22 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     the factor, its gradient norm and the iterations run. The few
     per-component numbers are Python floats, which cost less to update
     than numpy arrays.
+
+    Every step writes into one ``_Workspace``: a trial factor goes to the
+    one of its two trial arrays that does not hold the accepted factor, so
+    ``v`` itself is never written.
     """
+    work = _Workspace(v.shape, edges)
     offset, shift_sq = shift - 0.5, _dot(shift, shift)
-    value, *parts = _value_at(v, edges, mu, offset, shift_sq)
-    grad = _riemannian_grad(v, edges, mu, *parts)
-    grad_sq = _component_sums(grad, grad, edges)
+    value = _value_at(v, edges, mu, offset, shift_sq, work)
+    grad = _riemannian_grad(v, edges, mu, work)
+    grad_sq = _component_sums(grad, grad, edges, work)
     safe_step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
     step = safe_step
     memory = [value]
     fresh_step = False
     best, idle, iterations = value, 0, 0
+    v_new, spare = work.trials
     for _ in range(max_iters):
         if idle >= STALL_WINDOW:
             break
@@ -501,14 +567,14 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
         idle += 1
         # each row's move at its component's full step, and the decrease
         # the acceptance test asks of it; a failed trial halves both
-        move = _row_steps(step, edges) * grad
+        move = np.multiply(_row_steps(step, edges), grad, out=work.move)
         decrease = 1e-4 * sum(t * g for t, g in zip(step, grad_sq))
         reference = max(memory)
         scale = 1.0
         accepted = False
         for _ in range(25):
-            v_new = _normalize_rows(v - move)
-            value_new, *parts_new = _value_at(v_new, edges, mu, offset, shift_sq)
+            _normalize_rows(np.subtract(v, move, out=v_new), work.norms)
+            value_new = _value_at(v_new, edges, mu, offset, shift_sq, work)
             if value_new <= reference - scale * decrease:
                 accepted = True
                 break
@@ -522,16 +588,17 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
             fresh_step = True
             continue
         fresh_step = False
-        grad_new = _riemannian_grad(v_new, edges, mu, *parts_new)
-        dv = v_new - v
-        moved = _component_sums(dv, dv, edges)
-        curved = _component_sums(dv, grad_new - grad, edges)
+        grad_new = _riemannian_grad(v_new, edges, mu, work)
+        dv = np.subtract(v_new, v, out=work.dv)
+        moved = _component_sums(dv, dv, edges, work)
+        curved = _component_sums(dv, np.subtract(grad_new, grad, out=work.dgrad), edges, work)
         step = [
             min(max(s / y if y > 1e-16 else 2.0 * scale * t, 1e-12), 1e3)
             for s, y, t in zip(moved, curved, step)
         ]
         v, value, grad = v_new, value_new, grad_new
-        grad_sq = _component_sums(grad, grad, edges)
+        v_new, spare = spare, v_new
+        grad_sq = _component_sums(grad, grad, edges, work)
         memory.append(value)
         if len(memory) > 10:
             memory.pop(0)
@@ -561,11 +628,11 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
             break
         # the hinge at the last shift is the next shift: the multiplier
         # estimates divided by 2*mu
-        _, shift, _ = _penalized_value(v, edges, MU_INITIAL, shift)
+        shift = _penalized_value(v, edges, MU_INITIAL, shift)[1].hinge
         v, grad_norm, used = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
         iterations += used
         violation = _max_violation(v, cost.ce)
-    _, hinge, _ = _penalized_value(v, edges, MU_INITIAL, shift)
+    hinge = _penalized_value(v, edges, MU_INITIAL, shift)[1].hinge
     v = np.ascontiguousarray(v)
     return RelaxationSolution(
         cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost),
@@ -606,12 +673,13 @@ def _one_opt(links, labels: list[int]) -> list[int]:
     return labels
 
 
-def _take(buckets: dict[int, set[int]], key: int, candidate: int) -> None:
-    """Remove ``candidate`` from the bucket ``key``, and the bucket once empty."""
-    entries = buckets[key]
-    entries.remove(candidate)
-    if not entries:
-        del buckets[key]
+def _put(buckets: dict[int, list[int]], key: int, candidate: int) -> None:
+    """Append ``candidate`` to the bucket ``key``."""
+    entries = buckets.get(key)
+    if entries is None:
+        buckets[key] = [candidate]
+    else:
+        entries.append(candidate)
 
 
 def _tabu_search(links, labels: list[int], rng) -> list[int]:
@@ -627,83 +695,153 @@ def _tabu_search(links, labels: list[int], rng) -> list[int]:
 
     A move costs O(degree), as in Galinier & Hao's incremental evaluation.
     Every candidate, the recoloring of node k to a color c other than its
-    own, numbered 3k + c, sits in a bucket keyed by its cost change: free
-    candidates in one dict of buckets, barred ones in another, so the
-    cheapest allowed candidates are found among the lowest keys. A move
-    rekeys only the candidates of the moved node and its neighbors, and a
-    release list frees each barred candidate when its tenure ends.
+    own, numbered 3k + c, has a cost change ``delta`` (None for a node's
+    own color) and sits in a bucket keyed by it: free candidates in one
+    dict of buckets, barred ones in another, so the cheapest allowed
+    candidates are found among the lowest keys. A move changes the costs of
+    the moved node and its neighbors only, and each change follows from
+    the old one: the moved node's by the chosen change, and each neighbor's
+    two candidates by the weight of its link or twice it. A release list
+    frees each barred candidate when its tenure ends.
+
+    A candidate that changes key is appended to its new bucket and left in
+    its old one: an entry is valid while its candidate's delta is the
+    bucket's key and its candidate is free or barred as the bucket is, and
+    a bucket is read, and its stale entries dropped, only when it is the
+    lowest. The lowest free bucket's valid entries are also kept in
+    candidate order as candidates enter and leave its key, so a pick
+    indexes them; they are sorted afresh only when the lowest free key
+    changes, and merged with the barred ties only when aspiration admits
+    them.
     """
     n = len(labels)
     moves = TABU_ITERATIONS * n
     picks = rng.random(moves).tolist()
     tenures = (TABU_TENURE + rng.integers(TABU_SPREAD, size=moves)).tolist()
     colors = list(labels)
-    # the nodes whose candidates a move of node k changes: k and its neighbors
-    touched = [[k] + [other for other, _ in node_links] for k, node_links in enumerate(links)]
-    # table[k][c]: node k's cost on color c, up to a constant, as in _one_opt
-    table = [[0, 0, 0] for _ in range(n)]
-    for k, node_links in enumerate(links):
-        for other, weight in node_links:
-            table[k][colors[other]] += weight
     # per candidate: its cost change, and while barred the move that frees it
-    delta = [0] * (3 * n)
+    delta: list[int | None] = [None] * (3 * n)
     barred_until = [0] * (3 * n)
-    free: dict[int, set[int]] = {}
-    barred: dict[int, set[int]] = {}
+    free: dict[int, list[int]] = {}
+    barred: dict[int, list[int]] = {}
     release: list[list[int]] = [[] for _ in range(moves)]
-    for k, row in enumerate(table):
+    for k, node_links in enumerate(links):
+        # the node's cost on color c, up to a constant, as in _one_opt
+        row = [0, 0, 0]
+        for other, weight in node_links:
+            row[colors[other]] += weight
         for c in range(3):
             if c != colors[k]:
                 delta[3 * k + c] = change = row[c] - row[colors[k]]
-                free.setdefault(change, set()).add(3 * k + c)
+                _put(free, change, 3 * k + c)
+    # the valid free candidates of change ordered_key, in candidate order
+    ordered_key, ordered = None, []
     cost = best_cost = 0  # relative to the start
     best = list(colors)
     for move in range(moves):
         for i in release[move]:
             if barred_until[i] == move:  # not taken or barred again since
                 barred_until[i] = 0
-                _take(barred, delta[i], i)
-                free.setdefault(delta[i], set()).add(i)
+                _put(free, delta[i], i)
+                if delta[i] == ordered_key:
+                    insort(ordered, i)
+        # the lowest free key with a valid entry; a candidate may sit in a
+        # bucket twice, so the set
+        low = None
+        while free:
+            low = min(free)
+            if low != ordered_key:
+                ordered_key = low
+                ordered = sorted({i for i in free[low] if delta[i] == low and not barred_until[i]})
+                free[low] = list(ordered)
+            if ordered:
+                break
+            del free[low]
+            low = None
+        ties = ordered
         # aspiration: a barred candidate is allowed below this cost change
         aspiration = best_cost - cost
-        low = min(free, default=None)
-        low_barred = min(barred, default=aspiration)
-        if low_barred < aspiration and (low is None or low_barred < low):
-            low = low_barred
+        while barred and min(barred) < aspiration:
+            key = min(barred)
+            valid = sorted({i for i in barred[key] if delta[i] == key and barred_until[i]})
+            if not valid:
+                del barred[key]
+                continue
+            barred[key] = valid
+            if low is None or key < low:
+                low, ties = key, valid
+            elif key == low:
+                ties = sorted(ordered + valid)
+            break
         if low is None:
             continue
-        ties = list(free.get(low, ()))
-        if low < aspiration:
-            ties.extend(barred.get(low, ()))
-        ties.sort()
         chosen = ties[int(picks[move] * len(ties))]
         k, color = divmod(chosen, 3)
         old = colors[k]
         colors[k] = color
-        _take(barred if barred_until[chosen] > move else free, delta[chosen], chosen)
-        delta[chosen] = barred_until[chosen] = 0
+        if not barred_until[chosen]:
+            del ordered[bisect_left(ordered, chosen)]
+        delta[chosen] = None
+        barred_until[chosen] = 0
+        # returning undoes the move, and the third color's change falls by
+        # the chosen one
         back = 3 * k + old
         barred_until[back] = until = move + tenures[move]
         if until < moves:
             release[until].append(back)
+        delta[back] = -low
+        _put(barred, -low, back)
+        third = 3 - old - color
+        i = 3 * k + third
+        key = delta[i]
+        delta[i] = change = key - low
+        if barred_until[i]:
+            _put(barred, change, i)
+        else:
+            _put(free, change, i)
+            if key == ordered_key:
+                del ordered[bisect_left(ordered, i)]
+            if change == ordered_key:
+                insort(ordered, i)
         for other, weight in links[k]:
-            row = table[other]
-            row[old] -= weight
-            row[color] += weight
-        delta[back] = table[k][old] - table[k][color]
-        barred.setdefault(delta[back], set()).add(back)
-        for j in touched[k]:
-            row = table[j]
-            for c in range(3):
-                i = 3 * j + c
-                if c == colors[j] or i == back:
-                    continue
-                change = row[c] - row[colors[j]]
-                if change != delta[i]:
-                    bucket = barred if barred_until[i] > move else free
-                    _take(bucket, delta[i], i)
-                    bucket.setdefault(change, set()).add(i)
-                    delta[i] = change
+            # the neighbor's two candidates: its cost on color old falls by
+            # weight and on color rises by it, so each change moves by
+            # weight or twice it; _put is inlined, as this loop is the
+            # search's time
+            own = colors[other]
+            base = 3 * other
+            if own == old:
+                i, step, j, step_j = base + color, 2 * weight, base + third, weight
+            elif own == color:
+                i, step, j, step_j = base + old, -2 * weight, base + third, -weight
+            else:
+                i, step, j, step_j = base + old, -weight, base + color, weight
+            key = delta[i]
+            delta[i] = change = key + step
+            bucket = barred if barred_until[i] else free
+            entries = bucket.get(change)
+            if entries is None:
+                bucket[change] = [i]
+            else:
+                entries.append(i)
+            if bucket is free:
+                if key == ordered_key:
+                    del ordered[bisect_left(ordered, i)]
+                if change == ordered_key:
+                    insort(ordered, i)
+            key = delta[j]
+            delta[j] = change = key + step_j
+            bucket = barred if barred_until[j] else free
+            entries = bucket.get(change)
+            if entries is None:
+                bucket[change] = [j]
+            else:
+                entries.append(j)
+            if bucket is free:
+                if key == ordered_key:
+                    del ordered[bisect_left(ordered, j)]
+                if change == ordered_key:
+                    insort(ordered, j)
         cost += low
         if cost < best_cost:
             best_cost = cost
@@ -739,6 +877,15 @@ def polish(dg: DecompositionGraph, colors: dict[int, int], alpha, seed) -> dict[
     return dict(zip(nodes, _polish([colors[node] for node in nodes], ce, se, as_fraction(alpha), rng)))
 
 
+def _first_largest(dots: np.ndarray) -> np.ndarray:
+    """``np.argmax(dots, axis=-1)`` over a last axis of 3, the first
+    largest on a tie, in two comparisons over whole arrays: argmax over so
+    short an axis runs its loop once per entry of the others."""
+    first, second, third = dots[..., 0], dots[..., 1], dots[..., 2]
+    upper = second > first
+    return np.where(third > np.maximum(first, second), 2, upper)
+
+
 def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
     """Round a relaxation to three masks and polish the cheapest draw.
 
@@ -752,7 +899,7 @@ def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
     cost = sol.cost
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(DRAWS, sol.v.shape[1], 3))
-    labels = np.argmax(sol.v @ g, axis=2)  # (draw, node position)
+    labels = _first_largest(sol.v @ g)  # (draw, node position)
     costs = _integer_costs(labels, cost.ce, cost.se, cost.alpha)
     start = labels[costs.index(min(costs))].tolist()
     polished = _polish(start, cost.ce, cost.se, cost.alpha, rng)

@@ -32,6 +32,7 @@ from trimask.sdp import (
     _component_sums,
     _edge_positions,
     _edge_terms,
+    _first_largest,
     _integer_costs,
     _lipschitz_bound,
     _max_violation,
@@ -42,6 +43,7 @@ from trimask.sdp import (
     _penalized_value,
     _riemannian_grad,
     _tabu_search,
+    _Workspace,
     build_cost_matrix,
     discrete_vector_objective,
     join_costs,
@@ -258,7 +260,7 @@ class TestStallStop:
         # the relaxation's first descent: MU_INITIAL, at most MAX_ITERS
         # iterations; the reference runs with a window no descent reaches
         edges, zero, v0 = self.instance(40)
-        start, *_ = _penalized_value(v0, edges, MU_INITIAL, zero)
+        start, _ = _penalized_value(v0, edges, MU_INITIAL, zero)
         v, _, used = _minimize_on_sphere(v0, edges, MU_INITIAL, MAX_ITERS, zero)
         monkeypatch.setattr(trimask.sdp, "STALL_WINDOW", MAX_ITERS + 1)
         _, _, unstopped = _minimize_on_sphere(v0, edges, MU_INITIAL, MAX_ITERS, zero)
@@ -438,7 +440,7 @@ class TestJoin:
         alone = [_lipschitz_bound(_edge_terms(c, RANK), MU_INITIAL) for c in costs]
         assert _lipschitz_bound(edges, MU_INITIAL).tolist() == np.concatenate(alone).tolist()
         v = random_unit_factor(rng, 18, RANK)
-        sums = _component_sums(v, 2.0 * v, edges)
+        sums = _component_sums(v, 2.0 * v, edges, _Workspace(v.shape, edges))
         np.testing.assert_allclose(sums, [12.0, 18.0, 6.0], rtol=1e-12)
 
     def test_restrict_keeps_the_leaf_rows_and_multipliers(self, rng):
@@ -506,8 +508,8 @@ class TestGradientAccumulation:
         # the plain penalty of the reference is the zero shift here
         shift = np.zeros(len(cost.ce)) if shift is None else shift
         edges = _edge_terms(cost, v.shape[1])
-        value, *parts = _penalized_value(v, edges, mu, shift)
-        return value, parts[0], _riemannian_grad(v, edges, mu, *parts)
+        value, work = _penalized_value(v, edges, mu, shift)
+        return value, work.hinge, _riemannian_grad(v, edges, mu, work)
 
     @staticmethod
     def instance(rng, n, rank, ce_density, se_density=0.1, alpha=0.1):
@@ -557,8 +559,8 @@ class TestGradientAccumulation:
             mu = float(rng.choice([4.0, 40.0]))
             # with a zero factor the projection removes nothing, so this is
             # the Euclidean gradient at v
-            _, *parts = _penalized_value(v, edges, mu, shift)
-            grad = _riemannian_grad(np.zeros_like(v), edges, mu, *parts)
+            _, work = _penalized_value(v, edges, mu, shift)
+            grad = _riemannian_grad(np.zeros_like(v), edges, mu, work)
             numeric = np.zeros_like(v)
             for cell in np.ndindex(*v.shape):
                 bump = np.zeros_like(v)
@@ -567,6 +569,134 @@ class TestGradientAccumulation:
                 down = _penalized_value(v - bump, edges, mu, shift)[0]
                 numeric[cell] = (up - down) / (2 * step)
             np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-6)
+
+
+def reference_descent(v, edges, mu, max_iters, shift):
+    """``_minimize_on_sphere``'s steps with every array of every step
+    allocated afresh and no workspace: the rows gathered by ``take``
+    without ``out``, the coefficients concatenated, the gradient summed by
+    ``bincount`` into a new array and the rows normalized into another."""
+    def dot(a, b):
+        return float(np.add.reduce(a * b, axis=None))
+
+    def row_dots(a, b):
+        return np.einsum("ij,ij->i", a, b)
+
+    def sums(a, b):
+        if edges.components == 1:
+            return [dot(a, b)]
+        return np.bincount(edges.label, weights=row_dots(a, b), minlength=edges.components).tolist()
+
+    def steps(step):
+        return step[0] if edges.components == 1 else np.array(step)[edges.label][:, None]
+
+    m = len(edges.weight)
+    offset, shift_sq = shift - 0.5, dot(shift, shift)
+
+    def value_at(v):
+        rows = v.T.take(edges.ends, axis=1)
+        x = np.einsum("ij,ij->j", rows[:, :m], rows[:, m:])
+        hinge = np.maximum(0.0, offset - x[: edges.conflicts])
+        return dot(edges.weight, x) + mu * (dot(hinge, hinge) - shift_sq), hinge, rows
+
+    def grad_at(v, hinge, rows):
+        coef = np.concatenate([1.0 - 2.0 * mu * hinge, edges.weight[edges.conflicts:]])
+        terms = rows.reshape(2 * v.shape[1], m) * coef
+        grad = np.bincount(edges.cells, weights=terms.ravel(), minlength=v.size)
+        grad = grad.reshape(v.shape[::-1]).T
+        return grad - row_dots(grad, v)[:, None] * v
+
+    value, *parts = value_at(v)
+    grad = grad_at(v, *parts)
+    grad_sq = sums(grad, grad)
+    safe_step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
+    step = safe_step
+    memory = [value]
+    fresh_step = False
+    best, idle, iterations = value, 0, 0
+    for _ in range(max_iters):
+        if idle >= trimask.sdp.STALL_WINDOW or np.sqrt(sum(grad_sq)) < GRAD_TOL:
+            break
+        iterations += 1
+        idle += 1
+        move = steps(step) * grad
+        decrease = 1e-4 * sum(t * g for t, g in zip(step, grad_sq))
+        reference = max(memory)
+        scale = 1.0
+        accepted = False
+        for _ in range(25):
+            v_new = v - move
+            v_new = v_new / np.sqrt(row_dots(v_new, v_new))[:, None]
+            value_new, *parts_new = value_at(v_new)
+            if value_new <= reference - scale * decrease:
+                accepted = True
+                break
+            scale *= 0.5
+            move *= 0.5
+        if not accepted:
+            if fresh_step:
+                break
+            step = safe_step
+            fresh_step = True
+            continue
+        fresh_step = False
+        grad_new = grad_at(v_new, *parts_new)
+        dv = v_new - v
+        moved = sums(dv, dv)
+        curved = sums(dv, grad_new - grad)
+        step = [
+            min(max(s / y if y > 1e-16 else 2.0 * scale * t, 1e-12), 1e3)
+            for s, y, t in zip(moved, curved, step)
+        ]
+        v, value, grad = v_new, value_new, grad_new
+        grad_sq = sums(grad, grad)
+        memory.append(value)
+        if len(memory) > 10:
+            memory.pop(0)
+        if value < best - trimask.sdp.STALL_TOL * (1.0 + abs(best)):
+            best, idle = value, 0
+    return v, float(np.sqrt(sum(grad_sq))), iterations
+
+
+class TestWorkspaceDescent:
+    """The descent writes every step into one workspace, and returns what
+    the allocate-per-step ``reference_descent`` returns, bit for bit."""
+
+    @staticmethod
+    def check(cost, shift, seed=0):
+        n = len(cost.index)
+        rank = min(n, RANK)
+        edges = _edge_terms(cost, rank)
+        # the start solve_relaxation makes: unit rows, column-major
+        v = np.asfortranarray(_normalize_rows(np.random.default_rng(seed).normal(size=(n, rank))))
+        kept = v.copy()
+        found = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
+        assert np.array_equal(v, kept)  # the start is never written
+        expected = reference_descent(v, edges, MU_INITIAL, MAX_ITERS, shift)
+        assert np.array_equal(found[0], expected[0])
+        assert found[1:] == expected[1:]
+        return found
+
+    @pytest.mark.parametrize("sizes", [[14], [9, 12], [6, 11, 8]])
+    def test_matches_the_reference_on_one_to_three_components(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        costs = [build_cost_matrix(dg, 0.1) for dg in sparse_leaves(rng, sizes, 0.3)]
+        cost = join_costs(costs)
+        assert _edge_terms(cost, RANK).components == len(sizes)
+        for shift in (np.zeros(len(cost.ce)), rng.uniform(0.0, 0.3, size=len(cost.ce))):
+            _, _, iterations = self.check(cost, shift)
+            assert iterations > 0
+
+    def test_matches_the_reference_on_zero_one_and_two_nodes(self):
+        for dg in (
+            DecompositionGraph.from_edges(0),
+            DecompositionGraph.from_edges(1),
+            DecompositionGraph.from_edges(2, ce=[(0, 1)]),
+            DecompositionGraph.from_edges(2, se=[(0, 1)]),
+        ):
+            cost = build_cost_matrix(dg, 0.1)
+            for shift in (np.zeros(len(cost.ce)), np.full(len(cost.ce), 0.2)):
+                self.check(cost, shift)
 
 
 def reference_solution(dg, x, alpha=0.1):
@@ -685,6 +815,13 @@ class TestMapping:
         asg = map_to_masks(sol, seed=seed)
         assert asg.objective <= evaluate(dg, dict(zip(dg.nodes, polished)), alpha).objective
 
+    def test_labels_are_the_first_largest_dot(self):
+        # every order of three values with ties, and Gaussian draws
+        rng = np.random.default_rng(5)
+        grid = np.array([(a, b, c) for a in range(3) for b in range(3) for c in range(3)], float)
+        for dots in (grid, rng.normal(size=(DRAWS, 40, 3)), np.round(rng.normal(size=(50, 30, 3)))):
+            assert np.array_equal(_first_largest(dots), np.argmax(dots, axis=-1))
+
     def test_draw_costs_do_not_wrap(self):
         # 923 conflicts at alpha 1/3 (3333333333333333/10**16) cost more than
         # int64 holds; wrapped, the all-zero draw would look cheapest
@@ -777,6 +914,38 @@ class TestTabuSearch:
         start = _one_opt(links, rng.integers(3, size=n).tolist())
         found = _tabu_search(links, start, np.random.default_rng(n))
         assert found == reference_tabu(links, start, np.random.default_rng(n))
+
+    def test_matches_the_reference_with_large_tie_lists(self):
+        # a sparse graph: from a 1-opt fixpoint most candidates change the
+        # cost by 0, so the lowest bucket and its ordered ties are long
+        n = 300
+        rng = np.random.default_rng(300)
+        dg = random_graph(rng, n, ce_density=2.0 / n, se_density=0.5 / n)
+        alpha = Fraction(1, 10)
+        links = _neighbor_links(n, *_edge_positions(dg), alpha)
+        start = _one_opt(links, rng.integers(3, size=n).tolist())
+        changes = []
+        for k, node_links in enumerate(links):
+            cost = [0, 0, 0]
+            for other, weight in node_links:
+                cost[start[other]] += weight
+            changes += [cost[c] - cost[start[k]] for c in range(3) if c != start[k]]
+        assert changes.count(min(changes)) > 100
+        found = _tabu_search(links, start, np.random.default_rng(n))
+        assert found == reference_tabu(links, start, np.random.default_rng(n))
+
+    def test_matches_the_reference_when_a_released_candidate_ties_below_aspiration(self):
+        # found by search over random graphs: a candidate freed at the end
+        # of its tenure leaves a stale entry in a barred bucket, and that
+        # bucket later holds the lowest barred change below aspiration, tied
+        # with the lowest free one, so the entry must not count as barred
+        rng = np.random.default_rng(4334)
+        n = int(rng.integers(3, 25))
+        dg = random_graph(rng, n, ce_density=float(rng.uniform(0.05, 0.5)), se_density=0.1)
+        links = _neighbor_links(n, *_edge_positions(dg), Fraction(2))
+        start = rng.integers(3, size=n).tolist()
+        found = _tabu_search(links, start, np.random.default_rng(4334))
+        assert found == reference_tabu(links, start, np.random.default_rng(4334))
 
     def test_rounding_leaves_a_one_opt_trap(self):
         # two triangles on the edge (0, 2), and node 4 hanging on node 2

@@ -5,15 +5,18 @@ The instances are ``generate_layout`` at 40 / 400 / 2000 shapes and
 density 2, 4 and 6, generator seeds 1-3, plus (1000, 3) and (5000, 4) at
 seed 1. Each decomposes with ``DecomposeConfig(seed=42)``; the wall time is
 the median of 3 decompose calls. Each source tree runs in its own
-interpreter with one BLAS thread:
+long-lived interpreter with one BLAS thread, and the trees take turns,
+instance by instance and repeat by repeat, with the first turn passing
+from tree to tree, so a drift in the host's speed reaches every tree alike:
 
     python tools/ladder.py                          # this checkout
     python tools/ladder.py --src ../base/src --src src
 
 The file is named after ``git rev-parse --short HEAD`` of the tree's
 checkout, with ``-dirty`` added when the checkout has uncommitted changes.
-With two or more ``--src`` trees the table shows each tree's figures and
-the last tree's wall time against the first's.
+With two or more ``--src`` trees the table shows each tree's figures, the
+last tree's wall time against the first's, and whether every tree's
+payload digest is equal.
 """
 
 from __future__ import annotations
@@ -35,42 +38,37 @@ INSTANCES = [(shapes, density, seed)
 INSTANCES += [(1000, 3, 1), (5000, 4, 1)]
 REPEATS = 3
 NOTES = [
-    "decompose_s: median of 3 decompose calls in one process, one BLAS thread",
+    "decompose_s: median of 3 decompose calls in one long-lived process per tree, one BLAS "
+    "thread; the trees take turns, instance by instance and repeat by repeat",
     "components, largest, proven: the components of the peeled residual graph "
     "that the solvers see, from DecomposeResult.per_component",
     "greedy_one_opt: perfbench.checks.greedy_one_opt on the whole decomposition graph",
-    "sdp_iterations: summed over the components; every relaxed component of a "
-    "pass reports the iterations of the pass's one relaxation run",
+    "sdp_iterations: the descent iterations of each pass's one relaxation run, counted "
+    "once per pass (a peel-fallback redo is a second pass); relaxed: the components "
+    "with a piece in that run",
     "density <= 2 ignores the generator seed: every seed gives the same "
     "decomposition graph (each row a chain that peels whole), see the payload digests",
 ]
 
 
-def measure() -> list[dict]:
-    """One record per instance, for the trimask on ``sys.path``."""
+def serve() -> None:
+    """Answer one request per stdin line, for the trimask on ``sys.path``:
+    ``{"index": i, "repeat": r}`` decomposes instance i once and replies
+    with its wall time, and on repeat 0 with its other figures too."""
     sys.path.insert(0, str(ROOT))
     from perfbench.checks import greedy_one_opt
     from trimask.cli import generate_layout
     from trimask.graphs import as_fraction
     from trimask.pipeline import DecomposeConfig, decompose
 
-    cfg = DecomposeConfig(seed=42)
-    records = []
-    for shapes, density, seed in INSTANCES:
-        layout = generate_layout(shapes, density, seed=seed)
-        walls = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            result = decompose(layout, cfg)
-            walls.append(time.perf_counter() - t0)
+    def record(layout, result) -> dict:
         reports = result.per_component
         dg = result.dg
         payload = json.dumps(result.payload(), sort_keys=True).encode()
-        records.append({
-            "shapes": shapes,
-            "density": density,
-            "seed": seed,
-            "decompose_s": round(statistics.median(walls), 4),
+        relaxed = [r for r in reports if r.sdp_converged is not None]
+        # every relaxed report of a pass carries that pass's one run
+        passes = {r.peel_fallback: r.sdp_iterations for r in relaxed}
+        return {
             "segments": len(dg.segments),
             "ce": len(dg.ce),
             "se": len(dg.se),
@@ -80,10 +78,72 @@ def measure() -> list[dict]:
             "objective": result.objective,
             "greedy_one_opt": float(greedy_one_opt(
                 dg.nodes, dg.ce, dg.se, as_fraction(layout.params.alpha))),
-            "sdp_iterations": sum(r.sdp_iterations for r in reports),
+            "sdp_iterations": sum(passes.values()),
+            "relaxed": len(relaxed),
             "payload": hashlib.sha256(payload).hexdigest()[:16],
-        })
-    return records
+        }
+
+    cfg = DecomposeConfig(seed=42)
+    layouts = {}
+    for line in sys.stdin:
+        request = json.loads(line)
+        index = request["index"]
+        if index not in layouts:
+            shapes, density, seed = INSTANCES[index]
+            layouts = {index: generate_layout(shapes, density, seed=seed)}
+        t0 = time.perf_counter()
+        result = decompose(layouts[index], cfg)
+        reply = {"wall": time.perf_counter() - t0}
+        if request["repeat"] == 0:
+            reply["record"] = record(layouts[index], result)
+        print(json.dumps(reply), flush=True)
+
+
+class Tree:
+    """One source tree's long-lived ``--serve`` interpreter."""
+
+    def __init__(self, src: str):
+        env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        self.proc = subprocess.Popen([sys.executable, __file__, "--serve"], env=env,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def ask(self, index: int, repeat: int) -> dict:
+        self.proc.stdin.write(json.dumps({"index": index, "repeat": repeat}) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker exited with code {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+
+
+def measure(srcs: list[str]) -> list[list[dict]]:
+    """One record per instance for each tree, the trees taking turns."""
+    trees = []
+    try:
+        for src in srcs:
+            trees.append(Tree(src))
+        results: list[list[dict]] = [[] for _ in srcs]
+        for index, (shapes, density, seed) in enumerate(INSTANCES):
+            walls: list[list[float]] = [[] for _ in srcs]
+            records = [{"shapes": shapes, "density": density, "seed": seed} for _ in srcs]
+            for repeat in range(REPEATS):
+                for turn in range(len(trees)):
+                    t = (repeat + turn) % len(trees)
+                    reply = trees[t].ask(index, repeat)
+                    walls[t].append(reply["wall"])
+                    records[t].update(reply.get("record", {}))
+            for t, rec in enumerate(records):
+                rec["decompose_s"] = round(statistics.median(walls[t]), 4)
+                results[t].append(rec)
+        return results
+    finally:
+        for tree in trees:
+            tree.close()
 
 
 def _commit(src: Path) -> str:
@@ -95,14 +155,6 @@ def _commit(src: Path) -> str:
 
     sha = git("rev-parse", "--short", "HEAD")
     return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
-
-
-def _run(src: str) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, __file__, "--measure"], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
 
 
 def write(src: str, records: list[dict]) -> Path:
@@ -123,9 +175,9 @@ def table(srcs: list[str], results: list[list[dict]]) -> str:
     head = ["instance", "segments / CE / SE", "components (largest, proven)"]
     for src in srcs:
         head += [f"decompose s {src}", f"objective {src}"]
-    head += ["greedy + 1-opt", "sdp iterations"]
+    head += ["greedy + 1-opt", "sdp iterations (relaxed)"]
     if len(results) > 1:
-        head.append("wall change")
+        head += ["wall change", "payload equal"]
     lines = [" | ".join(head), " | ".join("---" for _ in head)]
     for rows in zip(*results):
         last = rows[-1]
@@ -134,10 +186,11 @@ def table(srcs: list[str], results: list[list[dict]]) -> str:
                  f"{last['components']} ({last['largest']}, {last['proven']})"]
         for row in rows:
             cells += [f"{row['decompose_s']:.3f}", f"{row['objective']:.1f}"]
-        cells += [f"{last['greedy_one_opt']:.1f}", str(last["sdp_iterations"])]
+        cells += [f"{last['greedy_one_opt']:.1f}", f"{last['sdp_iterations']} ({last['relaxed']})"]
         if len(results) > 1:
             first = rows[0]["decompose_s"]
             cells.append(f"{100.0 * (last['decompose_s'] - first) / first:+.1f}%")
+            cells.append("yes" if len({row["payload"] for row in rows}) == 1 else "no")
         lines.append(" | ".join(cells))
     return "\n".join(lines)
 
@@ -146,13 +199,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append",
                         help="a source tree holding the trimask package (repeatable)")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
+    if args.serve:
+        serve()
         return 0
     srcs = args.src or [str(ROOT / "src")]
-    results = [_run(src) for src in srcs]
+    results = measure(srcs)
     for src, records in zip(srcs, results):
         print(f"wrote {write(src, records)}")
     print(table(srcs, results))
