@@ -27,11 +27,11 @@ cycle = LayoutGraph(
     nodes=(0, 1, 2, 3, 4),
     edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}),
 )
-residual, record = peel_low_degree(cycle)
-print(f"cycle of 5: residual nodes {residual.nodes}, {len(record)} peeled")
+residual, peeled = peel_low_degree(cycle)
+print(f"cycle of 5: residual nodes {residual.nodes}, {len(peeled)} peeled")
 
 dg_cycle = DecompositionGraph.from_edges(5, ce=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-colors, blocked = reinsert_segments(dg_cycle, record, {})
+colors, blocked = reinsert_segments(dg_cycle, peeled, {})
 print("greedy reinsertion colors:", colors, "blocked shapes:", sorted(blocked))
 print("conflicts after reinsertion:", evaluate(dg_cycle, colors, 0.1).conflict_count)
 

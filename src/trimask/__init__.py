@@ -6,12 +6,7 @@ exact branch-and-bound search and a semidefinite-relaxation pipeline with
 optimality-preserving graph reductions.
 """
 
-from .detection import (
-    ConstraintClasses,
-    InfeasibleWitness,
-    find_adjacent_triangles,
-    propagate_and_check,
-)
+from .detection import InfeasibleWitness, propagate_and_check
 from .geometry import (
     Layout,
     LayoutError,
@@ -52,7 +47,6 @@ from .pipeline import (
 )
 from .reductions import (
     BridgeCut,
-    PeelRecord,
     find_bridges,
     peel_low_degree,
     reinsert_segments,
@@ -71,9 +65,7 @@ from .sdp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintClasses",
     "InfeasibleWitness",
-    "find_adjacent_triangles",
     "propagate_and_check",
     "Layout",
     "LayoutError",
@@ -106,7 +98,6 @@ __all__ = [
     "decompose",
     "decompose_graph",
     "BridgeCut",
-    "PeelRecord",
     "find_bridges",
     "peel_low_degree",
     "reinsert_segments",

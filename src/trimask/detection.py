@@ -8,32 +8,17 @@ classes are the connected components of the apex pairs, and the witness of
 such an edge is the shortest chain of apex pairs between its endpoints. The
 check is sound but deliberately incomplete: triangle-free graphs that still
 need four colors pass undetected.
+
+The pipeline checks each component of the decomposition graph and keeps
+only the witness, so a feasible component yields ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
-from .graphs import Pair, component_sets, neighbor_sets, ordered_pair
-
-
-class TrianglePair(NamedTuple):
-    """Two triangles sharing ``shared``; ``apex_a``/``apex_b`` must share a mask."""
-
-    shared: Pair
-    apex_a: int
-    apex_b: int
-
-
-@dataclass(frozen=True)
-class ConstraintClasses:
-    classes: tuple[tuple[int, ...], ...]
-    witness: dict[Pair, tuple[TrianglePair, ...]] = field(default_factory=dict)
-
-    def joint(self, u: int, v: int) -> bool:
-        return any(u in cls and v in cls for cls in self.classes)
+from .graphs import DecompositionGraph, Pair, component_sets, neighbor_sets
 
 
 @dataclass(frozen=True)
@@ -45,59 +30,33 @@ class InfeasibleWitness:
     path: tuple[int, ...]
 
 
-def _shared_edges(nodes, edges):
-    """Each edge of ``edges``, in their order, that two or more triangles
-    of conflict edges share, with the triangles' apexes (the common
-    neighbors of its ends) sorted."""
-    adj = neighbor_sets(nodes, edges)
+def propagate_and_check(dg: DecompositionGraph) -> InfeasibleWitness | None:
+    """The witness that no conflict-free coloring of ``dg`` exists, or None
+    when the same-mask classes hold no conflict edge.
+
+    Each conflict edge that two or more triangles share joins every pair of
+    its apexes (the common neighbors of its ends) into one class. Triangles
+    are enumerated once on the conflict edges and merged classes never act
+    as synthetic edges, so the classes are the connected components of the
+    apex pairs. The witness edge is the first such edge in sorted order, and
+    its chain comes from the apex pairs alone. ``dg.ce`` already holds
+    ordered pairs of ``dg.nodes``, so no edge is normalized again.
+    """
+    edges = sorted(dg.ce)
+    adj = neighbor_sets(dg.nodes, edges)
+    pairs: set[Pair] = set()
     for u, v in edges:
         common = adj[u] & adj[v]
         if len(common) > 1:
-            yield (u, v), sorted(common)
-
-
-def find_adjacent_triangles(nodes, ce_edges) -> list[TrianglePair]:
-    """All pairs of triangles sharing an edge, over conflict edges only, by
-    shared edge and then by apexes. A duplicated edge is listed as often as
-    it occurs, and an endpoint missing from ``nodes`` counts as a node."""
-    edges = sorted(ordered_pair(a, b) for a, b in ce_edges)
-    return [
-        TrianglePair(shared, a, b)
-        for shared, apexes in _shared_edges(nodes, edges)
-        for a, b in combinations(apexes, 2)
-    ]
-
-
-def propagate_and_check(nodes, ce_edges) -> ConstraintClasses | InfeasibleWitness:
-    """Join every apex pair into same-mask classes, then look for a conflict
-    edge whose endpoints were forced together.
-
-    Triangles are enumerated once on the original edge set and merged
-    classes never act as synthetic edges, so the classes are the connected
-    components of the apex pairs. The witness edge is the first such edge
-    in sorted order, and its chain comes from the apex pairs alone. Only a
-    feasible result lists the ``TrianglePair`` tuples behind each pair.
-    """
-    nodes = sorted(set(nodes) | {n for e in ce_edges for n in e})
-    edges = sorted(ordered_pair(u, v) for u, v in ce_edges)
-    pairs: set[Pair] = set()
-    for _, apexes in _shared_edges(nodes, edges):
-        pairs.update(combinations(apexes, 2))
-    classes = component_sets(nodes, pairs)
+            pairs.update(combinations(sorted(common), 2))
+    classes = component_sets(dg.nodes, pairs)
     label = {n: k for k, cls in enumerate(classes) for n in cls}
     for u, v in edges:
         if label[u] == label[v]:
             # u is an apex, so the pairs' own nodes are all the chain needs
             path = _constraint_path(neighbor_sets((), pairs), u, v)
             return InfeasibleWitness(edge=(u, v), path=path)
-
-    witness: dict[Pair, list[TrianglePair]] = {}
-    for tri in find_adjacent_triangles(nodes, edges):
-        witness.setdefault((tri.apex_a, tri.apex_b), []).append(tri)  # apexes come in order
-    return ConstraintClasses(
-        classes=tuple(tuple(sorted(cls)) for cls in classes),
-        witness={p: tuple(w) for p, w in sorted(witness.items())},
-    )
+    return None
 
 
 def _constraint_path(adj: dict[int, set[int]], start: int, goal: int) -> tuple[int, ...]:

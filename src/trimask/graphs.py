@@ -164,10 +164,6 @@ class DecompositionGraph:
         return tuple(sorted(s.id for s in self.segments))
 
     @cached_property
-    def segment_by_id(self) -> dict[int, Segment]:
-        return {s.id: s for s in self.segments}
-
-    @cached_property
     def edges(self) -> frozenset[Pair]:
         """Conflict and stitch edges together."""
         return self.ce | self.se

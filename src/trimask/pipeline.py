@@ -189,9 +189,9 @@ def _solve_components(dg: DecompositionGraph, alpha, cfg):
     plans = []
     relaxed: list[tuple[DecompositionGraph, ComponentReport, dict[int, int]]] = []
     for comp in connected_components(dg):
-        verdict = propagate_and_check(comp.nodes, comp.ce)
-        if isinstance(verdict, InfeasibleWitness):
-            witnesses.append(verdict)
+        witness = propagate_and_check(comp)
+        if witness is not None:
+            witnesses.append(witness)
         report = ComponentReport(component=min(comp.nodes), size=len(comp.nodes))
         reports.append(report)
         cuts = find_bridges(comp) if len(comp.nodes) > 1 else []
@@ -239,13 +239,13 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
     t0 = time.perf_counter()
 
     lg = build_layout_graph(layout)
-    residual_lg, record = peel_low_degree(lg)
+    residual_lg, peeled = peel_low_degree(lg)
     dg = project_and_split(layout, lg, split_nodes=residual_lg.nodes)
     residual = set(residual_lg.nodes)
     residual_dg = dg.subgraph(s.id for s in dg.segments if s.parent in residual)
 
     colors, reports, witnesses = _solve_components(residual_dg, alpha, cfg)
-    colors, fallback_parents = reinsert_segments(dg, record, colors)
+    colors, fallback_parents = reinsert_segments(dg, peeled, colors)
 
     if fallback_parents:
         # a peeled shape ran out of free colors against a stitched neighbor;
@@ -266,7 +266,7 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
         witnesses = [w for w in witnesses if w.edge[0] not in redo_ids] + redo_witnesses
 
     assignment = evaluate(dg, colors, alpha)
-    return _result(assignment, dg, lg, reports, witnesses, len(record), t0, cfg)
+    return _result(assignment, dg, lg, reports, witnesses, len(peeled), t0, cfg)
 
 
 def _result(assignment, dg, lg, reports, witnesses, peeled, t0, cfg) -> DecomposeResult:

@@ -16,20 +16,12 @@ from .geometry import LayoutGraph
 from .graphs import DecompositionGraph, Pair, ordered_pair
 
 
-@dataclass(frozen=True)
-class PeelRecord:
-    """Peeled nodes in removal order; reinsertion pops them in reverse."""
+def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, tuple[int, ...]]:
+    """Remove nodes of current degree <= 2 until none remain. Returns the
+    residual graph and the peeled nodes in removal order, which
+    reinsertion pops in reverse.
 
-    order: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
-    """Remove nodes of current degree <= 2 until none remain.
-
-    Always removes the smallest eligible node id first, so the record is
+    Always removes the smallest eligible node id first, so the order is
     deterministic. The residual graph has minimum degree 3 (or is empty).
 
     Degrees only fall, so a node joins the queue once: at the start, or
@@ -62,13 +54,14 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, PeelRecord]:
             elif d is not None:
                 waiting[other] = d - 1
     residual = lg.subgraph(waiting)
-    return residual, PeelRecord(order=tuple(order))
+    return residual, tuple(order)
 
 
-def reinsert_segments(dg: DecompositionGraph, record: PeelRecord, colors: dict[int, int]):
-    """Pop peeled shapes, giving each the lowest color that clashes with the
-    fewest colored segments within the coloring distance. Returns the
-    colored map and the set of shapes for which all three colors clashed.
+def reinsert_segments(dg: DecompositionGraph, peeled: tuple[int, ...], colors: dict[int, int]):
+    """Pop the ``peeled`` shapes in reverse removal order, giving each the
+    lowest color that clashes with the fewest colored segments within the
+    coloring distance. Returns the colored map and the set of shapes for
+    which all three colors clashed.
 
     When a shape comes back, the colored segments are those of the residual
     and of shapes peeled after it: all of them shapes still present when it
@@ -77,7 +70,7 @@ def reinsert_segments(dg: DecompositionGraph, record: PeelRecord, colors: dict[i
     # peeled shapes are never split: each is its parent's only segment
     seg_of = {seg.parent: seg.id for seg in dg.segments}
     # each edge is listed once, so no neighbor is gathered twice
-    near: dict[int, list[int]] = {seg_of[shape_id]: [] for shape_id in record.order}
+    near: dict[int, list[int]] = {seg_of[shape_id]: [] for shape_id in peeled}
     for u, v in dg.edges:
         if u in near:
             near[u].append(v)
@@ -85,7 +78,7 @@ def reinsert_segments(dg: DecompositionGraph, record: PeelRecord, colors: dict[i
             near[v].append(u)
     out = dict(colors)
     blocked: set[int] = set()
-    for shape_id in reversed(record.order):
+    for shape_id in reversed(peeled):
         seg_id = seg_of[shape_id]
         clash = [0, 0, 0]
         for other_seg in near[seg_id]:

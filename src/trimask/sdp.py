@@ -279,7 +279,6 @@ class RelaxationSolution:
 
     cost: CostMatrix
     v: np.ndarray
-    obj_relaxation: float
     converged: bool
     multipliers: np.ndarray
     iterations: int = 0  # descent iterations of the run
@@ -287,6 +286,14 @@ class RelaxationSolution:
     @property
     def index(self) -> tuple[int, ...]:
         return self.cost.index
+
+    @cached_property
+    def obj_relaxation(self) -> float:
+        """The relaxed objective at this factor; a bound only when the run
+        is certified (see the module docstring)."""
+        a = float(self.cost.alpha)
+        tot = (2.0 / 3.0) * float((_pair_dots(self.v, self.cost.ce) + 0.5).sum())
+        return tot + (2.0 * a / 3.0) * float((1.0 - _pair_dots(self.v, self.cost.se)).sum())
 
     def restrict(self, cost: CostMatrix) -> RelaxationSolution:
         """The part of this run that belongs to ``cost``, one of the
@@ -303,11 +310,9 @@ class RelaxationSolution:
             ce, cost.ce + start
         ):
             raise ValueError("the matrix is not a leaf of this relaxation")
-        v = self.v[start:start + n]
         return RelaxationSolution(
-            cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost),
-            converged=self.converged, multipliers=self.multipliers[first:first + len(cost.ce)],
-            iterations=self.iterations,
+            cost=cost, v=self.v[start:start + n], converged=self.converged,
+            multipliers=self.multipliers[first:first + len(cost.ce)], iterations=self.iterations,
         )
 
     @classmethod
@@ -315,10 +320,7 @@ class RelaxationSolution:
         """Wrap a given factor, e.g. one built by hand for the rounding:
         uncertified, with zero multipliers."""
         v = np.asarray(v, dtype=float)
-        return cls(
-            cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost), converged=False,
-            multipliers=np.zeros(len(cost.ce)),
-        )
+        return cls(cost=cost, v=v, converged=False, multipliers=np.zeros(len(cost.ce)))
 
     def lower_bound(self) -> float:
         """A lower bound on the objective of every three-mask assignment of
@@ -356,12 +358,6 @@ def _edge_positions(dg: DecompositionGraph):
 def _pair_dots(v, pairs) -> np.ndarray:
     """The entries of the Gram matrix v vᵀ at the position pairs."""
     return (v[pairs[:, 0]] * v[pairs[:, 1]]).sum(axis=1)
-
-
-def _objective_relaxation(v, cost: CostMatrix) -> float:
-    a = float(cost.alpha)
-    tot = (2.0 / 3.0) * float((_pair_dots(v, cost.ce) + 0.5).sum())
-    return tot + (2.0 * a / 3.0) * float((1.0 - _pair_dots(v, cost.se)).sum())
 
 
 def _max_violation(v, ce) -> float:
@@ -635,8 +631,7 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     hinge = _penalized_value(v, edges, MU_INITIAL, shift)[1].hinge
     v = np.ascontiguousarray(v)
     return RelaxationSolution(
-        cost=cost, v=v, obj_relaxation=_objective_relaxation(v, cost),
-        converged=grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL,
+        cost=cost, v=v, converged=grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL,
         multipliers=4.0 * MU_INITIAL * hinge, iterations=iterations,
     )
 

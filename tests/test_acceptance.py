@@ -14,9 +14,9 @@ import pytest
 
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
 from trimask.cli import generate_layout, main
-from trimask.detection import ConstraintClasses, InfeasibleWitness, propagate_and_check
+from trimask.detection import InfeasibleWitness, propagate_and_check
 from trimask.geometry import build_layout_graph, project_and_split
-from trimask.graphs import brute_force_optimum, evaluate
+from trimask.graphs import DecompositionGraph, brute_force_optimum, evaluate
 from trimask.ilp import solve_exact
 from trimask.pipeline import DecomposeConfig, decompose
 from trimask.reductions import peel_low_degree
@@ -144,28 +144,30 @@ def test_criterion_6_detection_soundness():
         for _ in range(120):
             n = int(rng.integers(4, 13))
             dg = random_graph(rng, n, ce_density=0.4, se_density=0.0)
-            verdict = propagate_and_check(dg.nodes, dg.ce)
+            verdict = propagate_and_check(dg)
             if isinstance(verdict, InfeasibleWitness):
                 flagged += 1
                 oracle = brute_force_optimum(dg, ALPHA)
                 assert oracle.conflict_count >= 1
         assert flagged >= 5
 
-        bowtie_edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        bowtie = propagate_and_check(range(4), bowtie_edges)
-        assert isinstance(bowtie, ConstraintClasses) and bowtie.joint(0, 3)
+        # the bowtie (triangles 023 and 123 sharing (2, 3)) forces its
+        # apexes 0 and 1 onto one mask without a conflict between them;
+        # the edge (0, 1) closing them is then its own witness. The apexes
+        # are numbered first because the closed bowtie is K4, whose
+        # witness is its first sorted edge.
+        bowtie_edges = [(0, 2), (0, 3), (2, 3), (1, 2), (1, 3)]
+        assert propagate_and_check(DecompositionGraph.from_edges(4, ce=bowtie_edges)) is None
+        closed = DecompositionGraph.from_edges(4, ce=bowtie_edges + [(0, 1)])
+        assert propagate_and_check(closed) == InfeasibleWitness(edge=(0, 1), path=(0, 1))
 
-        k4 = k4_graph()
-        assert isinstance(propagate_and_check(k4.nodes, k4.ce), InfeasibleWitness)
+        assert isinstance(propagate_and_check(k4_graph()), InfeasibleWitness)
 
         from test_detection import grotzsch_graph
 
         nodes, edges = grotzsch_graph()
-        verdict = propagate_and_check(nodes, edges)
-        assert isinstance(verdict, ConstraintClasses), "blind spot must stay undetected"
-        from trimask.graphs import DecompositionGraph
-
         undetected = DecompositionGraph.from_edges(nodes, ce=edges)
+        assert propagate_and_check(undetected) is None, "blind spot must stay undetected"
         assert brute_force_optimum(undetected, ALPHA).conflict_count >= 1
 
 

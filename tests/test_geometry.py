@@ -227,9 +227,10 @@ class TestProjection:
         layout = wire_fixture()
         lg = build_layout_graph(layout)
         dg = project_and_split(layout, lg)
+        parent = {seg.id: seg.parent for seg in dg.segments}
         recovered = set()
         for u, v in dg.ce:
-            pu, pv = dg.segment_by_id[u].parent, dg.segment_by_id[v].parent
+            pu, pv = parent[u], parent[v]
             if pu != pv:
                 recovered.add((min(pu, pv), max(pu, pv)))
         assert recovered == set(lg.edges)

@@ -5,7 +5,6 @@ from conftest import random_graph
 from trimask.geometry import LayoutGraph
 from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
 from trimask.reductions import (
-    PeelRecord,
     find_bridges,
     peel_low_degree,
     reinsert_segments,
@@ -25,21 +24,21 @@ K4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 class TestPeel:
     def test_cycle_fully_peeled(self):
-        residual, record = peel_low_degree(lg_from_edges(5, CYCLE5))
+        residual, peeled = peel_low_degree(lg_from_edges(5, CYCLE5))
         assert residual.nodes == ()
-        assert len(record) == 5
+        assert len(peeled) == 5
 
     def test_k4_untouched(self):
-        residual, record = peel_low_degree(lg_from_edges(4, K4))
+        residual, peeled = peel_low_degree(lg_from_edges(4, K4))
         assert set(residual.nodes) == {0, 1, 2, 3}
-        assert len(record) == 0
+        assert len(peeled) == 0
 
     def test_sparse_mesh_fully_peeled(self):
         # a tree plus a pendant cycle: everything has degree <= 2 eventually
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2), (1, 6), (6, 7)]
-        residual, record = peel_low_degree(lg_from_edges(8, edges))
+        residual, peeled = peel_low_degree(lg_from_edges(8, edges))
         assert residual.nodes == ()
-        assert len(record) == 8
+        assert len(peeled) == 8
 
     def test_recorded_neighbor_sets_small(self):
         # replaying the order on lg, each node has at most 2 neighbors left
@@ -47,9 +46,9 @@ class TestPeel:
         for _ in range(20):
             dg = random_graph(rng, 10, 0.3, 0.0)
             lg = lg_from_edges(10, dg.ce)
-            _, record = peel_low_degree(lg)
+            _, peeled = peel_low_degree(lg)
             adj = {n: set(lg.adjacency[n]) for n in lg.nodes}
-            for node in record.order:
+            for node in peeled:
                 assert len(adj[node]) <= 2
                 for other in adj.pop(node):
                     adj[other].discard(node)
@@ -68,8 +67,8 @@ class TestPeel:
                 order.append(node)
                 for other in adj.pop(node):
                     adj[other].discard(node)
-            residual, record = peel_low_degree(lg)
-            assert record.order == tuple(order)
+            residual, peeled = peel_low_degree(lg)
+            assert peeled == tuple(order)
             assert residual.nodes == tuple(sorted(adj))
             assert residual.edges == frozenset(e for e in lg.edges if e[0] in adj and e[1] in adj)
 
@@ -88,20 +87,18 @@ class TestReinsert:
 
     def test_isolated_gets_zero(self):
         dg = DecompositionGraph.from_edges([7])
-        record = PeelRecord(order=(7,))
-        assert reinsert_segments(dg, record, {}) == ({7: 0}, set())
+        assert reinsert_segments(dg, (7,), {}) == ({7: 0}, set())
 
     def test_forced_color(self):
         dg = DecompositionGraph.from_edges(3, ce=[(0, 1), (0, 2)])
-        record = PeelRecord(order=(0,))
-        colors, blocked = reinsert_segments(dg, record, {1: 0, 2: 1})
+        colors, blocked = reinsert_segments(dg, (0,), {1: 0, 2: 1})
         assert colors[0] == 2 and not blocked
 
     def test_cycle5_proper(self):
         lg = lg_from_edges(5, CYCLE5)
-        residual, record = peel_low_degree(lg)
+        residual, peeled = peel_low_degree(lg)
         dg = DecompositionGraph.from_edges(5, ce=CYCLE5)
-        colors, blocked = reinsert_segments(dg, record, {})
+        colors, blocked = reinsert_segments(dg, peeled, {})
         assert evaluate(dg, colors, 0.1).conflict_count == 0
         assert not blocked
 
@@ -111,9 +108,9 @@ class TestReinsert:
             n = int(rng.integers(4, 13))
             dg = random_graph(rng, n, 0.3, 0.0)
             lg = lg_from_edges(n, dg.ce)
-            residual, record = peel_low_degree(lg)
+            residual, peeled = peel_low_degree(lg)
             partial = brute_force_optimum(dg.subgraph(residual.nodes), 0.1).colors
-            colors, blocked = reinsert_segments(dg, record, partial)
+            colors, blocked = reinsert_segments(dg, peeled, partial)
             got = evaluate(dg, colors, 0.1).objective
             assert got == brute_force_optimum(dg, 0.1).objective
             assert not blocked
@@ -125,8 +122,7 @@ class TestReinsert:
         dg = DecompositionGraph.from_edges(
             5, ce=[(0, 1), (0, 2), (0, 3), (0, 4)], se=[(1, 3)], parents={3: 1}
         )
-        record = PeelRecord(order=(0,))
-        colors, blocked = reinsert_segments(dg, record, {1: 0, 2: 2, 3: 1, 4: 0})
+        colors, blocked = reinsert_segments(dg, (0,), {1: 0, 2: 2, 3: 1, 4: 0})
         assert blocked == {0}
         assert colors[0] == 1  # color 0 clashes twice, colors 1 and 2 once
 
