@@ -127,9 +127,8 @@ def cmd_decompose(args) -> int:
             )
         result = decompose(layout, cfg)
     else:
-        text = Path(args.graph).read_text()
         with _validating():
-            dg = parse_edgelist(text)
+            dg = parse_edgelist(Path(args.graph).read_text())
         result = decompose_graph(dg, cfg)
 
     alpha = result.assignment.alpha

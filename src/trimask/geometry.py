@@ -12,15 +12,18 @@ iff ``dx² + dy² <= ceil(min_s²) - 1``, with ``min_s²`` taken exactly as a
 fraction; clamped at ``ceil(min_s)`` the squares stay inside int64. The test
 is exact for every finite ``min_s`` up to ``MIN_S_LIMIT``.
 
-Pair queries over the shapes (the layout graph's conflict pairs and the
-disjointness check) go through ``_near_pairs``: it lists every pair whose x
-and y gaps are both below the reach, once, among candidates for the exact
-test. It sorts and sweeps along one axis and, when that sweep pairs many
-shapes of one row, sweeps within strips across the other axis instead. It
-costs O(n log n + candidates) time and memory, where the candidates are
-the pairs within reach along the swept axis that share a strip; no n×n
-array is built. On ``generate_layout(5000, 2)`` that is about 5k candidates
-for about 5k conflict pairs, where the sweep alone listed 174k.
+Pair queries go through ``_near_pairs``: it lists every pair whose x and
+y gaps are both below the reach, once, among candidates for the exact
+test. The disjointness check runs it on the shapes. The conflict pairs of
+both graphs come from one pass, ``_close_pairs`` (``_near_pairs``, then
+``_close``, then a row-major sort), run on the shapes for the layout graph
+and on the segments for the segment graph. ``_near_pairs`` sorts and
+sweeps along one axis and, when that sweep pairs many shapes of one row,
+sweeps within strips across the other axis instead. It costs
+O(n log n + candidates) time and memory, where the candidates are the
+pairs within reach along the swept axis that share a strip; no n×n array
+is built. On ``generate_layout(5000, 2)`` that is about 5k candidates for
+about 5k conflict pairs, where the sweep alone listed 174k.
 
 A layout keeps one id-sorted int64 array of its rectangles
 (``Layout.rects``, beside ``Layout.sorted_shapes``), built once while it is
@@ -147,8 +150,6 @@ def _rect_array(shapes: tuple[Shape, ...]) -> np.ndarray:
 
 def _check_disjoint(shapes: tuple[Shape, ...], r: np.ndarray) -> None:
     """``r`` is ``_rect_array(shapes)``."""
-    if len(shapes) < 2:
-        return
     i, j = _near_pairs(r, 0)
     gx, gy = _axis_gaps(r, i, j)
     # interiors intersect iff both axes strictly overlap
@@ -284,11 +285,23 @@ def _close(r: np.ndarray, i: np.ndarray, j: np.ndarray, min_s) -> np.ndarray:
     return dx * dx + dy * dy <= math.ceil(Fraction(min_s) ** 2) - 1
 
 
+def _close_pairs(r: np.ndarray, min_s) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of rectangles ``r`` closer than
+    ``min_s``, sorted row-major. Both graphs insert their conflict pairs in
+    this order: a frozenset's iteration order depends on insertion order,
+    and callers iterate it."""
+    i, j = _near_pairs(r, math.ceil(min_s))
+    close = _close(r, i, j, min_s)
+    i, j = i[close], j[close]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
 def load_layout(path) -> Layout:
     """Parse a layout JSON file; every layout invariant is enforced here."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise LayoutError(f"cannot read layout {path}: {exc}") from exc
     return layout_from_dict(doc)
 
@@ -353,9 +366,6 @@ class LayoutGraph:
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         return adjacency(self.nodes, self.edges)
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
     def subgraph(self, keep) -> "LayoutGraph":
         keep = set(keep)
         return LayoutGraph(
@@ -366,20 +376,9 @@ class LayoutGraph:
 
 def build_layout_graph(layout: Layout) -> LayoutGraph:
     ids = tuple(s.id for s in layout.sorted_shapes)
-    if len(ids) < 2:
-        return LayoutGraph(nodes=ids, edges=frozenset())
-    r = layout.rects
-    min_s = layout.params.min_s
-    i, j = _near_pairs(r, math.ceil(min_s))
-    close = _close(r, i, j, min_s)
-    i, j = i[close], j[close]
-    # insert in row-major (i, j) order: the frozenset's iteration order
-    # depends on insertion order, and callers iterate it. The rows are in
-    # id order and i < j, so each pair is already ordered
-    order = np.lexsort((j, i))
-    edges = frozenset(
-        zip(map(ids.__getitem__, i[order].tolist()), map(ids.__getitem__, j[order].tolist()))
-    )
+    # the rows are in id order, so each pair is already ordered
+    i, j = _close_pairs(layout.rects, layout.params.min_s)
+    edges = frozenset(zip(map(ids.__getitem__, i.tolist()), map(ids.__getitem__, j.tolist())))
     return LayoutGraph(nodes=ids, edges=edges)
 
 
@@ -439,16 +438,14 @@ def project_and_split(
     """Build the decomposition graph: split shapes at stitch candidates,
     connect consecutive pieces with SE, and recompute CE at segment level.
 
-    ``lg`` is the layout's graph from ``build_layout_graph`` (or a subgraph
-    of it). ``split_nodes`` restricts which shapes may be split (all by
-    default); unsplit shapes still appear as single-segment nodes and still
-    project onto their neighbors.
+    ``lg`` must be the layout's own graph from ``build_layout_graph``; it
+    is read only for the neighbors that project onto each shape.
+    ``split_nodes`` restricts which shapes may be split (all by default);
+    unsplit shapes still appear as single-segment nodes and still project
+    onto their neighbors.
 
-    A segment is never closer to anything than its shape, so the only CE
-    candidates are the non-consecutive pieces of one shape and the pieces
-    of two shapes that ``lg`` joins. ``_close`` tests them in one array,
-    and the close pairs are inserted in row-major order, as in
-    ``build_layout_graph``.
+    The conflict edges are the segments' ``_close_pairs``, less the
+    consecutive pieces of one shape, which the stitch edges join.
     """
     shapes = layout.sorted_shapes
     margin = layout.params.overlap_margin
@@ -490,28 +487,10 @@ def project_and_split(
     r = np.repeat(layout.rects, count, axis=0)
     r[split_rows] = np.array(split_rects, dtype=np.int64).reshape(-1, 4)
 
-    # candidate blocks (u, v) of shape positions: each layout-graph edge,
-    # and each shape of three or more pieces paired with itself
-    first = np.cumsum(count) - count
-    edges = np.array(list(lg.edges), dtype=np.int64).reshape(-1, 2)
-    ids = np.array([s.id for s in shapes], dtype=np.int64)
-    many = np.flatnonzero(count > 2)
-    u = np.concatenate([np.searchsorted(ids, edges[:, 0]), many])
-    v = np.concatenate([np.searchsorted(ids, edges[:, 1]), many])
-    # every (piece of u, piece of v) of each block, numbered within its block
-    sizes = count[u] * count[v]
-    block = np.repeat(np.arange(len(u)), sizes)
-    rank = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = count[v][block]
-    i = first[u][block] + rank // width
-    j = first[v][block] + rank % width
-    # u < v by id, so its pieces come first; within one shape, skip
-    # consecutive pieces (they stitch) and each pair's mirror
-    keep = (u != v)[block] | (j - i >= 2)
-    i, j = i[keep], j[keep]
-    close = _close(r, i, j, layout.params.min_s)
-    i, j = i[close], j[close]
-    order = np.lexsort((j, i))
-    ce = frozenset(zip(i[order].tolist(), j[order].tolist()))
+    # a pair of consecutive segments of one shape is a stitch, not a conflict
+    shape_of = np.repeat(np.arange(len(shapes)), count)
+    i, j = _close_pairs(r, layout.params.min_s)
+    keep = (j - i >= 2) | (shape_of[i] != shape_of[j])
+    ce = frozenset(zip(i[keep].tolist(), j[keep].tolist()))
 
     return DecompositionGraph(segments=tuple(segments), ce=ce, se=frozenset(se))

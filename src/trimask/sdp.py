@@ -57,10 +57,11 @@ the other. Rows are normalized in place, and a step allocates only the
 gradient that ``bincount`` returns. ``_value_at`` and ``_riemannian_grad``
 are the kernels of both the descent and ``_penalized_value``, so the
 gradient tests check the code the descent runs. The workspace returns the
-allocating descent's factor bit for bit; it lowers the peak of the
-3000-node relaxation below from 4.98 to 4.36 MiB, and in-process it runs
-the relaxation of a ``dense`` layout at 0.97 of that descent's time
-(interquartile range 0.91–1.01 over 30 interleaved rounds).
+allocating descent's factor bit for bit; it lowers the ``tracemalloc``
+peak of the relaxation of a 3000-node graph of 5993 conflict pairs from
+4.98 to 4.36 MiB, and in-process it runs the relaxation of a ``dense``
+layout at 0.97 of that descent's time (interquartile range 0.91–1.01
+over 30 interleaved rounds).
 
 The run opens with one descent at the penalty weight ``MU_INITIAL``.
 A descent ends at the gradient tolerance ``GRAD_TOL``, after ``MAX_ITERS``
@@ -77,39 +78,10 @@ their 400 iterations, and the run on a ``dense`` layout's four pieces
 still improves at its cap. ``converged`` certifies a run whose last descent
 met both tolerances.
 
-On pieces above 16 nodes the one descent at mu = 4 replaced a penalty
-ramp (descents at mu = 4, 40 and 400). It makes 25–57% fewer iterations
-and scores a better mean objective over the ten decompose seeds 1, 2, 3,
-5, 7, 11, 13, 42, 99 and 1234 on every instance below (one BLAS thread,
-2-CPU x86-64 host):
-
-===================================  ===============  =========================
-instance                             mean objective   per-seed range
-                                     ramp → one       ramp / one
-===================================  ===============  =========================
-``dense`` main corpus, sum of 4      475.7 → 474.7    471.1–479.3 / 470.0–480.2
-``dense`` held-out corpus, sum of 4  477.2 → 474.3    471.2–483.2 / 468.1–479.4
-(400, 4), generator seeds 1–3, sum   204.7 → 196.8    196.7–212.7 / 192.3–201.8
-(400, 6), generator seeds 1–3, sum   362.9 → 362.0    359.1–365.2 / 358.1–367.1
-(1000, 3), generator seed 1          195.4 → 194.2    180.9–210.8 / 183.5–199.9
-(1000, 3), generator seed 2          200.1 → 196.4    188.6–206.4 / 184.3–210.7
-(2000, 4), generator seeds 1–2, sum  808.1 → 800.0    773.0–842.4 / 752.4–822.8
-(2000, 6), generator seed 1          628.0 → 625.5    612.2–646.4 / 613.5–631.4
-(2000, 6), generator seed 2          657.0 → 652.8    648.3–667.0 / 641.6–658.8
-(2000, 6), generator seed 3          654.6 → 653.6    645.7–665.2 / 644.5–660.1
-``clips`` relaxed, main / held-out   65.0 / 63.2      equal at every seed
-===================================  ===============  =========================
-
-A cap of 200 iterations scores 1.1–2.6% worse means than the ramp on five
-of these instances, and one descent at mu = 40 2–20% worse on all of them.
-One seed says less: at seed 42 the main ``dense`` corpus reads
-478.2 → 474.0 and the held-out one 472.2 → 476.4.
-
 At mu = 4 the factor meets the -1/2 floor only softly: on a ``dense``
-piece the largest violation is about 0.13, against 0.002 after the ramp,
-and conflict dots fall to about -0.63. So the ``obj_relaxation`` of an
-uncertified run is no bound; the rounding reads only the directions of
-the rows.
+piece the largest violation is about 0.13, and conflict dots fall to
+about -0.63. So the ``obj_relaxation`` of an uncertified run is no bound;
+the rounding reads only the directions of the rows.
 
 ``RelaxationSolution.lower_bound`` is a bound from any factor, certified
 or not (Burer & Monteiro 2003; Boumal, Voroninski & Bandeira 2016), and
@@ -138,12 +110,7 @@ on a stitch pair, multiplies it by the other endpoint's row and sums into
 the rows with one ``np.bincount``. So a step costs O(|E|·r) time and
 memory. The descent keeps its factor column-major, so each of these
 passes runs along contiguous columns of n or |E| entries rather than
-rows of r = 8. On a 3000-node graph of 5993 conflict pairs, one
-71-iteration descent took 1.70 s and peaked at 70.8 MiB in
-``tracemalloc`` with a dense n × n weight matrix, and takes 0.09 s and
-4.5 MiB on edge lists (one BLAS thread, 2-CPU x86-64 host). The whole
-relaxation of that graph is one descent of 83 iterations, 0.08 s and
-4.4 MiB.
+rows of r = 8.
 
 The argmax compares dot products of the factor's rows, so the last bit of
 one row can change the masks. A seeded run therefore repeats byte for
@@ -152,13 +119,8 @@ dots or the scatter in another order may round to other masks. The
 descent calls no BLAS: every sum in it (the value, the row dots, the
 per-component sums behind the gradient norm and the spectral step) is
 numpy's own reduction, ``np.add.reduce`` or ``np.einsum``, whose order
-does not depend on the BLAS thread count. It used ``np.vdot`` for the
-norms and step lengths, and OpenBLAS splits a dot product of more than
-10,000 entries over its threads, so a factor of more than 1,250 rows gave
-other bits on another thread count: ``generate_layout(2000, 4, seed=1)``
-read 354.8 on one thread and 349.8 on two. It now reads the same on both.
-Outside the descent the rounding's ``v @ g`` and ``lower_bound`` still
-call BLAS.
+does not depend on the BLAS thread count. Outside the descent the
+rounding's ``v @ g`` and ``lower_bound`` still call BLAS.
 """
 
 from __future__ import annotations

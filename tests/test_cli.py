@@ -244,6 +244,15 @@ class TestDecomposeCommand:
         assert "internal error: stage bug" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["--graph", "--input"])
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, source, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert run(["decompose", source, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("source", ["--graph", "--input"])
     @pytest.mark.parametrize("seed", ["-5", "-1"])
     def test_bad_seed_exit_2(self, tmp_path, capsys, source, seed):
         path = tmp_path / "in.txt"

@@ -235,6 +235,25 @@ class TestProjection:
                 recovered.add((min(pu, pv), max(pu, pv)))
         assert recovered == set(lg.edges)
 
+    def test_conflicts_between_pieces_of_one_shape(self):
+        # three neighbors above the wire leave two uncovered spans, so it
+        # splits into three pieces; no generated layout has a conflict
+        # edge between two pieces of one shape
+        layout = make_layout([
+            (0, 0, 200, 25),
+            (0, 55, 40, 80),
+            (60, 55, 100, 80),
+            (120, 55, 200, 80),
+        ])
+        dg = project_and_split(layout, build_layout_graph(layout))
+        assert [s.rect for s in dg.segments[:3]] == [
+            (0, 0, 50, 25), (50, 0, 110, 25), (110, 0, 200, 25)]
+        assert dg.se == {(0, 1), (1, 2)}
+        # non-consecutive pieces of one shape, 60 < 85 apart
+        assert (0, 2) in dg.ce
+        # consecutive ids, but the wire's last piece and the next shape
+        assert dg.segments[3].parent == 1 and (2, 3) in dg.ce
+
     def test_split_nodes_restriction(self):
         layout = wire_fixture()
         lg = build_layout_graph(layout)

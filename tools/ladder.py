@@ -13,7 +13,9 @@ from tree to tree, so a drift in the host's speed reaches every tree alike:
     python tools/ladder.py --src ../base/src --src src
 
 The file is named after ``git rev-parse --short HEAD`` of the tree's
-checkout, with ``-dirty`` added when the checkout has uncommitted changes.
+checkout, with ``-dirty`` added when the checkout has uncommitted changes,
+or ``nogit`` for a tree outside any checkout (a ``git archive`` copy, say).
+The names are taken before the ladder runs.
 With two or more ``--src`` trees the table shows each tree's figures, the
 last tree's wall time against the first's, and whether every tree's
 payload digest is equal.
@@ -148,17 +150,19 @@ def measure(srcs: list[str]) -> list[list[dict]]:
 
 def _commit(src: Path) -> str:
     """Short sha of the checkout holding ``src``, ``-dirty`` if it has
-    uncommitted changes."""
+    uncommitted changes; ``nogit`` if no checkout holds it."""
     def git(*args):
         return subprocess.run(["git", "-C", str(src), *args], check=True,
                               capture_output=True, text=True).stdout.strip()
 
-    sha = git("rev-parse", "--short", "HEAD")
+    try:
+        sha = git("rev-parse", "--short", "HEAD")
+    except subprocess.CalledProcessError:
+        return "nogit"
     return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def write(src: str, records: list[dict]) -> Path:
-    commit = _commit(Path(src).resolve())
+def write(commit: str, records: list[dict]) -> Path:
     path = ROOT / f"BENCH_{commit}.json"
     doc = {
         "commit": commit,
@@ -205,9 +209,10 @@ def main(argv=None) -> int:
         serve()
         return 0
     srcs = args.src or [str(ROOT / "src")]
+    commits = [_commit(Path(src).resolve()) for src in srcs]
     results = measure(srcs)
-    for src, records in zip(srcs, results):
-        print(f"wrote {write(src, records)}")
+    for commit, records in zip(commits, results):
+        print(f"wrote {write(commit, records)}")
     print(table(srcs, results))
     return 0
 
