@@ -262,16 +262,19 @@ def brute_force_optimum(dg: DecompositionGraph, alpha, max_nodes: int = 16) -> M
     high = max(0, n - 12)
     table = _color_table(n - high)
     place = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # weights whose sums could pass int64 (a float alpha can have a
+    # denominator of up to 1074 bits) score in Python ints
+    dtype = np.int64 if conflict_w * len(ce) + stitch_w * len(se) < 2**62 else object
 
     best_score = best_code = None
     for prefix in range(3**high):
         # per node position: a fixed digit of the prefix, or a table column
         cols = [*(prefix * len(table) // place[:high] % 3), *table.T]
-        score = np.zeros(len(table), dtype=np.int64)
+        score = np.zeros(len(table), dtype=dtype)
         for u, v in ce:
-            score += conflict_w * (cols[u] == cols[v])
+            score += np.multiply(cols[u] == cols[v], conflict_w, dtype=dtype)
         for u, v in se:
-            score += stitch_w * (cols[u] != cols[v])
+            score += np.multiply(cols[u] != cols[v], stitch_w, dtype=dtype)
         k = int(np.argmin(score))
         if best_score is None or score[k] < best_score:
             best_score, best_code = int(score[k]), prefix * len(table) + k

@@ -8,7 +8,7 @@ The residual graph is solved in one pass of three phases:
 
 1. Plan every leaf. Each connected component is checked for a triangle
    witness and cut at every bridge; its bridge-free pieces are the leaves.
-   A single node takes mask 0, a leaf for the exact search (per the
+   A single node takes mask 0, a leaf for the exact solver (per the
    configuration) is solved at once, and the rest wait for phase 2.
 2. Relax the waiting leaves together: one ``CostMatrix`` per leaf from
    ``build_cost_matrix``, joined by ``join_costs`` into one disjoint union,
@@ -73,6 +73,8 @@ class ComponentReport:
     component: int  # smallest node id in the component
     size: int
     solver: str = "none"  # "exact" | "sdp", "mixed" if bridge pieces ran both
+    # the exact pieces' work, summed: table entries where solve_exact
+    # eliminated, search nodes where it fell back to its branch and bound
     nodes_explored: int = 0
     proven_optimal: bool = True
     bridges_cut: int = 0

@@ -16,7 +16,9 @@ from trimask.graphs import (
     evaluate,
 )
 from trimask.ilp import (
+    ELIMINATION_WIDTH,
     SolveReport,
+    branch_and_bound,
     build_ilp,
     check_encoding,
     decode_bits,
@@ -156,8 +158,8 @@ class TestSolveExact:
 
     def test_deterministic(self, rng):
         dg = random_graph(rng, 10)
-        a = solve_exact(dg, 0.1)
-        b = solve_exact(dg, 0.1)
+        a = branch_and_bound(dg, 0.1)
+        b = branch_and_bound(dg, 0.1)
         assert a.assignment.colors == b.assignment.colors
         assert a.nodes_explored == b.nodes_explored
 
@@ -185,10 +187,10 @@ class TestLpExport:
         assert float(obj[2]) == float(as_fraction(alpha))
 
 
-# --- the search without look-ahead, as the reference for solve_exact ---------
+# --- the search without look-ahead, as the reference for branch_and_bound ----
 
 
-def reference_solve_exact(
+def reference_branch_and_bound(
     dg: DecompositionGraph, alpha, budget: int = 5_000_000
 ) -> SolveReport:
     """Branch and bound whose only bound is the committed cost, with the same
@@ -262,7 +264,7 @@ def reference_solve_exact(
 
 
 def assert_same_as_reference(dg: DecompositionGraph, alpha) -> tuple[int, int]:
-    got, want = solve_exact(dg, alpha), reference_solve_exact(dg, alpha)
+    got, want = branch_and_bound(dg, alpha), reference_branch_and_bound(dg, alpha)
     assert got.assignment.colors == want.assignment.colors
     assert got.assignment.objective == want.assignment.objective
     assert got.proven_optimal == want.proven_optimal
@@ -315,7 +317,7 @@ class TestLookAheadIdentity:
 
 
 # --- the look-ahead search with a call per move, as the reference for the
-# inline moves of solve_exact ---------------------------------------------------
+# inline moves of branch_and_bound ----------------------------------------------
 
 OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
 
@@ -323,7 +325,7 @@ OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
 def reference_look_ahead(
     dg: DecompositionGraph, alpha, budget: int = 5_000_000
 ) -> SolveReport:
-    """``solve_exact`` with the look-ahead bound kept in separate lists
+    """``branch_and_bound`` with the look-ahead bound kept in separate lists
     (``vec`` and ``low``) and moved by ``place``/``unplace`` calls."""
     frac = as_fraction(alpha)
     stitch_w, conflict_w = frac.numerator, frac.denominator
@@ -460,7 +462,7 @@ BUDGETS = (1, 2, 7, 50, 400, 5000, 5_000_000)
 
 
 def assert_same_search(dg: DecompositionGraph, alpha, budget: int) -> None:
-    got = solve_exact(dg, alpha, budget)
+    got = branch_and_bound(dg, alpha, budget)
     want = reference_look_ahead(dg, alpha, budget)
     assert got.assignment.colors == want.assignment.colors
     assert got.assignment.objective == want.assignment.objective
@@ -498,14 +500,14 @@ class TestInlineMovesIdentity:
         # the top of the search must drop that leaf
         rng = np.random.default_rng(seed)
         dg = random_graph(rng, int(rng.integers(6, 12)), 0.35, 0.15)
-        full = solve_exact(dg, Fraction(1, 10)).nodes_explored
+        full = branch_and_bound(dg, Fraction(1, 10)).nodes_explored
         for budget in range(full + 2):
             assert_same_search(dg, Fraction(1, 10), budget)
 
     def test_budgets_cut_the_search(self):
         # the budgets above stop the search mid-tree: not every run is proven
         (comp,) = clip_components(22)
-        reports = [solve_exact(comp, Fraction(1, 10), b) for b in BUDGETS]
+        reports = [branch_and_bound(comp, Fraction(1, 10), b) for b in BUDGETS]
         assert [r.nodes_explored for r in reports[:-1]] == list(BUDGETS[:-1])
         assert not any(r.proven_optimal for r in reports[:-1])
         assert reports[-1].proven_optimal
@@ -554,3 +556,77 @@ class TestHighsOracle:
         assert report.proven_optimal
         optimum = highs_optimum(build_ilp(dg, Fraction(1, 10)))
         assert optimum == pytest.approx(float(report.assignment.objective), abs=1e-6)
+
+
+def conflict_grid(side: int) -> DecompositionGraph:
+    """A side x side grid of conflict edges; node row * side + column."""
+    ce = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    ce += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return DecompositionGraph.from_edges(side * side, ce=ce)
+
+
+class TestElimination:
+    """``solve_exact`` eliminates along a min-fill order of width at most
+    ``ELIMINATION_WIDTH`` whose tables fit the budget, and otherwise returns
+    the report of ``branch_and_bound`` with the same budget."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(1, 3), Fraction(2)])
+    def test_matches_brute_force(self, alpha):
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            dg = random_graph(rng, n, float(rng.choice([0.1, 0.3, 0.5])), 0.15)
+            report = solve_exact(dg, alpha)
+            # a width above the cap needs more than cap + 1 nodes
+            assert report.method == "elimination" or n > ELIMINATION_WIDTH + 1
+            assert report.proven_optimal
+            assert report.assignment.objective == brute_force_optimum(dg, alpha).objective
+
+    @pytest.mark.parametrize("seed", range(1, 31))
+    def test_clip_components_match_branch_and_bound(self, seed):
+        for comp in clip_components(seed):
+            for alpha in (Fraction(1, 10), Fraction(1, 3)):
+                got, want = solve_exact(comp, alpha), branch_and_bound(comp, alpha)
+                assert got.method == "elimination"
+                assert got.assignment.objective == want.assignment.objective
+                assert got.proven_optimal == want.proven_optimal
+
+    def test_work_is_the_table_entries(self):
+        # a path 0 - 1 - 2 eliminates 0, then 1, then 2: two tables of 3 x 3
+        # and one of 3 entries
+        path = DecompositionGraph.from_edges(3, ce=[(0, 1)], se=[(1, 2)])
+        report = solve_exact(path, Fraction(1, 10))
+        assert report.method == "elimination" and report.proven_optimal
+        assert report.nodes_explored == 9 + 9 + 3
+        assert report.assignment.objective == 0
+
+    def test_width_at_the_cap_eliminates(self):
+        # the min-fill order of an 8 x 8 grid has width exactly 10
+        report = solve_exact(conflict_grid(8), Fraction(1, 10))
+        assert report.method == "elimination" and report.proven_optimal
+        assert report.assignment.objective == 0
+
+    def test_width_just_over_the_cap_is_the_searchs_report(self):
+        # the min-fill order of a 9 x 9 grid passes width 10
+        grid = conflict_grid(9)
+        got = solve_exact(grid, Fraction(1, 10))
+        assert got.method == "branch_and_bound"
+        assert got == branch_and_bound(grid, Fraction(1, 10))
+
+    def test_work_past_the_budget_is_the_searchs_report(self):
+        k4 = k4_graph()
+        got = solve_exact(k4, Fraction(1, 10), budget=2)
+        assert not got.proven_optimal
+        assert got == branch_and_bound(k4, Fraction(1, 10), 2)
+
+    @pytest.mark.parametrize("alpha, method", [
+        # a 55-bit denominator: int64 tables still hold every sum
+        (0.30000000000000004, "elimination"),
+        # a 1074-bit denominator: they would overflow
+        (5e-324, "branch_and_bound"),
+    ])
+    def test_float_alphas_with_long_denominators(self, alpha, method):
+        dg = random_graph(np.random.default_rng(5), 9, 0.3, 0.2)
+        report = solve_exact(dg, alpha)
+        assert report.method == method and report.proven_optimal
+        assert report.assignment.objective == brute_force_optimum(dg, alpha).objective

@@ -126,6 +126,16 @@ class TestUnprovenExactLeaves:
         assert result.objective < float(budgeted.assignment.objective)
 
 
+def test_exact_proves_the_pieces_of_a_dense_layout():
+    # four pieces of 118-121 nodes, of min-fill width 7-9, are eliminated
+    # within the default budget; the search alone runs out of it on every
+    # piece and scores 120.1
+    result = decompose(generate_layout(400, 6, seed=1), DecomposeConfig(solver="exact"))
+    assert [r.size for r in result.per_component if r.size > 25] == [118, 120, 120, 121]
+    assert result.proven_optimal
+    assert result.objective == pytest.approx(112.0)
+
+
 class TestDecomposeGraph:
     def test_bare_graph_roundtrip(self, rng):
         dg = random_graph(rng, 10)

@@ -4,10 +4,11 @@ write one ``BENCH_<short sha>.json`` per source tree at the repository root.
 The instances are ``generate_layout`` at 40 / 400 / 2000 shapes and
 density 2, 4 and 6, generator seeds 1-3, plus (1000, 3) and (5000, 4) at
 seed 1. Each decomposes with ``DecomposeConfig(seed=42)``; the wall time is
-the median of 3 decompose calls. Each source tree runs in its own
-long-lived interpreter with one BLAS thread, and the trees take turns,
-instance by instance and repeat by repeat, with the first turn passing
-from tree to tree, so a drift in the host's speed reaches every tree alike:
+the median of 3 decompose calls, shown with their min-max. Each source
+tree runs in its own long-lived interpreter with one BLAS thread, and the
+trees take turns, instance by instance and repeat by repeat, with the
+first turn passing from tree to tree, so a drift in the host's speed
+reaches every tree alike:
 
     python tools/ladder.py                          # this checkout
     python tools/ladder.py --src ../base/src --src src
@@ -18,7 +19,8 @@ or ``nogit`` for a tree outside any checkout (a ``git archive`` copy, say).
 The names are taken before the ladder runs.
 With two or more ``--src`` trees the table shows each tree's figures, the
 last tree's wall time against the first's, and whether every tree's
-payload digest is equal.
+payload digest is equal. The wall change reads "within spread" when the two
+trees' min-max ranges overlap: host noise alone can then explain it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ INSTANCES += [(1000, 3, 1), (5000, 4, 1)]
 REPEATS = 3
 NOTES = [
     "decompose_s: median of 3 decompose calls in one long-lived process per tree, one BLAS "
-    "thread; the trees take turns, instance by instance and repeat by repeat",
+    "thread; the trees take turns, instance by instance and repeat by repeat; "
+    "decompose_range_s: their min and max",
     "components, largest, proven: the components of the peeled residual graph "
     "that the solvers see, from DecomposeResult.per_component",
     "greedy_one_opt: perfbench.checks.greedy_one_opt on the whole decomposition graph",
@@ -141,6 +144,7 @@ def measure(srcs: list[str]) -> list[list[dict]]:
                     records[t].update(reply.get("record", {}))
             for t, rec in enumerate(records):
                 rec["decompose_s"] = round(statistics.median(walls[t]), 4)
+                rec["decompose_range_s"] = [round(min(walls[t]), 4), round(max(walls[t]), 4)]
                 results[t].append(rec)
         return results
     finally:
@@ -178,7 +182,7 @@ def write(commit: str, records: list[dict]) -> Path:
 def table(srcs: list[str], results: list[list[dict]]) -> str:
     head = ["instance", "segments / CE / SE", "components (largest, proven)"]
     for src in srcs:
-        head += [f"decompose s {src}", f"objective {src}"]
+        head += [f"decompose s (min-max) {src}", f"objective {src}"]
     head += ["greedy + 1-opt", "sdp iterations (relaxed)"]
     if len(results) > 1:
         head += ["wall change", "payload equal"]
@@ -189,11 +193,15 @@ def table(srcs: list[str], results: list[list[dict]]) -> str:
                  f"{last['segments']} / {last['ce']} / {last['se']}",
                  f"{last['components']} ({last['largest']}, {last['proven']})"]
         for row in rows:
-            cells += [f"{row['decompose_s']:.3f}", f"{row['objective']:.1f}"]
+            low, high = row["decompose_range_s"]
+            cells += [f"{row['decompose_s']:.3f} ({low:.3f}-{high:.3f})",
+                      f"{row['objective']:.1f}"]
         cells += [f"{last['greedy_one_opt']:.1f}", f"{last['sdp_iterations']} ({last['relaxed']})"]
         if len(results) > 1:
+            (low0, high0), (low1, high1) = rows[0]["decompose_range_s"], last["decompose_range_s"]
             first = rows[0]["decompose_s"]
-            cells.append(f"{100.0 * (last['decompose_s'] - first) / first:+.1f}%")
+            cells.append("within spread" if low1 <= high0 and low0 <= high1
+                         else f"{100.0 * (last['decompose_s'] - first) / first:+.1f}%")
             cells.append("yes" if len({row["payload"] for row in rows}) == 1 else "no")
         lines.append(" | ".join(cells))
     return "\n".join(lines)
