@@ -147,12 +147,34 @@ def cmd_decompose(args) -> int:
 
 
 def format_assignment(assignment: MaskAssignment) -> str:
-    doc = {
-        "masks": {str(node): assignment.colors[node] for node in sorted(assignment.colors)},
-        "stitches": [list(e) for e in sorted(assignment.stitches)],
-        "conflicts": [list(e) for e in sorted(assignment.conflicts)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The assignment document, byte for byte as ``json.dumps(doc, indent=2)
+    + "\n"`` writes it, for doc = {"masks": {str(node): color},
+    "stitches": [[u, v], ...], "conflicts": [[u, v], ...]} in sorted order.
+
+    Written directly, since for an indented document the ``json`` module
+    falls back to its pure-Python encoder. ``evaluate`` makes every color
+    an ``int``, which ``json`` writes as its decimal digits, as an
+    f-string does.
+    """
+    colors = assignment.colors
+    masks = [f'    "{node}": {colors[node]}' for node in sorted(colors)]
+    stitches, conflicts = (
+        [f"    [\n      {u},\n      {v}\n    ]" for u, v in sorted(pairs)]
+        for pairs in (assignment.stitches, assignment.conflicts)
+    )
+    return (
+        f'{{\n  "masks": {_indented("{", masks, "}")},\n'
+        f'  "stitches": {_indented("[", stitches, "]")},\n'
+        f'  "conflicts": {_indented("[", conflicts, "]")}\n}}\n'
+    )
+
+
+def _indented(opening: str, lines: list[str], closing: str) -> str:
+    """A container at depth one of an indent-2 JSON document, its members
+    already written one per line."""
+    if not lines:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(lines) + f"\n  {closing}"
 
 
 def format_stats(result: DecomposeResult) -> str:

@@ -48,13 +48,35 @@ def adjacency(nodes, edges) -> dict[int, tuple[int, ...]]:
 
 def component_sets(nodes, edges) -> list[set[int]]:
     """Node sets of the connected components of the graph on ``nodes`` and
-    ``edges``, ordered by smallest node id; the program's one union-find.
-    Components, the same-mask classes of detection and the relaxation's
-    per-component steps all read it.
+    ``edges``, ordered by smallest node id. The component split, the
+    same-mask classes of detection and the relaxation's per-component steps
+    all read it, and ``component_count`` shares its union-find.
+    """
+    parent = _union_find(nodes, edges)
+    comps: dict[int, set[int]] = {}
+    for n in sorted(parent):
+        # the parent is smaller, so it already points at its root
+        root = parent[n] = parent[parent[n]]
+        try:
+            comps[root].add(n)
+        except KeyError:
+            comps[root] = {n}
+    return list(comps.values())
+
+
+def component_count(nodes, edges) -> int:
+    """The number of ``component_sets(nodes, edges)``, without building
+    them: the roots of the union-find."""
+    return sum(1 for n, p in _union_find(nodes, edges).items() if n == p)
+
+
+def _union_find(nodes, edges) -> dict[int, int]:
+    """The program's one union-find: each node's parent after joining the
+    ends of every edge, with no adjacency built.
 
     It hangs the larger root under the smaller, so every node's parent is
-    smaller than the node, and roots are the smallest nodes of their
-    components; no adjacency is built.
+    smaller than the node, and roots are exactly the nodes that are their
+    own parent: the smallest nodes of their components.
     """
     parent = {n: n for n in nodes}
     for u, v in edges:
@@ -67,15 +89,7 @@ def component_sets(nodes, edges) -> list[set[int]]:
             parent[v] = u
         elif v < u:
             parent[u] = v
-    comps: dict[int, set[int]] = {}
-    for n in sorted(parent):
-        # the parent is smaller, so it already points at its root
-        root = parent[n] = parent[parent[n]]
-        try:
-            comps[root].add(n)
-        except KeyError:
-            comps[root] = {n}
-    return list(comps.values())
+    return parent
 
 
 def connected_components(dg: DecompositionGraph) -> list[DecompositionGraph]:
@@ -215,16 +229,30 @@ class MaskAssignment:
 
 
 def evaluate(dg: DecompositionGraph, colors: dict[int, int], alpha) -> MaskAssignment:
-    """Score a coloring: conflicts on same-color CE, stitches on split SE."""
+    """Score a coloring: conflicts on same-color CE, stitches on split SE.
+
+    Every node of ``dg`` needs a color 0, 1 or 2: an ``int``, or a numpy
+    integer, which the assignment stores as an ``int``. A ``bool`` or a
+    float is no color. The assignment holds the colors of the nodes of
+    ``dg`` alone, in node order, so ``format_assignment`` always writes
+    integers.
+    """
+    color_of = colors.get
+    out: dict[int, int] = {}
     for node in dg.nodes:
-        if node not in colors:
-            raise ValueError(f"node {node} is uncolored")
-        if colors[node] not in (0, 1, 2):
-            raise ValueError(f"node {node} has color {colors[node]}, expected 0..2")
-    conflicts = frozenset(e for e in dg.ce if colors[e[0]] == colors[e[1]])
-    stitches = frozenset(e for e in dg.se if colors[e[0]] != colors[e[1]])
+        color = color_of(node)
+        if color.__class__ is not int:
+            if node not in colors:
+                raise ValueError(f"node {node} is uncolored")
+            if isinstance(color, np.integer):
+                color = int(color)
+        if color.__class__ is not int or not 0 <= color <= 2:
+            raise ValueError(f"node {node} has color {color}, expected 0..2")
+        out[node] = color
+    conflicts = frozenset([e for e in dg.ce if out[e[0]] == out[e[1]]])
+    stitches = frozenset([e for e in dg.se if out[e[0]] != out[e[1]]])
     return MaskAssignment(
-        colors=dict(colors),
+        colors=out,
         conflicts=conflicts,
         stitches=stitches,
         alpha=as_fraction(alpha),

@@ -35,6 +35,7 @@ from .graphs import (
     DecompositionGraph,
     MaskAssignment,
     as_fraction,
+    component_count,
     component_sets,
     connected_components,
     evaluate,
@@ -279,7 +280,7 @@ def _result(assignment, dg, lg, reports, witnesses, peeled, t0, cfg) -> Decompos
         per_component=reports,
         witnesses=witnesses,
         peeled=peeled,
-        components=len(component_sets(dg.nodes, dg.edges)),
+        components=component_count(dg.nodes, dg.edges),
         stitch_count=assignment.stitch_count,
         conflict_count=assignment.conflict_count,
         objective=assignment.objective_float(),

@@ -24,9 +24,13 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, tuple[int, ...]]:
     Always removes the smallest eligible node id first, so the order is
     deterministic. The residual graph has minimum degree 3 (or is empty).
 
-    Degrees only fall, so a node joins the queue once: at the start, or
-    when its degree drops to 2. Only the nodes of degree 3 or more wait,
-    so only removals next to them are tracked, and no adjacency is built.
+    Degrees only fall, so a node becomes eligible once: at the start, or
+    when its degree drops to 2. The nodes eligible at the start form one
+    sorted run, and only the nodes that become eligible later go on a
+    heap; each step removes the smaller of the run's head and the heap's
+    top, which, ids being unique, is the order of one heap over all of
+    them. Only the nodes of degree 3 or more wait, so only removals next
+    to them are tracked, and no adjacency is built.
     """
     degree = dict.fromkeys(lg.nodes, 0)
     for u, v in lg.edges:
@@ -40,21 +44,33 @@ def peel_low_degree(lg: LayoutGraph) -> tuple[LayoutGraph, tuple[int, ...]]:
             lowers.setdefault(u, []).append(v)
         if u in waiting:
             lowers.setdefault(v, []).append(u)
-    queue = [n for n, d in degree.items() if d <= 2]
-    heapq.heapify(queue)
+    run = sorted([n for n, d in degree.items() if d <= 2])
+    heap: list[int] = []
     order: list[int] = []
-    while queue:
-        node = heapq.heappop(queue)
+    for node in _merged(run, heap):
         order.append(node)
-        for other in lowers.get(node, ()):
-            d = waiting.get(other)
-            if d == 3:
-                del waiting[other]
-                heapq.heappush(queue, other)
-            elif d is not None:
-                waiting[other] = d - 1
+        if node in lowers:
+            for other in lowers[node]:
+                d = waiting.get(other)
+                if d == 3:
+                    del waiting[other]
+                    heapq.heappush(heap, other)
+                elif d is not None:
+                    waiting[other] = d - 1
     residual = lg.subgraph(waiting)
     return residual, tuple(order)
+
+
+def _merged(run: list[int], heap: list[int]):
+    """Yield the smaller of the sorted ``run``'s head and ``heap``'s top
+    until both are empty. The caller may push onto ``heap`` between
+    yields."""
+    for head in run:
+        while heap and heap[0] < head:
+            yield heapq.heappop(heap)
+        yield head
+    while heap:
+        yield heapq.heappop(heap)
 
 
 def reinsert_segments(dg: DecompositionGraph, peeled: tuple[int, ...], colors: dict[int, int]):
@@ -71,21 +87,35 @@ def reinsert_segments(dg: DecompositionGraph, peeled: tuple[int, ...], colors: d
     seg_of = {seg.parent: seg.id for seg in dg.segments}
     # each edge is listed once, so no neighbor is gathered twice
     near: dict[int, list[int]] = {seg_of[shape_id]: [] for shape_id in peeled}
+    near_of = near.get
     for u, v in dg.edges:
-        if u in near:
-            near[u].append(v)
-        if v in near:
-            near[v].append(u)
+        if (at := near_of(u)) is not None:
+            at.append(v)
+        if (at := near_of(v)) is not None:
+            at.append(u)
     out = dict(colors)
     blocked: set[int] = set()
     for shape_id in reversed(peeled):
         seg_id = seg_of[shape_id]
-        clash = [0, 0, 0]
+        # clashes per color in locals, not a list: list indexing cost more
+        c0 = c1 = c2 = 0
         for other_seg in near[seg_id]:
             if other_seg in out:
-                clash[out[other_seg]] += 1
-        color = clash.index(min(clash))
-        if clash[color]:
+                seen = out[other_seg]
+                if seen == 0:
+                    c0 += 1
+                elif seen == 1:
+                    c1 += 1
+                else:
+                    c2 += 1
+        # the first color of least clashes
+        if c0 <= c1 and c0 <= c2:
+            color, clash = 0, c0
+        elif c1 <= c2:
+            color, clash = 1, c1
+        else:
+            color, clash = 2, c2
+        if clash:
             blocked.add(shape_id)
         out[seg_id] = color
     return out, blocked

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trimask.cli import format_assignment, generate_layout, main, render_svg
 from trimask.geometry import build_layout_graph, load_layout, project_and_split
-from trimask.graphs import component_sets, evaluate, parse_edgelist
+from trimask.graphs import MaskAssignment, component_sets, evaluate, parse_edgelist
 from trimask.pipeline import DecomposeConfig, decompose
 
 TRIANGLE_EDGELIST = "3\nC 0 1\nC 1 2\nC 0 2\n"
@@ -401,3 +404,22 @@ class TestAssignmentFormat:
         assert colors == result.assignment.colors
         assert [tuple(e) for e in doc["conflicts"]] == sorted(result.assignment.conflicts)
         assert [tuple(e) for e in doc["stitches"]] == sorted(result.assignment.stitches)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.dictionaries(st.integers(-2**40, 2**40), st.integers(0, 2), max_size=12),
+        st.frozensets(st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)),
+                      max_size=6),
+        st.frozensets(st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)),
+                      max_size=6),
+    )
+    @example({}, frozenset(), frozenset())
+    @example({-1: 2, 2**31: 0}, frozenset({(-1, 2**31)}), frozenset())
+    def test_writes_the_bytes_of_the_json_encoder(self, colors, stitches, conflicts):
+        assignment = MaskAssignment(colors, conflicts, stitches, Fraction(1, 10))
+        doc = {
+            "masks": {str(node): colors[node] for node in sorted(colors)},
+            "stitches": [list(e) for e in sorted(stitches)],
+            "conflicts": [list(e) for e in sorted(conflicts)],
+        }
+        assert format_assignment(assignment) == json.dumps(doc, indent=2) + "\n"

@@ -39,6 +39,28 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="node 2"):
             evaluate(triangle_graph(), {0: 0, 1: 1}, 0.1)
 
+    @pytest.mark.parametrize("color", [True, 1.0, np.float64(1.0), 1.5],
+                             ids=["bool", "float", "numpy-float", "non-integral"])
+    def test_bool_and_float_colors_are_no_colors(self, color):
+        dg = DecompositionGraph.from_edges(2, ce=[(0, 1)])
+        with pytest.raises(ValueError, match=f"node 1 has color {color}, expected 0..2"):
+            evaluate(dg, {0: 0, 1: color}, 0.1)
+
+    @pytest.mark.parametrize("color", [np.int64(2), np.uint8(2), np.int32(2)],
+                             ids=["int64", "uint8", "int32"])
+    def test_numpy_integer_color_is_stored_as_int(self, color):
+        dg = DecompositionGraph.from_edges(2, ce=[(0, 1)])
+        asg = evaluate(dg, {0: 2, 1: color}, 0.1)
+        assert type(asg.colors[1]) is int and asg.colors[1] == 2
+        assert asg.conflicts == {(0, 1)}
+        with pytest.raises(ValueError, match="node 1 has color 3, expected 0..2"):
+            evaluate(dg, {0: 2, 1: color + 1}, 0.1)
+
+    def test_assignment_holds_only_the_graph_nodes(self):
+        dg = DecompositionGraph.from_edges(2, ce=[(0, 1)])
+        asg = evaluate(dg, {1: 1, 7: True, 0: 0}, 0.1)
+        assert list(asg.colors.items()) == [(0, 0), (1, 1)]
+
     def test_color_permutation_invariance(self, rng):
         dg = random_graph(rng, 9)
         colors = {n: int(rng.integers(0, 3)) for n in dg.nodes}

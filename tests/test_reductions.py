@@ -1,8 +1,11 @@
+import heapq
+
 import numpy as np
 import pytest
 
 from conftest import random_graph
-from trimask.geometry import LayoutGraph
+from trimask.cli import generate_layout
+from trimask.geometry import LayoutGraph, build_layout_graph, project_and_split
 from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
 from trimask.reductions import (
     find_bridges,
@@ -125,6 +128,137 @@ class TestReinsert:
         colors, blocked = reinsert_segments(dg, (0,), {1: 0, 2: 2, 3: 1, 4: 0})
         assert blocked == {0}
         assert colors[0] == 1  # color 0 clashes twice, colors 1 and 2 once
+
+
+def reference_peel(lg):
+    """The earlier ``peel_low_degree``: one heap over every eligible node."""
+    degree = dict.fromkeys(lg.nodes, 0)
+    for u, v in lg.edges:
+        degree[u] += 1
+        degree[v] += 1
+    waiting = {n: d for n, d in degree.items() if d > 2}
+    lowers = {}
+    for u, v in lg.edges:
+        if v in waiting:
+            lowers.setdefault(u, []).append(v)
+        if u in waiting:
+            lowers.setdefault(v, []).append(u)
+    queue = [n for n, d in degree.items() if d <= 2]
+    heapq.heapify(queue)
+    order = []
+    while queue:
+        node = heapq.heappop(queue)
+        order.append(node)
+        for other in lowers.get(node, ()):
+            d = waiting.get(other)
+            if d == 3:
+                del waiting[other]
+                heapq.heappush(queue, other)
+            elif d is not None:
+                waiting[other] = d - 1
+    return lg.subgraph(waiting), tuple(order)
+
+
+def reference_reinsert(dg, peeled, colors):
+    """The earlier ``reinsert_segments``: clashes counted in a list, the
+    color picked by ``index(min(...))``."""
+    seg_of = {seg.parent: seg.id for seg in dg.segments}
+    near = {seg_of[shape_id]: [] for shape_id in peeled}
+    for u, v in dg.edges:
+        if u in near:
+            near[u].append(v)
+        if v in near:
+            near[v].append(u)
+    out = dict(colors)
+    blocked = set()
+    for shape_id in reversed(peeled):
+        seg_id = seg_of[shape_id]
+        clash = [0, 0, 0]
+        for other_seg in near[seg_id]:
+            if other_seg in out:
+                clash[out[other_seg]] += 1
+        color = clash.index(min(clash))
+        if clash[color]:
+            blocked.add(shape_id)
+        out[seg_id] = color
+    return out, blocked
+
+
+def assert_same_peel(lg):
+    """``peel_low_degree`` gives the reference's order and residual."""
+    residual, peeled = peel_low_degree(lg)
+    ref_residual, ref_peeled = reference_peel(lg)
+    assert peeled == ref_peeled
+    assert residual.nodes == ref_residual.nodes
+    assert residual.edges == ref_residual.edges
+    return residual, peeled
+
+
+def assert_same_reinsert(dg, peeled, colors):
+    """``reinsert_segments`` gives the reference's colors, in the same
+    order, and blocked shapes. Returns the blocked shapes."""
+    got, blocked = reinsert_segments(dg, peeled, colors)
+    ref, ref_blocked = reference_reinsert(dg, peeled, colors)
+    assert list(got.items()) == list(ref.items())
+    assert blocked == ref_blocked
+    return blocked
+
+
+def late_eligible(lg, peeled):
+    """The peeled nodes whose starting degree was 3 or more."""
+    degree = dict.fromkeys(lg.nodes, 0)
+    for u, v in lg.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return [n for n in peeled if degree[n] > 2]
+
+
+class TestAgainstReference:
+    def test_peel_on_random_graphs_with_late_eligible_nodes(self):
+        rng = np.random.default_rng(7)
+        late = 0
+        for _ in range(150):
+            n = int(rng.integers(5, 60))
+            dg = random_graph(rng, n, float(rng.uniform(2.0, 4.5)) / n, 0.0)
+            # sparse ids in a shuffled node order: the run must sort them
+            ids = rng.permutation(3 * n)[:n].tolist()
+            lg = LayoutGraph(nodes=tuple(ids), edges=frozenset(
+                (min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in dg.ce
+            ))
+            _, peeled = assert_same_peel(lg)
+            late += len(late_eligible(lg, peeled))
+        assert late > 1000  # the heap is exercised, not only the run
+
+    def test_reinsert_with_blocked_shapes(self):
+        rng = np.random.default_rng(8)
+        blocked = 0
+        for _ in range(100):
+            shapes = int(rng.integers(4, 30))
+            # every third shape is split into two stitched segments
+            parents = {k: k for k in range(shapes)}
+            parents.update({shapes + k: k for k in range(0, shapes, 3)})
+            segments = list(parents)
+            ce = [(u, v) for u in segments for v in segments
+                  if u < v and parents[u] != parents[v] and rng.random() < 0.25]
+            se = [(k, shapes + k) for k in range(0, shapes, 3)]
+            dg = DecompositionGraph.from_edges(segments, ce=ce, se=se, parents=parents)
+            unsplit = [k for k in range(shapes) if k % 3]
+            peeled = tuple(rng.permutation(unsplit)[: len(unsplit) // 2 + 1].tolist())
+            colors = {s: int(rng.integers(0, 3)) for s in segments if s not in peeled}
+            blocked += len(assert_same_reinsert(dg, peeled, colors))
+        assert blocked > 200
+
+    @pytest.mark.parametrize("density", [4, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_layouts(self, density, seed):
+        layout = generate_layout(400, density, seed=seed)
+        lg = build_layout_graph(layout)
+        residual, peeled = assert_same_peel(lg)
+        dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+        rng = np.random.default_rng(seed)
+        kept = set(residual.nodes)
+        colors = {s.id: int(rng.integers(0, 3)) for s in dg.segments if s.parent in kept}
+        assert_same_reinsert(dg, peeled, colors)
 
 
 class TestBridges:

@@ -19,13 +19,16 @@ or ``nogit`` for a tree outside any checkout (a ``git archive`` copy, say).
 The names are taken before the ladder runs.
 With two or more ``--src`` trees the table shows each tree's figures, the
 last tree's wall time against the first's, and whether every tree's
-payload digest is equal. The wall change reads "within spread" when the two
-trees' min-max ranges overlap: host noise alone can then explain it.
+payload digest is equal. The digest covers what the command line writes
+too: the assignment file and the stats file, less its wall time. The wall
+change reads "within spread" when the two trees' min-max ranges overlap:
+host noise alone can then explain it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -53,6 +56,9 @@ NOTES = [
     "with a piece in that run",
     "density <= 2 ignores the generator seed: every seed gives the same "
     "decomposition graph (each row a chain that peels whole), see the payload digests",
+    "payload: SHA-256 prefix of the sorted-key JSON of DecomposeResult.payload(), "
+    "then format_assignment(result.assignment), then format_stats(result) with "
+    "wall_time 0; digests in files that hashed payload() alone do not compare",
 ]
 
 
@@ -62,14 +68,17 @@ def serve() -> None:
     with its wall time, and on repeat 0 with its other figures too."""
     sys.path.insert(0, str(ROOT))
     from perfbench.checks import greedy_one_opt
-    from trimask.cli import generate_layout
+    from trimask.cli import format_assignment, format_stats, generate_layout
     from trimask.graphs import as_fraction
     from trimask.pipeline import DecomposeConfig, decompose
 
     def record(layout, result) -> dict:
         reports = result.per_component
         dg = result.dg
-        payload = json.dumps(result.payload(), sort_keys=True).encode()
+        # what the command line writes, the stats less their wall time
+        written = (json.dumps(result.payload(), sort_keys=True)
+                   + format_assignment(result.assignment)
+                   + format_stats(dataclasses.replace(result, wall_time=0.0)))
         relaxed = [r for r in reports if r.sdp_converged is not None]
         # every relaxed report of a pass carries that pass's one run
         passes = {r.peel_fallback: r.sdp_iterations for r in relaxed}
@@ -85,7 +94,7 @@ def serve() -> None:
                 dg.nodes, dg.ce, dg.se, as_fraction(layout.params.alpha))),
             "sdp_iterations": sum(passes.values()),
             "relaxed": len(relaxed),
-            "payload": hashlib.sha256(payload).hexdigest()[:16],
+            "payload": hashlib.sha256(written.encode()).hexdigest()[:16],
         }
 
     cfg = DecomposeConfig(seed=42)
