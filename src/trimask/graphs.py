@@ -11,6 +11,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -104,15 +105,21 @@ def connected_components(dg: DecompositionGraph) -> list[DecompositionGraph]:
     """
     comps = component_sets(dg.nodes, dg.edges)
     label = {n: k for k, comp in enumerate(comps) for n in comp}
-    # per component: its segments, conflict edges and stitch edges
+    # per component: its segments' rows, conflict edges and stitch edges
     parts = [([], [], []) for _ in comps]
-    for seg in dg.segments:
-        parts[label[seg.id]][0].append(seg)
+    for row, seg_id in enumerate(dg.ids):
+        parts[label[seg_id]][0].append(row)
     for e in dg.ce:
         parts[label[e[0]]][1].append(e)
     for e in dg.se:
         parts[label[e[0]]][2].append(e)
-    return [DecompositionGraph(tuple(s), frozenset(c), frozenset(t)) for s, c, t in parts]
+    return [
+        DecompositionGraph.from_columns(
+            map(dg.ids.__getitem__, rows), map(dg.parents.__getitem__, rows),
+            map(dg.rects.__getitem__, rows), frozenset(c), frozenset(t),
+        )
+        for rows, c, t in parts
+    ]
 
 
 def as_fraction(alpha) -> Fraction:
@@ -128,8 +135,8 @@ class Segment(NamedTuple):
     """One node of a decomposition graph: a piece of a parent shape.
 
     ``rect`` is None for abstract graphs that were not derived from geometry.
-    A named tuple, not a dataclass: a layout builds one per shape, and a
-    tuple takes about half the time to build.
+    A graph keeps no ``Segment``: it stores their fields as columns and
+    ``DecompositionGraph.segments`` makes them on request.
     """
 
     id: int
@@ -137,24 +144,58 @@ class Segment(NamedTuple):
     rect: tuple[int, int, int, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecompositionGraph:
-    segments: tuple[Segment, ...]
+    """Segments and the conflict and stitch edges between them.
+
+    The segments are stored as three columns, segment k being
+    ``Segment(ids[k], parents[k], rects[k])``, and never as ``Segment``
+    objects: a layout's graph has one segment per shape, and a layout of
+    5000 shapes kept 5000 more tuples alive for the garbage collector to
+    walk. ``DecompositionGraph(segments, ce, se)`` takes any iterable of
+    ``Segment``s and stores their columns; ``from_columns`` takes the
+    columns. Two graphs are equal when their columns and edges are.
+    """
+
+    ids: tuple[int, ...]
+    parents: tuple[int, ...]
+    rects: tuple[tuple[int, int, int, int] | None, ...]
     ce: frozenset[Pair]
     se: frozenset[Pair]
 
-    def __post_init__(self):
-        ids = [s.id for s in self.segments]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate segment ids")
+    def __init__(self, segments, ce, se):
+        ids, parents, rects = tuple(zip(*segments)) or ((), (), ())
+        self._fill(ids, parents, rects, ce, se)
+
+    @classmethod
+    def from_columns(cls, ids, parents, rects, ce, se) -> "DecompositionGraph":
+        """The graph whose segment k is ``Segment(ids[k], parents[k],
+        rects[k])``, built without making any ``Segment``."""
+        dg = cls.__new__(cls)
+        dg._fill(tuple(ids), tuple(parents), tuple(rects), ce, se)
+        return dg
+
+    def _fill(self, ids, parents, rects, ce, se) -> None:
+        if not len(ids) == len(parents) == len(rects):
+            raise ValueError("segment columns differ in length")
         known = set(ids)
+        if len(known) != len(ids):
+            raise ValueError("duplicate segment ids")
+        for name, value in (("ids", ids), ("parents", parents), ("rects", rects),
+                            ("ce", ce), ("se", se)):
+            object.__setattr__(self, name, value)
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u},{v}) references unknown node")
-        if self.ce & self.se:
+        if ce & se:
             raise ValueError("an edge cannot be both conflict and stitch")
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments in stored order, made afresh on each access."""
+        return tuple(map(Segment, self.ids, self.parents, self.rects))
 
     @classmethod
     def from_edges(cls, nodes, ce=(), se=(), parents=None) -> "DecompositionGraph":
@@ -166,16 +207,15 @@ class DecompositionGraph:
             nodes = range(nodes)
         ids = sorted(nodes)
         parents = parents or {}
-        segs = tuple(Segment(i, parents.get(i, i)) for i in ids)
-        return cls(
-            segments=segs,
+        return cls.from_columns(
+            ids, [parents.get(i, i) for i in ids], [None] * len(ids),
             ce=frozenset(ordered_pair(u, v) for u, v in ce),
             se=frozenset(ordered_pair(u, v) for u, v in se),
         )
 
     @cached_property
     def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(s.id for s in self.segments))
+        return tuple(sorted(self.ids))
 
     @cached_property
     def edges(self) -> frozenset[Pair]:
@@ -192,8 +232,9 @@ class DecompositionGraph:
     def subgraph(self, keep) -> "DecompositionGraph":
         """Induced subgraph; node ids are preserved."""
         keep = set(keep)
-        return DecompositionGraph(
-            segments=tuple(s for s in self.segments if s.id in keep),
+        rows = [i in keep for i in self.ids]
+        return DecompositionGraph.from_columns(
+            compress(self.ids, rows), compress(self.parents, rows), compress(self.rects, rows),
             ce=frozenset(e for e in self.ce if e[0] in keep and e[1] in keep),
             se=frozenset(e for e in self.se if e[0] in keep and e[1] in keep),
         )

@@ -145,8 +145,8 @@ def _bridge_pieces(comp: DecompositionGraph, cuts) -> list[DecompositionGraph]:
     if not cuts:
         return [comp]
     bridge_set = {cut.bridge for cut in cuts}
-    return connected_components(DecompositionGraph(
-        segments=comp.segments, ce=comp.ce - bridge_set, se=comp.se - bridge_set
+    return connected_components(DecompositionGraph.from_columns(
+        comp.ids, comp.parents, comp.rects, ce=comp.ce - bridge_set, se=comp.se - bridge_set
     ))
 
 
@@ -244,10 +244,11 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
     lg = build_layout_graph(layout)
     residual_lg, peeled = peel_low_degree(lg)
     dg = project_and_split(layout, lg, split_nodes=residual_lg.nodes)
-    residual = set(residual_lg.nodes)
-    residual_dg = dg.subgraph(s.id for s in dg.segments if s.parent in residual)
-
-    colors, reports, witnesses = _solve_components(residual_dg, alpha, cfg)
+    colors, reports, witnesses = {}, [], []
+    if residual_lg.nodes:
+        residual = set(residual_lg.nodes)
+        residual_dg = dg.subgraph(i for i, p in zip(dg.ids, dg.parents) if p in residual)
+        colors, reports, witnesses = _solve_components(residual_dg, alpha, cfg)
     colors, fallback_parents = reinsert_segments(dg, peeled, colors)
 
     if fallback_parents:
@@ -258,7 +259,7 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
         for comp in component_sets(lg.nodes, lg.edges):
             if comp & fallback_parents:
                 redo |= comp
-        redo_ids = {s.id for s in dg.segments if s.parent in redo}
+        redo_ids = {i for i, p in zip(dg.ids, dg.parents) if p in redo}
         redo_colors, redo_reports, redo_witnesses = _solve_components(
             dg.subgraph(redo_ids), alpha, cfg
         )

@@ -76,38 +76,61 @@ def _merged(run: list[int], heap: list[int]):
 def reinsert_segments(dg: DecompositionGraph, peeled: tuple[int, ...], colors: dict[int, int]):
     """Pop the ``peeled`` shapes in reverse removal order, giving each the
     lowest color that clashes with the fewest colored segments within the
-    coloring distance. Returns the colored map and the set of shapes for
+    coloring distance. ``colors`` holds the colors, 0, 1 or 2, of segments
+    that are not peeled. Returns the colored map and the set of shapes for
     which all three colors clashed.
 
     When a shape comes back, the colored segments are those of the residual
     and of shapes peeled after it: all of them shapes still present when it
     was peeled, so at most two of them are its layout-graph neighbors, and
-    a conflict-free color exists unless one of those is split."""
+    a conflict-free color exists unless one of those is split.
+
+    Every segment gets a turn: the segments of ``colors`` first, in its
+    order, then the peeled ones as they come back. An edge counts once, at
+    the turn of its end colored later, against the other end, whose color
+    is final by then; only the counts decide a color, so the edges may
+    come in any order. Sorting one int per edge, the later turn times the
+    number of turns plus the earlier turn, lines the edges up by turn, so
+    no container is built per segment.
+    """
     # peeled shapes are never split: each is its parent's only segment
-    seg_of = {seg.parent: seg.id for seg in dg.segments}
-    # each edge is listed once, so no neighbor is gathered twice
-    near: dict[int, list[int]] = {seg_of[shape_id]: [] for shape_id in peeled}
-    near_of = near.get
+    seg_of = dict(zip(dg.parents, dg.ids))
+    back = [seg_of[shape_id] for shape_id in reversed(peeled)]
+    got = list(colors.values())  # the color of each turn taken so far
+    first = len(got)
+    width = first + len(back)
+    turn = dict(zip(colors, range(first)))
+    turn.update(zip(back, range(first, width)))
+    turn_of = turn.get
+    keys = []
     for u, v in dg.edges:
-        if (at := near_of(u)) is not None:
-            at.append(v)
-        if (at := near_of(v)) is not None:
-            at.append(u)
+        a = turn_of(u)
+        b = turn_of(v)
+        # an end with no turn is never colored; an edge between two
+        # segments of ``colors`` is counted by neither
+        if a is not None and b is not None:
+            if a < b:
+                a, b = b, a
+            if a >= first:
+                keys.append(a * width + b)
+    keys.sort()
+    keys.append(width * width)  # above every key: ends the last turn's run
     out = dict(colors)
     blocked: set[int] = set()
-    for shape_id in reversed(peeled):
-        seg_id = seg_of[shape_id]
+    k = 0
+    for t, (shape_id, seg_id) in enumerate(zip(reversed(peeled), back), first):
         # clashes per color in locals, not a list: list indexing cost more
         c0 = c1 = c2 = 0
-        for other_seg in near[seg_id]:
-            if other_seg in out:
-                seen = out[other_seg]
-                if seen == 0:
-                    c0 += 1
-                elif seen == 1:
-                    c1 += 1
-                else:
-                    c2 += 1
+        base = t * width
+        while keys[k] < base + width:
+            seen = got[keys[k] - base]
+            k += 1
+            if seen == 0:
+                c0 += 1
+            elif seen == 1:
+                c1 += 1
+            else:
+                c2 += 1
         # the first color of least clashes
         if c0 <= c1 and c0 <= c2:
             color, clash = 0, c0
@@ -117,6 +140,7 @@ def reinsert_segments(dg: DecompositionGraph, peeled: tuple[int, ...], colors: d
             color, clash = 2, c2
         if clash:
             blocked.add(shape_id)
+        got.append(color)
         out[seg_id] = color
     return out, blocked
 

@@ -219,8 +219,10 @@ def join_costs(costs) -> CostMatrix:
         return costs[0]
     (alpha,) = {cost.alpha for cost in costs}
     offsets = np.cumsum([0] + [len(cost.index) for cost in costs[:-1]])
-    dg = DecompositionGraph(
-        segments=tuple(s for cost in costs for s in cost.dg.segments),
+    dg = DecompositionGraph.from_columns(
+        [i for cost in costs for i in cost.dg.ids],
+        [p for cost in costs for p in cost.dg.parents],
+        [r for cost in costs for r in cost.dg.rects],
         ce=frozenset().union(*(cost.dg.ce for cost in costs)),
         se=frozenset().union(*(cost.dg.se for cost in costs)),
     )

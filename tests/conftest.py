@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import trimask.sdp
+from trimask.geometry import Layout, ProcessParams, Shape
 from trimask.graphs import DecompositionGraph
 
 
@@ -36,6 +37,17 @@ def worked_example_graph():
     3-colorable while keeping the stitched pair on one mask."""
     ce = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]
     return DecompositionGraph.from_edges([1, 2, 3, 4, 5], ce=ce, se=[(1, 4)])
+
+
+# a peeled shape of this layout finds no free color against a split
+# neighbor, so ``decompose`` redoes its layout-graph component unpeeled
+PEEL_FALLBACK_LAYOUT = Layout(
+    shapes=tuple(Shape(id=i, rect=r) for i, r in enumerate([
+        (295, 44, 320, 158), (176, 300, 333, 325), (207, 249, 302, 274),
+        (355, 193, 380, 489), (368, 90, 673, 115), (195, 184, 354, 209),
+    ])),
+    params=ProcessParams(),
+)
 
 
 @pytest.fixture

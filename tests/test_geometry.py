@@ -515,6 +515,68 @@ class TestLayoutDocuments:
         assert load_outcome(layout_from_dict, doc) == load_outcome(reference_layout_from_dict, doc)
 
 
+def parse_outcomes(text, directory):
+    """What ``load_layout`` makes of ``text`` as a file, and what
+    ``layout_from_dict`` makes of ``json.loads(text)``: layouts or
+    messages."""
+    path = directory / "layout.json"
+    path.write_text(text)
+    return load_outcome(load_layout, path), load_outcome(layout_from_dict, json.loads(text))
+
+
+# a shape entry as JSON gives it, which the parse makes a Shape wherever it is
+ENTRY = '{"id": 1, "rect": [0, 0, 5, 5]}'
+
+
+class TestLoadParity:
+    """``load_layout`` makes the shape entries ``Shape``s as it parses; it
+    must accept what ``layout_from_dict`` accepts and say what it says."""
+
+    @pytest.mark.parametrize("text", [
+        # accepted
+        '{"shapes": []}',
+        '{"shapes": [%s, {"id": 2, "rect": [10, 0, 15, 5]}]}' % ENTRY,
+        '{"units": "nm", "params": {"min_s": 85, "alpha": 0.2}, "shapes": [%s]}' % ENTRY,
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5, 5], "layer": "M1"}]}',
+        '{"shapes": [{"rect": [0, 0, 5, 5], "id": 1, "twin": %s}]}' % ENTRY,
+        '{"shapes": [{"id": 1, "id": 2, "rect": [0, 0, 5, 5]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5], "rect": [0, 0, 5, 5]}]}',
+        '{"id": 1, "rect": [0, 0, 5, 5], "shapes": [%s]}' % ENTRY,
+        # rejected
+        '{"shapes": [{"id": true, "rect": [0, 0, 5, 5]}]}',
+        '{"shapes": [{"id": 1.0, "rect": [0, 0, 5, 5]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5, 5.0]}]}',
+        '{"shapes": [{"id": 1, "rect": [0.0, 0, 5, 5]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5, false]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5, 5, 9]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5, 5]}, {"id": 1, "rect": [10, 0, 15, 5]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5, 5]}, {"id": 2, "rect": [2, 2, 9, 9]}]}',
+        '{"shapes": [{"id": 1, "rect": [0, 0, 5, 5], "rect": [0, 0, 5]}]}',
+        '{"params": %s, "shapes": []}' % ENTRY,
+        '{"params": {"min_s": %s}, "shapes": []}' % ENTRY,
+        '{"units": %s, "shapes": [%s]}' % (ENTRY, ENTRY),
+        '{"shapes": [[%s]]}' % ENTRY,
+        '{"shapes": [{"id": 1, "box": %s}]}' % ENTRY,
+        '{"shapes": [{"id": 1, "rect": %s}]}' % ENTRY,
+        '{"shapes": [{"id": %s, "rect": [0, 0, 5, 5]}]}' % ENTRY,
+        '{"shapes": %s}' % ENTRY,
+        ENTRY,
+        "[%s]" % ENTRY,
+    ])
+    def test_same_layout_or_message(self, text, tmp_path):
+        loaded, parsed = parse_outcomes(text, tmp_path)
+        assert loaded == parsed
+        if isinstance(loaded, Layout):
+            assert list(map(type, loaded.shapes)) == [Shape] * len(loaded.shapes)
+
+    @HYPOTHESIS
+    @given(layout_documents())
+    def test_documents(self, tmp_path_factory, doc):
+        loaded, parsed = parse_outcomes(json.dumps(doc), tmp_path_factory.getbasetemp())
+        assert loaded == parsed
+
+
 class TestSweepOracle:
     @HYPOTHESIS
     @given(rects(), st.sampled_from([0, 1, 30, 85]))

@@ -228,3 +228,7 @@ class TestGraphValidation:
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError):
             DecompositionGraph.from_edges(2, ce=[(0, 5)])
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            DecompositionGraph.from_columns((0, 1), (0,), (None, None), frozenset(), frozenset())

@@ -1,11 +1,19 @@
+import gc
+
 import numpy as np
 import pytest
 
 import trimask.pipeline
-from conftest import random_graph, worked_example_graph
+from conftest import PEEL_FALLBACK_LAYOUT, random_graph, worked_example_graph
 from trimask.cli import generate_layout
 from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, project_and_split
-from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
+from trimask.graphs import (
+    DecompositionGraph,
+    Segment,
+    brute_force_optimum,
+    connected_components,
+    evaluate,
+)
 from trimask.ilp import solve_exact
 from trimask.pipeline import AUTO_THRESHOLD, DecomposeConfig, decompose, decompose_graph
 from trimask.reductions import find_bridges, peel_low_degree, stitch_and_rotate
@@ -331,22 +339,39 @@ class TestPeelFallback:
     """A peeled shape with no free color sends its layout-graph component
     back to the solver unpeeled; the redo replaces the first pass."""
 
-    LAYOUT = Layout(
-        shapes=tuple(Shape(id=i, rect=r) for i, r in enumerate([
-            (295, 44, 320, 158), (176, 300, 333, 325), (207, 249, 302, 274),
-            (355, 193, 380, 489), (368, 90, 673, 115), (195, 184, 354, 209),
-        ])),
-        params=ProcessParams(),
-    )
-
     def test_redo_replaces_first_pass_reports_and_witnesses(self):
-        result = decompose(self.LAYOUT)
+        result = decompose(PEEL_FALLBACK_LAYOUT)
         (report,) = result.per_component
         assert report.peel_fallback and report.size == len(result.dg.nodes)
         (witness,) = result.witnesses
         assert witness.edge == (0, 3)
         assert result.objective == 2.0
         assert result.objective == float(brute_force_optimum(result.dg, 0.1).objective)
+
+
+class TestSegmentColumns:
+    def test_fully_peeled_decompose_makes_no_segment(self):
+        layout = generate_layout(2000, 2, seed=1)
+        # a collection untracks the tuples that hold only ints, and an
+        # untracked Segment would not be listed by gc.get_objects
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = sum(1 for o in gc.get_objects() if type(o) is Segment)
+            result = decompose(layout)
+            made = sum(1 for o in gc.get_objects() if type(o) is Segment) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert result.peeled == len(layout.shapes)
+        assert made == 0
+        dg = result.dg
+        segments = tuple(Segment(k, s.id, s.rect) for k, s in enumerate(layout.sorted_shapes))
+        assert dg.segments == segments
+        by_tuple = DecompositionGraph(segments, dg.ce, dg.se)
+        assert by_tuple == dg and hash(by_tuple) == hash(dg)
+        by_columns = DecompositionGraph.from_columns(dg.ids, dg.parents, dg.rects, dg.ce, dg.se)
+        assert by_columns == by_tuple
 
 
 class TestOneRelaxationSchedule:

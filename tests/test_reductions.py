@@ -3,7 +3,7 @@ import heapq
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import PEEL_FALLBACK_LAYOUT, random_graph
 from trimask.cli import generate_layout
 from trimask.geometry import LayoutGraph, build_layout_graph, project_and_split
 from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
@@ -160,25 +160,37 @@ def reference_peel(lg):
 
 
 def reference_reinsert(dg, peeled, colors):
-    """The earlier ``reinsert_segments``: clashes counted in a list, the
-    color picked by ``index(min(...))``."""
+    """The earlier ``reinsert_segments``: a list of neighbors gathered per
+    peeled segment, then the clashes of each counted as it comes back."""
     seg_of = {seg.parent: seg.id for seg in dg.segments}
     near = {seg_of[shape_id]: [] for shape_id in peeled}
+    near_of = near.get
     for u, v in dg.edges:
-        if u in near:
-            near[u].append(v)
-        if v in near:
-            near[v].append(u)
+        if (at := near_of(u)) is not None:
+            at.append(v)
+        if (at := near_of(v)) is not None:
+            at.append(u)
     out = dict(colors)
     blocked = set()
     for shape_id in reversed(peeled):
         seg_id = seg_of[shape_id]
-        clash = [0, 0, 0]
+        c0 = c1 = c2 = 0
         for other_seg in near[seg_id]:
             if other_seg in out:
-                clash[out[other_seg]] += 1
-        color = clash.index(min(clash))
-        if clash[color]:
+                seen = out[other_seg]
+                if seen == 0:
+                    c0 += 1
+                elif seen == 1:
+                    c1 += 1
+                else:
+                    c2 += 1
+        if c0 <= c1 and c0 <= c2:
+            color, clash = 0, c0
+        elif c1 <= c2:
+            color, clash = 1, c1
+        else:
+            color, clash = 2, c2
+        if clash:
             blocked.add(shape_id)
         out[seg_id] = color
     return out, blocked
@@ -248,7 +260,7 @@ class TestAgainstReference:
             blocked += len(assert_same_reinsert(dg, peeled, colors))
         assert blocked > 200
 
-    @pytest.mark.parametrize("density", [4, 6])
+    @pytest.mark.parametrize("density", [2, 3, 4, 6])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generated_layouts(self, density, seed):
         layout = generate_layout(400, density, seed=seed)
@@ -259,6 +271,14 @@ class TestAgainstReference:
         kept = set(residual.nodes)
         colors = {s.id: int(rng.integers(0, 3)) for s in dg.segments if s.parent in kept}
         assert_same_reinsert(dg, peeled, colors)
+
+    def test_peel_fallback_layout(self):
+        lg = build_layout_graph(PEEL_FALLBACK_LAYOUT)
+        residual, peeled = assert_same_peel(lg)
+        dg = project_and_split(PEEL_FALLBACK_LAYOUT, lg, split_nodes=residual.nodes)
+        kept = [s.id for s in dg.segments if s.parent in set(residual.nodes)]
+        colors = brute_force_optimum(dg.subgraph(kept), 0.1).colors
+        assert assert_same_reinsert(dg, peeled, colors)
 
 
 class TestBridges:

@@ -4,7 +4,8 @@ write one ``BENCH_<short sha>.json`` per source tree at the repository root.
 The instances are ``generate_layout`` at 40 / 400 / 2000 shapes and
 density 2, 4 and 6, generator seeds 1-3, plus (1000, 3) and (5000, 4) at
 seed 1. Each decomposes with ``DecomposeConfig(seed=42)``; the wall time is
-the median of 3 decompose calls, shown with their min-max. Each source
+the median of 3 decompose calls, shown with their min-max, and beside it
+the median garbage collections of a call, per generation. Each source
 tree runs in its own long-lived interpreter with one BLAS thread, and the
 trees take turns, instance by instance and repeat by repeat, with the
 first turn passing from tree to tree, so a drift in the host's speed
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -56,6 +58,9 @@ NOTES = [
     "with a piece in that run",
     "density <= 2 ignores the generator seed: every seed gives the same "
     "decomposition graph (each row a chain that peels whole), see the payload digests",
+    "gc_collections: the gen-0, gen-1 and gen-2 collections of the cyclic garbage "
+    "collector during each timed decompose call, one triple per repeat, counted with "
+    "gc.callbacks",
     "payload: SHA-256 prefix of the sorted-key JSON of DecomposeResult.payload(), "
     "then format_assignment(result.assignment), then format_stats(result) with "
     "wall_time 0; digests in files that hashed payload() alone do not compare",
@@ -65,7 +70,8 @@ NOTES = [
 def serve() -> None:
     """Answer one request per stdin line, for the trimask on ``sys.path``:
     ``{"index": i, "repeat": r}`` decomposes instance i once and replies
-    with its wall time, and on repeat 0 with its other figures too."""
+    with its wall time and the garbage collections it took, per
+    generation, and on repeat 0 with its other figures too."""
     sys.path.insert(0, str(ROOT))
     from perfbench.checks import greedy_one_opt
     from trimask.cli import format_assignment, format_stats, generate_layout
@@ -97,6 +103,13 @@ def serve() -> None:
             "payload": hashlib.sha256(written.encode()).hexdigest()[:16],
         }
 
+    collections = [0, 0, 0]  # per generation, during the current decompose call
+
+    def count(phase, info):
+        if phase == "stop":
+            collections[info["generation"]] += 1
+
+    gc.callbacks.append(count)
     cfg = DecomposeConfig(seed=42)
     layouts = {}
     for line in sys.stdin:
@@ -105,9 +118,10 @@ def serve() -> None:
         if index not in layouts:
             shapes, density, seed = INSTANCES[index]
             layouts = {index: generate_layout(shapes, density, seed=seed)}
+        collections[:] = [0, 0, 0]
         t0 = time.perf_counter()
         result = decompose(layouts[index], cfg)
-        reply = {"wall": time.perf_counter() - t0}
+        reply = {"wall": time.perf_counter() - t0, "collections": list(collections)}
         if request["repeat"] == 0:
             reply["record"] = record(layouts[index], result)
         print(json.dumps(reply), flush=True)
@@ -144,12 +158,14 @@ def measure(srcs: list[str]) -> list[list[dict]]:
         results: list[list[dict]] = [[] for _ in srcs]
         for index, (shapes, density, seed) in enumerate(INSTANCES):
             walls: list[list[float]] = [[] for _ in srcs]
-            records = [{"shapes": shapes, "density": density, "seed": seed} for _ in srcs]
+            records = [{"shapes": shapes, "density": density, "seed": seed, "gc_collections": []}
+                       for _ in srcs]
             for repeat in range(REPEATS):
                 for turn in range(len(trees)):
                     t = (repeat + turn) % len(trees)
                     reply = trees[t].ask(index, repeat)
                     walls[t].append(reply["wall"])
+                    records[t]["gc_collections"].append(reply["collections"])
                     records[t].update(reply.get("record", {}))
             for t, rec in enumerate(records):
                 rec["decompose_s"] = round(statistics.median(walls[t]), 4)
@@ -191,7 +207,7 @@ def write(commit: str, records: list[dict]) -> Path:
 def table(srcs: list[str], results: list[list[dict]]) -> str:
     head = ["instance", "segments / CE / SE", "components (largest, proven)"]
     for src in srcs:
-        head += [f"decompose s (min-max) {src}", f"objective {src}"]
+        head += [f"decompose s (min-max) {src}", f"gc gen 0/1/2 {src}", f"objective {src}"]
     head += ["greedy + 1-opt", "sdp iterations (relaxed)"]
     if len(results) > 1:
         head += ["wall change", "payload equal"]
@@ -203,8 +219,10 @@ def table(srcs: list[str], results: list[list[dict]]) -> str:
                  f"{last['components']} ({last['largest']}, {last['proven']})"]
         for row in rows:
             low, high = row["decompose_range_s"]
+            # the median collections per generation over the repeats
+            gens = (statistics.median(g) for g in zip(*row["gc_collections"]))
             cells += [f"{row['decompose_s']:.3f} ({low:.3f}-{high:.3f})",
-                      f"{row['objective']:.1f}"]
+                      "/".join(f"{g:g}" for g in gens), f"{row['objective']:.1f}"]
         cells += [f"{last['greedy_one_opt']:.1f}", f"{last['sdp_iterations']} ({last['relaxed']})"]
         if len(results) > 1:
             (low0, high0), (low1, high1) = rows[0]["decompose_range_s"], last["decompose_range_s"]
