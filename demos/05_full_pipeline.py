@@ -34,7 +34,7 @@ print(f"\nwrote assignment.json, stats.json, render.svg to {out_dir}")
 
 print("\nexact vs relaxation on the same layout:")
 runs = {
-    solver: decompose(layout, DecomposeConfig(solver=solver, node_budget=60_000_000))
+    solver: decompose(layout, DecomposeConfig(solver=solver))
     for solver in ("exact", "sdp")
 }
 for solver, run in runs.items():

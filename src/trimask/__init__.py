@@ -1,9 +1,10 @@
 """Triple-patterning layout decomposition.
 
 Assigns layout features (or their stitched segments) to three masks while
-minimizing a weighted sum of coloring conflicts and inserted stitches, via an
-exact branch-and-bound search and a semidefinite-relaxation pipeline with
-optimality-preserving graph reductions.
+minimizing a weighted sum of coloring conflicts and inserted stitches. After
+optimality-preserving graph reductions, a piece of small elimination width
+is solved exactly by bucket elimination, and any other piece by a
+semidefinite relaxation and its rounding.
 """
 
 from .detection import InfeasibleWitness, propagate_and_check

@@ -1,5 +1,4 @@
-"""Exact minimization: the paper's 0-1 linear model, bucket elimination and
-branch and bound.
+"""Exact minimization: the paper's 0-1 linear model and bucket elimination.
 
 The 0-1 model is the specification of record: each node carries two bits
 (the pair (1,1) is forbidden, leaving three codes), auxiliary bit pairs
@@ -7,13 +6,13 @@ linearize per-edge equality/inequality tests, and the objective sums
 conflict indicators plus alpha times stitch indicators. The bit model is
 kept for verification and for export to external LP solvers.
 
-The solvers work on ternary node colors with integer costs. ``solve_exact``
+The solver works on ternary node colors with integer costs. ``solve_exact``
 eliminates the nodes along a min-fill order, which proves the optimum in
 3^(w + 1) table entries per node for an order of width w. Layout pieces have
 small width (4-8 on the benchmark's clips, 7-9 on the 110-300-node pieces
-of density-6 layouts), so this is the common path. An order wider than
-``ELIMINATION_WIDTH``, or one whose tables exceed the budget, goes to
-``branch_and_bound``, a depth-first search with a look-ahead bound.
+of density-6 layouts). An order wider than ``ELIMINATION_WIDTH``, or one
+whose tables exceed the budget, is not run: ``solve_exact`` returns None,
+and the pipeline relaxes that piece instead.
 """
 
 from __future__ import annotations
@@ -216,11 +215,10 @@ def check_encoding(model: IlpModel, bits: dict[str, int]) -> EncodingCheck:
 @dataclass(frozen=True)
 class SolveReport:
     assignment: MaskAssignment
-    # the work of the method that ran: table entries of the elimination,
-    # or search nodes of the branch and bound
+    # the table entries of the elimination
     nodes_explored: int
+    # always True: elimination proves its optimum
     proven_optimal: bool
-    method: str = "branch_and_bound"  # or "elimination"
 
 
 # the widest elimination order solve_exact runs: its largest bucket is a
@@ -230,37 +228,37 @@ ELIMINATION_WIDTH = 10
 
 def solve_exact(
     dg: DecompositionGraph, alpha, budget: int = 5_000_000
-) -> SolveReport:
+) -> SolveReport | None:
     """Proven minimum by min-sum bucket elimination along a min-fill order
-    (Bertelè & Brioschi 1972; Dechter 1999), or by ``branch_and_bound``.
+    (Bertelè & Brioschi 1972; Dechter 1999), or None when the order's width
+    passes ``ELIMINATION_WIDTH`` or its tables would pass ``budget``
+    entries.
 
-    Costs are integers as the search uses them: ``alpha.denominator`` per
-    conflict, ``alpha.numerator`` per stitch. Each edge is a 3 x 3 table in
-    the bucket of its end eliminated first. Eliminating a node adds its
-    bucket's tables over their joint scope, stores the argmin over the node
-    and passes the min on to the bucket of the scope's next node. Every
-    scope is kept in elimination order, so a table joins a bucket by
-    ``reshape`` alone. Decoding walks the order backwards.
-
-    The elimination costs 3^(scope size) entries per bucket, which
-    ``nodes_explored`` reports. ``branch_and_bound``, with the same
-    ``budget``, runs instead when the order's width passes
-    ``ELIMINATION_WIDTH``, when those entries would exceed ``budget``, or
-    when the integer costs could overflow int64.
+    Costs are integers: ``alpha.denominator`` per conflict,
+    ``alpha.numerator`` per stitch. Each edge is a 3 x 3 table in the bucket
+    of its end eliminated first. Eliminating a node adds its bucket's tables
+    over their joint scope, stores the argmin over the node and passes the
+    min on to the bucket of the scope's next node. Every scope is kept in
+    elimination order, so a table joins a bucket by ``reshape`` alone.
+    Decoding walks the order backwards. ``nodes_explored`` reports the
+    entries, 3^(scope size) per bucket.
     """
-    frac = as_fraction(alpha)
-    conflict_w, stitch_w = frac.denominator, frac.numerator
-    if conflict_w * len(dg.ce) + stitch_w * len(dg.se) >= 2**62:
-        return branch_and_bound(dg, alpha, budget)
     plan = _min_fill_order(dg, budget)
     if plan is None:
-        return branch_and_bound(dg, alpha, budget)
+        return None
     order, scopes, work = plan
+    frac = as_fraction(alpha)
+    conflict_w, stitch_w = frac.denominator, frac.numerator
+    # no table entry exceeds the sum of all edge costs, nor does either
+    # weight's own table; sums that could pass int64 (a float alpha can have
+    # a denominator of up to 1074 bits) are taken in Python ints
+    bound = conflict_w * (len(dg.ce) + 1) + stitch_w * (len(dg.se) + 1)
+    dtype = np.int64 if bound < 2**62 else object
 
     pos = {v: k for k, v in enumerate(order)}
     # per position: the tables in its bucket, each with its scope of positions
     buckets: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in order]
-    eye = np.eye(3, dtype=np.int64)
+    eye = np.eye(3, dtype=dtype)
     for edges, table in ((dg.ce, conflict_w * eye), (dg.se, stitch_w * (1 - eye))):
         for u, v in edges:
             a, b = pos[u], pos[v]
@@ -283,7 +281,7 @@ def solve_exact(
         if choices[k] is not None:
             colors[k] = int(choices[k][tuple(colors[p] for p in scopes[k][1:])])
     assignment = evaluate(dg, {v: colors[k] for k, v in enumerate(order)}, alpha)
-    return SolveReport(assignment, work, True, "elimination")
+    return SolveReport(assignment, work, True)
 
 
 def _min_fill_order(
@@ -354,169 +352,6 @@ def _min_fill_order(
     pos = {i: k for k, i in enumerate(order)}
     scopes = [(k,) + tuple(sorted(pos[a] for a in nb)) for k, nb in enumerate(neighbors)]
     return [nodes[i] for i in order], scopes, work
-
-
-# the two colors other than c, indexed by c
-_OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
-
-
-def branch_and_bound(
-    dg: DecompositionGraph, alpha, budget: int = 5_000_000
-) -> SolveReport:
-    """Branch and bound over ternary node colors: ``solve_exact`` for an
-    order too wide or too costly to eliminate. ``nodes_explored`` counts
-    search nodes.
-
-    Branch order is static: descending degree, ties by node id. Colors are
-    capped canonically (a node may take at most one color not yet used by
-    earlier nodes), which by color-permutation symmetry loses no optimum.
-    A greedy pass in branch order seeds the incumbent.
-
-    Bound: every uncolored position keeps a vector ``[c0, c1, c2, low]``:
-    the cost of each color against its already-colored neighbors, then the
-    least of the three. Each edge from an uncolored to a colored node sits
-    in exactly one such vector, so the committed cost plus the sum of the
-    ``low`` entries is a lower bound on every completion. A branch is cut
-    when its bound cannot beat the incumbent.
-
-    Each position lists the vectors of its later neighbors, one list per
-    edge kind. Coloring a position adds its edge costs to those vectors and
-    sums the rise of their ``low``; backtracking subtracts them again. Both
-    moves run inline in the branch loop, and a position's own step cost is
-    a lookup in its vector.
-
-    The bound only cuts subtrees holding no strict improvement, so the
-    search visits a subset of the tree the committed cost alone would visit
-    and meets the same incumbents in the same order: the result is the
-    first optimum in depth-first order (or the greedy coloring when that is
-    already optimal), identical to a search without the look-ahead, and
-    ``nodes_explored`` is never larger. When the explored node budget runs
-    out the best incumbent is returned unproven.
-    """
-    frac = as_fraction(alpha)
-    stitch_w, conflict_w = frac.numerator, frac.denominator
-    nodes = dg.nodes
-    n = len(nodes)
-    if n == 0:
-        return SolveReport(evaluate(dg, {}, alpha), 0, True)
-
-    order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
-    pos = {v: k for k, v in enumerate(order)}
-    # vec[k] = [c0, c1, c2, low]: cost of each color at position k against
-    # the colored positions, and their minimum
-    vec = [[0, 0, 0, 0] for _ in range(n)]
-    # the vectors of the later neighbors per position, by edge kind: a
-    # conflict edge costs conflict_w when its ends share a color, a stitch
-    # edge stitch_w when they differ
-    later_ce: list[list[list[int]]] = [[] for _ in range(n)]
-    later_se: list[list[list[int]]] = [[] for _ in range(n)]
-    for later, edges in ((later_ce, dg.ce), (later_se, dg.se)):
-        for u, v in edges:
-            a, b = pos[u], pos[v]
-            if a < b:
-                later[a].append(vec[b])
-            else:
-                later[b].append(vec[a])
-
-    # greedy incumbent: cheapest color per node in branch order
-    greedy = [0] * n
-    greedy_cost = 0
-    for k in range(n):
-        row = vec[k]
-        c = row.index(min(row[:3]))
-        greedy[k] = c
-        greedy_cost += row[c]
-        for r in later_ce[k]:
-            r[c] += conflict_w
-        x, y = _OTHER_COLORS[c]
-        for r in later_se[k]:
-            r[x] += stitch_w
-            r[y] += stitch_w
-    for row in vec:
-        row[:] = (0, 0, 0, 0)
-
-    best_cost = greedy_cost
-    best_colors = list(greedy)
-    proven = True
-    explored = 0
-    colors = [0] * n
-
-    def descend(k: int, cost: int, used: int, rest: int) -> None:
-        # 'used' = number of distinct colors among positions < k; capping the
-        # next color at used keeps only canonical colorings (colors appear in
-        # first-use order), which is exactly where the lex-smallest optimum
-        # lives, so the reported assignment is unchanged.
-        # 'rest' = sum of low over the uncolored positions >= k
-        nonlocal best_cost, best_colors, proven, explored
-        if explored >= budget:
-            proven = False
-            return
-        if k == n:
-            if cost < best_cost:
-                best_cost = cost
-                best_colors = colors[:n]
-            return
-        row = vec[k]
-        rest -= row[3]
-        ce_rows = later_ce[k]
-        se_rows = later_se[k]
-        for c in range(used + 1 if used < 3 else 3):
-            if explored >= budget:
-                proven = False
-                return
-            explored += 1
-            nxt = cost + row[c]
-            # coloring k only raises the later vectors, so this is a bound
-            if nxt + rest >= best_cost:
-                continue
-            # color k with c in the later vectors; delta = rise of their low
-            delta = 0
-            for r in ce_rows:
-                v = r[c]
-                r[c] = v + conflict_w
-                if v == r[3]:  # otherwise another color keeps the minimum
-                    a, b, d, _ = r
-                    m = a if a < b else b
-                    if d < m:
-                        m = d
-                    delta += m - v
-                    r[3] = m
-            x, y = _OTHER_COLORS[c]
-            for r in se_rows:
-                r[x] += stitch_w
-                r[y] += stitch_w
-                a, b, d, lo = r
-                m = a if a < b else b
-                if d < m:
-                    m = d
-                delta += m - lo
-                r[3] = m
-            if nxt + rest + delta < best_cost:
-                colors[k] = c
-                descend(k + 1, nxt, used if used > c else c + 1, rest + delta)
-            # uncolor k
-            for r in ce_rows:
-                v = r[c] - conflict_w
-                r[c] = v
-                if v < r[3]:
-                    r[3] = v
-            for r in se_rows:
-                r[x] -= stitch_w
-                r[y] -= stitch_w
-                a, b, d, _ = r
-                m = a if a < b else b
-                if d < m:
-                    m = d
-                r[3] = m
-
-    descend(0, 0, 0, 0)
-
-    assignment = evaluate(dg, {order[k]: best_colors[k] for k in range(n)}, alpha)
-    return SolveReport(
-        assignment=assignment,
-        nodes_explored=explored,
-        proven_optimal=proven,
-    )
 
 
 def write_lp(model: IlpModel) -> str:

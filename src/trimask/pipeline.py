@@ -8,8 +8,10 @@ The residual graph is solved in one pass of three phases:
 
 1. Plan every leaf. Each connected component is checked for a triangle
    witness and cut at every bridge; its bridge-free pieces are the leaves.
-   A single node takes mask 0, a leaf for the exact solver (per the
-   configuration) is solved at once, and the rest wait for phase 2.
+   A single node takes mask 0, and a leaf for the exact solver (per the
+   configuration) is eliminated at once. The rest wait for phase 2, and so
+   does an exact leaf that ``solve_exact`` cannot take: one whose
+   elimination order is too wide, or whose tables pass ``node_budget``.
 2. Relax the waiting leaves together: one ``CostMatrix`` per leaf from
    ``build_cost_matrix``, joined by ``join_costs`` into one disjoint union,
    one ``solve_relaxation`` call on it, and each leaf rounded by
@@ -42,9 +44,9 @@ from .graphs import (
 )
 from .ilp import solve_exact
 from .reductions import find_bridges, peel_low_degree, reinsert_segments, stitch_and_rotate
-from .sdp import build_cost_matrix, join_costs, map_to_masks, polish, solve_relaxation
+from .sdp import build_cost_matrix, join_costs, map_to_masks, solve_relaxation
 
-# solver "auto" searches components of at most this many nodes exactly
+# solver "auto" sends leaves of at most this many nodes to solve_exact
 AUTO_THRESHOLD = 25
 
 
@@ -52,6 +54,7 @@ AUTO_THRESHOLD = 25
 class DecomposeConfig:
     solver: str = "auto"  # "exact" | "sdp" | "auto"
     alpha: float | None = None  # None: take from layout params (0.1 for bare graphs)
+    # table entries per piece before the piece relaxes instead
     node_budget: int = 5_000_000
     seed: int = 42
 
@@ -74,8 +77,7 @@ class ComponentReport:
     component: int  # smallest node id in the component
     size: int
     solver: str = "none"  # "exact" | "sdp", "mixed" if bridge pieces ran both
-    # the exact pieces' work, summed: table entries where solve_exact
-    # eliminated, search nodes where it fell back to its branch and bound
+    # the eliminated pieces' table entries, summed
     nodes_explored: int = 0
     proven_optimal: bool = True
     bridges_cut: int = 0
@@ -119,24 +121,6 @@ class DecomposeResult:
                 {"edge": list(w.edge), "path": list(w.path)} for w in self.witnesses
             ],
         }
-
-
-def _leaf_solver(n: int, cfg: DecomposeConfig, report: ComponentReport) -> str:
-    """The solver of a leaf of ``n`` nodes, which the report records."""
-    solver = cfg.solver
-    if solver == "auto":
-        solver = "exact" if n <= AUTO_THRESHOLD else "sdp"
-    report.solver = solver if report.solver in ("none", solver) else "mixed"
-    return solver
-
-
-def _solve_exact_leaf(dg: DecompositionGraph, alpha, cfg, report) -> dict[int, int]:
-    res = solve_exact(dg, alpha, budget=cfg.node_budget)
-    report.nodes_explored += res.nodes_explored
-    report.proven_optimal = report.proven_optimal and res.proven_optimal
-    if res.proven_optimal:
-        return res.assignment.colors
-    return polish(dg, res.assignment.colors, alpha, seed=cfg.seed)
 
 
 def _bridge_pieces(comp: DecompositionGraph, cuts) -> list[DecompositionGraph]:
@@ -183,8 +167,8 @@ def _merge_pieces(cuts, blocks) -> dict[int, int]:
 
 def _solve_components(dg: DecompositionGraph, alpha, cfg):
     """One pass over the components of ``dg`` in the three phases of the
-    module docstring: plan and solve the exact leaves, relax the rest in
-    one run, merge the bridge pieces."""
+    module docstring: plan the leaves and eliminate the exact ones, relax
+    the rest in one run, merge the bridge pieces."""
     reports: list[ComponentReport] = []
     witnesses: list[InfeasibleWitness] = []
     # per component: its bridge cuts and its pieces with their colors,
@@ -201,14 +185,23 @@ def _solve_components(dg: DecompositionGraph, alpha, cfg):
         report.bridges_cut = len(cuts)
         blocks = []
         for piece in _bridge_pieces(comp, cuts):
-            if len(piece.nodes) == 1:
-                colors = {piece.nodes[0]: 0}
-            elif _leaf_solver(len(piece.nodes), cfg, report) == "exact":
-                colors = _solve_exact_leaf(piece, alpha, cfg, report)
-            else:
+            n = len(piece.nodes)
+            if n == 1:
+                blocks.append((piece, {piece.nodes[0]: 0}))
+                continue
+            res = None
+            if cfg.solver == "exact" or (cfg.solver == "auto" and n <= AUTO_THRESHOLD):
+                res = solve_exact(piece, alpha, budget=cfg.node_budget)
+            if res is None:
                 colors = {}
                 relaxed.append((piece, report, colors))
                 report.proven_optimal = False
+                solver = "sdp"
+            else:
+                colors = res.assignment.colors
+                report.nodes_explored += res.nodes_explored
+                solver = "exact"
+            report.solver = solver if report.solver in ("none", solver) else "mixed"
             blocks.append((piece, colors))
         plans.append((cuts, blocks))
 

@@ -14,20 +14,19 @@ rows live on the unit sphere, with a quadratic penalty enforcing the -1/2
 floor. The factor is rounded as Frieze & Jerrum (1997) round MAX k-CUT:
 each of ``DRAWS`` Gaussian draws of three vectors labels every node by the
 vector with the largest dot product with its row, the first on a tie. The
-draw of lowest exact cost goes through ``polish``: single-node moves
+draw of lowest exact cost goes through ``_polish``: single-node moves
 (``_one_opt``) until no move lowers the cost, then a tabu search
 (TabuCol: Hertz & de Werra 1987, Galinier & Hao 1999) of
 ``TABU_ITERATIONS`` moves per node, each the recoloring of one node that
 raises the cost least or lowers it most, ties broken at random. A move bars its node from the color it left for a while,
 unless returning beats the best cost so far. The best coloring the search
 saw takes single-node moves once more, so the result is a 1-opt fixpoint.
-The search climbs out of the 1-opt minima the draws fall into. The
-pipeline sends an exact search that ran out of budget through the same
-``polish``. On the held-out layouts of the benchmark's ``dense`` corpus,
-one polished draw and 5 moves per node score 474.2; 20 polished draws and
-no search scored 493.4 after one relaxation run and 486.4 after the best
-of three. The random ties matter: taking the first cheapest move, the
-search stalls on large pieces.
+The search climbs out of the 1-opt minima the draws fall into. On the
+held-out layouts of the benchmark's ``dense`` corpus, one polished draw
+and 5 moves per node score 474.2; 20 polished draws and no search scored
+493.4 after one relaxation run and 486.4 after the best of three. The
+random ties matter: taking the first cheapest move, the search stalls on
+large pieces.
 
 Every caller (the pipeline, ``--dump-x``, a direct call) runs the same
 rule for a given graph, once, from one random factor drawn from the seed.
@@ -826,16 +825,6 @@ def _polish(labels: list[int], ce, se, frac, rng) -> list[int]:
     return _one_opt(links, labels)
 
 
-def polish(dg: DecompositionGraph, colors: dict[int, int], alpha, seed) -> dict[int, int]:
-    """``_one_opt``, then ``_tabu_search`` on ``np.random.default_rng(seed)``
-    (a generator passes through), then ``_one_opt``: a 1-opt fixpoint that
-    never costs more than ``colors`` at the exact ``alpha``."""
-    nodes = dg.nodes
-    ce, se = _edge_positions(dg)
-    rng = np.random.default_rng(seed)
-    return dict(zip(nodes, _polish([colors[node] for node in nodes], ce, se, as_fraction(alpha), rng)))
-
-
 def _first_largest(dots: np.ndarray) -> np.ndarray:
     """``np.argmax(dots, axis=-1)`` over a last axis of 3, the first
     largest on a tie, in two comparisons over whole arrays: argmax over so
@@ -851,7 +840,7 @@ def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:
     Each of ``DRAWS`` Gaussian draws of three vectors, seeded by ``seed``,
     labels every node by the vector with the largest dot product with the
     node's factor row (Frieze & Jerrum 1997). The draw of lowest exact
-    integer cost, the first on a tie, takes the steps of ``polish`` on the
+    integer cost, the first on a tie, takes the steps of ``_polish`` on the
     generator that made the draws. The graph, its pairs and the exact alpha
     come from ``sol.cost``.
     """

@@ -44,6 +44,6 @@ def test_decompose_colors_every_segment_and_beats_greedy(shapes, density, seed, 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(st.integers(20, 60), st.sampled_from([4, 6]), st.integers(0, 2**16))
 def test_exact_with_unproven_leaves_beats_greedy(shapes, density, seed):
-    # a budget of 1000 search nodes leaves most pieces above 25 nodes unproven
+    # a budget of 1000 table entries relaxes most pieces above 25 nodes
     cfg = DecomposeConfig(solver="exact", node_budget=1000, seed=seed)
     check_decompose(generate_layout(shapes, density, seed=seed), cfg)

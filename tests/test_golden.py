@@ -1,8 +1,8 @@
 """Pinned digests of outputs that no BLAS build or thread count can move.
 
-A layout that peels whole never reaches a solver, and the exact search with
-its polish is integer work; neither calls BLAS or LAPACK, so these outputs
-are the same on every host. The relaxation's outputs are not pinned here:
+A layout that peels whole never reaches a solver, and elimination is
+integer work; neither calls BLAS or LAPACK, so these outputs are the same
+on every host. The relaxation's outputs are not pinned here:
 they can differ with the BLAS thread count (see the README's Notes).
 
 These digests change only when the program's output changes. An intended
@@ -32,12 +32,12 @@ def test_a_sparse_layout_that_peels_whole():
     assert digest(format_assignment(result.assignment)) == "7ad089b5d1d9b930"
 
 
-def test_layouts_that_split_stitch_peel_and_polish():
-    cfg = DecomposeConfig(solver="exact", node_budget=2000, seed=42)
+def test_layouts_that_split_stitch_peel_and_eliminate():
+    cfg = DecomposeConfig(solver="exact", seed=42)
     results = [
         decompose(generate_layout(n, density, seed=seed), cfg)
-        for n, density, seed in [(200, 4, 1), (200, 6, 1), (400, 6, 2)]
+        for n, density, seed in [(200, 6, 1), (400, 6, 2)]
     ]
-    # every path these digests should pin is taken
-    assert all(r.dg.se and r.peeled and not r.proven_optimal for r in results)
-    assert digest(*map(payload_text, results)) == "ec85ff89db3f1d81"
+    # every path these digests should pin is taken, and no piece relaxes
+    assert all(r.dg.se and r.peeled and r.proven_optimal for r in results)
+    assert digest(*map(payload_text, results)) == "79245082fd75d141"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from trimask.graphs import (
 from trimask.ilp import (
     ELIMINATION_WIDTH,
     SolveReport,
-    branch_and_bound,
+    _min_fill_order,
     build_ilp,
     check_encoding,
     decode_bits,
@@ -151,15 +152,14 @@ class TestSolveExact:
             )
             assert solve_exact(bigger, 0.1).assignment.objective >= base
 
-    def test_budget_exhaustion_keeps_incumbent(self):
-        report = solve_exact(k4_graph(), 0.1, budget=3)
-        assert not report.proven_optimal
-        assert report.assignment.conflict_count >= 1  # greedy incumbent still valid
+    def test_budget_exhaustion_returns_none(self):
+        # K4's tables hold 81 + 27 + 9 + 3 entries
+        assert solve_exact(k4_graph(), 0.1, budget=3) is None
 
     def test_deterministic(self, rng):
         dg = random_graph(rng, 10)
-        a = branch_and_bound(dg, 0.1)
-        b = branch_and_bound(dg, 0.1)
+        a = solve_exact(dg, 0.1)
+        b = solve_exact(dg, 0.1)
         assert a.assignment.colors == b.assignment.colors
         assert a.nodes_explored == b.nodes_explored
 
@@ -187,91 +187,6 @@ class TestLpExport:
         assert float(obj[2]) == float(as_fraction(alpha))
 
 
-# --- the search without look-ahead, as the reference for branch_and_bound ----
-
-
-def reference_branch_and_bound(
-    dg: DecompositionGraph, alpha, budget: int = 5_000_000
-) -> SolveReport:
-    """Branch and bound whose only bound is the committed cost, with the same
-    branch order, color cap, greedy incumbent and strict-improvement rule."""
-    frac = as_fraction(alpha)
-    stitch_w, conflict_w = frac.numerator, frac.denominator
-    nodes = dg.nodes
-    n = len(nodes)
-    if n == 0:
-        return SolveReport(evaluate(dg, {}, alpha), 0, True)
-
-    order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
-    pos = {v: k for k, v in enumerate(order)}
-    back: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in dg.ce:
-        hi, lo = max(pos[u], pos[v]), min(pos[u], pos[v])
-        back[hi].append((lo, conflict_w))
-    for u, v in dg.se:
-        hi, lo = max(pos[u], pos[v]), min(pos[u], pos[v])
-        back[hi].append((lo, -stitch_w))
-
-    def add_cost(colors: list[int], k: int, c: int) -> int:
-        cost = 0
-        for j, w in back[k]:
-            if w > 0:
-                if colors[j] == c:
-                    cost += w
-            elif colors[j] != c:
-                cost -= w
-        return cost
-
-    greedy = [0] * n
-    greedy_cost = 0
-    for k in range(n):
-        costs = [add_cost(greedy[:k] + [0] * (n - k), k, c) for c in range(3)]
-        best = min(range(3), key=lambda c: (costs[c], c))
-        greedy[k] = best
-        greedy_cost += costs[best]
-
-    best_cost = greedy_cost
-    best_colors = list(greedy)
-    proven = True
-    explored = 0
-    colors = [0] * n
-
-    def descend(k: int, cost: int, used: int) -> None:
-        nonlocal best_cost, best_colors, proven, explored
-        if explored >= budget:
-            proven = False
-            return
-        if k == n:
-            if cost < best_cost:
-                best_cost = cost
-                best_colors = colors[:n]
-            return
-        for c in range(min(used + 1, 3)):
-            if explored >= budget:
-                proven = False
-                return
-            explored += 1
-            nxt = cost + add_cost(colors, k, c)
-            if nxt >= best_cost:
-                continue
-            colors[k] = c
-            descend(k + 1, nxt, max(used, c + 1))
-
-    descend(0, 0, 0)
-
-    assignment = evaluate(dg, {order[k]: best_colors[k] for k in range(n)}, alpha)
-    return SolveReport(assignment, explored, proven)
-
-
-def assert_same_as_reference(dg: DecompositionGraph, alpha) -> tuple[int, int]:
-    got, want = branch_and_bound(dg, alpha), reference_branch_and_bound(dg, alpha)
-    assert got.assignment.colors == want.assignment.colors
-    assert got.assignment.objective == want.assignment.objective
-    assert got.proven_optimal == want.proven_optimal
-    assert got.nodes_explored <= want.nodes_explored
-    return got.nodes_explored, want.nodes_explored
-
-
 def clip_components(seed: int) -> list[DecompositionGraph]:
     """Components of a 20-shape clip's decomposition graph after peeling,
     as the pipeline hands them to the solvers (before bridge cutting)."""
@@ -281,236 +196,6 @@ def clip_components(seed: int) -> list[DecompositionGraph]:
     dg = project_and_split(layout, lg, split_nodes=residual.nodes)
     keep = set(residual.nodes)
     return connected_components(dg.subgraph(s.id for s in dg.segments if s.parent in keep))
-
-
-ALPHAS = st.sampled_from([Fraction(1, 10), Fraction(1, 3)])
-
-
-class TestLookAheadIdentity:
-    """The look-ahead bound changes only how many nodes the search visits:
-    colors, objective and proven flag equal those of the search without it."""
-
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @given(
-        st.integers(3, 22),
-        st.sampled_from([0.1, 0.2, 0.3]),
-        st.sampled_from([0.05, 0.15]),
-        st.integers(0, 2**32 - 1),
-        ALPHAS,
-    )
-    def test_random_graphs(self, n, ce_density, se_density, seed, alpha):
-        dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
-        assert_same_as_reference(dg, alpha)
-
-    @pytest.mark.parametrize("seed", range(1, 31))
-    def test_clip_components(self, seed):
-        for comp in clip_components(seed):
-            for alpha in (Fraction(1, 10), Fraction(1, 3)):
-                assert_same_as_reference(comp, alpha)
-
-    def test_prunes_at_least_four_times_fewer_nodes(self):
-        # a 22-node clip component: 96 419 reference nodes, 10 727 with the bound
-        (comp,) = clip_components(22)
-        assert len(comp.nodes) <= 25
-        got, want = assert_same_as_reference(comp, Fraction(1, 10))
-        assert 4 * got <= want
-
-
-# --- the look-ahead search with a call per move, as the reference for the
-# inline moves of branch_and_bound ----------------------------------------------
-
-OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
-
-
-def reference_look_ahead(
-    dg: DecompositionGraph, alpha, budget: int = 5_000_000
-) -> SolveReport:
-    """``branch_and_bound`` with the look-ahead bound kept in separate lists
-    (``vec`` and ``low``) and moved by ``place``/``unplace`` calls."""
-    frac = as_fraction(alpha)
-    stitch_w, conflict_w = frac.numerator, frac.denominator
-    nodes = dg.nodes
-    n = len(nodes)
-    if n == 0:
-        return SolveReport(evaluate(dg, {}, alpha), 0, True)
-
-    order = sorted(nodes, key=lambda v: (-dg.degree(v), v))
-    pos = {v: k for k, v in enumerate(order)}
-    # later neighbors per position, by edge kind: a conflict edge costs
-    # conflict_w when its ends share a color, a stitch edge stitch_w when
-    # they differ
-    later_ce: list[list[int]] = [[] for _ in range(n)]
-    later_se: list[list[int]] = [[] for _ in range(n)]
-    for later, edges in ((later_ce, dg.ce), (later_se, dg.se)):
-        for u, v in edges:
-            later[min(pos[u], pos[v])].append(max(pos[u], pos[v]))
-
-    # vec[k][c]: cost of color c at position k against the colored positions;
-    # low[k] = min(vec[k])
-    vec = [[0, 0, 0] for _ in range(n)]
-    low = [0] * n
-
-    def place(k: int, c: int) -> int:
-        """Color position k with c in the vectors of its later neighbors;
-        return the rise of their minima."""
-        delta = 0
-        for j in later_ce[k]:
-            row = vec[j]
-            v = row[c]
-            row[c] = v + conflict_w
-            if v == low[j]:  # otherwise another color keeps the minimum
-                a, b, d = row
-                m = a if a < b else b
-                if d < m:
-                    m = d
-                delta += m - v
-                low[j] = m
-        x, y = OTHER_COLORS[c]
-        for j in later_se[k]:
-            row = vec[j]
-            row[x] += stitch_w
-            row[y] += stitch_w
-            a, b, d = row
-            m = a if a < b else b
-            if d < m:
-                m = d
-            delta += m - low[j]
-            low[j] = m
-        return delta
-
-    def unplace(k: int, c: int) -> None:
-        """Undo place(k, c)."""
-        for j in later_ce[k]:
-            row = vec[j]
-            v = row[c] - conflict_w
-            row[c] = v
-            if v < low[j]:
-                low[j] = v
-        x, y = OTHER_COLORS[c]
-        for j in later_se[k]:
-            row = vec[j]
-            row[x] -= stitch_w
-            row[y] -= stitch_w
-            a, b, d = row
-            m = a if a < b else b
-            if d < m:
-                m = d
-            low[j] = m
-
-    # greedy incumbent: cheapest color per node in branch order
-    greedy = [0] * n
-    greedy_cost = 0
-    for k in range(n):
-        row = vec[k]
-        c = row.index(min(row))
-        greedy[k] = c
-        greedy_cost += row[c]
-        place(k, c)
-    for row in vec:
-        row[:] = [0, 0, 0]
-    low[:] = [0] * n
-
-    best_cost = greedy_cost
-    best_colors = list(greedy)
-    proven = True
-    explored = 0
-    colors = [0] * n
-
-    def descend(k: int, cost: int, used: int, rest: int) -> None:
-        # 'used' = number of distinct colors among positions < k; capping the
-        # next color at used keeps only canonical colorings (colors appear in
-        # first-use order), which is exactly where the lex-smallest optimum
-        # lives, so the reported assignment is unchanged.
-        # 'rest' = sum of low over the uncolored positions >= k
-        nonlocal best_cost, best_colors, proven, explored
-        if explored >= budget:
-            proven = False
-            return
-        if k == n:
-            if cost < best_cost:
-                best_cost = cost
-                best_colors = colors[:n]
-            return
-        row = vec[k]
-        rest -= low[k]
-        for c in range(min(used + 1, 3)):
-            if explored >= budget:
-                proven = False
-                return
-            explored += 1
-            nxt = cost + row[c]
-            # coloring k only raises the later vectors, so this is a bound
-            if nxt + rest >= best_cost:
-                continue
-            delta = place(k, c)
-            if nxt + rest + delta < best_cost:
-                colors[k] = c
-                descend(k + 1, nxt, max(used, c + 1), rest + delta)
-            unplace(k, c)
-
-    descend(0, 0, 0, 0)
-
-    assignment = evaluate(dg, {order[k]: best_colors[k] for k in range(n)}, alpha)
-    return SolveReport(
-        assignment=assignment,
-        nodes_explored=explored,
-        proven_optimal=proven,
-    )
-
-
-BUDGETS = (1, 2, 7, 50, 400, 5000, 5_000_000)
-
-
-def assert_same_search(dg: DecompositionGraph, alpha, budget: int) -> None:
-    got = branch_and_bound(dg, alpha, budget)
-    want = reference_look_ahead(dg, alpha, budget)
-    assert got.assignment.colors == want.assignment.colors
-    assert got.assignment.objective == want.assignment.objective
-    assert got.nodes_explored == want.nodes_explored
-    assert got.proven_optimal == want.proven_optimal
-
-
-class TestInlineMovesIdentity:
-    """Moving the look-ahead vectors inline changes no step of the search:
-    at every budget, colors, objective, explored node count and proven flag
-    equal those of the search that calls place/unplace."""
-
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @given(
-        st.integers(1, 22),
-        st.sampled_from([0.1, 0.2, 0.3]),
-        st.sampled_from([0.05, 0.15]),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2)]),
-    )
-    def test_random_graphs(self, n, ce_density, se_density, seed, alpha):
-        dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
-        for budget in BUDGETS:
-            assert_same_search(dg, alpha, budget)
-
-    @pytest.mark.parametrize("seed", range(1, 31))
-    def test_clip_components(self, seed):
-        for comp in clip_components(seed):
-            for budget in BUDGETS:
-                assert_same_search(comp, Fraction(1, 10), budget)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_every_budget_of_a_small_search(self, seed):
-        # the budget can run out on the step into a leaf, where the check at
-        # the top of the search must drop that leaf
-        rng = np.random.default_rng(seed)
-        dg = random_graph(rng, int(rng.integers(6, 12)), 0.35, 0.15)
-        full = branch_and_bound(dg, Fraction(1, 10)).nodes_explored
-        for budget in range(full + 2):
-            assert_same_search(dg, Fraction(1, 10), budget)
-
-    def test_budgets_cut_the_search(self):
-        # the budgets above stop the search mid-tree: not every run is proven
-        (comp,) = clip_components(22)
-        reports = [branch_and_bound(comp, Fraction(1, 10), b) for b in BUDGETS]
-        assert [r.nodes_explored for r in reports[:-1]] == list(BUDGETS[:-1])
-        assert not any(r.proven_optimal for r in reports[:-1])
-        assert reports[-1].proven_optimal
 
 
 def highs_optimum(model) -> float:
@@ -567,8 +252,8 @@ def conflict_grid(side: int) -> DecompositionGraph:
 
 class TestElimination:
     """``solve_exact`` eliminates along a min-fill order of width at most
-    ``ELIMINATION_WIDTH`` whose tables fit the budget, and otherwise returns
-    the report of ``branch_and_bound`` with the same budget."""
+    ``ELIMINATION_WIDTH`` whose tables fit the budget, and otherwise
+    returns None."""
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(1, 3), Fraction(2)])
     def test_matches_brute_force(self, alpha):
@@ -577,56 +262,236 @@ class TestElimination:
             n = int(rng.integers(1, 13))
             dg = random_graph(rng, n, float(rng.choice([0.1, 0.3, 0.5])), 0.15)
             report = solve_exact(dg, alpha)
-            # a width above the cap needs more than cap + 1 nodes
-            assert report.method == "elimination" or n > ELIMINATION_WIDTH + 1
             assert report.proven_optimal
             assert report.assignment.objective == brute_force_optimum(dg, alpha).objective
 
+    # the optimum of each seed's one clip component (19-27 nodes) at alpha
+    # 1/10 and 1/3 alike, as a depth-first branch and bound proved it: that
+    # many conflicts and no stitch
+    CLIP_OPTIMA = [4, 3, 6, 3, 5, 4, 5, 5, 5, 4, 6, 6, 4, 4, 5,
+                   3, 3, 4, 5, 3, 4, 5, 4, 7, 5, 4, 5, 5, 6, 5]
+
     @pytest.mark.parametrize("seed", range(1, 31))
-    def test_clip_components_match_branch_and_bound(self, seed):
-        for comp in clip_components(seed):
-            for alpha in (Fraction(1, 10), Fraction(1, 3)):
-                got, want = solve_exact(comp, alpha), branch_and_bound(comp, alpha)
-                assert got.method == "elimination"
-                assert got.assignment.objective == want.assignment.objective
-                assert got.proven_optimal == want.proven_optimal
+    def test_clip_components_reach_the_proven_optima(self, seed):
+        (comp,) = clip_components(seed)
+        for alpha in (Fraction(1, 10), Fraction(1, 3)):
+            report = solve_exact(comp, alpha)
+            assert report.proven_optimal
+            assert report.assignment.objective == self.CLIP_OPTIMA[seed - 1]
 
     def test_work_is_the_table_entries(self):
         # a path 0 - 1 - 2 eliminates 0, then 1, then 2: two tables of 3 x 3
         # and one of 3 entries
         path = DecompositionGraph.from_edges(3, ce=[(0, 1)], se=[(1, 2)])
         report = solve_exact(path, Fraction(1, 10))
-        assert report.method == "elimination" and report.proven_optimal
+        assert report.proven_optimal
         assert report.nodes_explored == 9 + 9 + 3
         assert report.assignment.objective == 0
 
     def test_width_at_the_cap_eliminates(self):
         # the min-fill order of an 8 x 8 grid has width exactly 10
         report = solve_exact(conflict_grid(8), Fraction(1, 10))
-        assert report.method == "elimination" and report.proven_optimal
+        assert report.proven_optimal
         assert report.assignment.objective == 0
 
-    def test_width_just_over_the_cap_is_the_searchs_report(self):
+    def test_width_just_over_the_cap_returns_none(self):
         # the min-fill order of a 9 x 9 grid passes width 10
-        grid = conflict_grid(9)
-        got = solve_exact(grid, Fraction(1, 10))
-        assert got.method == "branch_and_bound"
-        assert got == branch_and_bound(grid, Fraction(1, 10))
+        assert solve_exact(conflict_grid(9), Fraction(1, 10)) is None
 
-    def test_work_past_the_budget_is_the_searchs_report(self):
+    def test_budget_of_exactly_the_work_eliminates(self):
         k4 = k4_graph()
-        got = solve_exact(k4, Fraction(1, 10), budget=2)
-        assert not got.proven_optimal
-        assert got == branch_and_bound(k4, Fraction(1, 10), 2)
+        work = solve_exact(k4, Fraction(1, 10)).nodes_explored
+        assert work == 81 + 27 + 9 + 3
+        assert solve_exact(k4, Fraction(1, 10), budget=work).proven_optimal
+        assert solve_exact(k4, Fraction(1, 10), budget=work - 1) is None
 
-    @pytest.mark.parametrize("alpha, method", [
-        # a 55-bit denominator: int64 tables still hold every sum
-        (0.30000000000000004, "elimination"),
-        # a 1074-bit denominator: they would overflow
-        (5e-324, "branch_and_bound"),
+    @pytest.mark.parametrize("alpha", [
+        # a 53-bit denominator: int64 tables still hold every sum
+        0.30000000000000004,
+        # 1050- and 1075-bit denominators: the tables hold Python ints
+        1e-300,
+        5e-324,
     ])
-    def test_float_alphas_with_long_denominators(self, alpha, method):
+    def test_float_alphas_with_long_denominators(self, alpha):
         dg = random_graph(np.random.default_rng(5), 9, 0.3, 0.2)
         report = solve_exact(dg, alpha)
-        assert report.method == method and report.proven_optimal
+        assert report.proven_optimal
         assert report.assignment.objective == brute_force_optimum(dg, alpha).objective
+
+    @pytest.mark.parametrize("ce, se", [([], []), ([], [(0, 1), (1, 2)])])
+    def test_long_denominator_without_conflict_edges(self, ce, se):
+        # the conflict weight alone passes int64, though no edge carries it
+        dg = DecompositionGraph.from_edges(3, ce=ce, se=se)
+        report = solve_exact(dg, 5e-324)
+        assert report.proven_optimal and report.assignment.objective == 0
+
+
+# --- min-fill recounted at every step and tables as dicts, as the reference
+# for the incremental order and the numpy tables of solve_exact -------------
+
+
+def reference_min_fill_order(dg: DecompositionGraph, budget: int):
+    """``_min_fill_order`` with every node's fill counted from scratch at each
+    step: the missing edges among its neighbors, ties by degree, then index.
+    None once a node has more than ``ELIMINATION_WIDTH`` neighbors or the
+    work passes ``budget``."""
+    nodes = dg.nodes
+    index = {v: i for i, v in enumerate(nodes)}
+    nbrs: list[set[int]] = [set() for _ in nodes]
+    for u, v in dg.edges:
+        nbrs[index[u]].add(index[v])
+        nbrs[index[v]].add(index[u])
+
+    def score(i: int) -> tuple[int, int, int]:
+        nb = nbrs[i]
+        missing = sum(1 for a in nb for b in nb if a < b and b not in nbrs[a])
+        return missing, len(nb), i
+
+    left = set(range(len(nodes)))
+    order: list[int] = []
+    neighbors: list[set[int]] = []
+    work = 0
+    while left:
+        i = min(left, key=score)
+        nb = nbrs[i]
+        if len(nb) > ELIMINATION_WIDTH:
+            return None
+        work += 3 ** (len(nb) + 1)
+        if work > budget:
+            return None
+        order.append(i)
+        neighbors.append(set(nb))
+        left.discard(i)
+        for a in nb:
+            nbrs[a] |= nb - {a}
+            nbrs[a].discard(i)
+    pos = {i: k for k, i in enumerate(order)}
+    scopes = [(k,) + tuple(sorted(pos[a] for a in nb)) for k, nb in enumerate(neighbors)]
+    return [nodes[i] for i in order], scopes, work
+
+
+def reference_elimination(dg: DecompositionGraph, alpha, budget: int = 5_000_000):
+    """Min-sum bucket elimination along the reference min-fill order, with
+    every table a dict from the colors of its scope to a Python int. The
+    color chosen for a node is its cheapest, the lowest on a tie."""
+    plan = reference_min_fill_order(dg, budget)
+    if plan is None:
+        return None
+    order, scopes, work = plan
+    frac = as_fraction(alpha)
+    conflict_w, stitch_w = frac.denominator, frac.numerator
+    pos = {v: k for k, v in enumerate(order)}
+    buckets: list[list] = [[] for _ in order]
+    for edges, same, differ in ((dg.ce, conflict_w, 0), (dg.se, 0, stitch_w)):
+        table = {(x, y): same if x == y else differ for x in range(3) for y in range(3)}
+        for u, v in edges:
+            scope = tuple(sorted((pos[u], pos[v])))
+            buckets[scope[0]].append((scope, table))
+
+    choices: list[dict | None] = [None] * len(order)
+    for k, scope in enumerate(scopes):
+        if not buckets[k]:
+            continue
+        low, choice = {}, {}
+        for rest in itertools.product(range(3), repeat=len(scope) - 1):
+            costs = []
+            for c in range(3):
+                color = dict(zip(scope, (c,) + rest))
+                costs.append(sum(t[tuple(color[p] for p in sub)] for sub, t in buckets[k]))
+            low[rest] = min(costs)
+            choice[rest] = costs.index(low[rest])
+        choices[k] = choice
+        if len(scope) > 1:
+            buckets[scope[1]].append((scope[1:], low))
+
+    colors = [0] * len(order)
+    for k in range(len(order) - 1, -1, -1):
+        if choices[k] is not None:
+            colors[k] = choices[k][tuple(colors[p] for p in scopes[k][1:])]
+    assignment = evaluate(dg, {v: colors[k] for k, v in enumerate(order)}, alpha)
+    return SolveReport(assignment, work, True)
+
+
+class TestMinFillOrder:
+    """Keeping the fill counts up to date step by step changes no choice:
+    order, scopes and work equal those of the count from scratch."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 22),
+        st.sampled_from([0.1, 0.2, 0.3]),
+        st.sampled_from([0.05, 0.15]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([400, 5000, 5_000_000]),
+    )
+    def test_random_graphs(self, n, ce_density, se_density, seed, budget):
+        dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
+        assert _min_fill_order(dg, budget) == reference_min_fill_order(dg, budget)
+
+    @pytest.mark.parametrize("seed", range(1, 31))
+    def test_clip_components(self, seed):
+        (comp,) = clip_components(seed)
+        plan = _min_fill_order(comp, 5_000_000)
+        assert plan is not None
+        assert plan == reference_min_fill_order(comp, 5_000_000)
+
+    @pytest.mark.parametrize("side, eliminates", [(8, True), (9, False)])
+    def test_grids_at_the_width_cap(self, side, eliminates):
+        grid = conflict_grid(side)
+        plan = _min_fill_order(grid, 5_000_000)
+        assert (plan is not None) == eliminates
+        assert plan == reference_min_fill_order(grid, 5_000_000)
+
+
+class TestEliminationIdentity:
+    """The numpy tables, int64 or Python ints, change no step of the
+    elimination: colors, objective, work and proven flag equal those of the
+    dict tables."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 22),
+        st.sampled_from([0.1, 0.2, 0.3]),
+        st.sampled_from([0.05, 0.15]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2), 5e-324]),
+    )
+    def test_random_graphs(self, n, ce_density, se_density, seed, alpha):
+        dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
+        # past 20 000 entries both return None, which keeps the dicts quick
+        assert solve_exact(dg, alpha, 20_000) == reference_elimination(dg, alpha, 20_000)
+
+    @pytest.mark.parametrize("seed", range(1, 31))
+    def test_clip_components(self, seed):
+        (comp,) = clip_components(seed)
+        for alpha in (Fraction(1, 10), 5e-324):
+            got = solve_exact(comp, alpha)
+            assert got is not None
+            assert got == reference_elimination(comp, alpha)
+
+
+BUDGETS = (1, 2, 7, 50, 400, 5000, 5_000_000)
+
+
+class TestBudgetCut:
+    """A budget below the work returns None; any budget at or above it
+    returns the report of the default budget."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_budget_of_a_small_elimination(self, seed):
+        rng = np.random.default_rng(seed)
+        dg = random_graph(rng, int(rng.integers(6, 12)), 0.35, 0.15)
+        full = solve_exact(dg, Fraction(1, 10))
+        for budget in range(full.nodes_explored + 2):
+            got = solve_exact(dg, Fraction(1, 10), budget)
+            if budget < full.nodes_explored:
+                assert got is None
+            else:
+                assert got == full
+
+    def test_budgets_cut_a_clip_component(self):
+        # 6276 entries: the budgets above cut all but the default one
+        (comp,) = clip_components(22)
+        reports = [solve_exact(comp, Fraction(1, 10), b) for b in BUDGETS]
+        assert reports[:-1] == [None] * (len(BUDGETS) - 1)
+        assert reports[-1].nodes_explored == 6276 and reports[-1].proven_optimal

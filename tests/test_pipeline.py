@@ -1,10 +1,13 @@
 import gc
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trimask.pipeline
 from conftest import PEEL_FALLBACK_LAYOUT, random_graph, worked_example_graph
+from test_ilp import conflict_grid
 from trimask.cli import generate_layout
 from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, project_and_split
 from trimask.graphs import (
@@ -18,6 +21,9 @@ from trimask.ilp import solve_exact
 from trimask.pipeline import AUTO_THRESHOLD, DecomposeConfig, decompose, decompose_graph
 from trimask.reductions import find_bridges, peel_low_degree, stitch_and_rotate
 from trimask.sdp import build_cost_matrix, solve_relaxation
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from checks import greedy_one_opt  # noqa: E402
 
 
 def squares(points, side=50):
@@ -97,10 +103,12 @@ class TestDecompose:
         b = decompose(layout, cfg).payload()
         assert a == b
 
-    def test_budget_exhaustion_degrades_not_aborts(self):
+    def test_budget_exhaustion_relaxes_not_aborts(self):
         result = decompose(K4, DecomposeConfig(solver="exact", node_budget=2))
         assert not result.proven_optimal
+        assert [r.solver for r in result.per_component] == ["sdp"]
         assert set(result.assignment.colors) == {s.id for s in result.dg.segments}
+        assert result.conflict_count == 1
 
 
 def residual_component(layout, size):
@@ -115,29 +123,28 @@ def residual_component(layout, size):
 
 
 class TestUnprovenExactLeaves:
-    """A leaf whose exact search runs out of budget goes through
-    ``sdp.polish``, the rounding's 1-opt, tabu search and 1-opt."""
+    """A leaf whose elimination would pass ``node_budget`` table entries
+    joins the pass's relaxed leaves: its component reports the relaxation,
+    unproven, with the colors ``solver="sdp"`` gives it."""
 
-    def test_polish_never_worse_than_the_budgeted_search(self):
-        comp = residual_component(generate_layout(40, 6, seed=1), 31)
-        budgeted = solve_exact(comp, 0.1, budget=500)
+    @pytest.mark.parametrize("seed, size, greedy", [(1, 31, 12.0), (3, 34, 9.0)])
+    def test_a_leaf_past_the_budget_relaxes(self, seed, size, greedy):
+        comp = residual_component(generate_layout(40, 6, seed=seed), size)
+        assert solve_exact(comp, 0.1, budget=500) is None
         result = decompose_graph(comp, DecomposeConfig(solver="exact", node_budget=500))
-        assert not budgeted.proven_optimal and not result.proven_optimal
-        assert result.objective <= float(budgeted.assignment.objective)
-
-    def test_polish_improves_an_unproven_leaf(self):
-        # the budgeted search stops at 12.0; single-node moves alone reach 9.0
-        # and the polish 7.0
-        comp = residual_component(generate_layout(40, 6, seed=3), 34)
-        budgeted = solve_exact(comp, 0.1, budget=500)
-        result = decompose_graph(comp, DecomposeConfig(solver="exact", node_budget=500))
-        assert result.objective < float(budgeted.assignment.objective)
+        (report,) = result.per_component
+        assert report.solver == "sdp" and not report.proven_optimal
+        assert report.nodes_explored == 0 and report.sdp_converged is not None
+        relaxed = decompose_graph(comp, DecomposeConfig(solver="sdp"))
+        assert result.assignment.colors == relaxed.assignment.colors
+        # a greedy coloring polished by single-node moves scores ``greedy``
+        assert greedy_one_opt(comp.nodes, comp.ce, comp.se, result.assignment.alpha) == greedy
+        assert result.objective < greedy
 
 
 def test_exact_proves_the_pieces_of_a_dense_layout():
     # four pieces of 118-121 nodes, of min-fill width 7-9, are eliminated
-    # within the default budget; the search alone runs out of it on every
-    # piece and scores 120.1
+    # within the default budget
     result = decompose(generate_layout(400, 6, seed=1), DecomposeConfig(solver="exact"))
     assert [r.size for r in result.per_component if r.size > 25] == [118, 120, 120, 121]
     assert result.proven_optimal
@@ -185,11 +192,19 @@ class TestDecomposeGraph:
     def test_node_budget_accepts_non_negative_integers(self, budget):
         assert DecomposeConfig(node_budget=budget).node_budget == budget
 
-    def test_node_budget_zero_keeps_the_greedy_incumbent(self):
+    def test_node_budget_zero_relaxes_every_piece_with_an_edge(self):
         result = decompose(K4, DecomposeConfig(solver="exact", node_budget=0))
         (report,) = result.per_component
-        assert report.nodes_explored == 0 and not report.proven_optimal
-        assert result.conflict_count >= 1
+        assert report.solver == "sdp" and report.nodes_explored == 0
+        assert not report.proven_optimal
+        assert result.conflict_count == 1
+        # two bridged triangles, and a path whose pieces are single nodes
+        bridged = two_triangles_bridged()
+        dg = DecompositionGraph.from_edges(9, ce=sorted(bridged.ce) + [(6, 7), (7, 8)])
+        result = decompose_graph(dg, DecomposeConfig(solver="exact", node_budget=0))
+        assert [(r.solver, r.bridges_cut, r.nodes_explored) for r in result.per_component] == [
+            ("sdp", 1, 0), ("none", 2, 0)
+        ]
 
     def test_config_has_four_fields(self):
         assert list(DecomposeConfig.__dataclass_fields__) == [
@@ -220,7 +235,7 @@ class TestComponentSolver:
 
     def test_auto_mixed_across_bridge_pieces(self):
         # a dense block above the threshold, bridged to a triangle: the block
-        # goes to the relaxation and the triangle to the exact search
+        # goes to the relaxation and the triangle to elimination
         n = AUTO_THRESHOLD + 5
         big = [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % 3]
         tri = [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
@@ -229,6 +244,25 @@ class TestComponentSolver:
         (report,) = result.per_component
         assert report.bridges_cut == 1
         assert report.solver == "mixed"
+
+    def test_exact_past_the_width_cap_relaxes(self):
+        grid = conflict_grid(9)
+        assert solve_exact(grid, 0.1) is None
+        result = decompose_graph(grid, DecomposeConfig(solver="exact"))
+        (report,) = result.per_component
+        assert report.solver == "sdp" and not report.proven_optimal
+        assert not result.proven_optimal
+        assert set(result.assignment.colors) == set(grid.nodes)
+
+    def test_exact_mixed_across_a_wide_and_a_narrow_piece(self):
+        # the 9 x 9 grid relaxes, the triangle bridged to it is eliminated
+        grid = conflict_grid(9)
+        tri = [(81, 82), (82, 83), (81, 83)]
+        dg = DecompositionGraph.from_edges(84, ce=sorted(grid.ce) + tri + [(80, 81)])
+        result = decompose_graph(dg, DecomposeConfig(solver="exact"))
+        (report,) = result.per_component
+        assert report.bridges_cut == 1 and report.solver == "mixed"
+        assert report.nodes_explored > 0 and not report.proven_optimal
 
     def test_single_nodes_run_no_solver(self):
         dg = DecompositionGraph.from_edges(3)
