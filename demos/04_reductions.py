@@ -41,7 +41,9 @@ dg = DecompositionGraph.from_edges(
     6, ce=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
 )
 cut = find_bridges(dg)[0]
-pruned = DecompositionGraph(dg.segments, dg.ce - {cut.bridge}, dg.se - {cut.bridge})
+pruned = DecompositionGraph(
+    dg.ids, dg.parents, dg.rects, dg.ce - {cut.bridge}, dg.se - {cut.bridge}
+)
 left_side, right_side = connected_components(pruned)
 print(f"\nbridge found: {cut.bridge} ({cut.edge_kind}), "
       f"sides {list(left_side.nodes)} / {list(right_side.nodes)}")

@@ -206,7 +206,7 @@ MASK_FILLS = ("#4477aa", "#ee6677", "#228833")
 def render_svg(layout: Layout, assignment: MaskAssignment, dg: DecompositionGraph) -> str:
     """One filled rect per segment (fill by mask), red lines between the
     centers of conflicting segments, dashed black lines for stitches."""
-    rects = [s.rect for s in dg.segments if s.rect is not None]
+    rects = [r for r in dg.rects if r is not None]
     if rects:
         x_min = min(r[0] for r in rects)
         y_min = min(r[1] for r in rects)
@@ -231,10 +231,9 @@ def render_svg(layout: Layout, assignment: MaskAssignment, dg: DecompositionGrap
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
     centers = {}
-    for seg in dg.segments:
-        x_lo, y_lo, x_hi, y_hi = seg.rect
-        centers[seg.id] = ((x_lo + x_hi) / 2, (y_lo + y_hi) / 2)
-        fill = MASK_FILLS[assignment.colors[seg.id]]
+    for seg_id, (x_lo, y_lo, x_hi, y_hi) in zip(dg.ids, dg.rects):
+        centers[seg_id] = ((x_lo + x_hi) / 2, (y_lo + y_hi) / 2)
+        fill = MASK_FILLS[assignment.colors[seg_id]]
         out.append(
             f'<rect x="{sx(x_lo):g}" y="{sy(y_hi):g}" width="{x_hi - x_lo}" '
             f'height="{y_hi - y_lo}" fill="{fill}" stroke="black" stroke-width="1"/>'

@@ -540,6 +540,6 @@ def project_and_split(
     keep = (j - i >= 2) | (shape_of[i] != shape_of[j])
     ce = frozenset(zip(i[keep].tolist(), j[keep].tolist()))
 
-    return DecompositionGraph.from_columns(
+    return DecompositionGraph(
         range(len(parents)), parents, seg_rects, ce, frozenset(se)
     )

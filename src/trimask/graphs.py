@@ -2,7 +2,9 @@
 
 A decomposition graph carries two disjoint edge sets: conflict edges (CE),
 penalized when both endpoints land on the same mask, and stitch edges (SE),
-penalized (weight alpha) when the endpoints land on different masks.
+penalized (weight alpha) when the endpoints land on different masks. A
+graph has one constructor, over its segment columns and edge sets;
+``from_edges`` makes an abstract graph from node ids and edge pairs.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def connected_components(dg: DecompositionGraph) -> list[DecompositionGraph]:
     for e in dg.se:
         parts[label[e[0]]][2].append(e)
     return [
-        DecompositionGraph.from_columns(
+        DecompositionGraph(
             map(dg.ids.__getitem__, rows), map(dg.parents.__getitem__, rows),
             map(dg.rects.__getitem__, rows), frozenset(c), frozenset(t),
         )
@@ -144,7 +146,7 @@ class Segment(NamedTuple):
     rect: tuple[int, int, int, int] | None = None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class DecompositionGraph:
     """Segments and the conflict and stitch edges between them.
 
@@ -152,9 +154,8 @@ class DecompositionGraph:
     ``Segment(ids[k], parents[k], rects[k])``, and never as ``Segment``
     objects: a layout's graph has one segment per shape, and a layout of
     5000 shapes kept 5000 more tuples alive for the garbage collector to
-    walk. ``DecompositionGraph(segments, ce, se)`` takes any iterable of
-    ``Segment``s and stores their columns; ``from_columns`` takes the
-    columns. Two graphs are equal when their columns and edges are.
+    walk. The columns may be given as any iterables and are stored as
+    tuples. Two graphs are equal when their columns and edges are.
     """
 
     ids: tuple[int, ...]
@@ -163,33 +164,21 @@ class DecompositionGraph:
     ce: frozenset[Pair]
     se: frozenset[Pair]
 
-    def __init__(self, segments, ce, se):
-        ids, parents, rects = tuple(zip(*segments)) or ((), (), ())
-        self._fill(ids, parents, rects, ce, se)
-
-    @classmethod
-    def from_columns(cls, ids, parents, rects, ce, se) -> "DecompositionGraph":
-        """The graph whose segment k is ``Segment(ids[k], parents[k],
-        rects[k])``, built without making any ``Segment``."""
-        dg = cls.__new__(cls)
-        dg._fill(tuple(ids), tuple(parents), tuple(rects), ce, se)
-        return dg
-
-    def _fill(self, ids, parents, rects, ce, se) -> None:
+    def __post_init__(self):
+        ids, parents, rects = tuple(self.ids), tuple(self.parents), tuple(self.rects)
         if not len(ids) == len(parents) == len(rects):
             raise ValueError("segment columns differ in length")
         known = set(ids)
         if len(known) != len(ids):
             raise ValueError("duplicate segment ids")
-        for name, value in (("ids", ids), ("parents", parents), ("rects", rects),
-                            ("ce", ce), ("se", se)):
+        for name, value in (("ids", ids), ("parents", parents), ("rects", rects)):
             object.__setattr__(self, name, value)
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u},{v}) references unknown node")
-        if ce & se:
+        if self.ce & self.se:
             raise ValueError("an edge cannot be both conflict and stitch")
 
     @property
@@ -207,7 +196,7 @@ class DecompositionGraph:
             nodes = range(nodes)
         ids = sorted(nodes)
         parents = parents or {}
-        return cls.from_columns(
+        return cls(
             ids, [parents.get(i, i) for i in ids], [None] * len(ids),
             ce=frozenset(ordered_pair(u, v) for u, v in ce),
             se=frozenset(ordered_pair(u, v) for u, v in se),
@@ -226,14 +215,11 @@ class DecompositionGraph:
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         return adjacency(self.nodes, self.edges)
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
     def subgraph(self, keep) -> "DecompositionGraph":
         """Induced subgraph; node ids are preserved."""
         keep = set(keep)
         rows = [i in keep for i in self.ids]
-        return DecompositionGraph.from_columns(
+        return DecompositionGraph(
             compress(self.ids, rows), compress(self.parents, rows), compress(self.rects, rows),
             ce=frozenset(e for e in self.ce if e[0] in keep and e[1] in keep),
             se=frozenset(e for e in self.se if e[0] in keep and e[1] in keep),
@@ -264,9 +250,6 @@ class MaskAssignment:
     @property
     def objective(self) -> Fraction:
         return Fraction(self.conflict_count) + self.alpha * self.stitch_count
-
-    def objective_float(self) -> float:
-        return float(self.objective)
 
 
 def evaluate(dg: DecompositionGraph, colors: dict[int, int], alpha) -> MaskAssignment:

@@ -11,8 +11,8 @@ eliminates the nodes along a min-fill order, which proves the optimum in
 3^(w + 1) table entries per node for an order of width w. Layout pieces have
 small width (4-8 on the benchmark's clips, 7-9 on the 110-300-node pieces
 of density-6 layouts). An order wider than ``ELIMINATION_WIDTH``, or one
-whose tables exceed the budget, is not run: ``solve_exact`` returns None,
-and the pipeline relaxes that piece instead.
+whose tables exceed ``ELIMINATION_BUDGET`` entries, is not run:
+``solve_exact`` returns None, and the pipeline relaxes that piece instead.
 """
 
 from __future__ import annotations
@@ -224,15 +224,17 @@ class SolveReport:
 # the widest elimination order solve_exact runs: its largest bucket is a
 # table of 3^(ELIMINATION_WIDTH + 1) entries
 ELIMINATION_WIDTH = 10
+# the most table entries solve_exact fills for one graph; it never binds
+# under solver "auto", whose leaves of at most 25 nodes fill at most
+# 25 * 3^11 = 4,428,675
+ELIMINATION_BUDGET = 5_000_000
 
 
-def solve_exact(
-    dg: DecompositionGraph, alpha, budget: int = 5_000_000
-) -> SolveReport | None:
+def solve_exact(dg: DecompositionGraph, alpha) -> SolveReport | None:
     """Proven minimum by min-sum bucket elimination along a min-fill order
     (Bertelè & Brioschi 1972; Dechter 1999), or None when the order's width
-    passes ``ELIMINATION_WIDTH`` or its tables would pass ``budget``
-    entries.
+    passes ``ELIMINATION_WIDTH`` or its tables would pass
+    ``ELIMINATION_BUDGET`` entries.
 
     Costs are integers: ``alpha.denominator`` per conflict,
     ``alpha.numerator`` per stitch. Each edge is a 3 x 3 table in the bucket
@@ -243,7 +245,7 @@ def solve_exact(
     Decoding walks the order backwards. ``nodes_explored`` reports the
     entries, 3^(scope size) per bucket.
     """
-    plan = _min_fill_order(dg, budget)
+    plan = _min_fill_order(dg, ELIMINATION_BUDGET)
     if plan is None:
         return None
     order, scopes, work = plan

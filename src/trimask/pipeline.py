@@ -11,7 +11,8 @@ The residual graph is solved in one pass of three phases:
    A single node takes mask 0, and a leaf for the exact solver (per the
    configuration) is eliminated at once. The rest wait for phase 2, and so
    does an exact leaf that ``solve_exact`` cannot take: one whose
-   elimination order is too wide, or whose tables pass ``node_budget``.
+   elimination order is wider than ``ilp.ELIMINATION_WIDTH``, or whose
+   tables pass ``ilp.ELIMINATION_BUDGET`` entries.
 2. Relax the waiting leaves together: one ``CostMatrix`` per leaf from
    ``build_cost_matrix``, joined by ``join_costs`` into one disjoint union,
    one ``solve_relaxation`` call on it, and each leaf rounded by
@@ -54,8 +55,6 @@ AUTO_THRESHOLD = 25
 class DecomposeConfig:
     solver: str = "auto"  # "exact" | "sdp" | "auto"
     alpha: float | None = None  # None: take from layout params (0.1 for bare graphs)
-    # table entries per piece before the piece relaxes instead
-    node_budget: int = 5_000_000
     seed: int = 42
 
     def __post_init__(self):
@@ -65,11 +64,10 @@ class DecomposeConfig:
         real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
         if alpha is not None and not (real and math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
-        for name in ("node_budget", "seed"):
-            value = getattr(self, name)
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not (integral and value >= 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        seed = self.seed
+        integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+        if not (integral and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -79,13 +77,18 @@ class ComponentReport:
     solver: str = "none"  # "exact" | "sdp", "mixed" if bridge pieces ran both
     # the eliminated pieces' table entries, summed
     nodes_explored: int = 0
-    proven_optimal: bool = True
     bridges_cut: int = 0
     # the pass's one relaxation run, shared by every relaxed piece of every
     # component: whether it certified, and its descent iterations
     sdp_converged: bool | None = None
     sdp_iterations: int = 0
     peel_fallback: bool = False
+
+    @property
+    def proven_optimal(self) -> bool:
+        """Whether every piece was eliminated or needed no solver; a
+        relaxed piece is unproven."""
+        return self.solver in ("none", "exact")
 
 
 @dataclass
@@ -129,7 +132,7 @@ def _bridge_pieces(comp: DecompositionGraph, cuts) -> list[DecompositionGraph]:
     if not cuts:
         return [comp]
     bridge_set = {cut.bridge for cut in cuts}
-    return connected_components(DecompositionGraph.from_columns(
+    return connected_components(DecompositionGraph(
         comp.ids, comp.parents, comp.rects, ce=comp.ce - bridge_set, se=comp.se - bridge_set
     ))
 
@@ -191,11 +194,10 @@ def _solve_components(dg: DecompositionGraph, alpha, cfg):
                 continue
             res = None
             if cfg.solver == "exact" or (cfg.solver == "auto" and n <= AUTO_THRESHOLD):
-                res = solve_exact(piece, alpha, budget=cfg.node_budget)
+                res = solve_exact(piece, alpha)
             if res is None:
                 colors = {}
                 relaxed.append((piece, report, colors))
-                report.proven_optimal = False
                 solver = "sdp"
             else:
                 colors = res.assignment.colors
@@ -277,7 +279,7 @@ def _result(assignment, dg, lg, reports, witnesses, peeled, t0, cfg) -> Decompos
         components=component_count(dg.nodes, dg.edges),
         stitch_count=assignment.stitch_count,
         conflict_count=assignment.conflict_count,
-        objective=assignment.objective_float(),
+        objective=float(assignment.objective),
         proven_optimal=all(r.proven_optimal for r in reports),
         wall_time=time.perf_counter() - t0,
         solver=cfg.solver,

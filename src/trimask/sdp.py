@@ -218,7 +218,7 @@ def join_costs(costs) -> CostMatrix:
         return costs[0]
     (alpha,) = {cost.alpha for cost in costs}
     offsets = np.cumsum([0] + [len(cost.index) for cost in costs[:-1]])
-    dg = DecompositionGraph.from_columns(
+    dg = DecompositionGraph(
         [i for cost in costs for i in cost.dg.ids],
         [p for cost in costs for p in cost.dg.parents],
         [r for cost in costs for r in cost.dg.rects],

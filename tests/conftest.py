@@ -1,8 +1,10 @@
 from typing import NamedTuple
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+import trimask.ilp
 import trimask.sdp
 from trimask.geometry import Layout, ProcessParams, Shape
 from trimask.graphs import DecompositionGraph
@@ -20,6 +22,12 @@ def random_graph(rng, n, ce_density=0.3, se_density=0.1):
             elif r < ce_density + se_density:
                 se.append((i, j))
     return DecompositionGraph.from_edges(n, ce=ce, se=se)
+
+
+def elimination_budget(budget):
+    """A context in which ``solve_exact`` fills at most ``budget`` table
+    entries per graph: ``ilp.ELIMINATION_BUDGET`` patched to ``budget``."""
+    return patch.object(trimask.ilp, "ELIMINATION_BUDGET", budget)
 
 
 def triangle_graph():

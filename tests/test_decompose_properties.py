@@ -8,6 +8,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import elimination_budget
 from trimask.cli import generate_layout
 from trimask.graphs import evaluate
 from trimask.pipeline import DecomposeConfig, decompose
@@ -44,6 +45,8 @@ def test_decompose_colors_every_segment_and_beats_greedy(shapes, density, seed, 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(st.integers(20, 60), st.sampled_from([4, 6]), st.integers(0, 2**16))
 def test_exact_with_unproven_leaves_beats_greedy(shapes, density, seed):
-    # a budget of 1000 table entries relaxes most pieces above 25 nodes
-    cfg = DecomposeConfig(solver="exact", node_budget=1000, seed=seed)
-    check_decompose(generate_layout(shapes, density, seed=seed), cfg)
+    # a budget of 1000 table entries relaxes most pieces above 25 nodes;
+    # patched in the body: hypothesis rejects function-scoped fixtures
+    cfg = DecomposeConfig(solver="exact", seed=seed)
+    with elimination_budget(1000):
+        check_decompose(generate_layout(shapes, density, seed=seed), cfg)

@@ -858,7 +858,10 @@ def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> Decompo
     i, j = i[close], j[close]
     order = np.lexsort((j, i))
     ce = frozenset(zip(i[order].tolist(), j[order].tolist()))
-    return DecompositionGraph(segments=tuple(segments), ce=ce, se=frozenset(se))
+    return DecompositionGraph(
+        [s.id for s in segments], [s.parent for s in segments], [s.rect for s in segments],
+        ce=ce, se=frozenset(se),
+    )
 
 
 class TestReferenceLoops:

@@ -229,6 +229,30 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             DecompositionGraph.from_edges(2, ce=[(0, 5)])
 
-    def test_columns_of_unequal_length_rejected(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            DecompositionGraph.from_columns((0, 1), (0,), (None, None), frozenset(), frozenset())
+    @pytest.mark.parametrize("columns", [
+        lambda: (range(3), range(3), itertools.repeat(None, 3)),
+        lambda: (map(int, "012"), map(int, "012"), map(lambda _: None, "012")),
+        lambda: ([0, 1, 2], [0, 1, 2], [None, None, None]),
+        lambda: ((0, 1, 2), (0, 1, 2), (None, None, None)),
+        lambda: tuple(
+            itertools.compress(c, [1, 0, 1, 1]) for c in ([0, 9, 1, 2], [0, 9, 1, 2], [None] * 4)
+        ),
+    ], ids=["range", "map", "list", "tuple", "compress"])
+    def test_columns_are_stored_as_tuples(self, columns):
+        ce, se = frozenset({(0, 1)}), frozenset({(1, 2)})
+        dg = DecompositionGraph(*columns(), ce, se)
+        assert (dg.ids, dg.parents, dg.rects) == ((0, 1, 2), (0, 1, 2), (None,) * 3)
+        assert type(dg.ids) is type(dg.parents) is type(dg.rects) is tuple
+        reference = DecompositionGraph((0, 1, 2), (0, 1, 2), (None, None, None), ce, se)
+        assert dg == reference and hash(dg) == hash(reference)
+
+    @pytest.mark.parametrize("ids, parents, ce, se, message", [
+        ((0, 1), (0,), (), (), "segment columns differ in length"),
+        ((0, 0), (0, 0), (), (), "duplicate segment ids"),
+        ((0, 1), (0, 1), [(1, 1)], (), "self-loop on node 1"),
+        ((0, 1), (0, 1), [(0, 5)], (), r"edge \(0,5\) references unknown node"),
+        ((0, 1), (0, 1), [(0, 1)], [(0, 1)], "an edge cannot be both conflict and stitch"),
+    ])
+    def test_bad_columns_or_edges_rejected(self, ids, parents, ce, se, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DecompositionGraph(ids, parents, [None] * 2, frozenset(ce), frozenset(se))

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
+from conftest import (
+    elimination_budget,
+    k4_graph,
+    random_graph,
+    triangle_graph,
+    worked_example_graph,
+)
 from trimask.cli import generate_layout
 from trimask.geometry import build_layout_graph, project_and_split
 from trimask.graphs import (
@@ -17,6 +23,7 @@ from trimask.graphs import (
     evaluate,
 )
 from trimask.ilp import (
+    ELIMINATION_BUDGET,
     ELIMINATION_WIDTH,
     SolveReport,
     _min_fill_order,
@@ -154,7 +161,8 @@ class TestSolveExact:
 
     def test_budget_exhaustion_returns_none(self):
         # K4's tables hold 81 + 27 + 9 + 3 entries
-        assert solve_exact(k4_graph(), 0.1, budget=3) is None
+        with elimination_budget(3):
+            assert solve_exact(k4_graph(), 0.1) is None
 
     def test_deterministic(self, rng):
         dg = random_graph(rng, 10)
@@ -302,8 +310,10 @@ class TestElimination:
         k4 = k4_graph()
         work = solve_exact(k4, Fraction(1, 10)).nodes_explored
         assert work == 81 + 27 + 9 + 3
-        assert solve_exact(k4, Fraction(1, 10), budget=work).proven_optimal
-        assert solve_exact(k4, Fraction(1, 10), budget=work - 1) is None
+        with elimination_budget(work):
+            assert solve_exact(k4, Fraction(1, 10)).proven_optimal
+        with elimination_budget(work - 1):
+            assert solve_exact(k4, Fraction(1, 10)) is None
 
     @pytest.mark.parametrize("alpha", [
         # a 53-bit denominator: int64 tables still hold every sum
@@ -370,7 +380,7 @@ def reference_min_fill_order(dg: DecompositionGraph, budget: int):
     return [nodes[i] for i in order], scopes, work
 
 
-def reference_elimination(dg: DecompositionGraph, alpha, budget: int = 5_000_000):
+def reference_elimination(dg: DecompositionGraph, alpha, budget: int = ELIMINATION_BUDGET):
     """Min-sum bucket elimination along the reference min-fill order, with
     every table a dict from the colors of its scope to a Python int. The
     color chosen for a node is its cheapest, the lowest on a tie."""
@@ -422,7 +432,7 @@ class TestMinFillOrder:
         st.sampled_from([0.1, 0.2, 0.3]),
         st.sampled_from([0.05, 0.15]),
         st.integers(0, 2**32 - 1),
-        st.sampled_from([400, 5000, 5_000_000]),
+        st.sampled_from([400, 5000, ELIMINATION_BUDGET]),
     )
     def test_random_graphs(self, n, ce_density, se_density, seed, budget):
         dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
@@ -431,16 +441,16 @@ class TestMinFillOrder:
     @pytest.mark.parametrize("seed", range(1, 31))
     def test_clip_components(self, seed):
         (comp,) = clip_components(seed)
-        plan = _min_fill_order(comp, 5_000_000)
+        plan = _min_fill_order(comp, ELIMINATION_BUDGET)
         assert plan is not None
-        assert plan == reference_min_fill_order(comp, 5_000_000)
+        assert plan == reference_min_fill_order(comp, ELIMINATION_BUDGET)
 
     @pytest.mark.parametrize("side, eliminates", [(8, True), (9, False)])
     def test_grids_at_the_width_cap(self, side, eliminates):
         grid = conflict_grid(side)
-        plan = _min_fill_order(grid, 5_000_000)
+        plan = _min_fill_order(grid, ELIMINATION_BUDGET)
         assert (plan is not None) == eliminates
-        assert plan == reference_min_fill_order(grid, 5_000_000)
+        assert plan == reference_min_fill_order(grid, ELIMINATION_BUDGET)
 
 
 class TestEliminationIdentity:
@@ -459,7 +469,9 @@ class TestEliminationIdentity:
     def test_random_graphs(self, n, ce_density, se_density, seed, alpha):
         dg = random_graph(np.random.default_rng(seed), n, ce_density, se_density)
         # past 20 000 entries both return None, which keeps the dicts quick
-        assert solve_exact(dg, alpha, 20_000) == reference_elimination(dg, alpha, 20_000)
+        with elimination_budget(20_000):
+            got = solve_exact(dg, alpha)
+        assert got == reference_elimination(dg, alpha, 20_000)
 
     @pytest.mark.parametrize("seed", range(1, 31))
     def test_clip_components(self, seed):
@@ -470,7 +482,7 @@ class TestEliminationIdentity:
             assert got == reference_elimination(comp, alpha)
 
 
-BUDGETS = (1, 2, 7, 50, 400, 5000, 5_000_000)
+BUDGETS = (1, 2, 7, 50, 400, 5000, ELIMINATION_BUDGET)
 
 
 class TestBudgetCut:
@@ -483,7 +495,8 @@ class TestBudgetCut:
         dg = random_graph(rng, int(rng.integers(6, 12)), 0.35, 0.15)
         full = solve_exact(dg, Fraction(1, 10))
         for budget in range(full.nodes_explored + 2):
-            got = solve_exact(dg, Fraction(1, 10), budget)
+            with elimination_budget(budget):
+                got = solve_exact(dg, Fraction(1, 10))
             if budget < full.nodes_explored:
                 assert got is None
             else:
@@ -492,6 +505,9 @@ class TestBudgetCut:
     def test_budgets_cut_a_clip_component(self):
         # 6276 entries: the budgets above cut all but the default one
         (comp,) = clip_components(22)
-        reports = [solve_exact(comp, Fraction(1, 10), b) for b in BUDGETS]
+        reports = []
+        for budget in BUDGETS:
+            with elimination_budget(budget):
+                reports.append(solve_exact(comp, Fraction(1, 10)))
         assert reports[:-1] == [None] * (len(BUDGETS) - 1)
         assert reports[-1].nodes_explored == 6276 and reports[-1].proven_optimal

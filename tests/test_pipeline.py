@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import trimask.pipeline
-from conftest import PEEL_FALLBACK_LAYOUT, random_graph, worked_example_graph
+from conftest import PEEL_FALLBACK_LAYOUT, elimination_budget, random_graph, worked_example_graph
 from test_ilp import conflict_grid
 from trimask.cli import generate_layout
 from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, project_and_split
@@ -17,8 +17,14 @@ from trimask.graphs import (
     connected_components,
     evaluate,
 )
-from trimask.ilp import solve_exact
-from trimask.pipeline import AUTO_THRESHOLD, DecomposeConfig, decompose, decompose_graph
+from trimask.ilp import ELIMINATION_BUDGET, ELIMINATION_WIDTH, solve_exact
+from trimask.pipeline import (
+    AUTO_THRESHOLD,
+    ComponentReport,
+    DecomposeConfig,
+    decompose,
+    decompose_graph,
+)
 from trimask.reductions import find_bridges, peel_low_degree, stitch_and_rotate
 from trimask.sdp import build_cost_matrix, solve_relaxation
 
@@ -104,7 +110,8 @@ class TestDecompose:
         assert a == b
 
     def test_budget_exhaustion_relaxes_not_aborts(self):
-        result = decompose(K4, DecomposeConfig(solver="exact", node_budget=2))
+        with elimination_budget(2):
+            result = decompose(K4, DecomposeConfig(solver="exact"))
         assert not result.proven_optimal
         assert [r.solver for r in result.per_component] == ["sdp"]
         assert set(result.assignment.colors) == {s.id for s in result.dg.segments}
@@ -123,15 +130,16 @@ def residual_component(layout, size):
 
 
 class TestUnprovenExactLeaves:
-    """A leaf whose elimination would pass ``node_budget`` table entries
+    """A leaf whose elimination would pass ``ELIMINATION_BUDGET`` table entries
     joins the pass's relaxed leaves: its component reports the relaxation,
     unproven, with the colors ``solver="sdp"`` gives it."""
 
     @pytest.mark.parametrize("seed, size, greedy", [(1, 31, 12.0), (3, 34, 9.0)])
     def test_a_leaf_past_the_budget_relaxes(self, seed, size, greedy):
         comp = residual_component(generate_layout(40, 6, seed=seed), size)
-        assert solve_exact(comp, 0.1, budget=500) is None
-        result = decompose_graph(comp, DecomposeConfig(solver="exact", node_budget=500))
+        with elimination_budget(500):
+            assert solve_exact(comp, 0.1) is None
+            result = decompose_graph(comp, DecomposeConfig(solver="exact"))
         (report,) = result.per_component
         assert report.solver == "sdp" and not report.proven_optimal
         assert report.nodes_explored == 0 and report.sdp_converged is not None
@@ -183,17 +191,9 @@ class TestDecomposeGraph:
         assert DecomposeConfig(seed=0).seed == 0
         assert DecomposeConfig(seed=np.int64(7)).seed == 7
 
-    @pytest.mark.parametrize("budget", [-5, -1, 2.5, float("nan"), True, False, None, "10"])
-    def test_node_budget_must_be_a_non_negative_integer(self, budget):
-        with pytest.raises(ValueError, match="node_budget must be a non-negative integer"):
-            DecomposeConfig(node_budget=budget)
-
-    @pytest.mark.parametrize("budget", [0, 1, np.int64(7), 5_000_000])
-    def test_node_budget_accepts_non_negative_integers(self, budget):
-        assert DecomposeConfig(node_budget=budget).node_budget == budget
-
-    def test_node_budget_zero_relaxes_every_piece_with_an_edge(self):
-        result = decompose(K4, DecomposeConfig(solver="exact", node_budget=0))
+    def test_budget_zero_relaxes_every_piece_with_an_edge(self):
+        with elimination_budget(0):
+            result = decompose(K4, DecomposeConfig(solver="exact"))
         (report,) = result.per_component
         assert report.solver == "sdp" and report.nodes_explored == 0
         assert not report.proven_optimal
@@ -201,15 +201,26 @@ class TestDecomposeGraph:
         # two bridged triangles, and a path whose pieces are single nodes
         bridged = two_triangles_bridged()
         dg = DecompositionGraph.from_edges(9, ce=sorted(bridged.ce) + [(6, 7), (7, 8)])
-        result = decompose_graph(dg, DecomposeConfig(solver="exact", node_budget=0))
+        with elimination_budget(0):
+            result = decompose_graph(dg, DecomposeConfig(solver="exact"))
         assert [(r.solver, r.bridges_cut, r.nodes_explored) for r in result.per_component] == [
             ("sdp", 1, 0), ("none", 2, 0)
         ]
 
-    def test_config_has_four_fields(self):
-        assert list(DecomposeConfig.__dataclass_fields__) == [
-            "solver", "alpha", "node_budget", "seed"
-        ]
+    def test_config_has_three_fields(self):
+        assert list(DecomposeConfig.__dataclass_fields__) == ["solver", "alpha", "seed"]
+
+    def test_budget_is_not_a_setting(self):
+        # the elimination budget is ilp.ELIMINATION_BUDGET, read on every call
+        with pytest.raises(TypeError):
+            DecomposeConfig(node_budget=10)
+        with pytest.raises(TypeError):
+            solve_exact(K4, 0.1, budget=10)
+
+    def test_auto_leaves_never_reach_the_budget(self):
+        # a leaf of at most AUTO_THRESHOLD nodes, each bucket at most
+        # 3^(ELIMINATION_WIDTH + 1) entries
+        assert AUTO_THRESHOLD * 3 ** (ELIMINATION_WIDTH + 1) < ELIMINATION_BUDGET
 
 
 def two_triangles_bridged():
@@ -220,6 +231,18 @@ def two_triangles_bridged():
 
 class TestComponentSolver:
     """``ComponentReport.solver`` names the solver that actually ran."""
+
+    @pytest.mark.parametrize("solver, proven", [
+        ("none", True), ("exact", True), ("sdp", False), ("mixed", False)
+    ])
+    def test_proven_optimal_follows_the_solver(self, solver, proven):
+        assert ComponentReport(component=0, size=3, solver=solver).proven_optimal is proven
+
+    def test_proven_optimal_is_read_only(self):
+        report = ComponentReport(component=0, size=3, solver="sdp")
+        with pytest.raises(AttributeError):
+            report.proven_optimal = True
+        assert not report.proven_optimal
 
     def test_auto_small_component_runs_exact(self):
         result = decompose_graph(two_triangles_bridged(), DecomposeConfig(solver="auto"))
@@ -332,7 +355,7 @@ class TestBridgeMerge:
             assert (colors[u] != colors[v]) == (cut.edge_kind == "CE")
         bridges = {cut.bridge for cut in cuts}
         pieces = connected_components(
-            DecompositionGraph(dg.segments, dg.ce - bridges, dg.se - bridges))
+            DecompositionGraph(dg.ids, dg.parents, dg.rects, dg.ce - bridges, dg.se - bridges))
         assert result.assignment.objective == sum(
             brute_force_optimum(piece, 0.1).objective for piece in pieces)
 
@@ -402,10 +425,6 @@ class TestSegmentColumns:
         dg = result.dg
         segments = tuple(Segment(k, s.id, s.rect) for k, s in enumerate(layout.sorted_shapes))
         assert dg.segments == segments
-        by_tuple = DecompositionGraph(segments, dg.ce, dg.se)
-        assert by_tuple == dg and hash(by_tuple) == hash(dg)
-        by_columns = DecompositionGraph.from_columns(dg.ids, dg.parents, dg.rects, dg.ce, dg.se)
-        assert by_columns == by_tuple
 
 
 class TestOneRelaxationSchedule:

@@ -386,7 +386,8 @@ class TestRotation:
             assert cuts, "construction must leave the joining edge a bridge"
             # the two sides are the components of the endpoints once the bridge is cut
             cut_ce, cut_se = whole.ce - {bridge}, whole.se - {bridge}
-            pieces = connected_components(DecompositionGraph(whole.segments, cut_ce, cut_se))
+            pieces = connected_components(DecompositionGraph(
+                whole.ids, whole.parents, whole.rects, cut_ce, cut_se))
             side_a, side_b = (next(p for p in pieces if end in p.nodes) for end in bridge)
             color_a = brute_force_optimum(side_a, 0.1).colors
             color_b = brute_force_optimum(side_b, 0.1).colors

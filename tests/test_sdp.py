@@ -470,7 +470,8 @@ class TestJoin:
             assert part.obj_relaxation == RelaxationSolution.from_factor(part.v, cost).obj_relaxation
             offset, first = offset + n, first + m
         leaf = costs[1].dg
-        fewer = DecompositionGraph(segments=leaf.segments, ce=leaf.ce - {min(leaf.ce)}, se=leaf.se)
+        fewer = DecompositionGraph(
+            leaf.ids, leaf.parents, leaf.rects, ce=leaf.ce - {min(leaf.ce)}, se=leaf.se)
         for other in (fewer, DecompositionGraph.from_edges([10**6])):
             with pytest.raises(ValueError):
                 sol.restrict(build_cost_matrix(other, 0.1))

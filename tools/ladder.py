@@ -89,7 +89,7 @@ def serve() -> None:
         # every relaxed report of a pass carries that pass's one run
         passes = {r.peel_fallback: r.sdp_iterations for r in relaxed}
         return {
-            "segments": len(dg.segments),
+            "segments": len(dg.ids),
             "ce": len(dg.ce),
             "se": len(dg.se),
             "components": len(reports),
