@@ -238,18 +238,15 @@ def render_svg(layout: Layout, assignment: MaskAssignment, dg: DecompositionGrap
             f'<rect x="{sx(x_lo):g}" y="{sy(y_hi):g}" width="{x_hi - x_lo}" '
             f'height="{y_hi - y_lo}" fill="{fill}" stroke="black" stroke-width="1"/>'
         )
-    for u, v in sorted(assignment.stitches):
-        (x1, y1), (x2, y2) = centers[u], centers[v]
-        out.append(
-            f'<line x1="{sx(x1):g}" y1="{sy(y1):g}" x2="{sx(x2):g}" y2="{sy(y2):g}" '
-            f'stroke="black" stroke-width="2" stroke-dasharray="6,4"/>'
-        )
-    for u, v in sorted(assignment.conflicts):
-        (x1, y1), (x2, y2) = centers[u], centers[v]
-        out.append(
-            f'<line x1="{sx(x1):g}" y1="{sy(y1):g}" x2="{sx(x2):g}" y2="{sy(y2):g}" '
-            f'stroke="red" stroke-width="3"/>'
-        )
+    for pairs, style in (
+        (assignment.stitches, 'stroke="black" stroke-width="2" stroke-dasharray="6,4"'),
+        (assignment.conflicts, 'stroke="red" stroke-width="3"'),
+    ):
+        for u, v in sorted(pairs):
+            (x1, y1), (x2, y2) = centers[u], centers[v]
+            out.append(
+                f'<line x1="{sx(x1):g}" y1="{sy(y1):g}" x2="{sx(x2):g}" y2="{sy(y2):g}" {style}/>'
+            )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -39,7 +39,7 @@ import math
 import numbers
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -74,11 +74,11 @@ class ProcessParams:
     min_spacing: int = 30
 
     def __post_init__(self):
-        for name in ("min_s", "overlap_margin", "alpha", "min_width", "min_spacing"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and math.isfinite(value)):
-                raise LayoutError(f"{name} must be a finite number, got {value!r}")
+                raise LayoutError(f"{f.name} must be a finite number, got {value!r}")
         if not self.min_s > self.min_spacing > 0:
             raise LayoutError(
                 f"require min_s > min_spacing > 0, got {self.min_s}, {self.min_spacing}"
@@ -368,8 +368,7 @@ def layout_from_dict(doc: dict) -> Layout:
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict):
         raise LayoutError(f"params must be an object, got {params_doc!r}")
-    known = {"min_s", "overlap_margin", "alpha", "min_width", "min_spacing"}
-    extra = set(params_doc) - known
+    extra = set(params_doc) - {f.name for f in fields(ProcessParams)}
     if extra:
         raise LayoutError(f"unknown params keys: {sorted(extra)}")
     params = ProcessParams(**params_doc)
@@ -380,16 +379,9 @@ def layout_from_dict(doc: dict) -> Layout:
 
 
 def layout_to_dict(layout: Layout) -> dict:
-    p = layout.params
     return {
         "units": layout.units,
-        "params": {
-            "min_s": p.min_s,
-            "overlap_margin": p.overlap_margin,
-            "alpha": p.alpha,
-            "min_width": p.min_width,
-            "min_spacing": p.min_spacing,
-        },
+        "params": asdict(layout.params),
         "shapes": [{"id": s.id, "rect": list(s.rect)} for s in layout.shapes],
     }
 

@@ -291,7 +291,11 @@ def _color_table(n: int) -> np.ndarray:
     return ((codes[:, None] // place[None, :]) % 3).astype(np.int8)
 
 
-def brute_force_optimum(dg: DecompositionGraph, alpha, max_nodes: int = 16) -> MaskAssignment:
+# the most nodes brute_force_optimum enumerates, 3^16 colorings
+BRUTE_FORCE_LIMIT = 16
+
+
+def brute_force_optimum(dg: DecompositionGraph, alpha) -> MaskAssignment:
     """Exhaustive 3^n minimization; the reference oracle for every solver.
 
     Ties break toward the lexicographically smallest color vector over nodes
@@ -301,8 +305,8 @@ def brute_force_optimum(dg: DecompositionGraph, alpha, max_nodes: int = 16) -> M
     """
     nodes = dg.nodes
     n = len(nodes)
-    if n > max_nodes:
-        raise ValueError(f"brute force limited to {max_nodes} nodes, got {n}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} nodes, got {n}")
     if n == 0:
         return evaluate(dg, {}, alpha)
 

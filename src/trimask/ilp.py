@@ -1,10 +1,19 @@
 """Exact minimization: the paper's 0-1 linear model and bucket elimination.
 
-The 0-1 model is the specification of record: each node carries two bits
-(the pair (1,1) is forbidden, leaving three codes), auxiliary bit pairs
-linearize per-edge equality/inequality tests, and the objective sums
-conflict indicators plus alpha times stitch indicators. The bit model is
-kept for verification and for export to external LP solvers.
+The 0-1 model is the specification of record. Node i carries the color
+bits x_i1 and x_i2, a conflict edge (i, j) the indicators c_1, c_2 and c,
+and a stitch edge s_1, s_2 and s. Its rows, with b over the bits ``BITS``:
+
+    x_ib + x_jb - c_b <= 1    -x_ib - x_jb - c_b <= -1    (conflict edge)
+    c_1 + c_2 - c <= 1                                    (conflict edge)
+    ±(x_ib - x_jb) - s_b <= 0    s_b - s <= 0             (stitch edge)
+    x_i1 + x_i2 <= 1                                      (node)
+
+So c_b is 1 when the ends' b-th bits are equal and c when both are, s_b is
+1 when they differ and s when either does, and the code (1,1) is
+forbidden, leaving three colors. The objective is the sum of c plus alpha
+times the sum of s. The bit model is kept for verification and for export
+to external LP solvers.
 
 The solver works on ternary node colors with integer costs. ``solve_exact``
 eliminates the nodes along a min-fill order, which proves the optimum in
@@ -34,6 +43,8 @@ from .graphs import (
 # color code -> (first bit, second bit); (1,1) is never used
 COLOR_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 0)}
 BITS_COLOR = {bits: color for color, bits in COLOR_BITS.items()}
+# the two color bits, b in each per-bit rule
+BITS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -84,83 +95,38 @@ def build_ilp(dg: DecompositionGraph, alpha) -> IlpModel:
     objective: dict[str, Fraction] = {}
 
     for i in nodes:
-        variables += [_x(i, 1), _x(i, 2)]
-        constraints.append(
-            LinearConstraint(f"color_cap[{i}]", {_x(i, 1): 1, _x(i, 2): 1}, 1)
-        )
+        variables += [_x(i, b) for b in BITS]
+        constraints.append(LinearConstraint(f"color_cap[{i}]", {_x(i, b): 1 for b in BITS}, 1))
 
     for i, j in ce:
-        variables += [_c(i, j, 1), _c(i, j, 2), _c(i, j)]
-        objective[_c(i, j)] = Fraction(1)
-        constraints += [
-            LinearConstraint(
-                f"conflict_bit1_hi[{i},{j}]",
-                {_x(i, 1): 1, _x(j, 1): 1, _c(i, j, 1): -1},
-                1,
-            ),
-            LinearConstraint(
-                f"conflict_bit1_lo[{i},{j}]",
-                {_x(i, 1): -1, _x(j, 1): -1, _c(i, j, 1): -1},
-                -1,
-            ),
-            LinearConstraint(
-                f"conflict_bit2_hi[{i},{j}]",
-                {_x(i, 2): 1, _x(j, 2): 1, _c(i, j, 2): -1},
-                1,
-            ),
-            LinearConstraint(
-                f"conflict_bit2_lo[{i},{j}]",
-                {_x(i, 2): -1, _x(j, 2): -1, _c(i, j, 2): -1},
-                -1,
-            ),
-            LinearConstraint(
-                f"conflict_and[{i},{j}]",
-                {_c(i, j, 1): 1, _c(i, j, 2): 1, _c(i, j): -1},
-                1,
-            ),
-        ]
+        c = _c(i, j)
+        variables += [_c(i, j, b) for b in BITS] + [c]
+        objective[c] = Fraction(1)
+        for b in BITS:
+            xi, xj, cb = _x(i, b), _x(j, b), _c(i, j, b)
+            constraints += [
+                LinearConstraint(f"conflict_bit{b}_hi[{i},{j}]", {xi: 1, xj: 1, cb: -1}, 1),
+                LinearConstraint(f"conflict_bit{b}_lo[{i},{j}]", {xi: -1, xj: -1, cb: -1}, -1),
+            ]
+        and_row = {_c(i, j, b): 1 for b in BITS} | {c: -1}
+        constraints.append(LinearConstraint(f"conflict_and[{i},{j}]", and_row, 1))
 
     for i, j in se:
-        variables += [_s(i, j, 1), _s(i, j, 2), _s(i, j)]
-        objective[_s(i, j)] = frac
+        s = _s(i, j)
+        variables += [_s(i, j, b) for b in BITS] + [s]
+        objective[s] = frac
+        for b in BITS:
+            xi, xj, sb = _x(i, b), _x(j, b), _s(i, j, b)
+            constraints += [
+                LinearConstraint(f"stitch_bit{b}_pos[{i},{j}]", {xi: 1, xj: -1, sb: -1}, 0),
+                LinearConstraint(f"stitch_bit{b}_neg[{i},{j}]", {xj: 1, xi: -1, sb: -1}, 0),
+            ]
         constraints += [
-            LinearConstraint(
-                f"stitch_bit1_pos[{i},{j}]",
-                {_x(i, 1): 1, _x(j, 1): -1, _s(i, j, 1): -1},
-                0,
-            ),
-            LinearConstraint(
-                f"stitch_bit1_neg[{i},{j}]",
-                {_x(j, 1): 1, _x(i, 1): -1, _s(i, j, 1): -1},
-                0,
-            ),
-            LinearConstraint(
-                f"stitch_bit2_pos[{i},{j}]",
-                {_x(i, 2): 1, _x(j, 2): -1, _s(i, j, 2): -1},
-                0,
-            ),
-            LinearConstraint(
-                f"stitch_bit2_neg[{i},{j}]",
-                {_x(j, 2): 1, _x(i, 2): -1, _s(i, j, 2): -1},
-                0,
-            ),
-            LinearConstraint(
-                f"stitch_or_1[{i},{j}]", {_s(i, j, 1): 1, _s(i, j): -1}, 0
-            ),
-            LinearConstraint(
-                f"stitch_or_2[{i},{j}]", {_s(i, j, 2): 1, _s(i, j): -1}, 0
-            ),
+            LinearConstraint(f"stitch_or_{b}[{i},{j}]", {_s(i, j, b): 1, s: -1}, 0)
+            for b in BITS
         ]
 
-    return IlpModel(
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective=objective,
-        alpha=frac,
-        nodes=nodes,
-        ce=ce,
-        se=se,
-    )
+    return IlpModel(tuple(variables), tuple(constraints), objective, frac, nodes, ce, se)
 
 
 def encode_coloring(model: IlpModel, colors: dict[int, int]) -> dict[str, int]:
@@ -168,27 +134,24 @@ def encode_coloring(model: IlpModel, colors: dict[int, int]) -> dict[str, int]:
     minimal feasible value, so the encoded objective equals the true cost."""
     bits: dict[str, int] = {}
     for i in model.nodes:
-        b1, b2 = COLOR_BITS[colors[i]]
-        bits[_x(i, 1)] = b1
-        bits[_x(i, 2)] = b2
+        for b, bit in zip(BITS, COLOR_BITS[colors[i]]):
+            bits[_x(i, b)] = bit
     for i, j in model.ce:
-        c1 = int(bits[_x(i, 1)] == bits[_x(j, 1)])
-        c2 = int(bits[_x(i, 2)] == bits[_x(j, 2)])
-        bits[_c(i, j, 1)] = c1
-        bits[_c(i, j, 2)] = c2
-        bits[_c(i, j)] = max(0, c1 + c2 - 1)
+        # a conflict is paid when both bits are equal
+        for b in BITS:
+            bits[_c(i, j, b)] = int(bits[_x(i, b)] == bits[_x(j, b)])
+        bits[_c(i, j)] = min(bits[_c(i, j, b)] for b in BITS)
     for i, j in model.se:
-        s1 = abs(bits[_x(i, 1)] - bits[_x(j, 1)])
-        s2 = abs(bits[_x(i, 2)] - bits[_x(j, 2)])
-        bits[_s(i, j, 1)] = s1
-        bits[_s(i, j, 2)] = s2
-        bits[_s(i, j)] = max(s1, s2)
+        # a stitch is paid when either bit differs
+        for b in BITS:
+            bits[_s(i, j, b)] = abs(bits[_x(i, b)] - bits[_x(j, b)])
+        bits[_s(i, j)] = max(bits[_s(i, j, b)] for b in BITS)
     return bits
 
 
 def decode_bits(model: IlpModel, bits: dict[str, int]) -> dict[int, int]:
     """Colors from the node bit variables, e.g. of an externally solved model."""
-    return {i: BITS_COLOR[(bits[_x(i, 1)], bits[_x(i, 2)])] for i in model.nodes}
+    return {i: BITS_COLOR[tuple(bits[_x(i, b)] for b in BITS)] for i in model.nodes}
 
 
 @dataclass(frozen=True)
@@ -356,23 +319,18 @@ def _min_fill_order(
     return [nodes[i] for i in order], scopes, work
 
 
+def _terms(coeffs) -> str:
+    # repr, not a fixed precision: the float of alpha reads back exactly,
+    # and an int's repr is its str
+    return " ".join(f"+ {w!r} {v}" if w >= 0 else f"- {-w!r} {v}" for v, w in coeffs)
+
+
 def write_lp(model: IlpModel) -> str:
     """Serialize the model in LP-format text (minimize, <= rows, binaries)."""
-    terms = []
-    for var, w in model.objective.items():
-        # repr, not a fixed precision: the float of alpha reads back exactly
-        coef = float(w)
-        terms.append(f"+ {coef!r} {var}" if coef >= 0 else f"- {-coef!r} {var}")
-    obj = " ".join(terms) if terms else "0"
+    obj = _terms((v, float(w)) for v, w in model.objective.items()) or "0"
     lines = ["Minimize", f" obj: {obj}", "Subject To"]
     for con in model.constraints:
-        row = []
-        for var, coef in con.coeffs.items():
-            row.append(f"+ {coef} {var}" if coef >= 0 else f"- {-coef} {var}")
         name = con.name.replace("[", "_").replace("]", "").replace(",", "_")
-        lines.append(f" {name}: {' '.join(row)} <= {con.rhs}")
-    lines.append("Binary")
-    for var in model.variables:
-        lines.append(f" {var}")
-    lines.append("End")
+        lines.append(f" {name}: {_terms(con.coeffs.items())} <= {con.rhs}")
+    lines += ["Binary", *(f" {var}" for var in model.variables), "End"]
     return "\n".join(lines) + "\n"

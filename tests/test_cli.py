@@ -1,5 +1,7 @@
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,9 @@ from trimask.cli import format_assignment, generate_layout, main, render_svg
 from trimask.geometry import build_layout_graph, load_layout, project_and_split
 from trimask.graphs import MaskAssignment, component_sets, evaluate, parse_edgelist
 from trimask.pipeline import DecomposeConfig, decompose
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
 
 TRIANGLE_EDGELIST = "3\nC 0 1\nC 1 2\nC 0 2\n"
 # the five-node reference instance, shifted to 0-based ids
@@ -353,6 +358,14 @@ class TestGenCommand:
         run(["gen", "--shapes", "25", "--density", "4", "--seed", "7", "--out", str(a)])
         run(["gen", "--shapes", "25", "--density", "4", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workload", sorted(inputs.WORKLOADS))
+    def test_benchmark_layouts_keep_their_pins(self, workload):
+        # the benchmark refuses to run on layouts whose digests moved
+        spec = inputs.WORKLOADS[workload]
+        gen_seed, pinned = next(iter(inputs.load_pins()[workload]["main"].items()))
+        data = inputs.generate(spec.shapes, spec.density, int(gen_seed))
+        assert inputs.digest(data) == pinned
 
 
 class TestRenderSvg:

@@ -98,8 +98,12 @@ class TestBruteForce:
         assert brute_force_optimum(dg, 0.1).colors == {0: 0, 1: 0, 2: 0, 3: 0}
 
     def test_node_limit(self):
-        with pytest.raises(ValueError, match="16"):
+        with pytest.raises(ValueError, match="^brute force limited to 16 nodes, got 17$"):
             brute_force_optimum(DecompositionGraph.from_edges(17), 0.1)
+
+    def test_node_limit_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            brute_force_optimum(DecompositionGraph.from_edges(2), 0.1, max_nodes=2)
 
     def test_empty_graph(self):
         assert brute_force_optimum(DecompositionGraph.from_edges(0), 0.1).objective == 0

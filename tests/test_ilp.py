@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -193,6 +194,34 @@ class TestLpExport:
         obj = text.splitlines()[1].split()
         assert obj[:2] == ["obj:", "+"] and obj[3:] == ["s0_1"]
         assert float(obj[2]) == float(as_fraction(alpha))
+
+
+class TestModelPin:
+    """Digests of the whole 0-1 model on 50 seeded graphs: row names and
+    order, coefficient order within a row, variable order and the tight
+    encoding. They change only when the model's text does."""
+
+    @staticmethod
+    def graphs():
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            yield rng, random_graph(rng, 2 + seed % 11, 0.3, 0.15)
+
+    def test_lp_text(self):
+        texts = [
+            write_lp(build_ilp(dg, alpha))
+            for _, dg in self.graphs()
+            for alpha in (Fraction(1, 10), Fraction(1, 3), 1e-300)
+        ]
+        assert hashlib.sha256("".join(texts).encode()).hexdigest()[:16] == "73964f87787ae230"
+
+    def test_encoding(self):
+        digest = hashlib.sha256()
+        for rng, dg in self.graphs():
+            model = build_ilp(dg, Fraction(1, 10))
+            colors = {v: int(rng.integers(0, 3)) for v in dg.nodes}
+            digest.update(repr(sorted(encode_coloring(model, colors).items())).encode())
+        assert digest.hexdigest()[:16] == "91043130a3f8c2ea"
 
 
 def clip_components(seed: int) -> list[DecompositionGraph]:
