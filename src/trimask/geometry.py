@@ -14,22 +14,24 @@ is exact for every finite ``min_s`` up to ``MIN_S_LIMIT``.
 
 Pair queries go through ``_near_pairs``: it lists every pair whose x and
 y gaps are both below the reach, once, among candidates for the exact
-test. The disjointness check runs it on the shapes. The conflict pairs of
-both graphs come from one pass, ``_close_pairs`` (``_near_pairs``, then
-``_close``, then a row-major sort), run on the shapes for the layout graph
-and on the segments for the segment graph. ``_near_pairs`` sorts and
-sweeps along one axis and, when that sweep pairs many shapes of one row,
-sweeps within strips across the other axis instead. It costs
+test. It runs once per layout, while the layout is validated, on the
+shapes at reach ``ceil(min_s)``: that reach takes in every overlapping
+pair, so the same candidates check disjointness and, through ``_close``,
+give the layout's conflict pairs (``Layout.close_pairs``). ``_near_pairs``
+sorts and sweeps along one axis and, when that sweep pairs many shapes of
+one row, sweeps within strips across the other axis instead. It costs
 O(n log n + candidates) time and memory, where the candidates are the
 pairs within reach along the swept axis that share a strip; no n×n array
 is built. On ``generate_layout(5000, 2)`` that is about 5k candidates for
 about 5k conflict pairs, where the sweep alone listed 174k.
 
 A layout keeps one id-sorted int64 array of its rectangles
-(``Layout.rects``, beside ``Layout.sorted_shapes``), built once while it is
-validated; the layout graph and the split read it. A shape without cuts
-becomes one segment on its own rectangle with no per-piece work, so when
-nothing splits the segments' array is the layout's.
+(``Layout.rects``, beside ``Layout.sorted_shapes``) and its conflict
+pairs, both made once while it is validated. The layout graph maps the
+pairs to shape ids. The split tests only the segment pairs that those
+pairs and the split shapes allow, and sweeps nothing: a segment lies
+inside its shape, so two segments are close only if their shapes are,
+or if they are pieces of one shape.
 """
 
 from __future__ import annotations
@@ -101,13 +103,22 @@ class Layout:
     """Shapes in file order. Validation also keeps them sorted by id, in
     ``sorted_shapes``, and their rectangles in that order as int64 rows of
     ``x_lo, y_lo, x_hi, y_hi``, in ``rects``: the array it checked, so the
-    layout graph and the split build none."""
+    layout graph and the split build none.
+
+    Validation sweeps ``rects`` once, at reach ``ceil(min_s)``. Every pair
+    of overlapping shapes lies within that reach, so the sweep's gaps check
+    disjointness, and its pairs closer than ``min_s``, as index pairs
+    ``(i, j)``, ``i < j``, into ``rects`` sorted row-major, are kept in
+    ``close_pairs``: both conflict graphs are built from them, so loading
+    pays the one sweep that building the layout graph would otherwise pay.
+    """
 
     shapes: tuple[Shape, ...]
     params: ProcessParams
     units: str = "nm"
     sorted_shapes: tuple[Shape, ...] = field(init=False, repr=False, compare=False)
     rects: np.ndarray = field(init=False, repr=False, compare=False)
+    close_pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.units != "nm":
@@ -124,10 +135,30 @@ class Layout:
         if degenerate.any():
             s = self.shapes[int(np.argmax(degenerate))]
             raise LayoutError(f"degenerate rectangle on shape {s.id}: {s.rect}")
-        _check_disjoint(self.shapes, r)
         order = sorted(range(len(ids)), key=ids.__getitem__)
+        rects = r[order]
+        min_s = self.params.min_s
+        i, j = _near_pairs(rects, math.ceil(min_s))
+        gx, gy = _axis_gaps(rects, i, j)
+        # interiors intersect iff both axes strictly overlap
+        bad = (gx < 0) & (gy < 0)
+        if bad.any():
+            # the message names the first overlapping pair in file order
+            pos = np.array(order)
+            a, b = pos[i[bad]], pos[j[bad]]
+            a, b = np.minimum(a, b), np.maximum(a, b)
+            first = np.lexsort((b, a))[0]
+            x, y = self.shapes[int(a[first])].id, self.shapes[int(b[first])].id
+            raise LayoutError(f"overlapping shapes {min(x, y)} and {max(x, y)}")
+        close = _close(rects, i, j, min_s)
+        i, j = i[close], j[close]
+        # both graphs insert their conflict pairs in this order: a
+        # frozenset's iteration order depends on insertion order, and
+        # callers iterate it
+        row_major = np.lexsort((j, i))
         object.__setattr__(self, "sorted_shapes", tuple(map(self.shapes.__getitem__, order)))
-        object.__setattr__(self, "rects", r[order])
+        object.__setattr__(self, "rects", rects)
+        object.__setattr__(self, "close_pairs", (i[row_major], j[row_major]))
 
     @cached_property
     def shape_by_id(self) -> dict[int, Shape]:
@@ -147,19 +178,6 @@ def _rect_array(shapes: tuple[Shape, ...]) -> np.ndarray:
         s = shapes[int(np.argmax(bad))]
         raise LayoutError(f"shape {s.id}: coordinates must lie within ±2**60, got {s.rect}")
     return r
-
-
-def _check_disjoint(shapes: tuple[Shape, ...], r: np.ndarray) -> None:
-    """``r`` is ``_rect_array(shapes)``."""
-    i, j = _near_pairs(r, 0)
-    gx, gy = _axis_gaps(r, i, j)
-    # interiors intersect iff both axes strictly overlap
-    bad = (gx < 0) & (gy < 0)
-    if bad.any():
-        i, j = i[bad], j[bad]
-        first = np.lexsort((j, i))[0]
-        a, b = shapes[int(i[first])].id, shapes[int(j[first])].id
-        raise LayoutError(f"overlapping shapes {min(a, b)} and {max(a, b)}")
 
 
 def _near_pairs(r: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,18 +304,6 @@ def _close(r: np.ndarray, i: np.ndarray, j: np.ndarray, min_s) -> np.ndarray:
     return dx * dx + dy * dy <= math.ceil(Fraction(min_s) ** 2) - 1
 
 
-def _close_pairs(r: np.ndarray, min_s) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, j)``, ``i < j``, of rectangles ``r`` closer than
-    ``min_s``, sorted row-major. Both graphs insert their conflict pairs in
-    this order: a frozenset's iteration order depends on insertion order,
-    and callers iterate it."""
-    i, j = _near_pairs(r, math.ceil(min_s))
-    close = _close(r, i, j, min_s)
-    i, j = i[close], j[close]
-    order = np.lexsort((j, i))
-    return i[order], j[order]
-
-
 def load_layout(path) -> Layout:
     """Parse a layout JSON file; every layout invariant is enforced here.
 
@@ -406,9 +412,11 @@ class LayoutGraph:
 
 
 def build_layout_graph(layout: Layout) -> LayoutGraph:
+    """The layout's conflict pairs (``Layout.close_pairs``, found while it
+    was validated) as an edge set over shape ids, inserted row-major."""
     ids = tuple(s.id for s in layout.sorted_shapes)
     # the rows are in id order, so each pair is already ordered
-    i, j = _close_pairs(layout.rects, layout.params.min_s)
+    i, j = layout.close_pairs
     edges = frozenset(zip(map(ids.__getitem__, i.tolist()), map(ids.__getitem__, j.tolist())))
     return LayoutGraph(nodes=ids, edges=edges)
 
@@ -475,8 +483,10 @@ def project_and_split(
     unsplit shapes still appear as single-segment nodes and still project
     onto their neighbors.
 
-    The conflict edges are the segments' ``_close_pairs``, less the
-    consecutive pieces of one shape, which the stitch edges join.
+    The conflict edges are the segment pairs closer than ``min_s``, less
+    the consecutive pieces of one shape, which the stitch edges join, in
+    row-major order. Only the segments of the layout's close shape pairs
+    (``Layout.close_pairs``) and the pieces of one shape are tested.
     """
     shapes = layout.sorted_shapes
     margin = layout.params.overlap_margin
@@ -526,11 +536,27 @@ def project_and_split(
     r = np.repeat(layout.rects, count, axis=0)
     r[split_rows] = np.array(split_rects, dtype=np.int64).reshape(-1, 4)
 
-    # a pair of consecutive segments of one shape is a stitch, not a conflict
-    shape_of = np.repeat(np.arange(len(shapes)), count)
-    i, j = _close_pairs(r, layout.params.min_s)
-    keep = (j - i >= 2) | (shape_of[i] != shape_of[j])
-    ce = frozenset(zip(i[keep].tolist(), j[keep].tolist()))
+    # the conflict candidates: every pair of segments of two close shapes (a
+    # segment lies inside its shape, so its gaps are never smaller), and the
+    # pieces of one shape two or more apart; consecutive ones are stitches.
+    # Each candidate pair of shapes (u, v) is a block of count[u] × count[v]
+    # segment pairs
+    first = np.cumsum(count) - count
+    u, v = layout.close_pairs
+    many = np.flatnonzero(count > 2)
+    u, v = np.concatenate((u, many)), np.concatenate((v, many))
+    size = count[u] * count[v]
+    block = np.repeat(np.arange(len(u)), size)
+    rank = np.arange(len(block)) - np.repeat(np.cumsum(size) - size, size)
+    width = count[v][block]
+    i = first[u][block] + rank // width
+    j = first[v][block] + rank % width
+    keep = (u != v)[block] | (j - i >= 2)
+    i, j = i[keep], j[keep]
+    close = _close(r, i, j, layout.params.min_s)
+    i, j = i[close], j[close]
+    row_major = np.lexsort((j, i))
+    ce = frozenset(zip(i[row_major].tolist(), j[row_major].tolist()))
 
     return DecompositionGraph(
         range(len(parents)), parents, seg_rects, ce, frozenset(se)

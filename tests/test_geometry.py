@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trimask import geometry
 from trimask.cli import generate_layout
 from trimask.geometry import (
     COORD_LIMIT,
+    MIN_S_LIMIT,
     Layout,
     LayoutGraph,
     LayoutError,
     ProcessParams,
     Shape,
-    _check_disjoint,
     _close,
     _cuts,
     _near_pairs,
@@ -75,6 +77,11 @@ class TestLoadLayout(object):
         path.write_text(json.dumps(doc))
         with pytest.raises(LayoutError, match="overlapping shapes"):
             load_layout(path)
+
+    def test_degenerate_rectangle_reported_before_an_overlap(self):
+        shapes = (Shape(0, (0, 0, 10, 10)), Shape(1, (5, 5, 15, 15)), Shape(2, (20, 0, 20, 10)))
+        with pytest.raises(LayoutError, match=r"^degenerate rectangle on shape 2"):
+            Layout(shapes, ProcessParams())
 
     def test_duplicate_id(self, tmp_path):
         doc = {"shapes": [{"id": 0, "rect": [0, 0, 10, 10]},
@@ -330,8 +337,9 @@ def reference_overlap_error(shapes) -> str | None:
 
 
 def overlap_error(shapes) -> str | None:
+    """The message ``Layout`` raises for ``shapes``, or None."""
     try:
-        _check_disjoint(tuple(shapes), _rect_array(tuple(shapes)))
+        Layout(tuple(shapes), ProcessParams())
     except LayoutError as exc:
         return str(exc)
     return None
@@ -642,6 +650,23 @@ class TestSweepOracle:
         shapes = [Shape(id=i, rect=r) for i, r in zip(ids, rs)]
         assert overlap_error(shapes) == reference_overlap_error(shapes)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("file_order", ["generated", "reversed"])
+    def test_overlap_error_with_several_overlaps(self, seed, file_order):
+        # shifted copies of a few shapes, each overlapping its original and
+        # perhaps its neighbors, at random places in the file
+        layout = generate_layout(300, 2 * (1 + seed % 3), seed=seed)
+        rng = np.random.default_rng(seed)
+        shapes = list(layout.shapes)
+        for k, index in enumerate(rng.choice(len(shapes), size=2 + seed, replace=False)):
+            x, y, u, v = shapes[index].rect
+            dx, dy = rng.integers(-5, 6, size=2)
+            copy = Shape(1000 + k, (x + dx, y + dy, u + dx, v + dy))
+            shapes.insert(int(rng.integers(0, len(shapes) + 1)), copy)
+        if file_order == "reversed":
+            shapes.reverse()
+        assert overlap_error(shapes) == reference_overlap_error(shapes) is not None
+
     def test_touching_rectangles(self):
         # edge to edge and corner to corner: a conflict, never an overlap
         rs = [(0, 0, 10, 10), (10, 0, 20, 10), (20, 10, 30, 20), (0, 10, 10, 20)]
@@ -677,6 +702,14 @@ class TestSweepOracle:
                         ProcessParams(min_s=2**30))
         assert build_layout_graph(layout).edges == {(0, 2)}
 
+    def test_min_s_limit_makes_a_complete_graph(self):
+        # every pair of 50 shapes lies within 2**30: a sweep of 1225
+        # candidates, which takes the strip pass
+        rs = [(1000 * k, 0, 1000 * k + 10, 10) for k in range(50)]
+        layout = make_layout(rs, min_s=MIN_S_LIMIT)
+        assert len(build_layout_graph(layout).edges) == 50 * 49 // 2
+        assert_matches_reference(rs, min_s=MIN_S_LIMIT)
+
     def test_negative_coordinates_and_equal_low_edges(self):
         rs = [(-300, -50, -200, -25), (-300, 20, -250, 45), (-300, -140, -100, -115),
               (-150, -50, -120, -25), (-300, 129, -290, 200)]
@@ -707,6 +740,26 @@ class TestSweepOracle:
         shapes = [Shape(i, r) for i, r in zip([9, 1, 4, 2], rs)]
         assert reference_overlap_error(shapes) == "overlapping shapes 4 and 9"
         assert overlap_error(shapes) == "overlapping shapes 4 and 9"
+
+
+def test_one_proximity_sweep_per_layout(tmp_path, monkeypatch):
+    # validation's sweep feeds both conflict graphs, so decompose sweeps
+    # nothing
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(layout_to_dict(generate_layout(400, 6, seed=1))))
+    calls = []
+    near_pairs = geometry._near_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return near_pairs(*args)
+
+    monkeypatch.setattr(geometry, "_near_pairs", counted)
+    layout = load_layout(path)
+    assert len(calls) == 1
+    calls.clear()
+    decompose(layout)
+    assert calls == []
 
 
 def test_layout_graph_memory_stays_linear(tmp_path):
@@ -817,7 +870,8 @@ def reference_layout_graph(layout: Layout) -> LayoutGraph:
 
 def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> DecompositionGraph:
     """``project_and_split`` cutting and splitting every shape in one loop,
-    and building the segment array from the segments' rectangles."""
+    building the segment array from the segments' rectangles, and testing
+    every pair of segments for a conflict."""
     shapes = sorted(layout.shapes, key=lambda s: s.id)
     rect_of = {s.id: s.rect for s in shapes}
     margin = layout.params.overlap_margin
@@ -828,40 +882,42 @@ def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> Decompo
         if b in others:
             others[b].append(rect_of[a])
     segments, se = [], set()
-    first, count = [], []
     for shape in shapes:
         cuts = []
         if shape.id in others:
             cuts = _cuts(shape.rect, others[shape.id], margin)
         pieces = _split_rect(shape.rect, cuts) if cuts else [shape.rect]
-        first.append(len(segments))
-        count.append(len(pieces))
+        start = len(segments)
         for rect in pieces:
             segments.append(Segment(id=len(segments), parent=shape.id, rect=rect))
-        se.update((k - 1, k) for k in range(first[-1] + 1, len(segments)))
-    first, count = np.array(first, dtype=np.int64), np.array(count, dtype=np.int64)
-    edges = np.array(list(lg.edges), dtype=np.int64).reshape(-1, 2)
-    ids = np.array([s.id for s in shapes], dtype=np.int64)
-    many = np.flatnonzero(count > 2)
-    u = np.concatenate([np.searchsorted(ids, edges[:, 0]), many])
-    v = np.concatenate([np.searchsorted(ids, edges[:, 1]), many])
-    sizes = count[u] * count[v]
-    block = np.repeat(np.arange(len(u)), sizes)
-    rank = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = count[v][block]
-    i = first[u][block] + rank // width
-    j = first[v][block] + rank % width
-    keep = (u != v)[block] | (j - i >= 2)
+        se.update((k - 1, k) for k in range(start + 1, len(segments)))
+    # every pair, row-major, less the consecutive pieces of one shape
+    i, j = np.triu_indices(len(segments), 1)
+    parent = np.array([s.parent for s in segments], dtype=np.int64)
+    keep = (parent[i] != parent[j]) | (j - i >= 2)
     i, j = i[keep], j[keep]
     r = np.array([seg.rect for seg in segments], dtype=np.int64).reshape(-1, 4)
     close = _close(r, i, j, layout.params.min_s)
-    i, j = i[close], j[close]
-    order = np.lexsort((j, i))
-    ce = frozenset(zip(i[order].tolist(), j[order].tolist()))
+    ce = frozenset(zip(i[close].tolist(), j[close].tolist()))
     return DecompositionGraph(
         [s.id for s in segments], [s.parent for s in segments], [s.rect for s in segments],
         ce=ce, se=frozenset(se),
     )
+
+
+def assert_graphs_match_the_reference(layout: Layout):
+    lg = build_layout_graph(layout)
+    expected = reference_layout_graph(layout)
+    assert lg.nodes == expected.nodes
+    # the frozensets iterate in insertion order, and callers iterate them
+    assert list(lg.edges) == list(expected.edges)
+    for split_nodes in (None, peel_low_degree(lg)[0].nodes):
+        dg = project_and_split(layout, lg, split_nodes)
+        ref = reference_project_and_split(layout, lg, split_nodes)
+        assert dg.segments == ref.segments
+        assert list(dg.ce) == list(ref.ce)
+        assert list(dg.se) == list(ref.se)
+    return project_and_split(layout, lg)
 
 
 class TestReferenceLoops:
@@ -872,17 +928,23 @@ class TestReferenceLoops:
         layout = generate_layout(shapes, density, seed=seed)
         if file_order == "reversed":
             layout = Layout(shapes=layout.shapes[::-1], params=layout.params)
-        lg = build_layout_graph(layout)
-        expected = reference_layout_graph(layout)
-        assert lg.nodes == expected.nodes
-        # the frozensets iterate in insertion order, and callers iterate them
-        assert list(lg.edges) == list(expected.edges)
-        for split_nodes in (None, peel_low_degree(lg)[0].nodes):
-            dg = project_and_split(layout, lg, split_nodes)
-            ref = reference_project_and_split(layout, lg, split_nodes)
-            assert dg.segments == ref.segments
-            assert list(dg.ce) == list(ref.ce)
-            assert list(dg.se) == list(ref.se)
+        assert_graphs_match_the_reference(layout)
+
+    @pytest.mark.parametrize("density", [2, 4, 6])
+    def test_non_integer_min_s(self, density):
+        # sqrt(905) lies just above 30.083, so ceil(min_s) = 31 is the
+        # sweep's reach and a gap of 8 by 29 is a conflict
+        layout = generate_layout(200, density, seed=4)
+        assert_graphs_match_the_reference(
+            Layout(shapes=layout.shapes, params=replace(layout.params, min_s=math.sqrt(905))))
+
+    def test_shape_split_into_three_or_more_pieces(self):
+        # four neighbors above the wire leave three uncovered spans, so it
+        # splits into four pieces, and pieces two apart conflict
+        layout = make_layout([(0, 0, 250, 25)] + [(x, 55, x + 40, 80) for x in (0, 70, 140, 210)])
+        dg = assert_graphs_match_the_reference(layout)
+        assert [s.parent for s in dg.segments[:5]] == [0, 0, 0, 0, 1]
+        assert {(0, 2), (1, 3)} <= dg.ce
 
     def test_the_reference_cases_split_shapes(self):
         # so that the comparison above covers the pieces and their stitches
