@@ -40,27 +40,38 @@ the gradient norm for each connected component of the graph, from
 per-component sums of row dots, so each component steps as it would
 alone. One nonmonotone acceptance test on the whole value, one stall stop
 and one ``MAX_ITERS`` cap rule the run, so a connected graph runs the rule
-it ran alone. An iteration makes the same two dozen numpy calls at any
-size, and at ~120 nodes their overhead is most of its time: the four
-relaxed leaves of a ``dense`` layout (115–124 nodes) take about 0.7 of
-the time in one run that they take in four. On that joined run (about
-490 rows and 1,600 pairs) three kernels take most of an iteration: the
-gradient's ``bincount``, the ``take`` of the endpoint rows and the row
-dots of the pairs.
+it ran alone. An iteration of a connected graph whose first trial is
+accepted makes 29 numpy calls at any size (a few more with several
+components), and at ~120 nodes their fixed cost is most of its time:
+the four relaxed leaves of a ``dense`` layout (115–124 nodes) take about
+0.7 of the time in one run that they take in four. On that joined run
+(about 490 rows and 1,600 pairs) three kernels take most of an
+iteration, near their floor: the gradient's ``bincount``, the ``take``
+of the endpoint rows and the row dots of the pairs. On a relaxed clip of
+the benchmark (26–29 nodes) an iteration is the calls' fixed cost alone,
+about 44 µs.
 
 Every step writes into one ``_Workspace`` that the descent makes once:
 the endpoint rows, the pairs' row dots and hinge, the gradient's terms
 and coefficients (whose stitch part is filled once), and two trial
 factors, one of which holds the accepted factor while a trial goes into
 the other. Rows are normalized in place, and a step allocates only the
-gradient that ``bincount`` returns. ``_value_at`` and ``_riemannian_grad``
-are the kernels of both the descent and ``_penalized_value``, so the
-gradient tests check the code the descent runs. The workspace returns the
-allocating descent's factor bit for bit; it lowers the ``tracemalloc``
-peak of the relaxation of a 3000-node graph of 5993 conflict pairs from
-4.98 to 4.36 MiB, and in-process it runs the relaxation of a ``dense``
-layout at 0.97 of that descent's time (interquartile range 0.91–1.01
-over 30 interleaved rounds).
+gradient that ``bincount`` returns. The workspace also holds every view
+of these arrays that a step reads and the sizes it needs, and the
+descent binds its per-component sums before its loop, so a step slices,
+reshapes and takes the length of nothing, and its sums, moves and trial
+normalizations are direct numpy calls. That took an iteration on a
+26-node clip from 48.6 to 43.5 µs with every value bit for bit (medians
+of 400 rounds in one process, alternating with the descent that sliced
+its views at every step, 2-CPU x86-64 host).
+``_value_at`` and ``_riemannian_grad`` are the kernels of both the
+descent and ``_penalized_value``, so the gradient tests check the code
+the descent runs. The workspace returns the allocating descent's factor
+bit for bit; it lowers the ``tracemalloc`` peak of the relaxation of a
+3000-node graph of 5993 conflict pairs from 4.98 to 4.36 MiB, and
+in-process it runs the relaxation of a ``dense`` layout at 0.97 of that
+descent's time (interquartile range 0.91–1.01 over 30 interleaved
+rounds).
 
 The run opens with one descent at the penalty weight ``MU_INITIAL``.
 A descent ends at the gradient tolerance ``GRAD_TOL``, after ``MAX_ITERS``
@@ -329,16 +340,10 @@ def _max_violation(v, ce) -> float:
     return float(max(diag, floor))
 
 
-def _dot(a, b, out=None) -> float:
-    """The sum of the entries of ``a * b``, formed in ``out`` if given, by
-    numpy's own reduction and not a BLAS dot product, so it does not
-    depend on the BLAS thread count."""
-    return float(np.add.reduce(np.multiply(a, b, out=out), axis=None))
-
-
-def _row_dots(a, b, out=None) -> np.ndarray:
-    """⟨a_i, b_i⟩ for each row i, by numpy's own reduction."""
-    return np.einsum("ij,ij->i", a, b, out=out)
+def _dot(a, b) -> float:
+    """The sum of the entries of ``a * b`` by numpy's own reduction and not
+    a BLAS dot product, so it does not depend on the BLAS thread count."""
+    return float(np.add.reduce(a * b, axis=None))
 
 
 def _normalize_rows(v: np.ndarray, norms=None) -> np.ndarray:
@@ -346,7 +351,7 @@ def _normalize_rows(v: np.ndarray, norms=None) -> np.ndarray:
     entry per row, as scratch if given, and return ``v``. No row may be 0:
     a Gaussian row is not, and a descent step, orthogonal to its unit row,
     only lengthens it."""
-    norms = np.sqrt(_row_dots(v, v, norms), out=norms)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v, out=norms), out=norms)
     return np.divide(v, norms[:, None], out=v)
 
 
@@ -382,22 +387,35 @@ def _edge_terms(cost: CostMatrix, rank: int) -> _EdgeTerms:
 
 class _Workspace:
     """The arrays one descent writes at every step, made once for a factor
-    of ``shape`` on ``edges``: ``_value_at`` leaves the endpoint rows, the
-    row dots ``x`` of the pairs and the hinge here for ``_riemannian_grad``
-    at the same factor. The stitch part of ``coef`` is filled once. The
-    factors are column-major, as the descent keeps its factor."""
+    of ``shape`` on ``edges``, with every view of them that a step reads,
+    so a step slices and reshapes nothing: ``_value_at`` leaves the
+    endpoint rows, ``first`` and ``second`` of each pair, their row dots
+    ``x`` and the hinge here for ``_riemannian_grad`` at the same factor,
+    which reads the rows as ``ends``, one endpoint column per row. The
+    stitch part of ``coef`` is filled once. The factors are column-major,
+    as the descent keeps its factor."""
 
     def __init__(self, shape, edges: _EdgeTerms):
         n, rank = shape
-        m, conflicts = len(edges.weight), edges.conflicts
+        self.m = m = len(edges.weight)
+        conflicts = edges.conflicts
+        self.size = n * rank
+        self.transposed = (rank, n)  # the shape bincount's gradient comes in
         self.rows = np.empty((rank, 2 * m))
+        self.first, self.second = self.rows[:, :m], self.rows[:, m:]
+        self.ends = self.rows.reshape(2 * rank, m)
         self.terms = np.empty((2 * rank, m))
+        self.flat_terms = self.terms.ravel()
         self.x = np.empty(m)
+        self.x_conflicts = self.x[:conflicts]
         self.product = np.empty(m)  # the products behind a sum over pairs
+        self.product_conflicts = self.product[:conflicts]
         self.hinge = np.empty(conflicts)
         self.coef = np.empty(m)
+        self.coef_conflicts = self.coef[:conflicts]
         self.coef[conflicts:] = edges.weight[conflicts:]
         self.norms = np.empty(n)  # per row: its norm, or a row dot
+        self.norm_column = self.norms[:, None]
         # the descent's trial factors, move and differences, and the
         # gradient's radial part and the products behind a component sum
         self.trials = (np.empty(shape, order="F"), np.empty(shape, order="F"))
@@ -428,15 +446,15 @@ def _value_at(v, edges: _EdgeTerms, mu, offset, shift_sq, work: _Workspace) -> f
     # every position is in range, so "wrap" takes them as they are; with
     # the default "raise", numpy gathers into a buffer and copies it to out.
     # The method skips the np.take wrapper, whose cost shows on small graphs
-    rows = v.T.take(edges.ends, axis=1, out=work.rows, mode="wrap")
-    m = len(edges.weight)
-    x = np.einsum("ij,ij->j", rows[:, :m], rows[:, m:], out=work.x)
-    hinge = np.subtract(offset, x[: edges.conflicts], out=work.hinge)
+    v.T.take(edges.ends, axis=1, out=work.rows, mode="wrap")
+    x = np.einsum("ij,ij->j", work.first, work.second, out=work.x)
+    hinge = np.subtract(offset, work.x_conflicts, out=work.hinge)
     np.maximum(0.0, hinge, out=hinge)
-    product = work.product
-    return _dot(edges.weight, x, product) + mu * (
-        _dot(hinge, hinge, product[: edges.conflicts]) - shift_sq
-    )
+    # sums by numpy's own reduction, not a BLAS dot product, so they do not
+    # depend on the BLAS thread count
+    value = float(np.add.reduce(np.multiply(edges.weight, x, out=work.product), axis=None))
+    penalty = float(np.add.reduce(np.multiply(hinge, hinge, out=work.product_conflicts), axis=None))
+    return value + mu * (penalty - shift_sq)
 
 
 def _riemannian_grad(v, edges: _EdgeTerms, mu, work: _Workspace):
@@ -444,15 +462,16 @@ def _riemannian_grad(v, edges: _EdgeTerms, mu, work: _Workspace):
     at ``v``: each pair's coefficient times the other endpoint's row, summed
     into the rows, less its radial part. It comes out in column-major
     order, as ``_minimize_on_sphere`` keeps its factor, in a new array."""
-    m = len(edges.weight)
-    coef = work.coef[: edges.conflicts]
+    coef = work.coef_conflicts
     np.multiply(2.0 * mu, work.hinge, out=coef)
     np.subtract(1.0, coef, out=coef)
-    np.multiply(work.rows.reshape(2 * v.shape[1], m), work.coef, out=work.terms)
-    # with no pairs bincount counts in int64, so the sum is cast to float
-    grad = np.bincount(edges.cells, weights=work.terms.ravel(), minlength=v.size)
-    grad = grad.astype(float, copy=False).reshape(v.shape[::-1]).T
-    radial = np.multiply(_row_dots(grad, v, work.norms)[:, None], v, out=work.scratch)
+    np.multiply(work.ends, work.coef, out=work.terms)
+    grad = np.bincount(edges.cells, weights=work.flat_terms, minlength=work.size)
+    if not work.m:  # with no pairs bincount counts in int64
+        grad = grad.astype(float)
+    grad = grad.reshape(work.transposed).T
+    np.einsum("ij,ij->i", grad, v, out=work.norms)
+    radial = np.multiply(work.norm_column, v, out=work.scratch)
     return np.subtract(grad, radial, out=grad)
 
 
@@ -470,23 +489,21 @@ def _lipschitz_bound(edges: _EdgeTerms, mu) -> np.ndarray:
     return np.maximum(1.0, row_max + 2.0 * mu * degree_max)
 
 
-def _component_sums(a, b, edges: _EdgeTerms, work: _Workspace) -> list[float]:
-    """Per component, the sum of ⟨a_i, b_i⟩ over its rows i, by numpy's
-    own reductions, in ``work``'s scratch arrays. One component takes one
-    reduction and no per-row pass, which matters on small graphs, where
-    each numpy call costs more than its arithmetic."""
-    if edges.components == 1:
-        return [_dot(a, b, work.scratch)]
-    dots = _row_dots(a, b, work.norms)
-    return np.bincount(edges.label, weights=dots, minlength=edges.components).tolist()
-
-
-def _row_steps(step: list[float], edges: _EdgeTerms):
-    """Each row's step, its component's, as a column to scale the rows;
-    of one component, its step as a scalar."""
-    if edges.components == 1:
-        return step[0]
-    return np.array(step)[edges.label][:, None]
+def _component_sums(edges: _EdgeTerms, work: _Workspace):
+    """The function of ``a`` and ``b`` that returns, per component, the sum
+    of ⟨a_i, b_i⟩ over its rows i, by numpy's own reductions into
+    ``work``'s scratch arrays. One component takes one reduction and no
+    per-row pass, which matters on small graphs, where each numpy call
+    costs more than its arithmetic."""
+    scratch, norms, label, components = work.scratch, work.norms, edges.label, edges.components
+    if components == 1:
+        def sums(a, b):
+            return [float(np.add.reduce(np.multiply(a, b, out=scratch), axis=None))]
+    else:
+        def sums(a, b):
+            dots = np.einsum("ij,ij->i", a, b, out=norms)
+            return np.bincount(label, weights=dots, minlength=components).tolist()
+    return sums
 
 
 def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
@@ -504,13 +521,18 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
 
     Every step writes into one ``_Workspace``: a trial factor goes to the
     one of its two trial arrays that does not hold the accepted factor, so
-    ``v`` itself is never written.
+    ``v`` itself is never written. The buffers and views a step reads are
+    bound before the loop, so its sums, moves and trial normalizations
+    call numpy directly.
     """
     work = _Workspace(v.shape, edges)
+    sums = _component_sums(edges, work)
+    one_component = edges.components == 1
+    label, move, norms, norm_column = edges.label, work.move, work.norms, work.norm_column
     offset, shift_sq = shift - 0.5, _dot(shift, shift)
     value = _value_at(v, edges, mu, offset, shift_sq, work)
     grad = _riemannian_grad(v, edges, mu, work)
-    grad_sq = _component_sums(grad, grad, edges, work)
+    grad_sq = sums(grad, grad)
     safe_step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
     step = safe_step
     memory = [value]
@@ -524,15 +546,23 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
             break
         iterations += 1
         idle += 1
-        # each row's move at its component's full step, and the decrease
-        # the acceptance test asks of it; a failed trial halves both
-        move = np.multiply(_row_steps(step, edges), grad, out=work.move)
+        # each row's move at its component's full step (of one component,
+        # the step as a scalar), and the decrease the acceptance test asks
+        # of it; a failed trial halves both
+        if one_component:
+            np.multiply(step[0], grad, out=move)
+        else:
+            np.take(step, label, out=norms)
+            np.multiply(norm_column, grad, out=move)
         decrease = 1e-4 * sum(t * g for t, g in zip(step, grad_sq))
         reference = max(memory)
         scale = 1.0
         accepted = False
         for _ in range(25):
-            _normalize_rows(np.subtract(v, move, out=v_new), work.norms)
+            # the trial, its rows scaled to unit length as _normalize_rows does
+            np.subtract(v, move, out=v_new)
+            np.sqrt(np.einsum("ij,ij->i", v_new, v_new, out=norms), out=norms)
+            np.divide(v_new, norm_column, out=v_new)
             value_new = _value_at(v_new, edges, mu, offset, shift_sq, work)
             if value_new <= reference - scale * decrease:
                 accepted = True
@@ -549,15 +579,15 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
         fresh_step = False
         grad_new = _riemannian_grad(v_new, edges, mu, work)
         dv = np.subtract(v_new, v, out=work.dv)
-        moved = _component_sums(dv, dv, edges, work)
-        curved = _component_sums(dv, np.subtract(grad_new, grad, out=work.dgrad), edges, work)
+        moved = sums(dv, dv)
+        curved = sums(dv, np.subtract(grad_new, grad, out=work.dgrad))
         step = [
             min(max(s / y if y > 1e-16 else 2.0 * scale * t, 1e-12), 1e3)
             for s, y, t in zip(moved, curved, step)
         ]
         v, value, grad = v_new, value_new, grad_new
         v_new, spare = spare, v_new
-        grad_sq = _component_sums(grad, grad, edges, work)
+        grad_sq = sums(grad, grad)
         memory.append(value)
         if len(memory) > 10:
             memory.pop(0)
@@ -809,10 +839,12 @@ def _tabu_search(links, labels: list[int], rng) -> list[int]:
 
 def _integer_costs(labels: np.ndarray, ce, se, frac) -> list[int]:
     """Exact integer cost of each row of ``labels`` (one label per node
-    position): ``frac.denominator`` per conflict, ``frac.numerator`` per
-    stitch. numpy counts, Python ints weigh, so no cost wraps or overflows."""
-    conflicts = (labels[:, ce[:, 0]] == labels[:, ce[:, 1]]).sum(axis=1).tolist()
-    stitches = (labels[:, se[:, 0]] != labels[:, se[:, 1]]).sum(axis=1).tolist()
+    position, int8 as ``_first_largest`` makes them, so the gathers of the
+    pairs' endpoint labels move a byte per label): ``frac.denominator`` per
+    conflict, ``frac.numerator`` per stitch. numpy counts, Python ints
+    weigh, so no cost wraps or overflows."""
+    conflicts = np.count_nonzero(labels[:, ce[:, 0]] == labels[:, ce[:, 1]], axis=1).tolist()
+    stitches = np.count_nonzero(labels[:, se[:, 0]] != labels[:, se[:, 1]], axis=1).tolist()
     return [frac.denominator * c + frac.numerator * s for c, s in zip(conflicts, stitches)]
 
 
@@ -827,11 +859,12 @@ def _polish(labels: list[int], ce, se, frac, rng) -> list[int]:
 
 def _first_largest(dots: np.ndarray) -> np.ndarray:
     """``np.argmax(dots, axis=-1)`` over a last axis of 3, the first
-    largest on a tie, in two comparisons over whole arrays: argmax over so
-    short an axis runs its loop once per entry of the others."""
+    largest on a tie, as int8 labels, in two comparisons over whole arrays:
+    argmax over so short an axis runs its loop once per entry of the
+    others."""
     first, second, third = dots[..., 0], dots[..., 1], dots[..., 2]
-    upper = second > first
-    return np.where(third > np.maximum(first, second), 2, upper)
+    upper = (second > first).view(np.int8)
+    return np.where(third > np.maximum(first, second), np.int8(2), upper)
 
 
 def map_to_masks(sol: RelaxationSolution, seed: int = 42) -> MaskAssignment:

@@ -127,6 +127,15 @@ class TestLoadLayout(object):
         assert {s.parent for s in result.dg.segments} == {sid, 1}
         assert result.conflict_count == 0
 
+    def test_a_direct_layout_with_ragged_rects_fails(self):
+        # 3 + 5 values are the 8 of two rectangles, which must not be
+        # read as two rows of 4
+        shapes = (Shape(1, (0, 0, 10)), Shape(2, (20, 0, 30, 10, 5)))
+        with pytest.raises(LayoutError, match=r"^shape 1: rect must be 4 integers"):
+            Layout(shapes=shapes, params=ProcessParams())
+        with pytest.raises(LayoutError, match=r"^shape 2: rect must be 4 integers"):
+            Layout(shapes=shapes[1:], params=ProcessParams())
+
     def test_coordinate_limit_itself_allowed(self):
         doc = {"shapes": [{"id": 0, "rect": [-COORD_LIMIT, 0, COORD_LIMIT, 10]}]}
         assert layout_from_dict(doc).shapes[0].rect[2] == COORD_LIMIT

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trimask.pipeline
 import trimask.sdp
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
+from trimask.cli import generate_layout
 from trimask.graphs import (
     DecompositionGraph,
     as_fraction,
@@ -16,6 +18,7 @@ from trimask.graphs import (
     evaluate,
 )
 from trimask.ilp import solve_exact
+from trimask.pipeline import DecomposeConfig, decompose
 from trimask.sdp import (
     CONSTRAINT_TOL,
     DRAWS,
@@ -452,7 +455,7 @@ class TestJoin:
         alone = [_lipschitz_bound(_edge_terms(c, RANK), MU_INITIAL) for c in costs]
         assert _lipschitz_bound(edges, MU_INITIAL).tolist() == np.concatenate(alone).tolist()
         v = random_unit_factor(rng, 18, RANK)
-        sums = _component_sums(v, 2.0 * v, edges, _Workspace(v.shape, edges))
+        sums = _component_sums(edges, _Workspace(v.shape, edges))(v, 2.0 * v)
         np.testing.assert_allclose(sums, [12.0, 18.0, 6.0], rtol=1e-12)
 
     def test_restrict_keeps_the_leaf_rows_and_multipliers(self, rng):
@@ -711,6 +714,35 @@ class TestWorkspaceDescent:
             for shift in (np.zeros(len(cost.ce)), np.full(len(cost.ce), 0.2)):
                 self.check(cost, shift)
 
+    @staticmethod
+    def relaxed_cost(layout, monkeypatch):
+        """The matrix of the one relaxation run of decomposing ``layout``."""
+        runs = []
+
+        def spy(cost, seed=42):
+            runs.append(cost)
+            return solve_relaxation(cost, seed=seed)
+
+        monkeypatch.setattr(trimask.pipeline, "solve_relaxation", spy)
+        decompose(layout, DecomposeConfig(solver="auto", seed=42))
+        (cost,) = runs
+        return cost
+
+    @pytest.mark.parametrize("shapes, density, seed, components, nodes", [
+        (400, 6, 1, 4, (400, 600)),  # a dense layout's joined relaxed leaves
+        (20, 6, 2, 1, (26, 29)),  # a relaxed clip
+    ], ids=["dense", "clip"])
+    def test_matches_the_reference_at_benchmark_sizes(
+        self, monkeypatch, shapes, density, seed, components, nodes
+    ):
+        cost = self.relaxed_cost(generate_layout(shapes, density, seed=seed), monkeypatch)
+        assert _edge_terms(cost, RANK).components == components
+        assert nodes[0] <= len(cost.index) <= nodes[1]
+        rng = np.random.default_rng(seed)
+        for shift in (np.zeros(len(cost.ce)), rng.uniform(0.0, 0.3, size=len(cost.ce))):
+            _, _, iterations = self.check(cost, shift)
+            assert iterations > 0
+
 
 def reference_solution(dg, x, alpha=0.1):
     """Wrap an explicit Gram matrix for mapping tests, factored through its
@@ -833,7 +865,9 @@ class TestMapping:
         rng = np.random.default_rng(5)
         grid = np.array([(a, b, c) for a in range(3) for b in range(3) for c in range(3)], float)
         for dots in (grid, rng.normal(size=(DRAWS, 40, 3)), np.round(rng.normal(size=(50, 30, 3)))):
-            assert np.array_equal(_first_largest(dots), np.argmax(dots, axis=-1))
+            labels = _first_largest(dots)
+            assert labels.dtype == np.int8
+            assert np.array_equal(labels, np.argmax(dots, axis=-1))
 
     def test_draw_costs_do_not_wrap(self):
         # 923 conflicts at alpha 1/3 (3333333333333333/10**16) cost more than
@@ -844,11 +878,30 @@ class TestMapping:
             2 * m + 1, ce=[(2 * i, 2 * i + 1) for i in range(m)], se=[(0, 2 * m)]
         )
         ce, se = _edge_positions(dg)
-        labels = np.array([[0] * (2 * m + 1), [0, 1] * m + [1]])
-        costs = _integer_costs(labels, ce, se, alpha)
-        assert costs == [m * alpha.denominator, alpha.numerator]
-        assert costs.index(min(costs)) == 1
+        for dtype in (np.int64, np.int8):
+            labels = np.array([[0] * (2 * m + 1), [0, 1] * m + [1]], dtype=dtype)
+            costs = _integer_costs(labels, ce, se, alpha)
+            assert costs == [m * alpha.denominator, alpha.numerator]
+            assert costs.index(min(costs)) == 1
         assert m * alpha.denominator > np.iinfo(np.int64).max
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10), as_fraction(1 / 3), Fraction(2)])
+    def test_draw_costs_match_a_count_per_draw(self, alpha):
+        # int8 labels, as _first_largest makes them, on random graphs; at
+        # alpha 1/3 the draws on 150 nodes cost more than int64 holds
+        rng = np.random.default_rng(alpha.denominator % 1000)
+        for n in (1, 2, 7, 30, 150):
+            dg = random_graph(rng, n, ce_density=0.3, se_density=0.2)
+            ce, se = _edge_positions(dg)
+            labels = rng.integers(0, 3, size=(40, n)).astype(np.int8)
+            expected = [
+                alpha.denominator * sum(row[u] == row[v] for u, v in ce.tolist())
+                + alpha.numerator * sum(row[u] != row[v] for u, v in se.tolist())
+                for row in labels.tolist()
+            ]
+            assert _integer_costs(labels, ce, se, alpha) == expected
+        if alpha.denominator > 10**15:
+            assert min(expected) > np.iinfo(np.int64).max
 
 
     def test_hits_the_optimum_on_small_graphs(self):
