@@ -4,7 +4,8 @@ Exact solver against the exhaustive oracle
 
 The exact solver must reproduce exhaustive enumeration exactly. It
 eliminates the nodes along a min-fill order, and returns None for an order
-too wide to eliminate (the pipeline then relaxes that piece). This script
+whose tables would pass the elimination budget (the pipeline then relaxes
+that piece). This script
 races elimination against enumeration on random graphs, reports the table
 entries each elimination filled, and shows the 0-1 model view of a solution.
 """

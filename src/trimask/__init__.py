@@ -2,8 +2,8 @@
 
 Assigns layout features (or their stitched segments) to three masks while
 minimizing a weighted sum of coloring conflicts and inserted stitches. After
-optimality-preserving graph reductions, a piece of small elimination width
-is solved exactly by bucket elimination, and any other piece by a
+optimality-preserving graph reductions, a piece whose bucket elimination
+fits the table budget is solved exactly by it, and any other piece by a
 semidefinite relaxation and its rounding.
 """
 
@@ -26,7 +26,6 @@ from .graphs import (
     brute_force_optimum,
     connected_components,
     evaluate,
-    format_edgelist,
     parse_edgelist,
 )
 from .ilp import (
@@ -83,7 +82,6 @@ __all__ = [
     "brute_force_optimum",
     "connected_components",
     "evaluate",
-    "format_edgelist",
     "parse_edgelist",
     "IlpModel",
     "SolveReport",

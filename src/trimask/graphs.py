@@ -362,12 +362,3 @@ def parse_edgelist(text: str) -> DecompositionGraph:
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         (ce if parts[0] == "C" else se).append((u, v))
     return DecompositionGraph.from_edges(n, ce=ce, se=se)
-
-
-def format_edgelist(dg: DecompositionGraph) -> str:
-    nodes = dg.nodes
-    n = (max(nodes) + 1) if nodes else 0
-    out = [str(n)]
-    out += [f"C {u} {v}" for u, v in sorted(dg.ce)]
-    out += [f"S {u} {v}" for u, v in sorted(dg.se)]
-    return "\n".join(out) + "\n"

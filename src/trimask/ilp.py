@@ -17,11 +17,11 @@ to external LP solvers.
 
 The solver works on ternary node colors with integer costs. ``solve_exact``
 eliminates the nodes along a min-fill order, which proves the optimum in
-3^(w + 1) table entries per node for an order of width w. Layout pieces have
-small width (4-8 on the benchmark's clips, 7-9 on the 110-300-node pieces
-of density-6 layouts). An order wider than ``ELIMINATION_WIDTH``, or one
-whose tables exceed ``ELIMINATION_BUDGET`` entries, is not run:
-``solve_exact`` returns None, and the pipeline relaxes that piece instead.
+3^(d + 1) table entries for a node of d neighbors at its turn. Layout pieces
+have small width (4-8 on the benchmark's clips, 7-9 on the 110-300-node
+pieces of density-6 layouts). An order whose tables would pass
+``ELIMINATION_BUDGET`` entries is not run: ``solve_exact`` returns None,
+and the pipeline relaxes that piece instead.
 """
 
 from __future__ import annotations
@@ -184,20 +184,18 @@ class SolveReport:
     proven_optimal: bool
 
 
-# the widest elimination order solve_exact runs: its largest bucket is a
-# table of 3^(ELIMINATION_WIDTH + 1) entries
-ELIMINATION_WIDTH = 10
-# the most table entries solve_exact fills for one graph; it never binds
-# under solver "auto", whose leaves of at most 25 nodes fill at most
-# 25 * 3^11 = 4,428,675
+# the most table entries solve_exact fills for one graph. It bounds the
+# elimination's time, its largest table and so its width, to 12: a node of
+# 13 neighbors fills 3^14 = 4,782,969 entries and leaves them a 13-clique
+# whose first node fills at least 3^13 = 1,594,323 more. K13, of width 12,
+# fills 2,391,483 in all.
 ELIMINATION_BUDGET = 5_000_000
 
 
 def solve_exact(dg: DecompositionGraph, alpha) -> SolveReport | None:
     """Proven minimum by min-sum bucket elimination along a min-fill order
-    (Bertelè & Brioschi 1972; Dechter 1999), or None when the order's width
-    passes ``ELIMINATION_WIDTH`` or its tables would pass
-    ``ELIMINATION_BUDGET`` entries.
+    (Bertelè & Brioschi 1972; Dechter 1999), or None when the order's tables
+    would pass ``ELIMINATION_BUDGET`` entries.
 
     Costs are integers: ``alpha.denominator`` per conflict,
     ``alpha.numerator`` per stitch. Each edge is a 3 x 3 table in the bucket
@@ -255,8 +253,7 @@ def _min_fill_order(
     """Greedy min-fill elimination order of ``dg`` (ties by degree, then
     id), with each node's bucket scope as positions in the order, itself
     first, and the elimination's work, the sum of 3^(scope size). None as
-    soon as a scope passes ``ELIMINATION_WIDTH`` neighbors or the work
-    passes ``budget``.
+    soon as the work passes ``budget``.
 
     A node's fill is C(degree, 2) less ``tri``, the edges among its
     neighbors. Eliminating a node joins its neighbors pairwise, and each new
@@ -287,8 +284,6 @@ def _min_fill_order(
         nb = nbrs[i]
         if done[i] or d != len(nb) or f != d * (d - 1) // 2 - tri[i]:
             continue  # a stale score
-        if d > ELIMINATION_WIDTH:
-            return None
         work += 3 ** (d + 1)
         if work > budget:
             return None

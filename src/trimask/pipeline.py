@@ -11,8 +11,7 @@ The residual graph is solved in one pass of three phases:
    A single node takes mask 0, and a leaf for the exact solver (per the
    configuration) is eliminated at once. The rest wait for phase 2, and so
    does an exact leaf that ``solve_exact`` cannot take: one whose
-   elimination order is wider than ``ilp.ELIMINATION_WIDTH``, or whose
-   tables pass ``ilp.ELIMINATION_BUDGET`` entries.
+   elimination tables would pass ``ilp.ELIMINATION_BUDGET`` entries.
 2. Relax the waiting leaves together: one ``CostMatrix`` per leaf from
    ``build_cost_matrix``, joined by ``join_costs`` into one disjoint union,
    one ``solve_relaxation`` call on it, and each leaf rounded by

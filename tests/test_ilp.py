@@ -25,7 +25,6 @@ from trimask.graphs import (
 )
 from trimask.ilp import (
     ELIMINATION_BUDGET,
-    ELIMINATION_WIDTH,
     SolveReport,
     _min_fill_order,
     build_ilp,
@@ -287,10 +286,14 @@ def conflict_grid(side: int) -> DecompositionGraph:
     return DecompositionGraph.from_edges(side * side, ce=ce)
 
 
+def conflict_clique(n: int) -> DecompositionGraph:
+    """The complete graph on n nodes, all conflict edges."""
+    return DecompositionGraph.from_edges(n, ce=list(itertools.combinations(range(n), 2)))
+
+
 class TestElimination:
-    """``solve_exact`` eliminates along a min-fill order of width at most
-    ``ELIMINATION_WIDTH`` whose tables fit the budget, and otherwise
-    returns None."""
+    """``solve_exact`` eliminates along a min-fill order whose tables fit the
+    budget, and otherwise returns None."""
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(1, 3), Fraction(2)])
     def test_matches_brute_force(self, alpha):
@@ -325,24 +328,28 @@ class TestElimination:
         assert report.nodes_explored == 9 + 9 + 3
         assert report.assignment.objective == 0
 
-    def test_width_at_the_cap_eliminates(self):
-        # the min-fill order of an 8 x 8 grid has width exactly 10
-        report = solve_exact(conflict_grid(8), Fraction(1, 10))
+    @pytest.mark.parametrize("side", [8, 9])
+    def test_grids_within_the_budget_eliminate(self, side):
+        # min-fill orders of width 10 and 11
+        report = solve_exact(conflict_grid(side), Fraction(1, 10))
         assert report.proven_optimal
         assert report.assignment.objective == 0
 
-    def test_width_just_over_the_cap_returns_none(self):
-        # the min-fill order of a 9 x 9 grid passes width 10
-        assert solve_exact(conflict_grid(9), Fraction(1, 10)) is None
-
-    def test_budget_of_exactly_the_work_eliminates(self):
-        k4 = k4_graph()
-        work = solve_exact(k4, Fraction(1, 10)).nodes_explored
-        assert work == 81 + 27 + 9 + 3
+    @pytest.mark.parametrize("n, work, optimum", [
+        (4, 81 + 27 + 9 + 3, 1),
+        # width 12, the widest order the budget admits: 3^13 + 3^12 + ... + 3
+        (13, (3**14 - 3) // 2, 22),
+    ])
+    def test_budget_of_exactly_the_work_eliminates(self, n, work, optimum):
+        clique = conflict_clique(n)
+        report = solve_exact(clique, Fraction(1, 10))
+        assert report.nodes_explored == work
+        assert report.assignment.objective == optimum
+        assert brute_force_optimum(clique, Fraction(1, 10)).objective == optimum
         with elimination_budget(work):
-            assert solve_exact(k4, Fraction(1, 10)).proven_optimal
+            assert solve_exact(clique, Fraction(1, 10)) == report
         with elimination_budget(work - 1):
-            assert solve_exact(k4, Fraction(1, 10)) is None
+            assert solve_exact(clique, Fraction(1, 10)) is None
 
     @pytest.mark.parametrize("alpha", [
         # a 53-bit denominator: int64 tables still hold every sum
@@ -372,8 +379,7 @@ class TestElimination:
 def reference_min_fill_order(dg: DecompositionGraph, budget: int):
     """``_min_fill_order`` with every node's fill counted from scratch at each
     step: the missing edges among its neighbors, ties by degree, then index.
-    None once a node has more than ``ELIMINATION_WIDTH`` neighbors or the
-    work passes ``budget``."""
+    None once the work passes ``budget``."""
     nodes = dg.nodes
     index = {v: i for i, v in enumerate(nodes)}
     nbrs: list[set[int]] = [set() for _ in nodes]
@@ -393,8 +399,6 @@ def reference_min_fill_order(dg: DecompositionGraph, budget: int):
     while left:
         i = min(left, key=score)
         nb = nbrs[i]
-        if len(nb) > ELIMINATION_WIDTH:
-            return None
         work += 3 ** (len(nb) + 1)
         if work > budget:
             return None
@@ -474,12 +478,17 @@ class TestMinFillOrder:
         assert plan is not None
         assert plan == reference_min_fill_order(comp, ELIMINATION_BUDGET)
 
-    @pytest.mark.parametrize("side, eliminates", [(8, True), (9, False)])
-    def test_grids_at_the_width_cap(self, side, eliminates):
-        grid = conflict_grid(side)
-        plan = _min_fill_order(grid, ELIMINATION_BUDGET)
-        assert (plan is not None) == eliminates
-        assert plan == reference_min_fill_order(grid, ELIMINATION_BUDGET)
+    @pytest.mark.parametrize("dg, work", [
+        pytest.param(conflict_grid(8), 457_068, id="grid8"),
+        pytest.param(conflict_grid(9), 1_925_355, id="grid9"),
+        pytest.param(conflict_clique(13), 2_391_483, id="clique13"),
+        # its first two scopes alone fill 3^14 + 3^13 = 6,377,292 entries
+        pytest.param(conflict_clique(14), None, id="clique14"),
+    ])
+    def test_the_budget_alone_stops_the_order(self, dg, work):
+        plan = _min_fill_order(dg, ELIMINATION_BUDGET)
+        assert (plan and plan[2]) == work
+        assert plan == reference_min_fill_order(dg, ELIMINATION_BUDGET)
 
 
 class TestEliminationIdentity:

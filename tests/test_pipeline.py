@@ -7,7 +7,7 @@ import pytest
 
 import trimask.pipeline
 from conftest import PEEL_FALLBACK_LAYOUT, elimination_budget, random_graph, worked_example_graph
-from test_ilp import conflict_grid
+from test_ilp import conflict_clique
 from trimask.cli import generate_layout
 from trimask.geometry import Layout, ProcessParams, Shape, build_layout_graph, project_and_split
 from trimask.graphs import (
@@ -17,7 +17,7 @@ from trimask.graphs import (
     connected_components,
     evaluate,
 )
-from trimask.ilp import ELIMINATION_BUDGET, ELIMINATION_WIDTH, solve_exact
+from trimask.ilp import solve_exact
 from trimask.pipeline import (
     AUTO_THRESHOLD,
     ComponentReport,
@@ -217,11 +217,6 @@ class TestDecomposeGraph:
         with pytest.raises(TypeError):
             solve_exact(K4, 0.1, budget=10)
 
-    def test_auto_leaves_never_reach_the_budget(self):
-        # a leaf of at most AUTO_THRESHOLD nodes, each bucket at most
-        # 3^(ELIMINATION_WIDTH + 1) entries
-        assert AUTO_THRESHOLD * 3 ** (ELIMINATION_WIDTH + 1) < ELIMINATION_BUDGET
-
 
 def two_triangles_bridged():
     return DecompositionGraph.from_edges(
@@ -268,20 +263,23 @@ class TestComponentSolver:
         assert report.bridges_cut == 1
         assert report.solver == "mixed"
 
-    def test_exact_past_the_width_cap_relaxes(self):
-        grid = conflict_grid(9)
-        assert solve_exact(grid, 0.1) is None
-        result = decompose_graph(grid, DecomposeConfig(solver="exact"))
+    @pytest.mark.parametrize("solver", ["auto", "exact"])
+    def test_past_the_budget_relaxes(self, solver):
+        # K14's first two scopes alone would fill 3^14 + 3^13 table entries,
+        # past the budget, so even "auto" relaxes it at 14 nodes
+        k14 = conflict_clique(14)
+        assert solve_exact(k14, 0.1) is None
+        result = decompose_graph(k14, DecomposeConfig(solver=solver))
         (report,) = result.per_component
-        assert report.solver == "sdp" and not report.proven_optimal
-        assert not result.proven_optimal
-        assert set(result.assignment.colors) == set(grid.nodes)
+        assert report.solver == "sdp" and report.nodes_explored == 0
+        assert not report.proven_optimal and not result.proven_optimal
+        assert set(result.assignment.colors) == set(k14.nodes)
 
     def test_exact_mixed_across_a_wide_and_a_narrow_piece(self):
-        # the 9 x 9 grid relaxes, the triangle bridged to it is eliminated
-        grid = conflict_grid(9)
-        tri = [(81, 82), (82, 83), (81, 83)]
-        dg = DecompositionGraph.from_edges(84, ce=sorted(grid.ce) + tri + [(80, 81)])
+        # K14 relaxes, the triangle bridged to it is eliminated
+        k14 = conflict_clique(14)
+        tri = [(14, 15), (15, 16), (14, 16)]
+        dg = DecompositionGraph.from_edges(17, ce=sorted(k14.ce) + tri + [(13, 14)])
         result = decompose_graph(dg, DecomposeConfig(solver="exact"))
         (report,) = result.per_component
         assert report.bridges_cut == 1 and report.solver == "mixed"
