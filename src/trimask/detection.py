@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import DecompositionGraph, Pair, component_sets, neighbor_sets
+from .graphs import DecompositionGraph, Pair, _union_find, neighbor_sets
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,13 @@ def propagate_and_check(dg: DecompositionGraph) -> InfeasibleWitness | None:
         common = adj[u] & adj[v]
         if len(common) > 1:
             pairs.update(combinations(sorted(common), 2))
-    classes = component_sets(dg.nodes, pairs)
-    label = {n: k for k, cls in enumerate(classes) for n in cls}
+    # each node's class is named by its union-find root, the class's
+    # smallest node; ascending, each parent already points at its root
+    root = _union_find(dg.nodes, pairs)
+    for n in dg.nodes:
+        root[n] = root[root[n]]
     for u, v in edges:
-        if label[u] == label[v]:
+        if root[u] == root[v]:
             # u is an apex, so the pairs' own nodes are all the chain needs
             path = _constraint_path(neighbor_sets((), pairs), u, v)
             return InfeasibleWitness(edge=(u, v), path=path)

@@ -307,7 +307,8 @@ def _close(r: np.ndarray, i: np.ndarray, j: np.ndarray, min_s) -> np.ndarray:
     never close, and clamped there its square still fails the test."""
     cap = math.ceil(min_s)
     gx, gy = _axis_gaps(r, i, j)
-    dx, dy = np.clip(gx, 0, cap), np.clip(gy, 0, cap)
+    # not np.clip: its Python wrapper took about a third of this call
+    dx, dy = np.minimum(np.maximum(gx, 0), cap), np.minimum(np.maximum(gy, 0), cap)
     return dx * dx + dy * dy <= math.ceil(Fraction(min_s) ** 2) - 1
 
 
@@ -450,7 +451,10 @@ def _cuts(rect: Rect, others: list[Rect], margin) -> list[int]:
     """``stitch_candidates`` of ``rect`` against its neighbors' rectangles."""
     a = 0 if _horizontal(rect) else 1
     lo, hi = rect[a], rect[a + 2]
-    covers = sorted([(max(o[a], lo), min(o[a + 2], hi)) for o in others])
+    # clamped to the shape by comparisons: max and min, two builtin calls
+    # per neighbor, took a third of this call's time
+    covers = sorted([(o[a] if o[a] > lo else lo, o[a + 2] if o[a + 2] < hi else hi)
+                     for o in others])
     out = []
     covered = None  # the high end of the covers merged so far
     for c_lo, c_hi in covers:
@@ -463,7 +467,8 @@ def _cuts(rect: Rect, others: list[Rect], margin) -> list[int]:
             mid = (covered + c_lo) // 2
             if mid - covered >= margin and c_lo - mid >= margin:
                 out.append(mid)
-        covered = c_hi if covered is None else max(covered, c_hi)
+        if covered is None or covered < c_hi:
+            covered = c_hi
     return out
 
 

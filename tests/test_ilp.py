@@ -291,6 +291,23 @@ def conflict_clique(n: int) -> DecompositionGraph:
     return DecompositionGraph.from_edges(n, ce=list(itertools.combinations(range(n), 2)))
 
 
+def stitched_grid(side: int) -> DecompositionGraph:
+    """``conflict_grid`` with a stitch edge on each cell's down-right
+    diagonal: coloring by (row - column) mod 3 pays nothing, and so do many
+    other colorings, so the buckets hold ties."""
+    grid = conflict_grid(side)
+    se = [(r * side + c, (r + 1) * side + c + 1) for r in range(side - 1) for c in range(side - 1)]
+    return DecompositionGraph.from_edges(side * side, ce=grid.ce, se=se)
+
+
+def stitched_clique(n: int) -> DecompositionGraph:
+    """The complete graph on n nodes with stitch edges (0, 1), (2, 3), ...
+    and conflict edges elsewhere: many colorings tie at the optimum."""
+    se = [(i, i + 1) for i in range(0, n - 1, 2)]
+    ce = [p for p in itertools.combinations(range(n), 2) if p not in se]
+    return DecompositionGraph.from_edges(n, ce=ce, se=se)
+
+
 class TestElimination:
     """``solve_exact`` eliminates along a min-fill order whose tables fit the
     budget, and otherwise returns None."""
@@ -518,6 +535,21 @@ class TestEliminationIdentity:
             got = solve_exact(comp, alpha)
             assert got is not None
             assert got == reference_elimination(comp, alpha)
+
+    # the tests above stop at 20 000 entries and 22 nodes, so their scopes
+    # stay narrow; these reach scopes of 8 to 11 nodes, whose color slices
+    # hold 3^7 to 3^10 entries each, many of them tied
+    @pytest.mark.parametrize("dg, scope", [
+        pytest.param(stitched_grid(6), 8, id="grid6"),
+        pytest.param(stitched_clique(9), 9, id="clique9"),
+        pytest.param(stitched_grid(7), 10, id="grid7"),
+        pytest.param(stitched_clique(11), 11, id="clique11"),
+    ])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10), 5e-324])
+    def test_wide_buckets_with_ties(self, dg, scope, alpha):
+        _, scopes, _ = _min_fill_order(dg, ELIMINATION_BUDGET)
+        assert max(map(len, scopes)) == scope
+        assert solve_exact(dg, alpha) == reference_elimination(dg, alpha)
 
 
 BUDGETS = (1, 2, 7, 50, 400, 5000, ELIMINATION_BUDGET)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trimask.pipeline
 import trimask.sdp
 from conftest import k4_graph, random_graph, triangle_graph, worked_example_graph
 from trimask.cli import generate_layout
+from trimask.geometry import build_layout_graph, project_and_split
 from trimask.graphs import (
     DecompositionGraph,
     as_fraction,
@@ -18,7 +18,7 @@ from trimask.graphs import (
     evaluate,
 )
 from trimask.ilp import solve_exact
-from trimask.pipeline import DecomposeConfig, decompose
+from trimask.reductions import peel_low_degree
 from trimask.sdp import (
     CONSTRAINT_TOL,
     DRAWS,
@@ -715,27 +715,26 @@ class TestWorkspaceDescent:
                 self.check(cost, shift)
 
     @staticmethod
-    def relaxed_cost(layout, monkeypatch):
-        """The matrix of the one relaxation run of decomposing ``layout``."""
-        runs = []
-
-        def spy(cost, seed=42):
-            runs.append(cost)
-            return solve_relaxation(cost, seed=seed)
-
-        monkeypatch.setattr(trimask.pipeline, "solve_relaxation", spy)
-        decompose(layout, DecomposeConfig(solver="auto", seed=42))
-        (cost,) = runs
-        return cost
+    def residual_cost(layout):
+        """One joined matrix over the components of ``layout``'s peeled
+        residual graph, built as the pipeline builds its relaxation run. The
+        test picks the components itself, so the input stays the same
+        whichever pieces the pipeline sends to the relaxation."""
+        lg = build_layout_graph(layout)
+        residual, _ = peel_low_degree(lg)
+        dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+        keep = set(residual.nodes)
+        comps = connected_components(dg.subgraph(i for i, p in zip(dg.ids, dg.parents) if p in keep))
+        return join_costs([build_cost_matrix(comp, layout.params.alpha) for comp in comps])
 
     @pytest.mark.parametrize("shapes, density, seed, components, nodes", [
-        (400, 6, 1, 4, (400, 600)),  # a dense layout's joined relaxed leaves
-        (20, 6, 2, 1, (26, 29)),  # a relaxed clip
+        (400, 6, 1, 4, (400, 600)),  # a dense layout's joined residual components
+        (20, 6, 2, 1, (26, 29)),  # a clip of one relaxation-sized component
     ], ids=["dense", "clip"])
     def test_matches_the_reference_at_benchmark_sizes(
-        self, monkeypatch, shapes, density, seed, components, nodes
+        self, shapes, density, seed, components, nodes
     ):
-        cost = self.relaxed_cost(generate_layout(shapes, density, seed=seed), monkeypatch)
+        cost = self.residual_cost(generate_layout(shapes, density, seed=seed))
         assert _edge_terms(cost, RANK).components == components
         assert nodes[0] <= len(cost.index) <= nodes[1]
         rng = np.random.default_rng(seed)

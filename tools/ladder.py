@@ -3,7 +3,8 @@ write one ``BENCH_<short sha>.json`` per source tree at the repository root.
 
 The instances are ``generate_layout`` at 40 / 400 / 2000 shapes and
 density 2, 4 and 6, generator seeds 1-3, plus (1000, 3) and (5000, 4) at
-seed 1. Each decomposes with ``DecomposeConfig(seed=42)``; the wall time is
+seed 1. Each decomposes with ``DecomposeConfig(seed=42, solver=...)``,
+``--solver auto`` (the default) or ``exact``; the wall time is
 the median of 3 decompose calls, shown with their min-max, and beside it
 the median garbage collections of a call, per generation. Each source
 tree runs in its own long-lived interpreter with one BLAS thread, and the
@@ -13,10 +14,12 @@ reaches every tree alike:
 
     python tools/ladder.py                          # this checkout
     python tools/ladder.py --src ../base/src --src src
+    python tools/ladder.py --solver exact           # every piece eliminated
 
 The file is named after ``git rev-parse --short HEAD`` of the tree's
 checkout, with ``-dirty`` added when the checkout has uncommitted changes,
-or ``nogit`` for a tree outside any checkout (a ``git archive`` copy, say).
+or ``nogit`` for a tree outside any checkout (a ``git archive`` copy, say),
+and after the solver unless it is ``auto``: ``BENCH_exact_<sha>.json``.
 The names are taken before the ladder runs.
 With two or more ``--src`` trees the table shows each tree's figures, the
 last tree's wall time against the first's, and whether every tree's
@@ -67,8 +70,9 @@ NOTES = [
 ]
 
 
-def serve() -> None:
-    """Answer one request per stdin line, for the trimask on ``sys.path``:
+def serve(solver: str) -> None:
+    """Answer one request per stdin line, for the trimask on ``sys.path``
+    and ``solver``:
     ``{"index": i, "repeat": r}`` decomposes instance i once and replies
     with its wall time and the garbage collections it took, per
     generation, and on repeat 0 with its other figures too."""
@@ -110,7 +114,7 @@ def serve() -> None:
             collections[info["generation"]] += 1
 
     gc.callbacks.append(count)
-    cfg = DecomposeConfig(seed=42)
+    cfg = DecomposeConfig(seed=42, solver=solver)
     layouts = {}
     for line in sys.stdin:
         request = json.loads(line)
@@ -130,11 +134,12 @@ def serve() -> None:
 class Tree:
     """One source tree's long-lived ``--serve`` interpreter."""
 
-    def __init__(self, src: str):
+    def __init__(self, src: str, solver: str):
         env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        self.proc = subprocess.Popen([sys.executable, __file__, "--serve"], env=env,
-                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.proc = subprocess.Popen([sys.executable, __file__, "--serve", "--solver", solver],
+                                     env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     text=True)
 
     def ask(self, index: int, repeat: int) -> dict:
         self.proc.stdin.write(json.dumps({"index": index, "repeat": repeat}) + "\n")
@@ -149,12 +154,12 @@ class Tree:
         self.proc.wait(timeout=60)
 
 
-def measure(srcs: list[str]) -> list[list[dict]]:
+def measure(srcs: list[str], solver: str) -> list[list[dict]]:
     """One record per instance for each tree, the trees taking turns."""
     trees = []
     try:
         for src in srcs:
-            trees.append(Tree(src))
+            trees.append(Tree(src, solver))
         results: list[list[dict]] = [[] for _ in srcs]
         for index, (shapes, density, seed) in enumerate(INSTANCES):
             walls: list[list[float]] = [[] for _ in srcs]
@@ -191,12 +196,12 @@ def _commit(src: Path) -> str:
     return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def write(commit: str, records: list[dict]) -> Path:
-    path = ROOT / f"BENCH_{commit}.json"
+def write(commit: str, solver: str, records: list[dict]) -> Path:
+    path = ROOT / (f"BENCH_{commit}.json" if solver == "auto" else f"BENCH_{solver}_{commit}.json")
     doc = {
         "commit": commit,
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count()},
-        "config": {"seed": 42, "solver": "auto", "repeats": REPEATS, "blas_threads": 1},
+        "config": {"seed": 42, "solver": solver, "repeats": REPEATS, "blas_threads": 1},
         "notes": NOTES,
         "instances": records,
     }
@@ -238,16 +243,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append",
                         help="a source tree holding the trimask package (repeatable)")
+    parser.add_argument("--solver", choices=("auto", "exact"), default="auto",
+                        help="the DecomposeConfig solver of every decompose call")
     parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.serve:
-        serve()
+        serve(args.solver)
         return 0
     srcs = args.src or [str(ROOT / "src")]
     commits = [_commit(Path(src).resolve()) for src in srcs]
-    results = measure(srcs)
+    results = measure(srcs, args.solver)
     for commit, records in zip(commits, results):
-        print(f"wrote {write(commit, records)}")
+        print(f"wrote {write(commit, args.solver, records)}")
     print(table(srcs, results))
     return 0
 
