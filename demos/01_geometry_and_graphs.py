@@ -30,9 +30,9 @@ lg = build_layout_graph(layout)
 print("conflict pairs between whole shapes:", sorted(lg.edges))
 
 # the uncovered stretch between the two shadows admits one split point
-print("legal split positions on the wire:", stitch_candidates(layout, lg, 0))
+print("legal split positions, by shape:", stitch_candidates(layout))
 
-dg = project_and_split(layout, lg)
+dg = project_and_split(layout)
 print(f"{len(dg.segments)} segments after splitting:")
 for seg in dg.segments:
     print(f"  segment {seg.id} of shape {seg.parent}: {seg.rect}")

@@ -206,7 +206,7 @@ MASK_FILLS = ("#4477aa", "#ee6677", "#228833")
 def render_svg(layout: Layout, assignment: MaskAssignment, dg: DecompositionGraph) -> str:
     """One filled rect per segment (fill by mask), red lines between the
     centers of conflicting segments, dashed black lines for stitches."""
-    rects = [r for r in dg.rects if r is not None]
+    rects = dg.rects
     if rects:
         x_min = min(r[0] for r in rects)
         y_min = min(r[1] for r in rects)

@@ -28,10 +28,11 @@ about 5k conflict pairs, where the sweep alone listed 174k.
 A layout keeps one id-sorted int64 array of its rectangles
 (``Layout.rects``, beside ``Layout.sorted_shapes``) and its conflict
 pairs, both made once while it is validated. The layout graph maps the
-pairs to shape ids. The split tests only the segment pairs that those
-pairs and the split shapes allow, and sweeps nothing: a segment lies
-inside its shape, so two segments are close only if their shapes are,
-or if they are pieces of one shape.
+pairs to shape ids. The split reads the pairs too, by position: its
+projections take each shape's neighbors from them, and it tests only the
+segment pairs that those pairs and the split shapes allow, and sweeps
+nothing: a segment lies inside its shape, so two segments are close only
+if their shapes are, or if they are pieces of one shape.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DecompositionGraph, Pair, adjacency
+from .graphs import DecompositionGraph, Pair
 
 Rect = tuple[int, int, int, int]
 
@@ -160,10 +160,6 @@ class Layout:
         object.__setattr__(self, "sorted_shapes", tuple(map(self.shapes.__getitem__, order)))
         object.__setattr__(self, "rects", rects)
         object.__setattr__(self, "close_pairs", (i[row_major], j[row_major]))
-
-    @cached_property
-    def shape_by_id(self) -> dict[int, Shape]:
-        return {s.id: s for s in self.shapes}
 
 
 def _rect_array(shapes: tuple[Shape, ...]) -> np.ndarray:
@@ -407,10 +403,6 @@ class LayoutGraph:
     nodes: tuple[int, ...]
     edges: frozenset[Pair]
 
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return adjacency(self.nodes, self.edges)
-
     def subgraph(self, keep) -> "LayoutGraph":
         keep = set(keep)
         return LayoutGraph(
@@ -429,18 +421,38 @@ def build_layout_graph(layout: Layout) -> LayoutGraph:
     return LayoutGraph(nodes=ids, edges=edges)
 
 
-def stitch_candidates(layout: Layout, lg: LayoutGraph, shape_id: int) -> list[int]:
-    """Legal split positions along one shape's long axis.
+def stitch_candidates(layout: Layout, shape_ids=None) -> dict[int, list[int]]:
+    """Legal split positions along the long axis of each shape of
+    ``shape_ids`` (every shape by default), by shape id, for the shapes
+    that have any; an id not in the layout gets no entry.
 
-    Conflicting neighbors project their extent onto the axis; each maximal
-    uncovered span lying between two covered regions contributes its
-    midpoint, kept only when the midpoint clears both shape ends and the
-    adjacent covers by at least the overlap margin.
+    A shape's conflicting neighbors, its pairs in ``Layout.close_pairs``,
+    project their extent onto the axis; each maximal uncovered span lying
+    between two covered regions contributes its midpoint, kept only when
+    the midpoint clears both shape ends and the adjacent covers by at least
+    the overlap margin.
     """
-    by_id = layout.shape_by_id
-    rect = by_id[shape_id].rect
-    others = [by_id[other].rect for other in lg.adjacency[shape_id]]
-    return _cuts(rect, others, layout.params.overlap_margin)
+    shapes = layout.sorted_shapes
+    if shape_ids is None:
+        rows = range(len(shapes))
+    else:
+        wanted = set(shape_ids)
+        rows = [k for k, s in enumerate(shapes) if s.id in wanted] if wanted else ()
+    # the neighbors' rectangles of each shape asked for, by position
+    others: dict[int, list[Rect]] = {k: [] for k in rows}
+    if others:
+        i, j = layout.close_pairs
+        for a, b in zip(i.tolist(), j.tolist()):
+            if a in others:
+                others[a].append(shapes[b].rect)
+            if b in others:
+                others[b].append(shapes[a].rect)
+    margin = layout.params.overlap_margin
+    cuts_of = {}
+    for k, rects in others.items():
+        if rects and (cuts := _cuts(shapes[k].rect, rects, margin)):
+            cuts_of[shapes[k].id] = cuts
+    return cuts_of
 
 
 def _horizontal(rect: Rect) -> bool:
@@ -448,7 +460,8 @@ def _horizontal(rect: Rect) -> bool:
 
 
 def _cuts(rect: Rect, others: list[Rect], margin) -> list[int]:
-    """``stitch_candidates`` of ``rect`` against its neighbors' rectangles."""
+    """The cuts of ``rect`` against its neighbors' rectangles, which may
+    come in any order: their covers are sorted."""
     a = 0 if _horizontal(rect) else 1
     lo, hi = rect[a], rect[a + 2]
     # clamped to the shape by comparisons: max and min, two builtin calls
@@ -483,15 +496,13 @@ def _split_rect(rect: Rect, cuts: list[int]) -> list[Rect]:
     return pieces
 
 
-def project_and_split(
-    layout: Layout, lg: LayoutGraph, split_nodes=None
-) -> DecompositionGraph:
-    """Build the decomposition graph: split shapes at stitch candidates,
-    connect consecutive pieces with SE, and recompute CE at segment level.
+def project_and_split(layout: Layout, split_nodes=None) -> DecompositionGraph:
+    """Build the decomposition graph: split shapes at their stitch
+    candidates, connect consecutive pieces with SE, and recompute CE at
+    segment level.
 
-    ``lg`` must be the layout's own graph from ``build_layout_graph``; it
-    is read only for the neighbors that project onto each shape.
-    ``split_nodes`` restricts which shapes may be split (all by default);
+    ``split_nodes`` restricts which shapes may be split (all by default),
+    and the cuts of those are ``stitch_candidates(layout, split_nodes)``;
     unsplit shapes still appear as single-segment nodes and still project
     onto their neighbors.
 
@@ -501,22 +512,7 @@ def project_and_split(
     (``Layout.close_pairs``) and the pieces of one shape are tested.
     """
     shapes = layout.sorted_shapes
-    margin = layout.params.overlap_margin
-    # the neighbors' rectangles of each shape that may split
-    others: dict[int, list[Rect]] = {
-        n: [] for n in (lg.nodes if split_nodes is None else split_nodes)
-    }
-    cuts_of: dict[int, list[int]] = {}  # per shape that splits
-    if others:
-        by_id = layout.shape_by_id
-        for a, b in lg.edges:
-            if a in others:
-                others[a].append(by_id[b].rect)
-            if b in others:
-                others[b].append(by_id[a].rect)
-        for n, rects in others.items():
-            if rects and (cuts := _cuts(by_id[n].rect, rects, margin)):
-                cuts_of[n] = cuts
+    cuts_of = stitch_candidates(layout, split_nodes)
 
     # a shape without cuts is one segment on its own rectangle; a split one
     # is its pieces, in order, and a stitch edge between each two

@@ -237,7 +237,7 @@ def decompose(layout: Layout, cfg: DecomposeConfig | None = None) -> DecomposeRe
 
     lg = build_layout_graph(layout)
     residual_lg, peeled = peel_low_degree(lg)
-    dg = project_and_split(layout, lg, split_nodes=residual_lg.nodes)
+    dg = project_and_split(layout, split_nodes=residual_lg.nodes)
     colors, reports, witnesses = {}, [], []
     if residual_lg.nodes:
         residual = set(residual_lg.nodes)

@@ -35,16 +35,17 @@ lays their matrices side by side as one disjoint union, and each leaf is
 rounded on its own part of the run, ``RelaxationSolution.restrict``. A
 leaf alone is its own union and relaxes as a direct call would.
 
-The descent keeps a Barzilai-Borwein step, a safe step and a share of
-the gradient norm for each connected component of the graph, from
-per-component sums of row dots, so each component steps as it would
-alone. One nonmonotone acceptance test on the whole value, one stall stop
-and one ``MAX_ITERS`` cap rule the run, so a connected graph runs the rule
-it ran alone. An iteration of a connected graph whose first trial is
-accepted makes 29 numpy calls at any size (a few more with several
-components), and at ~120 nodes their fixed cost is most of its time:
-the four relaxed leaves of a ``dense`` layout (115–124 nodes) take about
-0.7 of the time in one run that they take in four. On that joined run
+The descent keeps a Barzilai-Borwein step, first the safe step of its
+Lipschitz bound, and a share of the gradient norm for each connected
+component of the graph, from per-component sums of row dots, so each
+component steps as it would alone. One nonmonotone acceptance test on
+the whole value, one stall stop and one ``MAX_ITERS`` cap rule the run, so
+a connected graph runs the rule it ran alone. An iteration of a
+connected graph whose first trial is accepted makes 29 numpy calls at any
+size (a few more with several components), and at ~120 nodes their
+fixed cost is most of its time: the four relaxed leaves of a ``dense``
+layout (115–124 nodes) take about 0.7 of the time in one run that they
+take in four. On that joined run
 (about 490 rows and 1,600 pairs) three kernels take most of an
 iteration, near their floor: the gradient's ``bincount``, the ``take``
 of the endpoint rows and the row dots of the pairs. On a relaxed clip of
@@ -75,12 +76,13 @@ rounds).
 
 The run opens with one descent at the penalty weight ``MU_INITIAL``.
 A descent ends at the gradient tolerance ``GRAD_TOL``, after ``MAX_ITERS``
-iterations, or once its accepted penalized value has not improved by
-``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW`` iterations. A multiplier
-round at the same weight follows only while the last descent met
-``GRAD_TOL`` but broke the -1/2 floor by more than ``CONSTRAINT_TOL``, at
-most ``MULTIPLIER_ROUNDS`` times: it shifts each hinge by its multiplier
-estimate, so the floor can hold exactly without a stiffer penalty. The
+iterations, when 25 halvings of one step all fail, or once its accepted
+penalized value has not improved by ``STALL_TOL * (1 + |best|)`` for
+``STALL_WINDOW`` iterations. A multiplier round at the same weight
+follows only while the last descent met ``GRAD_TOL`` but broke the -1/2
+floor by more than ``CONSTRAINT_TOL``, at most ``MULTIPLIER_ROUNDS``
+times: it shifts each hinge by its multiplier estimate, so the floor can
+hold exactly without a stiffer penalty. The
 rule reads the run, not the graph's size. Large relaxations never reach
 ``GRAD_TOL``, so there the run is the one descent: the relaxed clips of
 the benchmark (26–29 nodes) stop at the stall stop after about 220 of
@@ -346,12 +348,11 @@ def _dot(a, b) -> float:
     return float(np.add.reduce(a * b, axis=None))
 
 
-def _normalize_rows(v: np.ndarray, norms=None) -> np.ndarray:
-    """Scale the rows of ``v`` to unit length in place, with ``norms``, one
-    entry per row, as scratch if given, and return ``v``. No row may be 0:
-    a Gaussian row is not, and a descent step, orthogonal to its unit row,
-    only lengthens it."""
-    norms = np.sqrt(np.einsum("ij,ij->i", v, v, out=norms), out=norms)
+def _normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Scale the rows of ``v`` to unit length in place and return ``v``. No
+    row may be 0: a Gaussian row is not, and a descent step, orthogonal to
+    its unit row, only lengthens it."""
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
     return np.divide(v, norms[:, None], out=v)
 
 
@@ -509,11 +510,12 @@ def _component_sums(edges: _EdgeTerms, work: _Workspace):
 def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     """Projected gradient with spectral (Barzilai-Borwein) steps and a
     nonmonotone backtracking safeguard; rows are renormalized every step.
-    Each connected component takes its own step, its own fallback safe
-    step and its own spectral update from its rows' part of the gradient,
-    as if it ran alone; one acceptance test on the whole value halves all
-    steps together. The descent ends when the gradient norm falls below
-    ``GRAD_TOL``, or once its accepted value has not improved by
+    Each connected component starts from the safe step of its Lipschitz
+    bound and takes its own spectral update from its rows' part of the
+    gradient, as if it ran alone; one acceptance test on the whole value
+    halves all steps together. The descent ends when the gradient norm
+    falls below ``GRAD_TOL``, when 25 halvings of one step all fail, or
+    once its accepted value has not improved by
     ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW`` iterations. Returns
     the factor, its gradient norm and the iterations run. The few
     per-component numbers are Python floats, which cost less to update
@@ -533,10 +535,8 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     value = _value_at(v, edges, mu, offset, shift_sq, work)
     grad = _riemannian_grad(v, edges, mu, work)
     grad_sq = sums(grad, grad)
-    safe_step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
-    step = safe_step
+    step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
     memory = [value]
-    fresh_step = False
     best, idle, iterations = value, 0, 0
     v_new, spare = work.trials
     for _ in range(max_iters):
@@ -570,13 +570,7 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
             scale *= 0.5
             move *= 0.5
         if not accepted:
-            # spectral step may be poisoned; retry once from the safe step
-            if fresh_step:
-                break
-            step = safe_step
-            fresh_step = True
-            continue
-        fresh_step = False
+            break
         grad_new = _riemannian_grad(v_new, edges, mu, work)
         dv = np.subtract(v_new, v, out=work.dv)
         moved = sums(dv, dv)

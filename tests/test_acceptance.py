@@ -112,7 +112,7 @@ def test_criterion_4_reductions_preserve_optimality():
             layout = generate_layout(3 + seed % 8, [0, 2, 4, 6][seed % 4], seed=seed)
             lg = build_layout_graph(layout)
             residual, _ = peel_low_degree(lg)
-            dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+            dg = project_and_split(layout, split_nodes=residual.nodes)
             if len(dg.segments) > 14:
                 continue
             checked += 1

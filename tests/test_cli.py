@@ -62,6 +62,10 @@ class TestDecomposeCommand:
     def test_unknown_flag_exit_1(self, tmp_path):
         assert run(["decompose", "--frobnicate", "1"]) == 1
 
+    def test_help_exit_0(self, capsys):
+        assert run(["--help"]) == 0
+        assert "decompose" in capsys.readouterr().out
+
     def test_both_inputs_exit_1(self, tmp_path):
         graph = tmp_path / "g.txt"
         graph.write_text(TRIANGLE_EDGELIST)
@@ -127,6 +131,15 @@ class TestDecomposeCommand:
         assert run(["decompose", "--input", str(path), "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["masks"]) == 2
 
+    def test_empty_layout_renders_a_blank_svg(self, tmp_path):
+        path = tmp_path / "empty.json"
+        svg = tmp_path / "empty.svg"
+        path.write_text('{"shapes": []}')
+        assert run(["decompose", "--input", str(path), "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        assert 'width="21" height="21"' in text
+        assert text.count("<rect") == 1 and 'fill="white"' in text
+
     def test_params_not_an_object_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"params": [1], "shapes": []}')
@@ -150,7 +163,7 @@ class TestDecomposeCommand:
 
         lg = build_layout_graph(layout)
         residual, _ = peel_low_degree(lg)
-        dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+        dg = project_and_split(layout, split_nodes=residual.nodes)
         assert set(doc["masks"]) == {str(s.id) for s in dg.segments}
         # stats counts must agree with re-evaluating the emitted assignment
         colors = {int(k): v for k, v in doc["masks"].items()}

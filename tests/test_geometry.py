@@ -187,16 +187,14 @@ def wire_fixture():
 class TestProjection:
     def test_no_neighbors_single_segment(self):
         layout = make_layout([(0, 0, 200, 25)])
-        lg = build_layout_graph(layout)
-        assert stitch_candidates(layout, lg, 0) == []
-        dg = project_and_split(layout, lg)
+        assert stitch_candidates(layout) == {}
+        dg = project_and_split(layout)
         assert len(dg.segments) == 1 and not dg.se and not dg.ce
 
     def test_wire_candidate_at_midgap(self):
         layout = wire_fixture()
-        lg = build_layout_graph(layout)
-        assert stitch_candidates(layout, lg, 0) == [100]
-        dg = project_and_split(layout, lg)
+        assert stitch_candidates(layout) == {0: [100]}
+        dg = project_and_split(layout)
         wire_segs = [s for s in dg.segments if s.parent == 0]
         assert len(wire_segs) == 2
         assert {s.rect for s in wire_segs} == {(0, 0, 100, 25), (100, 0, 200, 25)}
@@ -209,12 +207,11 @@ class TestProjection:
             (0, -80, 92, -55),
             (108, 50, 200, 75),
         ])
-        lg = build_layout_graph(layout)
-        assert stitch_candidates(layout, lg, 0) == []
+        assert stitch_candidates(layout) == {}
 
     def test_segments_partition_shape(self):
         layout = wire_fixture()
-        dg = project_and_split(layout, build_layout_graph(layout))
+        dg = project_and_split(layout)
         for shape in layout.shapes:
             segs = sorted(
                 (s.rect for s in dg.segments if s.parent == shape.id),
@@ -229,20 +226,20 @@ class TestProjection:
     def test_min_segment_length(self):
         layout = wire_fixture()
         margin = layout.params.overlap_margin
-        dg = project_and_split(layout, build_layout_graph(layout))
+        dg = project_and_split(layout)
         for s in dg.segments:
             x_lo, y_lo, x_hi, y_hi = s.rect
             assert max(x_hi - x_lo, y_hi - y_lo) >= margin
 
     def test_ce_se_disjoint_with_stitches_present(self):
-        dg = project_and_split(wire_fixture(), build_layout_graph(wire_fixture()))
+        dg = project_and_split(wire_fixture())
         assert len(dg.se) >= 1
         assert not (dg.ce & dg.se)
 
     def test_merging_segments_recovers_layout_graph(self):
         layout = wire_fixture()
         lg = build_layout_graph(layout)
-        dg = project_and_split(layout, lg)
+        dg = project_and_split(layout)
         parent = {seg.id: seg.parent for seg in dg.segments}
         recovered = set()
         for u, v in dg.ce:
@@ -261,7 +258,7 @@ class TestProjection:
             (60, 55, 100, 80),
             (120, 55, 200, 80),
         ])
-        dg = project_and_split(layout, build_layout_graph(layout))
+        dg = project_and_split(layout)
         assert [s.rect for s in dg.segments[:3]] == [
             (0, 0, 50, 25), (50, 0, 110, 25), (110, 0, 200, 25)]
         assert dg.se == {(0, 1), (1, 2)}
@@ -272,8 +269,7 @@ class TestProjection:
 
     def test_split_nodes_restriction(self):
         layout = wire_fixture()
-        lg = build_layout_graph(layout)
-        dg = project_and_split(layout, lg, split_nodes=[1, 2])
+        dg = project_and_split(layout, split_nodes=[1, 2])
         assert len([s for s in dg.segments if s.parent == 0]) == 1
 
 
@@ -301,7 +297,7 @@ def test_non_contiguous_shape_ids():
     )
     lg = build_layout_graph(layout)
     assert lg.edges == {(10, 99)}
-    dg = project_and_split(layout, lg)
+    dg = project_and_split(layout)
     assert {s.parent for s in dg.segments} == {10, 99}
 
 
@@ -811,7 +807,7 @@ def reference_split_ce(layout: Layout, lg, dg) -> set:
 
 def assert_split_ce_matches_reference(layout: Layout, split_nodes=None):
     lg = build_layout_graph(layout)
-    dg = project_and_split(layout, lg, split_nodes=split_nodes)
+    dg = project_and_split(layout, split_nodes=split_nodes)
     # inserted in row-major order, so the frozenset iterates in the same order
     expected = frozenset(sorted(reference_split_ce(layout, lg, dg)))
     assert dg.ce == expected
@@ -877,12 +873,10 @@ def reference_layout_graph(layout: Layout) -> LayoutGraph:
     return LayoutGraph(nodes=tuple(ids), edges=edges)
 
 
-def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> DecompositionGraph:
-    """``project_and_split`` cutting and splitting every shape in one loop,
-    building the segment array from the segments' rectangles, and testing
-    every pair of segments for a conflict."""
-    shapes = sorted(layout.shapes, key=lambda s: s.id)
-    rect_of = {s.id: s.rect for s in shapes}
+def reference_cuts(layout: Layout, lg, split_nodes=None) -> dict:
+    """``stitch_candidates`` with each shape's neighbors read from the
+    layout graph ``lg`` by shape id."""
+    rect_of = {s.id: s.rect for s in layout.shapes}
     margin = layout.params.overlap_margin
     others = {n: [] for n in (lg.nodes if split_nodes is None else split_nodes)}
     for a, b in lg.edges:
@@ -890,11 +884,20 @@ def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> Decompo
             others[a].append(rect_of[b])
         if b in others:
             others[b].append(rect_of[a])
+    cuts = {n: _cuts(rect_of[n], rects, margin) for n, rects in others.items() if rects}
+    return {n: c for n, c in cuts.items() if c}
+
+
+def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> DecompositionGraph:
+    """``project_and_split`` reading its neighbors from the layout graph
+    ``lg``, cutting and splitting every shape in one loop, building the
+    segment array from the segments' rectangles, and testing every pair of
+    segments for a conflict."""
+    shapes = sorted(layout.shapes, key=lambda s: s.id)
+    cuts_of = reference_cuts(layout, lg, split_nodes)
     segments, se = [], set()
     for shape in shapes:
-        cuts = []
-        if shape.id in others:
-            cuts = _cuts(shape.rect, others[shape.id], margin)
+        cuts = cuts_of.get(shape.id)
         pieces = _split_rect(shape.rect, cuts) if cuts else [shape.rect]
         start = len(segments)
         for rect in pieces:
@@ -915,18 +918,26 @@ def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> Decompo
 
 
 def assert_graphs_match_the_reference(layout: Layout):
+    """The layout graph, the cuts and the split graph, which read the
+    layout's ``close_pairs``, against references that read an independently
+    built layout graph."""
     lg = build_layout_graph(layout)
     expected = reference_layout_graph(layout)
     assert lg.nodes == expected.nodes
     # the frozensets iterate in insertion order, and callers iterate them
     assert list(lg.edges) == list(expected.edges)
+    missing = max(lg.nodes, default=0) + 1  # an id not in the layout
     for split_nodes in (None, peel_low_degree(lg)[0].nodes):
-        dg = project_and_split(layout, lg, split_nodes)
-        ref = reference_project_and_split(layout, lg, split_nodes)
+        cuts = reference_cuts(layout, expected, split_nodes)
+        assert stitch_candidates(layout, split_nodes) == cuts
+        asked = lg.nodes if split_nodes is None else split_nodes
+        assert stitch_candidates(layout, (*asked, missing)) == cuts
+        dg = project_and_split(layout, split_nodes)
+        ref = reference_project_and_split(layout, expected, split_nodes)
         assert dg.segments == ref.segments
         assert list(dg.ce) == list(ref.ce)
         assert list(dg.se) == list(ref.se)
-    return project_and_split(layout, lg)
+    return project_and_split(layout)
 
 
 class TestReferenceLoops:
@@ -959,5 +970,5 @@ class TestReferenceLoops:
         # so that the comparison above covers the pieces and their stitches
         layout = generate_layout(400, 6, seed=3)
         lg = build_layout_graph(layout)
-        dg = project_and_split(layout, lg, peel_low_degree(lg)[0].nodes)
+        dg = project_and_split(layout, peel_low_degree(lg)[0].nodes)
         assert len(dg.se) > 50 and len(dg.segments) > 450

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_graph
 from trimask.cli import generate_layout
 from trimask.geometry import build_layout_graph
-from trimask.graphs import DecompositionGraph, component_sets, connected_components
+from trimask.graphs import DecompositionGraph, adjacency, component_sets, connected_components
 from trimask.reductions import find_bridges
 
 nx = pytest.importorskip("networkx")
@@ -32,7 +32,7 @@ def path_graph(n=2000):
 
 def check_core(graph, edges):
     ref = nx_graph(graph.nodes, edges)
-    assert graph.adjacency == {n: tuple(sorted(ref[n])) for n in ref}
+    assert adjacency(graph.nodes, edges) == {n: tuple(sorted(ref[n])) for n in ref}
     expected = sorted(nx.connected_components(ref), key=min)
     assert component_sets(graph.nodes, edges) == expected
 

@@ -92,6 +92,8 @@ class TestEncoding:
         model = build_ilp(DecompositionGraph.from_edges(1), 0.1)
         with pytest.raises(ValueError, match="x0_2"):
             check_encoding(model, {"x0_1": 0})
+        with pytest.raises(ValueError, match="x0_2 must be 0/1, got 2"):
+            check_encoding(model, {"x0_1": 0, "x0_2": 2})
 
     def test_bits_round_trip(self, rng):
         dg = random_graph(rng, 7)
@@ -229,7 +231,7 @@ def clip_components(seed: int) -> list[DecompositionGraph]:
     layout = generate_layout(20, 6, seed=seed)
     lg = build_layout_graph(layout)
     residual, _ = peel_low_degree(lg)
-    dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+    dg = project_and_split(layout, split_nodes=residual.nodes)
     keep = set(residual.nodes)
     return connected_components(dg.subgraph(s.id for s in dg.segments if s.parent in keep))
 

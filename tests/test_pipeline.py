@@ -93,7 +93,7 @@ class TestDecompose:
         checked = 0
         for seed in range(40):
             layout = generate_layout(3 + seed % 6, [0, 2, 4, 6][seed % 4], seed=seed)
-            dg = project_and_split(layout, build_layout_graph(layout))
+            dg = project_and_split(layout)
             if len(dg.segments) > 13:
                 continue
             checked += 1
@@ -122,7 +122,7 @@ def residual_component(layout, size):
     """The component of ``size`` nodes left after peeling and splitting."""
     lg = build_layout_graph(layout)
     residual, _ = peel_low_degree(lg)
-    dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+    dg = project_and_split(layout, split_nodes=residual.nodes)
     kept = set(residual.nodes)
     pieces = connected_components(dg.subgraph(s.id for s in dg.segments if s.parent in kept))
     (comp,) = [c for c in pieces if len(c.nodes) == size]

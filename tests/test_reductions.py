@@ -6,7 +6,13 @@ import pytest
 from conftest import PEEL_FALLBACK_LAYOUT, random_graph
 from trimask.cli import generate_layout
 from trimask.geometry import LayoutGraph, build_layout_graph, project_and_split
-from trimask.graphs import DecompositionGraph, brute_force_optimum, connected_components, evaluate
+from trimask.graphs import (
+    DecompositionGraph,
+    adjacency,
+    brute_force_optimum,
+    connected_components,
+    evaluate,
+)
 from trimask.reductions import (
     find_bridges,
     peel_low_degree,
@@ -50,7 +56,7 @@ class TestPeel:
             dg = random_graph(rng, 10, 0.3, 0.0)
             lg = lg_from_edges(10, dg.ce)
             _, peeled = peel_low_degree(lg)
-            adj = {n: set(lg.adjacency[n]) for n in lg.nodes}
+            adj = {n: set(ns) for n, ns in adjacency(lg.nodes, lg.edges).items()}
             for node in peeled:
                 assert len(adj[node]) <= 2
                 for other in adj.pop(node):
@@ -63,7 +69,7 @@ class TestPeel:
             n = int(rng.integers(2, 30))
             dg = random_graph(rng, n, float(rng.uniform(0.05, 0.35)), 0.0)
             lg = lg_from_edges(n, dg.ce)
-            adj = {v: set(lg.adjacency[v]) for v in lg.nodes}
+            adj = {v: set(ns) for v, ns in adjacency(lg.nodes, lg.edges).items()}
             order = []
             while eligible := [v for v in adj if len(adj[v]) <= 2]:
                 node = min(eligible)
@@ -81,8 +87,8 @@ class TestPeel:
             dg = random_graph(rng, 11, 0.3, 0.0)
             lg = lg_from_edges(11, dg.ce)
             residual, _ = peel_low_degree(lg)
-            for node in residual.nodes:
-                assert len(residual.adjacency[node]) >= 3
+            for neighbors in adjacency(residual.nodes, residual.edges).values():
+                assert len(neighbors) >= 3
 
 
 class TestReinsert:
@@ -266,7 +272,7 @@ class TestAgainstReference:
         layout = generate_layout(400, density, seed=seed)
         lg = build_layout_graph(layout)
         residual, peeled = assert_same_peel(lg)
-        dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+        dg = project_and_split(layout, split_nodes=residual.nodes)
         rng = np.random.default_rng(seed)
         kept = set(residual.nodes)
         colors = {s.id: int(rng.integers(0, 3)) for s in dg.segments if s.parent in kept}
@@ -275,7 +281,7 @@ class TestAgainstReference:
     def test_peel_fallback_layout(self):
         lg = build_layout_graph(PEEL_FALLBACK_LAYOUT)
         residual, peeled = assert_same_peel(lg)
-        dg = project_and_split(PEEL_FALLBACK_LAYOUT, lg, split_nodes=residual.nodes)
+        dg = project_and_split(PEEL_FALLBACK_LAYOUT, split_nodes=residual.nodes)
         kept = [s.id for s in dg.segments if s.parent in set(residual.nodes)]
         colors = brute_force_optimum(dg.subgraph(kept), 0.1).colors
         assert assert_same_reinsert(dg, peeled, colors)

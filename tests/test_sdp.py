@@ -625,10 +625,8 @@ def reference_descent(v, edges, mu, max_iters, shift):
     value, *parts = value_at(v)
     grad = grad_at(v, *parts)
     grad_sq = sums(grad, grad)
-    safe_step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
-    step = safe_step
+    step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
     memory = [value]
-    fresh_step = False
     best, idle, iterations = value, 0, 0
     for _ in range(max_iters):
         if idle >= trimask.sdp.STALL_WINDOW or np.sqrt(sum(grad_sq)) < GRAD_TOL:
@@ -650,12 +648,7 @@ def reference_descent(v, edges, mu, max_iters, shift):
             scale *= 0.5
             move *= 0.5
         if not accepted:
-            if fresh_step:
-                break
-            step = safe_step
-            fresh_step = True
-            continue
-        fresh_step = False
+            break
         grad_new = grad_at(v_new, *parts_new)
         dv = v_new - v
         moved = sums(dv, dv)
@@ -722,7 +715,7 @@ class TestWorkspaceDescent:
         whichever pieces the pipeline sends to the relaxation."""
         lg = build_layout_graph(layout)
         residual, _ = peel_low_degree(lg)
-        dg = project_and_split(layout, lg, split_nodes=residual.nodes)
+        dg = project_and_split(layout, split_nodes=residual.nodes)
         keep = set(residual.nodes)
         comps = connected_components(dg.subgraph(i for i, p in zip(dg.ids, dg.parents) if p in keep))
         return join_costs([build_cost_matrix(comp, layout.params.alpha) for comp in comps])
