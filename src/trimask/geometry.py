@@ -33,6 +33,11 @@ projections take each shape's neighbors from them, and it tests only the
 segment pairs that those pairs and the split shapes allow, and sweeps
 nothing: a segment lies inside its shape, so two segments are close only
 if their shapes are, or if they are pieces of one shape.
+
+The sweep and the split call ndarray methods (``a.repeat``,
+``a.cumsum``, ``a.argsort``, ``a.searchsorted``, ``a.nonzero``) rather
+than the numpy functions that forward to them: on clip-sized arrays each
+of those wrappers costs 0.8–1.7 µs more than the method.
 """
 
 from __future__ import annotations
@@ -151,7 +156,7 @@ class Layout:
             first = np.lexsort((b, a))[0]
             x, y = self.shapes[int(a[first])].id, self.shapes[int(b[first])].id
             raise LayoutError(f"overlapping shapes {min(x, y)} and {max(x, y)}")
-        close = _close(rects, i, j, min_s)
+        close = _close(gx, gy, min_s)
         i, j = i[close], j[close]
         # both graphs insert their conflict pairs in this order: a
         # frozenset's iteration order depends on insertion order, and
@@ -176,9 +181,9 @@ def _rect_array(shapes: tuple[Shape, ...]) -> np.ndarray:
         r = np.fromiter(chain.from_iterable(rects), np.int64, count=4 * len(rects)).reshape(-1, 4)
         bad = ((r < -COORD_LIMIT) | (r > COORD_LIMIT)).any(axis=1)
     except OverflowError:
-        bad = [any(abs(c) > COORD_LIMIT for c in rect) for rect in rects]
-    if np.any(bad):
-        s = shapes[int(np.argmax(bad))]
+        bad = np.array([any(abs(c) > COORD_LIMIT for c in rect) for rect in rects])
+    if bad.any():
+        s = shapes[int(bad.argmax())]
         raise LayoutError(f"shape {s.id}: coordinates must lie within ±2**60, got {s.rect}")
     return r
 
@@ -230,17 +235,17 @@ def _sweep(r: np.ndarray, reach: int, axis: int) -> tuple[np.ndarray, np.ndarray
     the ones whose low edge lies below ``hi[a] + reach``, and
     ``searchsorted`` finds where they end.
     """
-    order = np.argsort(r[:, axis], kind="stable")
-    end = np.searchsorted(r[order, axis], r[order, axis + 2] + reach, side="left")
+    order = r[:, axis].argsort(kind="stable")
+    end = r[order, axis].searchsorted(r[order, axis + 2] + reach, side="left")
     return order, end
 
 
 def _windows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair ``(p, q)`` with ``p < q <= p + counts[p]``."""
-    first = np.repeat(np.arange(len(counts)), counts)
+    first = np.arange(len(counts)).repeat(counts)
     # a pair's rank within its window, shifted past the window's own row
-    starts = np.cumsum(counts) - counts
-    second = first + 1 + np.arange(len(first)) - np.repeat(starts, counts)
+    starts = counts.cumsum() - counts
+    second = first + 1 + np.arange(len(first)) - starts.repeat(counts)
     return first, second
 
 
@@ -272,16 +277,16 @@ def _strip_pairs(
     # the distinct first strips, sorted (np.unique would import numpy.ma)
     heads = np.sort(first_strip)
     heads = heads[np.concatenate(([True], heads[1:] != heads[:-1]))]
-    rank = np.searchsorted(heads, first_strip)
-    joined = np.searchsorted(heads, (hi + reach - 1) // h, side="right") - rank
+    rank = heads.searchsorted(first_strip)
+    joined = heads.searchsorted((hi + reach - 1) // h, side="right") - rank
     w = n + 1
     # the t-th strip that position p joins gets key (rank[p] + t) * w + p
-    starts = np.cumsum(joined) - joined
-    key = np.repeat((rank - starts) * w + np.arange(n), joined)
+    starts = joined.cumsum() - joined
+    key = ((rank - starts) * w + np.arange(n)).repeat(joined)
     key += np.arange(len(key)) * w
     key.sort()
     strip, pos = np.divmod(key, w)
-    stop = np.searchsorted(key, key - pos + end[pos], side="left")
+    stop = key.searchsorted(key - pos + end[pos], side="left")
     first, second = _windows(stop - np.arange(1, len(key) + 1))
     p, q = pos[first], pos[second]
     keep = strip[first] == np.maximum(rank[p], rank[q])
@@ -297,12 +302,12 @@ def _axis_gaps(r: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray,
     return gx, gy
 
 
-def _close(r: np.ndarray, i: np.ndarray, j: np.ndarray, min_s) -> np.ndarray:
-    """Whether rectangles ``r[i]`` and ``r[j]`` are closer than ``min_s``,
-    exactly (see the module docstring). A gap of ``ceil(min_s)`` or more is
-    never close, and clamped there its square still fails the test."""
+def _close(gx: np.ndarray, gy: np.ndarray, min_s) -> np.ndarray:
+    """Whether rectangle pairs with the signed gaps ``gx, gy`` of
+    ``_axis_gaps`` are closer than ``min_s``, exactly (see the module
+    docstring). A gap of ``ceil(min_s)`` or more is never close, and
+    clamped there its square still fails the test."""
     cap = math.ceil(min_s)
-    gx, gy = _axis_gaps(r, i, j)
     # not np.clip: its Python wrapper took about a third of this call
     dx, dy = np.minimum(np.maximum(gx, 0), cap), np.minimum(np.maximum(gy, 0), cap)
     return dx * dx + dy * dy <= math.ceil(Fraction(min_s) ** 2) - 1
@@ -541,7 +546,7 @@ def project_and_split(layout: Layout, split_nodes=None) -> DecompositionGraph:
         done = k + 1
     parents += shape_ids[done:]
     seg_rects += shape_rects[done:]
-    r = np.repeat(layout.rects, count, axis=0)
+    r = layout.rects.repeat(count, axis=0)
     r[split_rows] = np.array(split_rects, dtype=np.int64).reshape(-1, 4)
 
     # the conflict candidates: every pair of segments of two close shapes (a
@@ -549,19 +554,19 @@ def project_and_split(layout: Layout, split_nodes=None) -> DecompositionGraph:
     # pieces of one shape two or more apart; consecutive ones are stitches.
     # Each candidate pair of shapes (u, v) is a block of count[u] × count[v]
     # segment pairs
-    first = np.cumsum(count) - count
+    first = count.cumsum() - count
     u, v = layout.close_pairs
-    many = np.flatnonzero(count > 2)
+    many = (count > 2).nonzero()[0]
     u, v = np.concatenate((u, many)), np.concatenate((v, many))
     size = count[u] * count[v]
-    block = np.repeat(np.arange(len(u)), size)
-    rank = np.arange(len(block)) - np.repeat(np.cumsum(size) - size, size)
+    block = np.arange(len(u)).repeat(size)
+    rank = np.arange(len(block)) - (size.cumsum() - size).repeat(size)
     width = count[v][block]
     i = first[u][block] + rank // width
     j = first[v][block] + rank % width
     keep = (u != v)[block] | (j - i >= 2)
     i, j = i[keep], j[keep]
-    close = _close(r, i, j, layout.params.min_s)
+    close = _close(*_axis_gaps(r, i, j), layout.params.min_s)
     i, j = i[close], j[close]
     row_major = np.lexsort((j, i))
     ce = frozenset(zip(i[row_major].tolist(), j[row_major].tolist()))

@@ -49,8 +49,17 @@ take in four. On that joined run
 (about 490 rows and 1,600 pairs) three kernels take most of an
 iteration, near their floor: the gradient's ``bincount``, the ``take``
 of the endpoint rows and the row dots of the pairs. On a relaxed clip of
-the benchmark (26–29 nodes) an iteration is the calls' fixed cost alone,
-about 44 µs.
+the benchmark (26–29 nodes) an iteration is the calls' fixed cost alone.
+Four of the calls are row dots, and they go to numpy's C einsum kernel,
+bound once as ``_einsum``, with no Python wrapper in between; every other
+call but ``bincount`` is a ufunc, a ufunc's ``reduce`` or an ndarray
+method, and the multi-component move takes its steps from an array.
+That took an
+iteration on a 26-node clip from 47.2 to 40.8 µs, and on a
+``dense`` layout's joined run of 479 rows from 209.5 to 194.3 µs, with
+every value bit for bit (medians of 400 and 30 rounds in one process,
+alternating with the descent that called ``np.einsum``, 2-CPU x86-64
+host).
 
 Every step writes into one ``_Workspace`` that the descent makes once:
 the endpoint rows, the pairs' row dots and hinge, the gradient's terms
@@ -130,8 +139,10 @@ byte on one host under one numpy build; a host whose kernels sum the row
 dots or the scatter in another order may round to other masks. The
 descent calls no BLAS: every sum in it (the value, the row dots, the
 per-component sums behind the gradient norm and the spectral step) is
-numpy's own reduction, ``np.add.reduce`` or ``np.einsum``, whose order
-does not depend on the BLAS thread count. Outside the descent the
+numpy's own reduction, ``np.add.reduce`` or the C einsum kernel
+(``_einsum``: ``c_einsum``, which ``np.einsum`` itself calls, or
+``np.einsum`` where numpy does not expose it), whose order does not
+depend on the BLAS thread count. Outside the descent the
 rounding's ``v @ g`` and ``lower_bound`` still call BLAS.
 """
 
@@ -139,14 +150,25 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import DecompositionGraph, MaskAssignment, as_fraction, component_sets, evaluate
+
+try:
+    # numpy's C einsum kernel. np.einsum without ``optimize`` hands its
+    # arguments to this same kernel, so the two compute the same bits; the
+    # binding skips the wrapper's Python dispatch, about 1 µs of a row-dot
+    # call on a clip-sized factor
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # a numpy that keeps the kernel elsewhere
+    _einsum = np.einsum
 
 # the three ideal directions; pairwise dots are exactly 1 (same) or -1/2
 MASK_VECTORS = (
@@ -337,8 +359,9 @@ def _pair_dots(v, pairs) -> np.ndarray:
 
 
 def _max_violation(v, ce) -> float:
-    diag = np.max(np.abs((v * v).sum(axis=1) - 1.0), initial=0.0)
-    floor = np.max(-0.5 - _pair_dots(v, ce), initial=0.0)
+    # the ufunc's reduce: the np.max wrapper's cost shows on small graphs
+    diag = np.maximum.reduce(np.abs((v * v).sum(axis=1) - 1.0), initial=0.0)
+    floor = np.maximum.reduce(-0.5 - _pair_dots(v, ce), initial=0.0)
     return float(max(diag, floor))
 
 
@@ -352,7 +375,7 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     """Scale the rows of ``v`` to unit length in place and return ``v``. No
     row may be 0: a Gaussian row is not, and a descent step, orthogonal to
     its unit row, only lengthens it."""
-    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    norms = np.sqrt(_einsum("ij,ij->i", v, v))
     return np.divide(v, norms[:, None], out=v)
 
 
@@ -448,7 +471,7 @@ def _value_at(v, edges: _EdgeTerms, mu, offset, shift_sq, work: _Workspace) -> f
     # the default "raise", numpy gathers into a buffer and copies it to out.
     # The method skips the np.take wrapper, whose cost shows on small graphs
     v.T.take(edges.ends, axis=1, out=work.rows, mode="wrap")
-    x = np.einsum("ij,ij->j", work.first, work.second, out=work.x)
+    x = _einsum("ij,ij->j", work.first, work.second, out=work.x)
     hinge = np.subtract(offset, work.x_conflicts, out=work.hinge)
     np.maximum(0.0, hinge, out=hinge)
     # sums by numpy's own reduction, not a BLAS dot product, so they do not
@@ -471,7 +494,7 @@ def _riemannian_grad(v, edges: _EdgeTerms, mu, work: _Workspace):
     if not work.m:  # with no pairs bincount counts in int64
         grad = grad.astype(float)
     grad = grad.reshape(work.transposed).T
-    np.einsum("ij,ij->i", grad, v, out=work.norms)
+    _einsum("ij,ij->i", grad, v, out=work.norms)
     radial = np.multiply(work.norm_column, v, out=work.scratch)
     return np.subtract(grad, radial, out=grad)
 
@@ -502,7 +525,7 @@ def _component_sums(edges: _EdgeTerms, work: _Workspace):
             return [float(np.add.reduce(np.multiply(a, b, out=scratch), axis=None))]
     else:
         def sums(a, b):
-            dots = np.einsum("ij,ij->i", a, b, out=norms)
+            dots = _einsum("ij,ij->i", a, b, out=norms)
             return np.bincount(label, weights=dots, minlength=components).tolist()
     return sums
 
@@ -536,7 +559,7 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     grad = _riemannian_grad(v, edges, mu, work)
     grad_sq = sums(grad, grad)
     step = (1.0 / _lipschitz_bound(edges, mu)).tolist()
-    memory = [value]
+    memory = deque([value], maxlen=10)  # the last 10 accepted values
     best, idle, iterations = value, 0, 0
     v_new, spare = work.trials
     for _ in range(max_iters):
@@ -552,16 +575,17 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
         if one_component:
             np.multiply(step[0], grad, out=move)
         else:
-            np.take(step, label, out=norms)
+            # from an array: np.take of a list converts it in Python
+            np.array(step).take(label, out=norms, mode="wrap")
             np.multiply(norm_column, grad, out=move)
-        decrease = 1e-4 * sum(t * g for t, g in zip(step, grad_sq))
+        decrease = 1e-4 * sum(map(mul, step, grad_sq))
         reference = max(memory)
         scale = 1.0
         accepted = False
         for _ in range(25):
             # the trial, its rows scaled to unit length as _normalize_rows does
             np.subtract(v, move, out=v_new)
-            np.sqrt(np.einsum("ij,ij->i", v_new, v_new, out=norms), out=norms)
+            np.sqrt(_einsum("ij,ij->i", v_new, v_new, out=norms), out=norms)
             np.divide(v_new, norm_column, out=v_new)
             value_new = _value_at(v_new, edges, mu, offset, shift_sq, work)
             if value_new <= reference - scale * decrease:
@@ -583,8 +607,6 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
         v_new, spare = spare, v_new
         grad_sq = sums(grad, grad)
         memory.append(value)
-        if len(memory) > 10:
-            memory.pop(0)
         if value < best - STALL_TOL * (1.0 + abs(best)):
             best, idle = value, 0
     return v, math.sqrt(sum(grad_sq)), iterations
@@ -836,10 +858,15 @@ def _integer_costs(labels: np.ndarray, ce, se, frac) -> list[int]:
     position, int8 as ``_first_largest`` makes them, so the gathers of the
     pairs' endpoint labels move a byte per label): ``frac.denominator`` per
     conflict, ``frac.numerator`` per stitch. numpy counts, Python ints
-    weigh, so no cost wraps or overflows."""
-    conflicts = np.count_nonzero(labels[:, ce[:, 0]] == labels[:, ce[:, 1]], axis=1).tolist()
-    stitches = np.count_nonzero(labels[:, se[:, 0]] != labels[:, se[:, 1]], axis=1).tolist()
-    return [frac.denominator * c + frac.numerator * s for c, s in zip(conflicts, stitches)]
+    weigh, so no cost wraps or overflows. The gathers ``take`` rows of the
+    transpose, one per pair end, which numpy does faster than it indexes a
+    column of every draw: with the Fraction's parts read once, that took
+    the call on a relaxed clip's 200 draws from about 69 to 42 µs."""
+    ends = labels.T
+    conflicts = (ends.take(ce[:, 0], axis=0) == ends.take(ce[:, 1], axis=0)).sum(axis=0).tolist()
+    stitches = (ends.take(se[:, 0], axis=0) != ends.take(se[:, 1], axis=0)).sum(axis=0).tolist()
+    den, num = frac.denominator, frac.numerator
+    return [den * c + num * s for c, s in zip(conflicts, stitches)]
 
 
 def _polish(labels: list[int], ce, se, frac, rng) -> list[int]:

@@ -20,6 +20,7 @@ from trimask.geometry import (
     LayoutError,
     ProcessParams,
     Shape,
+    _axis_gaps,
     _close,
     _cuts,
     _near_pairs,
@@ -767,6 +768,32 @@ def test_one_proximity_sweep_per_layout(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("min_s", [85, math.sqrt(905)], ids=["integer", "non-integer"])
+def test_close_on_precomputed_gaps(min_s):
+    # validation hands _close the gaps its overlap test computed; they give
+    # the pairs that the composed form, gaps taken afresh, gives, and on
+    # every pair _close is the exact rational distance test, overlaps and
+    # gaps far past ceil(min_s) included
+    rng = np.random.default_rng(11)
+    lo = rng.integers(-400, 400, size=(80, 2))
+    r = np.hstack([lo, lo + rng.integers(1, 60, size=(80, 2))])
+    i, j = np.triu_indices(len(r), 1)
+    gx, gy = _axis_gaps(r, i, j)
+    limit = Fraction(min_s) ** 2
+    expected = [squared_gap(a, b) < limit for a, b in zip(r[i].tolist(), r[j].tolist())]
+    assert _close(gx, gy, min_s).tolist() == expected
+    assert 0 < sum(expected) < len(expected) and (gx >= 2 * math.ceil(min_s)).any()
+
+    layout = generate_layout(200, 6, seed=4)
+    layout = Layout(shapes=layout.shapes, params=replace(layout.params, min_s=min_s))
+    a, b = _near_pairs(layout.rects, math.ceil(min_s))
+    close = _close(*_axis_gaps(layout.rects, a, b), min_s)
+    a, b = a[close], b[close]
+    row_major = np.lexsort((b, a))
+    assert np.array_equal(layout.close_pairs[0], a[row_major])
+    assert np.array_equal(layout.close_pairs[1], b[row_major])
+
+
 def test_layout_graph_memory_stays_linear(tmp_path):
     # the n×n gap matrices of 5000 shapes took 764 MiB, and the candidate
     # pairs of a sweep without strips about 21 MiB
@@ -864,7 +891,7 @@ def reference_layout_graph(layout: Layout) -> LayoutGraph:
     r = np.array([s.rect for s in shapes], dtype=np.int64)
     min_s = layout.params.min_s
     i, j = _near_pairs(r, math.ceil(min_s))
-    close = _close(r, i, j, min_s)
+    close = _close(*_axis_gaps(r, i, j), min_s)
     i, j = i[close], j[close]
     order = np.lexsort((j, i))
     edges = frozenset(
@@ -909,7 +936,7 @@ def reference_project_and_split(layout: Layout, lg, split_nodes=None) -> Decompo
     keep = (parent[i] != parent[j]) | (j - i >= 2)
     i, j = i[keep], j[keep]
     r = np.array([seg.rect for seg in segments], dtype=np.int64).reshape(-1, 4)
-    close = _close(r, i, j, layout.params.min_s)
+    close = _close(*_axis_gaps(r, i, j), layout.params.min_s)
     ce = frozenset(zip(i[close].tolist(), j[close].tolist()))
     return DecompositionGraph(
         [s.id for s in segments], [s.parent for s in segments], [s.rect for s in segments],

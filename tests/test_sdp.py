@@ -669,7 +669,22 @@ def reference_descent(v, edges, mu, max_iters, shift):
 
 class TestWorkspaceDescent:
     """The descent writes every step into one workspace, and returns what
-    the allocate-per-step ``reference_descent`` returns, bit for bit."""
+    the allocate-per-step ``reference_descent`` returns, bit for bit, on
+    either binding of its row dots: numpy's C einsum kernel, as ``sdp``
+    binds it where numpy exposes it, and the ``np.einsum`` fallback."""
+
+    @pytest.fixture(params=["c_einsum", "np.einsum"])
+    def binding(self, request, monkeypatch):
+        if request.param == "np.einsum":
+            monkeypatch.setattr(trimask.sdp, "_einsum", np.einsum)
+        return request.param
+
+    def test_binds_the_c_kernel_where_numpy_exposes_it(self):
+        try:
+            from numpy._core.multiarray import c_einsum
+        except ImportError:
+            pytest.skip("this numpy keeps its einsum kernel elsewhere")
+        assert trimask.sdp._einsum is c_einsum
 
     @staticmethod
     def check(cost, shift, seed=0):
@@ -687,7 +702,7 @@ class TestWorkspaceDescent:
         return found
 
     @pytest.mark.parametrize("sizes", [[14], [9, 12], [6, 11, 8]])
-    def test_matches_the_reference_on_one_to_three_components(self, sizes):
+    def test_matches_the_reference_on_one_to_three_components(self, sizes, binding):
         rng = np.random.default_rng(len(sizes))
         costs = [build_cost_matrix(dg, 0.1) for dg in sparse_leaves(rng, sizes, 0.3)]
         cost = join_costs(costs)
@@ -696,7 +711,7 @@ class TestWorkspaceDescent:
             _, _, iterations = self.check(cost, shift)
             assert iterations > 0
 
-    def test_matches_the_reference_on_zero_one_and_two_nodes(self):
+    def test_matches_the_reference_on_zero_one_and_two_nodes(self, binding):
         for dg in (
             DecompositionGraph.from_edges(0),
             DecompositionGraph.from_edges(1),
@@ -725,7 +740,7 @@ class TestWorkspaceDescent:
         (20, 6, 2, 1, (26, 29)),  # a clip of one relaxation-sized component
     ], ids=["dense", "clip"])
     def test_matches_the_reference_at_benchmark_sizes(
-        self, shapes, density, seed, components, nodes
+        self, shapes, density, seed, components, nodes, binding
     ):
         cost = self.residual_cost(generate_layout(shapes, density, seed=seed))
         assert _edge_terms(cost, RANK).components == components
