@@ -54,12 +54,8 @@ Four of the calls are row dots, and they go to numpy's C einsum kernel,
 bound once as ``_einsum``, with no Python wrapper in between; every other
 call but ``bincount`` is a ufunc, a ufunc's ``reduce`` or an ndarray
 method, and the multi-component move takes its steps from an array.
-That took an
-iteration on a 26-node clip from 47.2 to 40.8 µs, and on a
-``dense`` layout's joined run of 479 rows from 209.5 to 194.3 µs, with
-every value bit for bit (medians of 400 and 30 rounds in one process,
-alternating with the descent that called ``np.einsum``, 2-CPU x86-64
-host).
+So no step pays a Python wrapper's fixed cost, and every value is the
+one ``np.einsum`` computes, bit for bit.
 
 Every step writes into one ``_Workspace`` that the descent makes once:
 the endpoint rows, the pairs' row dots and hinge, the gradient's terms
@@ -70,10 +66,9 @@ gradient that ``bincount`` returns. The workspace also holds every view
 of these arrays that a step reads and the sizes it needs, and the
 descent binds its per-component sums before its loop, so a step slices,
 reshapes and takes the length of nothing, and its sums, moves and trial
-normalizations are direct numpy calls. That took an iteration on a
-26-node clip from 48.6 to 43.5 µs with every value bit for bit (medians
-of 400 rounds in one process, alternating with the descent that sliced
-its views at every step, 2-CPU x86-64 host).
+normalizations are direct numpy calls. The descent returns its factor's
+hinge from the workspace too, so the relaxation takes its shifts and
+multipliers without making another.
 ``_value_at`` and ``_riemannian_grad`` are the kernels of both the
 descent and ``_penalized_value``, so the gradient tests check the code
 the descent runs. The workspace returns the allocating descent's factor
@@ -540,9 +535,10 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
     falls below ``GRAD_TOL``, when 25 halvings of one step all fail, or
     once its accepted value has not improved by
     ``STALL_TOL * (1 + |best|)`` for ``STALL_WINDOW`` iterations. Returns
-    the factor, its gradient norm and the iterations run. The few
-    per-component numbers are Python floats, which cost less to update
-    than numpy arrays.
+    the factor, its gradient norm, the iterations run and its conflict
+    pairs' hinge, as ``_penalized_value`` finds it. The few per-component
+    numbers are Python floats, which cost less to update than numpy
+    arrays.
 
     Every step writes into one ``_Workspace``: a trial factor goes to the
     one of its two trial arrays that does not hold the accepted factor, so
@@ -594,6 +590,8 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
             scale *= 0.5
             move *= 0.5
         if not accepted:
+            # the workspace holds the last rejected trial's hinge
+            _value_at(v, edges, mu, offset, shift_sq, work)
             break
         grad_new = _riemannian_grad(v_new, edges, mu, work)
         dv = np.subtract(v_new, v, out=work.dv)
@@ -609,7 +607,7 @@ def _minimize_on_sphere(v, edges: _EdgeTerms, mu, max_iters, shift):
         memory.append(value)
         if value < best - STALL_TOL * (1.0 + abs(best)):
             best, idle = value, 0
-    return v, math.sqrt(sum(grad_sq)), iterations
+    return v, math.sqrt(sum(grad_sq)), iterations, work.hinge
 
 
 def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
@@ -625,19 +623,17 @@ def solve_relaxation(cost: CostMatrix, seed: int = 42) -> RelaxationSolution:
     edges = _edge_terms(cost, min(n, RANK))
     # column-major: each factor column is contiguous, as the descent reads it
     v = np.asfortranarray(_normalize_rows(np.random.default_rng(seed).normal(size=(n, min(n, RANK)))))
-    shift = np.zeros(len(cost.ce))
-    v, grad_norm, iterations = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
+    v, grad_norm, iterations, hinge = _minimize_on_sphere(
+        v, edges, MU_INITIAL, MAX_ITERS, np.zeros(len(cost.ce)))
     violation = _max_violation(v, cost.ce)
     for _ in range(MULTIPLIER_ROUNDS):
         if grad_norm >= GRAD_TOL or violation <= CONSTRAINT_TOL:
             break
         # the hinge at the last shift is the next shift: the multiplier
         # estimates divided by 2*mu
-        shift = _penalized_value(v, edges, MU_INITIAL, shift)[1].hinge
-        v, grad_norm, used = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
+        v, grad_norm, used, hinge = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, hinge)
         iterations += used
         violation = _max_violation(v, cost.ce)
-    hinge = _penalized_value(v, edges, MU_INITIAL, shift)[1].hinge
     v = np.ascontiguousarray(v)
     return RelaxationSolution(
         cost=cost, v=v, converged=grad_norm < GRAD_TOL and violation <= CONSTRAINT_TOL,

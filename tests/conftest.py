@@ -65,13 +65,14 @@ def rng():
 
 class Descent(NamedTuple):
     """One relaxation descent: its penalty weight and hinge shift, and the
-    factor, gradient norm and iterations it returned."""
+    factor, gradient norm, iterations and hinge it returned."""
 
     mu: float
     shift: np.ndarray
     v: np.ndarray
     grad_norm: float
     iterations: int
+    hinge: np.ndarray
 
 
 @pytest.fixture

@@ -264,9 +264,9 @@ class TestStallStop:
         # iterations; the reference runs with a window no descent reaches
         edges, zero, v0 = self.instance(40)
         start, _ = _penalized_value(v0, edges, MU_INITIAL, zero)
-        v, _, used = _minimize_on_sphere(v0, edges, MU_INITIAL, MAX_ITERS, zero)
+        v, _, used, _ = _minimize_on_sphere(v0, edges, MU_INITIAL, MAX_ITERS, zero)
         monkeypatch.setattr(trimask.sdp, "STALL_WINDOW", MAX_ITERS + 1)
-        _, _, unstopped = _minimize_on_sphere(v0, edges, MU_INITIAL, MAX_ITERS, zero)
+        _, _, unstopped, _ = _minimize_on_sphere(v0, edges, MU_INITIAL, MAX_ITERS, zero)
         assert used < unstopped <= MAX_ITERS
         assert _penalized_value(v, edges, MU_INITIAL, zero)[0] < start
 
@@ -698,8 +698,35 @@ class TestWorkspaceDescent:
         assert np.array_equal(v, kept)  # the start is never written
         expected = reference_descent(v, edges, MU_INITIAL, MAX_ITERS, shift)
         assert np.array_equal(found[0], expected[0])
-        assert found[1:] == expected[1:]
+        assert found[1:3] == expected[1:]
+        hinge = _penalized_value(found[0], edges, MU_INITIAL, shift)[1].hinge
+        assert np.array_equal(found[3], hinge)
         return found
+
+    def test_a_failed_step_returns_its_start_and_the_start_hinge(self, monkeypatch):
+        # every trial after the start reads as worse, so all 25 halvings of
+        # the first step fail and the workspace is left with a rejected trial
+        cost = join_costs([build_cost_matrix(dg, 0.1)
+                           for dg in sparse_leaves(np.random.default_rng(1), [14], 0.3)])
+        edges = _edge_terms(cost, RANK)
+        shift = np.zeros(len(cost.ce))
+        v = np.asfortranarray(_normalize_rows(np.random.default_rng(0).normal(size=(14, RANK))))
+        start, work = _penalized_value(v, edges, MU_INITIAL, shift)
+        start_grad = _riemannian_grad(v, edges, MU_INITIAL, work)
+        value_at = trimask.sdp._value_at
+        calls = []
+
+        def worse_after_the_start(*args):
+            calls.append(args[0])
+            value = value_at(*args)
+            return value if len(calls) == 1 else np.inf
+
+        monkeypatch.setattr(trimask.sdp, "_value_at", worse_after_the_start)
+        found, grad_norm, iterations, hinge = _minimize_on_sphere(v, edges, MU_INITIAL, MAX_ITERS, shift)
+        assert len(calls) == 1 + 25 + 1 and iterations == 1
+        assert found is v and calls[-1] is v
+        assert grad_norm == np.sqrt(float(np.add.reduce(start_grad * start_grad, axis=None)))
+        assert hinge.any() and np.array_equal(hinge, work.hinge)
 
     @pytest.mark.parametrize("sizes", [[14], [9, 12], [6, 11, 8]])
     def test_matches_the_reference_on_one_to_three_components(self, sizes, binding):
@@ -708,7 +735,7 @@ class TestWorkspaceDescent:
         cost = join_costs(costs)
         assert _edge_terms(cost, RANK).components == len(sizes)
         for shift in (np.zeros(len(cost.ce)), rng.uniform(0.0, 0.3, size=len(cost.ce))):
-            _, _, iterations = self.check(cost, shift)
+            _, _, iterations, _ = self.check(cost, shift)
             assert iterations > 0
 
     def test_matches_the_reference_on_zero_one_and_two_nodes(self, binding):
@@ -747,7 +774,7 @@ class TestWorkspaceDescent:
         assert nodes[0] <= len(cost.index) <= nodes[1]
         rng = np.random.default_rng(seed)
         for shift in (np.zeros(len(cost.ce)), rng.uniform(0.0, 0.3, size=len(cost.ce))):
-            _, _, iterations = self.check(cost, shift)
+            _, _, iterations, _ = self.check(cost, shift)
             assert iterations > 0
 
 

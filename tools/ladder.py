@@ -23,10 +23,18 @@ and after the solver unless it is ``auto``: ``BENCH_exact_<sha>.json``.
 The names are taken before the ladder runs.
 With two or more ``--src`` trees the table shows each tree's figures, the
 last tree's wall time against the first's, and whether every tree's
-payload digest is equal. The digest covers what the command line writes
-too: the assignment file and the stats file, less its wall time. The wall
-change reads "within spread" when the two trees' min-max ranges overlap:
-host noise alone can then explain it.
+payload digest is equal. The digest covers what the command line writes:
+the payload, the assignment file and the stats file, less its wall time.
+The wall change reads "within spread" when the two trees' min-max ranges
+overlap: host noise alone can then explain it.
+
+Each tree then digests every pinned layout of ``perfbench/pins.json``,
+main and held-out, as ``perfbench/inputs.py`` generates it: checked
+against its pin, written to a file and decomposed from it as ``trimask
+decompose --input`` does. The corpus digest, printed and written with
+the layout count, hashes the layouts' digests in pin order. With two or
+more trees the ladder prints "equal", or else the first rung or layout on
+which a tree differs from the first and exits 1.
 """
 
 from __future__ import annotations
@@ -34,17 +42,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402
+
 INSTANCES = [(shapes, density, seed)
              for shapes in (40, 400, 2000) for density in (2, 4, 6) for seed in (1, 2, 3)]
 INSTANCES += [(1000, 3, 1), (5000, 4, 1)]
@@ -67,7 +78,51 @@ NOTES = [
     "payload: SHA-256 prefix of the sorted-key JSON of DecomposeResult.payload(), "
     "then format_assignment(result.assignment), then format_stats(result) with "
     "wall_time 0; digests in files that hashed payload() alone do not compare",
+    "corpus: the pinned perfbench layouts, each decomposed from its written file with "
+    "the config above, and the SHA-256 of their full payload digests in pin order",
 ]
+
+
+def pinned_layouts() -> list[tuple[str, inputs.Workload, int, str]]:
+    """Every pinned benchmark layout, main and held-out, in pin order: its
+    name, workload, generator seed and pinned digest."""
+    return [(f"{workload}/{part}/g{gen_seed}", inputs.WORKLOADS[workload], int(gen_seed), pinned)
+            for workload, parts in inputs.load_pins().items()
+            for part, pins in parts.items()
+            for gen_seed, pinned in pins.items()]
+
+
+def written(result) -> bytes:
+    """What the command line writes for ``result``, the stats less their
+    wall time."""
+    from trimask.cli import format_assignment, format_stats
+
+    return (json.dumps(result.payload(), sort_keys=True)
+            + format_assignment(result.assignment)
+            + format_stats(dataclasses.replace(result, wall_time=0.0))).encode()
+
+
+def corpus_rows(cfg) -> list[list[str]]:
+    """``[name, digest]`` of every pinned layout in pin order, each written
+    to a file and decomposed from it; a layout that no longer has its
+    pinned digest stops the run with its name."""
+    from trimask.geometry import load_layout
+    from trimask.pipeline import decompose
+
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "layout.json"
+        for name, spec, gen_seed, pinned in pinned_layouts():
+            data = inputs.generate(spec.shapes, spec.density, gen_seed)
+            if inputs.digest(data) != pinned:
+                raise SystemExit(f"{name} no longer has its pinned digest")
+            path.write_bytes(data)
+            rows.append([name, inputs.digest(written(decompose(load_layout(path), cfg)))])
+    return rows
+
+
+def corpus_digest(rows: list[list[str]]) -> str:
+    return inputs.digest("".join(digest for _, digest in rows).encode())
 
 
 def serve(solver: str) -> None:
@@ -75,20 +130,16 @@ def serve(solver: str) -> None:
     and ``solver``:
     ``{"index": i, "repeat": r}`` decomposes instance i once and replies
     with its wall time and the garbage collections it took, per
-    generation, and on repeat 0 with its other figures too."""
-    sys.path.insert(0, str(ROOT))
-    from perfbench.checks import greedy_one_opt
-    from trimask.cli import format_assignment, format_stats, generate_layout
+    generation, and on repeat 0 with its other figures too;
+    ``{"corpus": true}`` replies with the ``corpus_rows``."""
+    from checks import greedy_one_opt
+    from trimask.cli import generate_layout
     from trimask.graphs import as_fraction
     from trimask.pipeline import DecomposeConfig, decompose
 
     def record(layout, result) -> dict:
         reports = result.per_component
         dg = result.dg
-        # what the command line writes, the stats less their wall time
-        written = (json.dumps(result.payload(), sort_keys=True)
-                   + format_assignment(result.assignment)
-                   + format_stats(dataclasses.replace(result, wall_time=0.0)))
         relaxed = [r for r in reports if r.sdp_converged is not None]
         # every relaxed report of a pass carries that pass's one run
         passes = {r.peel_fallback: r.sdp_iterations for r in relaxed}
@@ -104,7 +155,7 @@ def serve(solver: str) -> None:
                 dg.nodes, dg.ce, dg.se, as_fraction(layout.params.alpha))),
             "sdp_iterations": sum(passes.values()),
             "relaxed": len(relaxed),
-            "payload": hashlib.sha256(written.encode()).hexdigest()[:16],
+            "payload": inputs.digest(written(result))[:16],
         }
 
     collections = [0, 0, 0]  # per generation, during the current decompose call
@@ -118,6 +169,9 @@ def serve(solver: str) -> None:
     layouts = {}
     for line in sys.stdin:
         request = json.loads(line)
+        if request.get("corpus"):
+            print(json.dumps({"rows": corpus_rows(cfg)}), flush=True)
+            continue
         index = request["index"]
         if index not in layouts:
             shapes, density, seed = INSTANCES[index]
@@ -141,8 +195,8 @@ class Tree:
                                      env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      text=True)
 
-    def ask(self, index: int, repeat: int) -> dict:
-        self.proc.stdin.write(json.dumps({"index": index, "repeat": repeat}) + "\n")
+    def ask(self, request: dict) -> dict:
+        self.proc.stdin.write(json.dumps(request) + "\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
@@ -154,8 +208,9 @@ class Tree:
         self.proc.wait(timeout=60)
 
 
-def measure(srcs: list[str], solver: str) -> list[list[dict]]:
-    """One record per instance for each tree, the trees taking turns."""
+def measure(srcs: list[str], solver: str) -> tuple[list[list[dict]], list[list[list[str]]]]:
+    """One record per instance for each tree, the trees taking turns, and
+    then each tree's ``corpus_rows``."""
     trees = []
     try:
         for src in srcs:
@@ -168,7 +223,7 @@ def measure(srcs: list[str], solver: str) -> list[list[dict]]:
             for repeat in range(REPEATS):
                 for turn in range(len(trees)):
                     t = (repeat + turn) % len(trees)
-                    reply = trees[t].ask(index, repeat)
+                    reply = trees[t].ask({"index": index, "repeat": repeat})
                     walls[t].append(reply["wall"])
                     records[t]["gc_collections"].append(reply["collections"])
                     records[t].update(reply.get("record", {}))
@@ -176,7 +231,7 @@ def measure(srcs: list[str], solver: str) -> list[list[dict]]:
                 rec["decompose_s"] = round(statistics.median(walls[t]), 4)
                 rec["decompose_range_s"] = [round(min(walls[t]), 4), round(max(walls[t]), 4)]
                 results[t].append(rec)
-        return results
+        return results, [tree.ask({"corpus": True})["rows"] for tree in trees]
     finally:
         for tree in trees:
             tree.close()
@@ -196,7 +251,7 @@ def _commit(src: Path) -> str:
     return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def write(commit: str, solver: str, records: list[dict]) -> Path:
+def write(commit: str, solver: str, records: list[dict], corpus: list[list[str]]) -> Path:
     path = ROOT / (f"BENCH_{commit}.json" if solver == "auto" else f"BENCH_{solver}_{commit}.json")
     doc = {
         "commit": commit,
@@ -204,9 +259,24 @@ def write(commit: str, solver: str, records: list[dict]) -> Path:
         "config": {"seed": 42, "solver": solver, "repeats": REPEATS, "blas_threads": 1},
         "notes": NOTES,
         "instances": records,
+        "corpus": {"layouts": len(corpus), "digest": corpus_digest(corpus)},
     }
     path.write_text(json.dumps(doc, indent=1) + "\n")
     return path
+
+
+def rung(rec: dict) -> str:
+    return f"({rec['shapes']}, {rec['density']}) seed {rec['seed']}"
+
+
+def first_difference(srcs: list[str], rows: list[list[list[str]]]) -> str | None:
+    """The line naming the first ``[name, digest]`` row on which a tree
+    differs from the first tree, or None when every tree's rows are equal."""
+    for src, found in zip(srcs[1:], rows[1:]):
+        for (name, expected), (_, digest) in zip(rows[0], found):
+            if digest != expected:
+                return f"differs: {name}: {expected[:16]} ({srcs[0]}) != {digest[:16]} ({src})"
+    return None
 
 
 def table(srcs: list[str], results: list[list[dict]]) -> str:
@@ -219,7 +289,7 @@ def table(srcs: list[str], results: list[list[dict]]) -> str:
     lines = [" | ".join(head), " | ".join("---" for _ in head)]
     for rows in zip(*results):
         last = rows[-1]
-        cells = [f"({last['shapes']}, {last['density']}) seed {last['seed']}",
+        cells = [rung(last),
                  f"{last['segments']} / {last['ce']} / {last['se']}",
                  f"{last['components']} ({last['largest']}, {last['proven']})"]
         for row in rows:
@@ -252,11 +322,20 @@ def main(argv=None) -> int:
         return 0
     srcs = args.src or [str(ROOT / "src")]
     commits = [_commit(Path(src).resolve()) for src in srcs]
-    results = measure(srcs, args.solver)
-    for commit, records in zip(commits, results):
-        print(f"wrote {write(commit, args.solver, records)}")
+    results, corpora = measure(srcs, args.solver)
+    for commit, records, corpus in zip(commits, results, corpora):
+        print(f"wrote {write(commit, args.solver, records, corpus)}")
     print(table(srcs, results))
-    return 0
+    for src, corpus in zip(srcs, corpora):
+        print(f"corpus {corpus_digest(corpus)}  {len(corpus)} layouts  {src}")
+    if len(srcs) == 1:
+        return 0
+    # every rung's payload, then every pinned layout's digest
+    rows = [[[rung(rec), rec["payload"]] for rec in records] + corpus
+            for records, corpus in zip(results, corpora)]
+    differs = first_difference(srcs, rows)
+    print(differs or "equal")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

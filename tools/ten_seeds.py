@@ -15,15 +15,14 @@ both ``dense`` corpora (sum of their 4 layouts), the 20 relaxed clips of
 each ``clips`` corpus (sum), and ``generate_layout`` rungs: each rung's
 generator seeds one row each, then a row of their sums per decompose seed.
 The change is judged on the sums only: a re-draw can move one generator
-seed's mean by more than 1% either way. The corpora are read from
-``perfbench/pins.json``, and each generated layout must still have its
-pinned digest.
+seed's mean by more than 1% either way. The corpora and their pins are
+read through ``perfbench/inputs.py``, and each generated layout must
+still have its pinned digest.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -31,10 +30,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PINS = ROOT / "perfbench" / "pins.json"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402
+
 SEEDS = (1, 2, 3, 5, 7, 11, 13, 42, 99, 1234)
-# workload -> (shapes, density) of its pinned corpora
-CORPORA = {"dense": (400, 6), "clips": (20, 6)}
 # (shapes, density, generator seeds) of the generator rungs
 RUNGS = ((400, 4, (1, 2, 3)), (400, 6, (1, 2, 3)), (1000, 3, (1, 2)),
          (2000, 4, (1, 2)), (2000, 6, (1, 2, 3)))
@@ -43,15 +42,13 @@ RUNGS = ((400, 4, (1, 2, 3)), (400, 6, (1, 2, 3)), (1000, 3, (1, 2)),
 def _corpus(workload: str, part: str):
     """The layouts of a pinned corpus, each checked against its digest."""
     from trimask.cli import generate_layout
-    from trimask.geometry import layout_to_dict
 
-    shapes, density = CORPORA[workload]
+    spec = inputs.WORKLOADS[workload]
     layouts = []
-    for gen_seed, pinned in json.loads(PINS.read_text())[workload][part].items():
-        layout = generate_layout(shapes, density, seed=int(gen_seed))
-        data = json.dumps(layout_to_dict(layout), separators=(",", ":")) + "\n"
-        if hashlib.sha256(data.encode()).hexdigest() != pinned:
-            raise SystemExit(f"{workload}/{part} seed {gen_seed} no longer has its pinned digest")
+    for gen_seed, pinned in inputs.load_pins()[workload][part].items():
+        layout = generate_layout(spec.shapes, spec.density, seed=int(gen_seed))
+        if inputs.digest(inputs.layout_bytes(layout)) != pinned:
+            raise SystemExit(f"{workload}/{part}/g{gen_seed} no longer has its pinned digest")
         layouts.append(layout)
     return layouts
 
